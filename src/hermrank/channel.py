@@ -5,9 +5,9 @@ independent over F_{q^2} and a t x n coefficient matrix over F_{q^2}, so the
 error spans a t-dimensional column space; Hermitian mode builds B*D*B^* from
 a random n x t matrix B over F_{q^2} and a nonzero F_q diagonal D, which is
 structurally Hermitian, and converts the matrix to vector form.  Either way
-the achieved rank is recomputed twice (matrix coordinates and interpolation
-polynomial) and the draw is repeated until it is exactly t, so the advertised
-rank is a guarantee rather than an expectation.
+the achieved rank is recomputed from the matrix coordinates and the draw is
+repeated until it is exactly t, so the advertised rank is a guarantee rather
+than an expectation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 from .code import CodeParams, HermitianMatrix, codeword_to_matrix, matrix_to_vector
 from .exceptions import BadParamsError, BadRankError
 from .field import Felt, FieldContext
-from .linpoly import fq2_matrix_rank, lp_interpolate, map_rank
+from .linpoly import fq2_matrix_rank
 from .rng import SplitMix64
 
 MODE_ARBITRARY = "arbitrary"
@@ -49,9 +49,7 @@ def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
             e = _draw_arbitrary(ctx, n, spec.t, rng, sub2)
         else:
             e = _draw_hermitian(params, n, spec.t, rng, sub2)
-        r_mat = fq2_matrix_rank(ctx, codeword_to_matrix(params, e).rows)
-        r_map = map_rank(ctx, lp_interpolate(ctx, params.moore, e))
-        if r_mat == spec.t and r_map == spec.t:
+        if fq2_matrix_rank(ctx, codeword_to_matrix(params, e).rows) == spec.t:
             return e
     raise RuntimeError("rank-t sampling failed to converge")  # pragma: no cover
 

@@ -29,7 +29,7 @@ from .codec import (
     word_to_json_obj,
 )
 from .exceptions import HermrankError
-from .oracle import DEFAULT_ENUM_LIMIT, brute_min_distance, enumerate_code
+from .oracle import DEFAULT_ENUM_LIMIT, brute_min_distance, code_size
 from .rng import SplitMix64, substream_seed
 
 
@@ -192,12 +192,11 @@ def cmd_simulate(args) -> int:
 def cmd_mindist(args) -> int:
     params = build_params(args.q, args.n, args.d)
     t0 = time.perf_counter()
-    table = enumerate_code(params, args.limit)
     dist = brute_min_distance(params, args.limit)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000.0))
     _emit(
         {
-            "code_size": len(table.words),
+            "code_size": code_size(params),
             "d": args.d,
             "elapsed_ms": elapsed_ms,
             "min_distance": dist,
@@ -323,3 +322,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console-script hook
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -20,16 +20,19 @@ synthesizes the shortest skew feedback register generating them (the
 recurrence g_i = sum_l lambda_l * g_{i-l}^(q^(2l)) holds cyclically for a
 rank-t error), completes the windowed coefficients by running the register
 forward, subtracts, and extracts the message.  Every candidate is certified
-by re-encoding: a result is only accepted when the residual rank is within
-the unique-decoding radius, so a wrong message can never be returned.
+by the rank of its completed error polynomial g: once extraction succeeds,
+g is exactly the interpolation polynomial of received - encode(message)
+(see decode), so a result is only accepted when the residual rank is within
+the unique-decoding radius, and a wrong message can never be returned.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .code import CodeParams, decompose_eta, rank_distance
+from .code import CodeParams, decompose_eta
 from .exceptions import (
     BadRankError,
     NotInSubfieldError,
@@ -37,7 +40,7 @@ from .exceptions import (
     SymmetryCheckError,
 )
 from .field import Felt
-from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, lp_zero
+from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, lp_zero, map_rank
 from .rng import SplitMix64
 
 REASON_RADIUS = "RadiusExceeded"
@@ -260,11 +263,12 @@ def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
 class DecodeResult:
     """Outcome of a decode attempt.
 
-    On success the message re-encodes to a codeword within the radius of
-    the received word (that is what certification means), error_poly is the
-    interpolation polynomial of the residual and error_rank its rank.  On
-    failure, reason is one of the REASON_* strings and diagnostics records
-    what the solvers saw.
+    On success the message encodes to a codeword within the radius of the
+    received word (that is what certification means), error_poly is the
+    interpolation polynomial of the residual received - encode(message),
+    which decode obtains as the completed register output, and error_rank
+    is its rank.  On failure, reason is one of the REASON_* strings and
+    diagnostics records what the solvers saw.
     """
 
     ok: bool
@@ -275,16 +279,45 @@ class DecodeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _gaussian_candidates(params: CodeParams, known: dict, skip_t: int) -> Iterator[tuple]:
+    """Key-equation candidates at every rank 1..radius except skip_t, solved
+    one at a time as the caller asks for them."""
+    for t in range(1, params.radius + 1):
+        if t != skip_t:
+            lam = solve_key_equation(params, known, t)
+            if lam is not None:
+                yield t, lam, "gaussian"
+
+
 def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     """Certified bounded-distance decoding.
 
     Candidate registers come from Berlekamp-Massey first and then from the
     Gaussian key-equation solver at every rank up to the radius; each
     candidate is completed, extracted and certified, and the first certified
-    message wins.  Distinct codewords are at least d apart, so at most one
-    candidate can ever certify; failure reports the most advanced stage any
-    candidate reached (certification, then symmetry, then subfield, then
+    message wins.  Candidates are built on demand, so the Gaussian solves
+    beyond the one at the BM length only run when nothing has certified
+    yet.  Distinct codewords are at least d apart, so at most one candidate
+    can ever certify; failure reports the most advanced stage any candidate
+    reached (certification, then symmetry, then subfield, then
     inconsistency).
+
+    Certification is rank(g) <= radius for the completed register output g,
+    and that is exactly the re-encoding test rank(received - encode(msg)) <=
+    radius:
+
+    - Once extraction's subfield and symmetry checks pass, expanding the
+      extracted message gives back the window it came from: the center c
+      satisfies c^(q^(2n)) = c, each pair's b = u + eta*v holds exactly, and
+      the mirror check forces the upper half.
+    - Outside the window the expansion is zero and g carries beta there
+      unchanged, so beta - expand(msg) = g coefficient by coefficient.
+    - Interpolation is linear and encode evaluates expand(msg) on alpha, so
+      received - encode(msg) is g evaluated on alpha.  Its F_{q^2}-rank is
+      the rank of the map g because alpha spans K over F_{q^2}.
+
+    So the accepted results, error_poly and error_rank are those of the
+    re-encoding test, and a wrong message can never be returned.
     """
     ctx = params.ctx
     radius = params.radius
@@ -292,27 +325,27 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     seq = [known[idx] for idx in known_indices(params)]
     diags: dict = {}
 
-    candidates = []
     if all(v == ctx.zero for v in seq):
         # a zero exposed window within the radius forces a zero error: any
         # nonzero polynomial confined to the message window has rank >= d
-        candidates.append((0, (), "zero-window"))
+        candidates = [(0, (), "zero-window")]
     else:
         bm_t, bm_lam = skew_bm(params, seq)
         diags["bm_t"] = bm_t
+        first = []
         if 1 <= bm_t <= radius:
             gauss = solve_key_equation(params, known, bm_t)
             diags["bm_gaussian_agree"] = gauss == bm_lam
-            candidates.append((bm_t, bm_lam, "bm"))
+            first.append((bm_t, bm_lam, "bm"))
             if gauss is not None and gauss != bm_lam:
-                candidates.append((bm_t, gauss, "gaussian"))
-        for t in range(1, radius + 1):
-            lam = solve_key_equation(params, known, t)
-            if lam is not None and not any(ct == t and cl == lam for ct, cl, _ in candidates):
-                candidates.append((t, lam, "gaussian"))
+                first.append((bm_t, gauss, "gaussian"))
+        # the solve at bm_t above already covers that rank
+        candidates = itertools.chain(first, _gaussian_candidates(params, known, bm_t))
 
     failure_stages = set()
+    tried = 0
     for t, lam, src in candidates:
+        tried += 1
         if t == 0:
             g = lp_zero(ctx, params.n)
         else:
@@ -329,17 +362,15 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
         except SymmetryCheckError:
             failure_stages.add(REASON_SYMMETRY)
             continue
-        word = encode(params, msg)
-        dist = rank_distance(params, received, word)
-        if dist <= radius:
-            resid = lp_interpolate(ctx, params.moore, [ctx.sub(r, c) for r, c in zip(received, word)])
+        rank = map_rank(ctx, g)
+        if rank <= radius:
             diags["solver"] = src
             diags["equations_used"] = params.d - 1 - t
             return DecodeResult(
                 ok=True,
                 message=msg,
-                error_poly=resid,
-                error_rank=dist,
+                error_poly=g,
+                error_rank=rank,
                 diagnostics=diags,
             )
         failure_stages.add(REASON_RADIUS)
@@ -349,7 +380,7 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
             break
     else:
         reason = REASON_INCONSISTENT
-    diags["candidates_tried"] = len(candidates)
+    diags["candidates_tried"] = tried
     return DecodeResult(ok=False, reason=reason, diagnostics=diags)
 
 

@@ -27,6 +27,10 @@ class NotADivisorError(HermrankError, ValueError):
     """A subfield degree was requested that does not divide 2n."""
 
 
+class BadElementError(HermrankError, ValueError):
+    """A field element is not a list of 2n reduced integer coefficients."""
+
+
 class ZeroInputError(HermrankError, ValueError):
     """An operation that requires a nonzero input received zero."""
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .exceptions import (
+    BadElementError,
     EvenExtensionError,
     NotADivisorError,
     NotInSubfieldError,
@@ -516,11 +517,13 @@ class FieldContext:
     def felt_to_json(self, a: Felt) -> list[int]:
         return self.to_coeffs(a)
 
-    def felt_from_json(self, obj: Iterable[int]) -> Felt:
-        coeffs = list(obj)
-        if len(coeffs) != self.deg:
-            raise ValueError(f"element needs exactly {self.deg} coefficients")
-        return self.from_coeffs(coeffs)
+    def felt_from_json(self, obj: list) -> Felt:
+        """Element from its JSON coefficient list.  Anything but a list of
+        plain ints is rejected, bools and floats included, so a
+        non-canonical value can never pass through to an output."""
+        if not isinstance(obj, list) or any(type(c) is not int for c in obj):
+            raise BadElementError(f"element must be a list of {self.deg} integer coefficients")
+        return self.from_coeffs(obj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FieldContext(q={self.q}, n={self.n})"
@@ -616,11 +619,11 @@ class _Gf2Context(FieldContext):
 
     def from_coeffs(self, coeffs):
         if len(coeffs) != self.deg:
-            raise ValueError(f"element needs exactly {self.deg} coefficients")
+            raise BadElementError(f"element needs exactly {self.deg} coefficients")
         v = 0
         for i, c in enumerate(coeffs):
             if c not in (0, 1):
-                raise ValueError("coefficients must be reduced mod 2")
+                raise BadElementError("coefficients must be reduced mod 2")
             if c:
                 v |= 1 << i
         return v
@@ -737,10 +740,10 @@ class _OddContext(FieldContext):
 
     def from_coeffs(self, coeffs):
         if len(coeffs) != self.deg:
-            raise ValueError(f"element needs exactly {self.deg} coefficients")
+            raise BadElementError(f"element needs exactly {self.deg} coefficients")
         for c in coeffs:
             if not (0 <= c < self.q):
-                raise ValueError("coefficients must be reduced mod q")
+                raise BadElementError("coefficients must be reduced mod q")
         return tuple(coeffs)
 
     def to_coeffs(self, a):

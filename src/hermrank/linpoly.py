@@ -181,7 +181,7 @@ def fq2_matrix_rank(ctx: FieldContext, rows: Sequence[Sequence[Felt]]) -> int:
     F_{q^2} over the basis {1, w}; the blown-up 2r x 2c matrix over F_q has
     twice the rank of the original.  For q = 2 the blown-up rows pack into
     ints and eliminate by XOR, which is what makes the heavy rank loops
-    (distance scans, decode certification) cheap.
+    (distance scans, channel rank checks) cheap.
     """
     nrows = len(rows)
     if nrows == 0 or len(rows[0]) == 0:

@@ -28,11 +28,16 @@ class CodeTable:
     words: tuple
 
 
+def code_size(params: CodeParams) -> int:
+    """Number of codewords: one per message of k elements of F_{q^n}."""
+    return (params.ctx.q ** params.ctx.n) ** params.k
+
+
 def enumerate_code(params: CodeParams, limit: int = DEFAULT_ENUM_LIMIT) -> CodeTable:
     """Every codeword, one per message; message components range over all of
     F_{q^n} in the canonical element order."""
     ctx = params.ctx
-    total = (ctx.q ** ctx.n) ** params.k
+    total = code_size(params)
     if total > limit:
         raise TooLargeToEnumerateError(
             f"code has {total} words, enumeration capped at {limit}"

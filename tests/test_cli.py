@@ -1,9 +1,13 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hermrank
 from hermrank import (
     SplitMix64,
     build_params,
@@ -15,6 +19,7 @@ from hermrank import (
     params_to_json_obj,
     random_message,
 )
+from hermrank import oracle
 from hermrank.cli import main
 from hermrank.codec import message_to_json_obj, word_from_json_obj, word_to_json_obj
 
@@ -221,6 +226,21 @@ def test_mindist_report(tmp_path):
     assert set(report) == {"code_size", "d", "elapsed_ms", "min_distance", "n", "q"}
 
 
+def test_mindist_enumerates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_code(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_code", counting)
+    out = tmp_path / "m.json"
+    assert main(["mindist", "--q", "3", "--n", "3", "--d", "3", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    assert report["min_distance"] == 3 and report["code_size"] == 27
+
+
 def test_mindist_respects_limit(capsys):
     assert main(["mindist", "--q", "2", "--n", "7", "--d", "3"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -274,3 +294,40 @@ def test_tampered_params_rejected(workspace, capsys):
     tampered = _write(tmp / "tampered.json", obj)
     assert main(["encode", "--params", tampered, "--message", msg_path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 3, 3), (3, 3, 3)])
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_non_integer_coefficients_rejected(tmp_path, params_for, capsys, q, n, d, bad):
+    p = params_for(q, n, d)
+    params_path = _write(tmp_path / "p.json", params_to_json_obj(p))
+    elem = [bad] + [0] * (p.ctx.deg - 1)
+    zero = [0] * p.ctx.deg
+    msg_path = _write(tmp_path / "msg.json", {"f": [elem] + [zero] * (p.k - 1)})
+    word_path = _write(tmp_path / "word.json", {"v": [elem] + [zero] * (p.n - 1)})
+    runs = [
+        ["encode", "--params", params_path, "--message", msg_path],
+        ["decode", "--params", params_path, "--in", word_path],
+    ]
+    for argv in runs:
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "integer coefficients" in lines[0]
+        assert not out.exists()
+
+
+def test_module_entry_point(capsys):
+    argv = ["params", "--q", "2", "--n", "3", "--d", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermrank.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -1,0 +1,134 @@
+"""decode against the re-encoding decoder it replaced (tests/reference_decode.py).
+
+Certifying a candidate by the rank of its completed error polynomial must
+give exactly the result of re-encoding the message and taking the rank
+distance: same verdict, message, error polynomial, rank, failure reason,
+and the same diagnostics in the same key order.
+"""
+
+import pytest
+
+from hermrank import (
+    MODE_ARBITRARY,
+    MODE_HERMITIAN,
+    ChannelSpec,
+    SplitMix64,
+    corrupt,
+    decode,
+    encode,
+    enumerate_code,
+    lp_eval,
+    nearest_codeword,
+    random_message,
+    random_rank_error,
+)
+from hermrank import codec
+from hermrank.codec import REASON_INCONSISTENT, REASON_RADIUS, REASON_SUBFIELD, REASON_SYMMETRY
+from hermrank.linpoly import LinearizedPoly
+
+from reference_decode import reference_decode
+
+POINTS = [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3), (5, 3, 3)]
+
+
+def _same(p, rec):
+    new, old = decode(p, rec), reference_decode(p, rec)
+    assert new == old
+    assert list(new.diagnostics.items()) == list(old.diagnostics.items())
+    return new
+
+
+def _random_word(p, rng):
+    ctx = p.ctx
+    return tuple(ctx.from_coeffs([rng.below(ctx.q) for _ in range(ctx.deg)]) for _ in range(p.n))
+
+
+def _noisy(p, seed, t, mode):
+    rng = SplitMix64(seed)
+    msg = random_message(p, rng)
+    err = random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=rng.next_u64()))
+    return msg, corrupt(p.ctx, encode(p, msg), err)
+
+
+@pytest.mark.parametrize("q,n,d", POINTS)
+@pytest.mark.parametrize("mode", [MODE_ARBITRARY, MODE_HERMITIAN])
+def test_seeded_words_match_reference(params_for, q, n, d, mode):
+    p = params_for(q, n, d)
+    for t in range(0, min(p.radius + 1, p.n) + 1):
+        for seed in range(6):
+            msg, rec = _noisy(p, 1_000 * t + seed, t, mode)
+            res = _same(p, rec)
+            if t <= p.radius:
+                assert res.ok and res.message == msg and res.error_rank == t
+
+
+@pytest.mark.parametrize("q,n,d", POINTS)
+def test_uniform_words_match_reference(params_for, q, n, d):
+    p = params_for(q, n, d)
+    rng = SplitMix64(7_000 + q * 100 + n)
+    for _ in range(40):
+        _same(p, _random_word(p, rng))
+
+
+def test_every_outcome_is_compared(params_for):
+    # rank-1 errors decode; full-rank single-coefficient error polynomials
+    # and uniform words reach every failure reason, so each branch of the
+    # two decoders is compared at least once
+    p = params_for(2, 5, 3)
+    ctx = p.ctx
+    word = encode(p, random_message(p, SplitMix64(5)))
+    rng = SplitMix64(11)
+    seen = {"ok" if res.ok else res.reason
+            for res in (_same(p, _noisy(p, 50 + s, 1, MODE_ARBITRARY)[1]) for s in range(4))}
+    for i in range(p.n):
+        for _ in range(6):
+            coeffs = [ctx.zero] * p.n
+            coeffs[i] = ctx.from_coeffs([rng.below(2) for _ in range(ctx.deg)])
+            err = tuple(lp_eval(ctx, LinearizedPoly(tuple(coeffs)), a) for a in p.alpha)
+            res = _same(p, corrupt(ctx, word, err))
+            seen.add("ok" if res.ok else res.reason)
+    for _ in range(60):
+        res = _same(p, _random_word(p, rng))
+        seen.add("ok" if res.ok else res.reason)
+    assert seen == {"ok", REASON_RADIUS, REASON_SYMMETRY, REASON_SUBFIELD, REASON_INCONSISTENT}
+
+
+def test_odd_q_verdicts_match_exhaustive_scan(params_for):
+    # (3,3,3) has 27 codewords: every verdict is checked against a full scan
+    p = params_for(3, 3, 3)
+    table = enumerate_code(p)
+    rng = SplitMix64(13)
+    words = [_noisy(p, 3_000 + 10 * t + s, t, mode)[1]
+             for t in range(p.n + 1) for s in range(4) for mode in (MODE_ARBITRARY, MODE_HERMITIAN)]
+    words += [_random_word(p, rng) for _ in range(24)]
+    for rec in words:
+        res = _same(p, rec)
+        near = nearest_codeword(p, table, rec)
+        if near.distance <= p.radius:
+            assert res.ok and res.message == near.message and res.error_rank == near.distance
+        else:
+            assert not res.ok
+
+
+def test_decode_certifies_without_reencoding(params_for, monkeypatch):
+    # one interpolation (the received word), no encode, and only the
+    # key-equation solve at the BM length when the BM candidate certifies
+    p = params_for(2, 7, 5)
+    msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
+    calls = {"interpolate": 0, "solve": 0}
+
+    def counting(name, orig):
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapper
+
+    def forbidden(*args):
+        raise AssertionError("decode re-encoded a candidate")
+
+    monkeypatch.setattr(codec, "lp_interpolate", counting("interpolate", codec.lp_interpolate))
+    monkeypatch.setattr(codec, "solve_key_equation", counting("solve", codec.solve_key_equation))
+    monkeypatch.setattr(codec, "encode", forbidden)
+    res = decode(p, rec)
+    assert res.ok and res.message == msg and res.diagnostics["solver"] == "bm"
+    assert calls == {"interpolate": 1, "solve": 1}

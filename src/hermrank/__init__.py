@@ -45,14 +45,12 @@ from .field import FieldContext, Felt, canonical_modulus, make_context
 from .linpoly import (
     DicksonMatrix,
     LinearizedPoly,
-    MooreMatrix,
     dickson,
     fq2_matrix_rank,
     lp_eval,
     lp_interpolate,
     map_rank,
     matrix_rank,
-    moore_from_points,
 )
 from .oracle import CodeTable, NearestResult, brute_min_distance, enumerate_code, nearest_codeword
 from .rng import SplitMix64, substream_seed
@@ -71,7 +69,6 @@ __all__ = [
     "HermrankError",
     "LinearizedPoly",
     "Message",
-    "MooreMatrix",
     "NearestResult",
     "SplitMix64",
     "beta_split",
@@ -97,7 +94,6 @@ __all__ = [
     "map_rank",
     "matrix_rank",
     "matrix_to_vector",
-    "moore_from_points",
     "nearest_codeword",
     "params_from_json_obj",
     "params_to_json_obj",

@@ -11,6 +11,7 @@ failure, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -101,10 +102,9 @@ def _parse_ranks(text: str) -> list:
     return ranks
 
 
-def _sim_chunk(q, n, d, mode, master_seed, t, start, stop, want_timing):
+def _sim_chunk(params, mode, master_seed, t, start, stop, want_timing):
     """One shard of simulate trials; trial i is fully determined by
     (master_seed, t, i) so sharding cannot change any outcome."""
-    params = build_params(q, n, d)
     counts = {
         "trials": 0,
         "successes": 0,
@@ -136,6 +136,18 @@ def _sim_chunk(q, n, d, mode, master_seed, t, start, stop, want_timing):
     return counts, lats
 
 
+_worker_params = None  # built once per simulate worker by _init_sim_worker
+
+
+def _init_sim_worker(q, n, d) -> None:
+    global _worker_params
+    _worker_params = build_params(q, n, d)
+
+
+def _worker_sim_chunk(*args):
+    return _sim_chunk(_worker_params, *args)
+
+
 def _p95(lats: list) -> float:
     ordered = sorted(lats)
     idx = max(0, (len(ordered) * 95 + 99) // 100 - 1)
@@ -149,31 +161,35 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"ranks must not exceed n = {params.n}")
     wall0 = time.perf_counter()
     results = []
-    for t in ranks:
-        shards = []
-        if args.threads > 1 and args.trials > 0:
-            bounds = [args.trials * j // args.threads for j in range(args.threads + 1)]
-            jobs = [
-                (args.q, args.n, args.d, args.mode, args.seed, t, lo, hi, args.with_timing)
-                for lo, hi in zip(bounds, bounds[1:])
-                if lo < hi
-            ]
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                shards = list(pool.map(_sim_chunk, *zip(*jobs)))
-        else:
-            shards = [
-                _sim_chunk(args.q, args.n, args.d, args.mode, args.seed, t, 0, args.trials, args.with_timing)
-            ]
-        merged = {"t": t, "trials": 0, "successes": 0, "failures": 0, "mismatches": 0, "inconsistent_events": 0}
-        lats = []
-        for counts, shard_lats in shards:
-            for key in counts:
-                merged[key] += counts[key]
-            lats.extend(shard_lats)
-        if args.with_timing and lats:
-            merged["mean_ms"] = round(sum(lats) / len(lats), 3)
-            merged["p95_ms"] = round(_p95(lats), 3)
-        results.append(merged)
+    sharded = args.threads > 1 and args.trials > 0
+    # one pool serves every rank, and each worker builds the params once
+    pool = (
+        ProcessPoolExecutor(args.threads, initializer=_init_sim_worker, initargs=(args.q, args.n, args.d))
+        if sharded
+        else contextlib.nullcontext()
+    )
+    with pool:
+        for t in ranks:
+            if sharded:
+                bounds = [args.trials * j // args.threads for j in range(args.threads + 1)]
+                jobs = [
+                    (args.mode, args.seed, t, lo, hi, args.with_timing)
+                    for lo, hi in zip(bounds, bounds[1:])
+                    if lo < hi
+                ]
+                shards = list(pool.map(_worker_sim_chunk, *zip(*jobs)))
+            else:
+                shards = [_sim_chunk(params, args.mode, args.seed, t, 0, args.trials, args.with_timing)]
+            merged = {"t": t, "trials": 0, "successes": 0, "failures": 0, "mismatches": 0, "inconsistent_events": 0}
+            lats = []
+            for counts, shard_lats in shards:
+                for key in counts:
+                    merged[key] += counts[key]
+                lats.extend(shard_lats)
+            if args.with_timing and lats:
+                merged["mean_ms"] = round(sum(lats) / len(lats), 3)
+                merged["p95_ms"] = round(_p95(lats), 3)
+            results.append(merged)
     wall = time.perf_counter() - wall0
     report = {
         "mode": args.mode,

@@ -30,9 +30,10 @@ from .field import (
     FieldContext,
     _is_prime,
     context_from_json_obj,
+    json_field,
     make_context,
 )
-from .linpoly import MooreMatrix, fq2_matrix_rank, moore_from_points
+from .linpoly import fq2_matrix_rank
 from .rng import GOLDEN, SplitMix64
 
 
@@ -94,7 +95,7 @@ class CodeParams:
     m = (n+1)/2 and kappa = (n-d)/2 locate the width-k window of nonzero
     polynomial coefficients; k = n-d+1 is the message length over F_{q^n}.
     alpha is the orthonormal basis, eta the second basis vector of K over
-    F_{q^n}, moore the evaluation matrix on alpha with its cached inverse.
+    F_{q^n}, moore_inv the inverse of the transposed Moore matrix on alpha.
     The remaining fields are precomputed images used in hot paths.
     """
 
@@ -105,7 +106,7 @@ class CodeParams:
     k: int
     alpha: tuple
     eta: Felt
-    moore: MooreMatrix
+    moore_inv: tuple  # moore_inv[r][j] = alpha_r^(q^(n+2j))
     alpha_q: tuple  # alpha_i^q, the conjugated coordinate functionals
     alpha_dual: tuple  # alpha_i^(q^(n+1)), expansion basis for those functionals
     eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
@@ -135,8 +136,16 @@ def build_params(q: int, n: int, d: int) -> CodeParams:
 
 
 def _assemble(ctx: FieldContext, d: int, alpha: tuple, eta: Felt) -> CodeParams:
+    """moore_inv[r][j] = alpha_r^(q^(n+2j)) is exactly (M^T)^-1 for the Moore
+    matrix M[r][j] = alpha_r^(q^(2j)), given the Gram identity on alpha that
+    both callers (find_selfdual_basis, params_from_json_obj) check first.
+    That identity makes alpha_r^(q^n) the trace-dual basis, so x = sum_r
+    Tr(alpha_r^(q^n) x) alpha_r on K.  Comparing coefficients of this
+    identity of q^2-linearized maps gives sum_r alpha_r alpha_r^(q^(n+2k)) =
+    [k = 0], and raising it to q^(n+2j) gives (M^T moore_inv)[j+k][j] =
+    [k = 0].  So the O(n^2) Gram check also certifies the inverse.
+    """
     n = ctx.n
-    moore = moore_from_points(ctx, alpha)
     return CodeParams(
         ctx=ctx,
         d=d,
@@ -145,7 +154,7 @@ def _assemble(ctx: FieldContext, d: int, alpha: tuple, eta: Felt) -> CodeParams:
         k=n - d + 1,
         alpha=alpha,
         eta=eta,
-        moore=moore,
+        moore_inv=tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha),
         alpha_q=tuple(ctx.frobenius(a, 1) for a in alpha),
         alpha_dual=tuple(ctx.frobenius(a, n + 1) for a in alpha),
         eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, n))),
@@ -241,19 +250,22 @@ def params_to_json_obj(params: CodeParams) -> dict:
 
 def params_from_json_obj(obj: dict) -> CodeParams:
     """Rebuild params from JSON, recomputing and cross-checking everything
-    derivable: canonical modulus, Gram identity, Moore inverse, eta basis."""
+    derivable: canonical modulus, Gram identity (from which _assemble
+    derives the Moore inverse), eta basis.  Only an object with integers q,
+    n, d and lists modulus, alpha, eta is read; any other shape raises
+    BadParamsError naming the field."""
     ctx = context_from_json_obj(obj)
-    d = int(obj["d"])
+    d = json_field(obj, "d", int, "params", BadParamsError)
     if d % 2 == 0 or not 1 <= d <= ctx.n:
         raise BadParamsError(f"d = {d} is not admissible for n = {ctx.n}")
-    alpha = tuple(ctx.felt_from_json(a) for a in obj["alpha"])
+    alpha = tuple(ctx.felt_from_json(a) for a in json_field(obj, "alpha", list, "params", BadParamsError))
     if len(alpha) != ctx.n:
         raise BadParamsError(f"expected {ctx.n} basis elements, got {len(alpha)}")
     try:
         _check_gram(ctx, alpha)
     except BasisSearchFailedError as exc:
         raise BadParamsError("stored basis is not orthonormal") from exc
-    eta = ctx.felt_from_json(obj["eta"])
+    eta = ctx.felt_from_json(json_field(obj, "eta", list, "params", BadParamsError))
     if ctx.in_subfield(eta, ctx.n):
         raise BadParamsError("stored eta lies in F_{q^n}")
     return _assemble(ctx, d, alpha, eta)

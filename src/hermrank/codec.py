@@ -35,11 +35,12 @@ from typing import Iterator, Optional, Sequence
 from .code import CodeParams, decompose_eta
 from .exceptions import (
     BadRankError,
+    BadShapeError,
     NotInSubfieldError,
     SubfieldCheckError,
     SymmetryCheckError,
 )
-from .field import Felt
+from .field import Felt, json_field
 from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, lp_zero, map_rank
 from .rng import SplitMix64
 
@@ -95,21 +96,6 @@ def encode(params: CodeParams, msg: Message) -> tuple:
     return tuple(lp_eval(params.ctx, poly, a) for a in params.alpha)
 
 
-def encode_via_matrix(params: CodeParams, msg: Message) -> tuple:
-    """Same codeword through the dense coeffs-times-transposed-Moore product;
-    kept as an independent path for cross-checking the evaluation encoder."""
-    ctx = params.ctx
-    coeffs = expand_message(params, msg).coeffs
-    out = []
-    for row in params.moore.rows:
-        acc = ctx.zero
-        for cj, mj in zip(coeffs, row):
-            if cj != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(cj, mj))
-        out.append(acc)
-    return tuple(out)
-
-
 def known_indices(params: CodeParams) -> tuple:
     """The d-1 cyclic coefficient indices outside the message window, in the
     order they follow the window: m+kappa+1, ..., m+kappa+d-1 (mod n)."""
@@ -127,7 +113,7 @@ def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
     the window the sent part is zero, so those d-1 error coefficients are
     visible directly.
     """
-    beta = lp_interpolate(params.ctx, params.moore, received).coeffs
+    beta = lp_interpolate(params.ctx, params.moore_inv, received).coeffs
     known = {idx: beta[idx] for idx in known_indices(params)}
     return beta, known
 
@@ -392,7 +378,8 @@ def message_to_json_obj(params: CodeParams, msg: Message) -> dict:
 
 
 def message_from_json_obj(params: CodeParams, obj: dict) -> Message:
-    parts = [params.ctx.felt_from_json(p) for p in obj["f"]]
+    """Message from {"f": [element, ...]}; any other shape raises BadShapeError."""
+    parts = [params.ctx.felt_from_json(p) for p in json_field(obj, "f", list, "message", BadShapeError)]
     if len(parts) != params.k:
         raise NotInSubfieldError(f"message needs exactly {params.k} components")
     return Message(tuple(parts))
@@ -403,9 +390,11 @@ def word_to_json_obj(params: CodeParams, vec: Sequence[Felt]) -> dict:
 
 
 def word_from_json_obj(params: CodeParams, obj: dict) -> tuple:
-    vec = tuple(params.ctx.felt_from_json(v) for v in obj["v"])
+    """Word from {"v": [element, ...]} with exactly n elements; any other
+    shape or length raises BadShapeError."""
+    vec = tuple(params.ctx.felt_from_json(v) for v in json_field(obj, "v", list, "word", BadShapeError))
     if len(vec) != params.n:
-        raise ValueError(f"word needs exactly {params.n} components")
+        raise BadShapeError(f"word needs exactly {params.n} components")
     return vec
 
 

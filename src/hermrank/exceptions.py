@@ -31,12 +31,12 @@ class BadElementError(HermrankError, ValueError):
     """A field element is not a list of 2n reduced integer coefficients."""
 
 
+class BadShapeError(HermrankError, ValueError):
+    """A message or word document does not have the expected JSON shape or length."""
+
+
 class ZeroInputError(HermrankError, ValueError):
     """An operation that requires a nonzero input received zero."""
-
-
-class DependentPointsError(HermrankError, ValueError):
-    """Evaluation points are linearly dependent over F_{q^2}."""
 
 
 class BadParamsError(HermrankError, ValueError):

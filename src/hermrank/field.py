@@ -32,6 +32,7 @@ from typing import Sequence, Union
 
 from .exceptions import (
     BadElementError,
+    BadParamsError,
     EvenExtensionError,
     NotADivisorError,
     NotInSubfieldError,
@@ -778,9 +779,32 @@ def make_context(q: int, n: int) -> FieldContext:
     return cls(q, n, modulus)
 
 
+_JSON_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",
+               str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def json_field(obj, key: str, kind: type, what: str, error: type):
+    """obj[key], where obj must be a parsed JSON object holding exactly a
+    kind under key (true and 3.0 are not integers); otherwise raises error
+    naming the shape found."""
+    if type(obj) is not dict:
+        raise error(f"{what} must be a JSON object, got {_JSON_NAMES.get(type(obj), 'a value')}")
+    if key not in obj:
+        raise error(f"{what} has no {key!r} field")
+    if type(obj[key]) is not kind:
+        got = _JSON_NAMES.get(type(obj[key]), "a value")
+        raise error(f"{what} field {key!r} must be {_JSON_NAMES[kind]}, got {got}")
+    return obj[key]
+
+
 def context_from_json_obj(obj: dict) -> FieldContext:
-    """Rebuild a context from {"q", "n", "modulus"} and cross-check the modulus."""
-    ctx = make_context(int(obj["q"]), int(obj["n"]))
-    if list(ctx.modulus) != [int(c) for c in obj["modulus"]]:
-        raise ValueError("modulus in file does not match the canonical modulus")
+    """Rebuild a context from {"q", "n", "modulus"} and cross-check the
+    modulus; any other shape, or a modulus that is not the canonical list of
+    integers, raises BadParamsError."""
+    q = json_field(obj, "q", int, "params", BadParamsError)
+    n = json_field(obj, "n", int, "params", BadParamsError)
+    modulus = json_field(obj, "modulus", list, "params", BadParamsError)
+    ctx = make_context(q, n)
+    if modulus != list(ctx.modulus) or any(type(c) is not int for c in modulus):
+        raise BadParamsError("modulus in file does not match the canonical modulus")
     return ctx

@@ -2,9 +2,11 @@
 
 A polynomial is the coefficient vector (g_0, ..., g_{n-1}) of the map
 x -> sum_i g_i * x^(q^(2i)), which is F_{q^2}-linear on K.  The module
-provides evaluation, interpolation through a Moore matrix built on a fixed
-point set, the associated Dickson matrix, and rank computations for both
-the induced linear map and explicit matrices.
+provides evaluation, interpolation through a given inverse of the
+transposed Moore matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it
+in closed form for its orthonormal basis, see code._assemble), the
+associated Dickson matrix, and rank computations for both the induced
+linear map and explicit matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exceptions import DependentPointsError
 from .field import Felt, FieldContext, _f2_rank, _fq_rank
 
 
@@ -35,68 +36,17 @@ def lp_eval(ctx: FieldContext, poly: LinearizedPoly, x: Felt) -> Felt:
     return acc
 
 
-@dataclass(frozen=True)
-class MooreMatrix:
-    """Evaluation matrix rows[r][j] = points[r]^(q^(2j)) with a cached
-    inverse of its transpose, so interpolation is a vector-matrix product."""
-
-    points: tuple
-    rows: tuple
-    tinv: tuple
-
-
-def _invert_matrix(ctx: FieldContext, rows: Sequence[Sequence[Felt]]):
-    """Inverse by Gauss-Jordan elimination, or None when singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [ctx.one if j == i else ctx.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != ctx.zero), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        ipiv = ctx.inv(aug[col][col])
-        aug[col] = [ctx.mul(ipiv, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != ctx.zero:
-                f = aug[r][col]
-                aug[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def moore_from_points(ctx: FieldContext, points: Sequence[Felt]) -> MooreMatrix:
-    """Build the Moore matrix on the given points and cache (M^T)^-1.
-
-    The points must be linearly independent over F_{q^2}; that is exactly
-    the invertibility of the matrix, so a singular elimination surfaces as
-    DependentPointsError.  The computed inverse is multiplied back against
-    the transpose and checked against the identity before it is trusted.
-    """
-    n = len(points)
-    rows = tuple(tuple(ctx.frobenius(p, 2 * j) for j in range(n)) for p in points)
-    transpose = [[rows[r][j] for r in range(n)] for j in range(n)]
-    tinv = _invert_matrix(ctx, transpose)
-    if tinv is None:
-        raise DependentPointsError("evaluation points are dependent over F_{q^2}")
-    for i in range(n):
-        for j in range(n):
-            acc = ctx.zero
-            for l in range(n):
-                acc = ctx.add(acc, ctx.mul(transpose[i][l], tinv[l][j]))
-            if acc != (ctx.one if i == j else ctx.zero):
-                raise DependentPointsError("Moore inverse failed its multiply-back check")
-    return MooreMatrix(points=tuple(points), rows=rows, tinv=tinv)
-
-
-def lp_interpolate(ctx: FieldContext, moore: MooreMatrix, values: Sequence[Felt]) -> LinearizedPoly:
-    """The unique polynomial taking the given values on the Moore points."""
-    n = len(moore.points)
+def lp_interpolate(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> LinearizedPoly:
+    """The unique polynomial taking values[r] at the points whose transposed
+    Moore matrix has inverse tinv: coefficient j is sum_r values[r] * tinv[r][j]."""
+    n = len(tinv)
     coeffs = []
     for j in range(n):
         acc = ctx.zero
         for r in range(n):
             v = values[r]
             if v != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(v, moore.tinv[r][j]))
+                acc = ctx.add(acc, ctx.mul(v, tinv[r][j]))
         coeffs.append(acc)
     return LinearizedPoly(tuple(coeffs))
 

@@ -71,7 +71,7 @@ def reference_decode(params, received):
         word = encode(params, msg)
         dist = rank_distance(params, received, word)
         if dist <= radius:
-            resid = lp_interpolate(ctx, params.moore, [ctx.sub(r, c) for r, c in zip(received, word)])
+            resid = lp_interpolate(ctx, params.moore_inv, [ctx.sub(r, c) for r, c in zip(received, word)])
             diags["solver"] = src
             diags["equations_used"] = params.d - 1 - t
             return DecodeResult(

@@ -1,0 +1,65 @@
+"""Moore-matrix interpolation by generic elimination, kept as an oracle.
+
+The package interpolates through the closed-form inverse
+CodeParams.moore_inv, which is only valid on an orthonormal basis.  These
+helpers build the Moore matrix on arbitrary points and invert its transpose
+by Gauss-Jordan elimination, so tests can check the closed form bit for bit
+and exercise interpolation on point sets that are not orthonormal.  The
+evaluation encoder is cross-checked against the dense product with the
+Moore rows as well.
+"""
+
+from hermrank.codec import expand_message
+
+
+def moore_rows(ctx, points):
+    """rows[r][j] = points[r]^(q^(2j))."""
+    n = len(points)
+    return tuple(tuple(ctx.frobenius(p, 2 * j) for j in range(n)) for p in points)
+
+
+def invert_matrix(ctx, rows):
+    """Inverse by Gauss-Jordan elimination, or None when singular."""
+    n = len(rows)
+    aug = [list(rows[i]) + [ctx.one if j == i else ctx.zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != ctx.zero), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        ipiv = ctx.inv(aug[col][col])
+        aug[col] = [ctx.mul(ipiv, v) for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != ctx.zero:
+                f = aug[r][col]
+                aug[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def transpose(rows):
+    return tuple(zip(*rows))
+
+
+def moore_tinv(ctx, points):
+    """Inverse of the transposed Moore matrix on points, the table
+    lp_interpolate reads; None when the points are dependent over F_{q^2}."""
+    return invert_matrix(ctx, transpose(moore_rows(ctx, points)))
+
+
+def mat_mul(ctx, a, b):
+    return tuple(tuple(_dot(ctx, row, col) for col in zip(*b)) for row in a)
+
+
+def _dot(ctx, xs, ys):
+    acc = ctx.zero
+    for x, y in zip(xs, ys):
+        acc = ctx.add(acc, ctx.mul(x, y))
+    return acc
+
+
+def encode_via_matrix(params, msg):
+    """The codeword as the dense product of the coefficient vector with the
+    Moore rows on alpha, independent of lp_eval."""
+    ctx = params.ctx
+    coeffs = expand_message(params, msg).coeffs
+    return tuple(_dot(ctx, coeffs, row) for row in moore_rows(ctx, params.alpha))

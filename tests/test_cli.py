@@ -19,9 +19,10 @@ from hermrank import (
     params_to_json_obj,
     random_message,
 )
-from hermrank import oracle
+from hermrank import cli, oracle
 from hermrank.cli import main
-from hermrank.codec import message_to_json_obj, word_from_json_obj, word_to_json_obj
+from hermrank.exceptions import HermrankError
+from hermrank.codec import message_from_json_obj, message_to_json_obj, word_from_json_obj, word_to_json_obj
 
 
 def _write(path, obj):
@@ -189,6 +190,21 @@ def test_simulate_rank_range_syntax(tmp_path):
     assert json.loads(out.read_text())["ranks"] == [0, 1]
 
 
+def test_simulate_builds_params_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_params(*args)
+
+    monkeypatch.setattr(cli, "build_params", counting)
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "0-4",
+                 "--seed", "3", "--threads", "1", "--out", str(out)]) == 0
+    assert calls == [(2, 5, 3)]
+    assert [row["trials"] for row in json.loads(out.read_text())["results"]] == [2] * 5
+
+
 def test_simulate_with_timing(tmp_path):
     out = tmp_path / "t.json"
     assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "3",
@@ -318,6 +334,35 @@ def test_non_integer_coefficients_rejected(tmp_path, params_for, capsys, q, n, d
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "integer coefficients" in lines[0]
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,doc,shown",
+    [
+        ("message", {"f": 5}, "message field 'f' must be a list, got an integer"),
+        ("message", [1], "message must be a JSON object, got a list"),
+        ("message", {}, "message has no 'f' field"),
+        ("word", {"v": 3}, "word field 'v' must be a list, got an integer"),
+        ("word", "v", "word must be a JSON object, got a string"),
+        ("word", {"v": [[0] * 6]}, "word needs exactly 3 components"),
+    ],
+)
+def test_malformed_message_and_word_files_rejected(tmp_path, params_for, capsys, kind, doc, shown):
+    p = params_for(3, 3, 3)
+    with pytest.raises(HermrankError):
+        (message_from_json_obj if kind == "message" else word_from_json_obj)(p, doc)
+    params_path = _write(tmp_path / "p.json", params_to_json_obj(p))
+    doc_path = _write(tmp_path / "doc.json", doc)
+    if kind == "message":
+        argv = ["encode", "--params", params_path, "--message", doc_path]
+    else:
+        argv = ["decode", "--params", params_path, "--in", doc_path]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: " + shown]
+    assert not out.exists()
 
 
 def test_module_entry_point(capsys):

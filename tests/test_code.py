@@ -22,6 +22,7 @@ from hermrank import (
     unitary_pairing,
 )
 from hermrank.exceptions import BadParamsError, TooLargeError
+from reference_moore import mat_mul, moore_rows, moore_tinv, transpose
 
 
 def _rand_word(params, rng):
@@ -267,7 +268,7 @@ def test_rank_distance_three_way_agreement(params_for, q, n, d):
         dist = rank_distance(p, a, zero)
         mat = codeword_to_matrix(p, a)
         assert matrix_rank(ctx, mat.rows) == dist
-        assert map_rank(ctx, lp_interpolate(ctx, p.moore, a)) == dist
+        assert map_rank(ctx, lp_interpolate(ctx, p.moore_inv, a)) == dist
 
 
 # -- serialization ----------------------------------------------------------
@@ -281,7 +282,30 @@ def test_params_json_roundtrip(params_for):
     assert again.alpha == p.alpha
     assert again.eta == p.eta
     assert (again.d, again.m, again.kappa, again.k) == (p.d, p.m, p.kappa, p.k)
-    assert again.moore.tinv == p.moore.tinv
+    assert again.moore_inv == p.moore_inv
+
+
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("d", 3.9, "'d' must be an integer, got a number"),
+        ("q", True, "'q' must be an integer, got a boolean"),
+        ("n", "3", "'n' must be an integer, got a string"),
+        ("alpha", None, "no 'alpha' field"),
+        ("modulus", 5, "'modulus' must be a list, got an integer"),
+        (None, [], "params must be a JSON object, got a list"),
+    ],
+)
+def test_params_json_rejects_bad_shapes(params_for, key, value, named):
+    obj = params_to_json_obj(params_for(3, 3, 3))
+    if key is None:
+        obj = value
+    elif value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(BadParamsError, match=named):
+        params_from_json_obj(obj)
 
 
 def test_params_json_tamper_detection(params_for):
@@ -312,3 +336,36 @@ def test_params_json_tamper_detection(params_for):
     obj["d"] = 4
     with pytest.raises(BadParamsError):
         params_from_json_obj(obj)
+
+
+# -- Moore inverse ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "q,n,d", [(2, 3, 3), (2, 5, 3), (3, 3, 3), (3, 5, 3), (5, 3, 3), (7, 5, 3), (2, 31, 15)]
+)
+def test_moore_inv_closed_form_matches_elimination(params_for, q, n, d):
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    assert p.moore_inv == moore_tinv(ctx, p.alpha)
+    ident = tuple(tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n))
+    assert mat_mul(ctx, transpose(moore_rows(ctx, p.alpha)), p.moore_inv) == ident
+
+
+def test_params_load_inverts_once(params_for, monkeypatch):
+    # the only inversion is eta_split_inv; inverting the Moore matrix by
+    # elimination took n more
+    p = params_for(3, 9, 5)
+    obj = params_to_json_obj(p)
+    cls = type(p.ctx)
+    calls = []
+    orig = cls.inv
+
+    def counting(self, a):
+        calls.append(a)
+        return orig(self, a)
+
+    monkeypatch.setattr(cls, "inv", counting)
+    again = params_from_json_obj(obj)
+    assert len(calls) == 1
+    assert again.eta_split_inv == p.eta_split_inv

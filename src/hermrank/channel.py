@@ -74,17 +74,11 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64, sub2) -
     q = ctx.q
     b = [[sub2[rng.below(len(sub2))] for _ in range(t)] for _ in range(n)]
     diag = [ctx.from_base(1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ctx.zero
-            for l in range(t):
-                v = ctx.mul(ctx.mul(b[i][l], diag[l]), ctx.frobenius(b[j][l], 1))
-                acc = ctx.add(acc, v)
-            row.append(acc)
-        rows.append(tuple(row))
-    return matrix_to_vector(params, HermitianMatrix(rows=tuple(rows)))
+    # entry (i, j) = sum_l b[i][l] * diag[l] * b[j][l]^q
+    bd = [[ctx.mul(x, dl) for x, dl in zip(row, diag)] for row in b]
+    bq = [[ctx.frobenius(x, 1) for x in row] for row in b]
+    rows = tuple(tuple(ctx.dot(left, right) for right in bq) for left in bd)
+    return matrix_to_vector(params, HermitianMatrix(rows=rows))
 
 
 def corrupt(ctx: FieldContext, word: Sequence[Felt], error: Sequence[Felt]) -> tuple:

@@ -28,6 +28,7 @@ from .exceptions import BadParamsError, BasisSearchFailedError
 from .field import (
     Felt,
     FieldContext,
+    _check_q_budget,
     _is_prime,
     context_from_json_obj,
     json_field,
@@ -122,6 +123,7 @@ class CodeParams:
 
 def build_params(q: int, n: int, d: int) -> CodeParams:
     """Validate (q, n, d) and assemble deterministic code parameters."""
+    _check_q_budget(q)
     if not isinstance(q, int) or not _is_prime(q):
         raise BadParamsError(f"q must be a prime, got {q}")
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
@@ -211,19 +213,11 @@ def matrix_to_vector(params: CodeParams, mat: HermitianMatrix) -> tuple:
     against the basis alpha_i^(q^(n+1)): the pairing of functional i with
     expansion vector j is rel_trace((alpha_i^(q^n) * alpha_j)^(q^(n+1))),
     and the trace is invariant under q^2-powers, so orthonormality makes it
-    delta_ij exactly.
+    delta_ij exactly.  Entry r is the column r of the matrix dotted with
+    that basis.
     """
     ctx = params.ctx
-    n = params.n
-    out = []
-    for r in range(n):
-        acc = ctx.zero
-        for i in range(n):
-            v = mat.rows[i][r]
-            if v != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(v, params.alpha_dual[i]))
-        out.append(acc)
-    return tuple(out)
+    return tuple(ctx.dot(col, params.alpha_dual) for col in zip(*mat.rows))
 
 
 def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> int:

@@ -175,10 +175,8 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     gap = 1
     prev_delta = ctx.one
     for j, _ in enumerate(seq):
-        delta = ctx.zero
-        for l, cl in enumerate(conn):
-            if cl != ctx.zero and j - l >= 0:
-                delta = ctx.add(delta, ctx.mul(cl, ctx.frobenius(seq[j - l], 2 * l)))
+        live = [l for l, cl in enumerate(conn[: j + 1]) if cl != ctx.zero]
+        delta = ctx.dot([conn[l] for l in live], [ctx.frobenius(seq[j - l], 2 * l) for l in live])
         if delta == ctx.zero:
             gap += 1
             continue
@@ -212,12 +210,9 @@ def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> Linear
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
     coeffs = dict(known_g)
     for i in range(m - kappa, m + kappa + 1):
-        acc = ctx.zero
-        for l in range(1, t + 1):
-            gl = coeffs[(i - l) % n]
-            if gl != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(lam[l - 1], ctx.frobenius(gl, 2 * l)))
-        coeffs[i % n] = acc
+        live = [l for l in range(1, t + 1) if coeffs[(i - l) % n] != ctx.zero]
+        images = [ctx.frobenius(coeffs[(i - l) % n], 2 * l) for l in live]
+        coeffs[i % n] = ctx.dot([lam[l - 1] for l in live], images)
     return LinearizedPoly(tuple(coeffs[i] for i in range(n)))
 
 

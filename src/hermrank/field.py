@@ -12,22 +12,36 @@ Element representation depends on the characteristic:
   (bit i = coefficient of X^i).  Addition is XOR, multiplication is a
   carry-less product followed by a table-driven reduction.
 * odd prime q: an element is a ``tuple`` of 2n ints in [0, q), coefficient
-  of X^i at position i.
+  of X^i at position i.  Arithmetic packs a tuple into one int with a fixed
+  slot of w bytes per coefficient (Kronecker substitution), so a product of
+  two elements is one big-int product whose slot k holds the k-th
+  coefficient of the convolution.  Reduction adds (h mod q) * row_s for
+  each high slot h, where row_s is the packed X^(2n+s) mod f, and a single
+  unpack with a slot-wise mod q gives the canonical tuple back.  ``dot``
+  sums up to 2n packed products before that one reduction.  A slot must
+  never carry into the next: a sum of `terms` products puts at most
+  terms * 2n * (q-1)^2 in a slot, the reduction rows add less than
+  2n * (q-1)^2 and a carried partial sum less than q, so w is the least
+  byte count with 2^(8w) > (terms + 2) * 2n * (q-1)^2 for terms = 2n.
 
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
 its coefficient list, least significant first, always of length 2n.
 
-Frobenius powers x -> x^(q^j) are F_q-linear, so each is stored as the list
-of images of the monomial basis and applied coefficient-by-coefficient; no
-exponentiation happens at lookup time.  The relative trace down to F_{q^2}
-(the sum of the even Frobenius powers) is precomputed the same way.
+Frobenius powers x -> x^(q^j) are F_q-linear, so each is stored once per
+context as the table of images of the monomial basis (packed rows for odd
+q) and applied as sum_i a_i * row_i; no exponentiation happens at lookup
+time.  The relative trace down to F_{q^2} (the sum of the even Frobenius
+powers) is precomputed the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+import sys
+from array import array
 from typing import Sequence, Union
 
 from .exceptions import (
@@ -45,6 +59,17 @@ from .exceptions import (
 Felt = Union[int, tuple]
 
 _ELEMENT_BIT_BUDGET = 64
+#: Largest q that can meet the budget: q^(2n) <= 2^64 with n >= 1.
+_MAX_Q = 2 ** (_ELEMENT_BIT_BUDGET // 2)
+#: Largest n that can meet the budget: q^(2n) <= 2^64 with q >= 2.
+_MAX_N = _ELEMENT_BIT_BUDGET // 2
+
+
+def _check_q_budget(q) -> None:
+    """TooLargeError for an int q above 2^32, which no n can fit in the
+    element budget; a plain comparison, so it runs before the prime test."""
+    if isinstance(q, int) and q > _MAX_Q:
+        raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
 
 
 def _is_prime(m: int) -> bool:
@@ -78,7 +103,8 @@ def _prime_factors(m: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over F_q, used only for the modulus scan.
-# Packed-int fast path for q = 2, little-endian coefficient lists otherwise.
+# Packed-int fast path for q = 2; for odd q, little-endian coefficient lists
+# for remainders and gcds, and the packed engine for the powers of x.
 # ---------------------------------------------------------------------------
 
 
@@ -149,27 +175,6 @@ def _pq_rem(a: list[int], b: list[int], q: int) -> list[int]:
     return _pq_trim(a[:db])
 
 
-def _pq_mulmod(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    out = [v % q for v in out]
-    return _pq_rem(out, f, q)
-
-
-def _pq_powmod(base: list[int], e: int, f: list[int], q: int) -> list[int]:
-    r = [1]
-    base = _pq_rem(base, f, q)
-    while e:
-        if e & 1:
-            r = _pq_mulmod(r, base, f, q)
-        base = _pq_mulmod(base, base, f, q)
-        e >>= 1
-    return r
-
-
 def _pq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     a, b = _pq_trim(a[:]), _pq_trim(b[:])
     while b:
@@ -178,13 +183,18 @@ def _pq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def _pq_irreducible(coeffs: list[int], q: int) -> bool:
+    """Rabin's test for the monic f = coeffs of degree deg: f is irreducible
+    iff x^(q^deg) = x mod f and gcd(f, x^(q^(deg/p)) - x) = 1 for each prime
+    p dividing deg.  The powers are taken by the packed odd-q engine on
+    F_q[X]/(f), with its reduction rows built once for this candidate; the
+    engine's products never divide, so they are valid for any monic f."""
     deg = len(coeffs) - 1
-    x = [0, 1]
-    if _pq_trim(_pq_powmod(x, q**deg, coeffs, q)) != x:
+    ring = _OddContext(q, deg // 2, tuple(coeffs))
+    x = ring.gen
+    if ring.pow_elem(x, q**deg) != x:
         return False
     for p in _prime_factors(deg):
-        h = _pq_powmod(x, q ** (deg // p), coeffs, q)
-        h = h + [0] * (2 - len(h))
+        h = list(ring.pow_elem(x, q ** (deg // p)))
         h[1] = (h[1] - 1) % q
         if len(_pq_gcd(coeffs, h, q)) > 1:
             return False
@@ -336,9 +346,15 @@ class FieldContext:
     def to_coeffs(self, a: Felt) -> list[int]:
         raise NotImplementedError
 
-    def _apply_linear(self, tbl: Sequence[Felt], a: Felt) -> Felt:
-        """Apply an F_q-linear map given by its images of the monomial basis."""
+    def _apply_linear(self, rows: Sequence, a: Felt) -> Felt:
+        """Apply an F_q-linear map given by its table of monomial images in
+        the form _to_rows makes."""
         raise NotImplementedError
+
+    def _to_rows(self, images: Sequence[Felt]) -> tuple:
+        """Table form of a linear map's monomial images: the images
+        themselves, unless an engine stores them otherwise."""
+        return tuple(images)
 
     # -- shared operations --------------------------------------------------
 
@@ -355,33 +371,51 @@ class FieldContext:
             e >>= 1
         return r
 
-    def frob_images(self, j: int) -> tuple:
-        """Images (X^i)^(q^j) of the monomial basis, i = 0 .. 2n-1."""
+    def dot(self, xs: Sequence[Felt], ys: Sequence[Felt]) -> Felt:
+        """sum_i xs[i] * ys[i], skipping the terms whose xs[i] is zero."""
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            if x != self.zero:
+                acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def linear_images(self, coeffs: Sequence[Felt], powers: Sequence[int]) -> list:
+        """Images of the monomials X^k, k = 0 .. 2n-1, under the map
+        x -> sum_i coeffs[i] * x^(q^powers[i]); image k is a dot product
+        with the k-th entries of the Frobenius tables."""
+        return [self.dot(coeffs, images) for images in zip(*(self.frob_images(j) for j in powers))]
+
+    def _frob_rows(self, j: int) -> tuple:
+        """Table of x -> x^(q^j), built once per context and power j mod 2n."""
         j %= self.deg
-        tbl = self._frob.get(j)
-        if tbl is None:
+        rows = self._frob.get(j)
+        if rows is None:
             if j == 0:
                 y = self.gen
             elif j == 1:
                 y = self.pow_elem(self.gen, self.q)
             else:
                 # X^(q^j) is the q-power image of X^(q^(j-1))
-                y = self._apply_linear(self.frob_images(1), self.frob_images(j - 1)[1])
+                prev = self._apply_linear(self._frob_rows(j - 1), self.gen)
+                y = self._apply_linear(self._frob_rows(1), prev)
             p = self.one
             out = [p]
             for _ in range(self.deg - 1):
                 p = self.mul(p, y)
                 out.append(p)
-            tbl = tuple(out)
-            self._frob[j] = tbl
-        return tbl
+            rows = self._frob[j] = self._to_rows(out)
+        return rows
+
+    def frob_images(self, j: int) -> tuple:
+        """Images (X^i)^(q^j) of the monomial basis, i = 0 .. 2n-1."""
+        return self._frob_rows(j)
 
     def frobenius(self, a: Felt, j: int) -> Felt:
         """a^(q^j) with j taken mod 2n."""
         j %= self.deg
         if j == 0:
             return a
-        return self._apply_linear(self.frob_images(j), a)
+        return self._apply_linear(self._frob_rows(j), a)
 
     def rel_trace(self, a: Felt) -> Felt:
         """Trace down to F_{q^2}: the sum of a^(q^(2i)) for i = 0 .. n-1."""
@@ -390,7 +424,7 @@ class FieldContext:
             for i in range(1, self.n):
                 imgs = self.frob_images(2 * i)
                 acc = [self.add(x, y) for x, y in zip(acc, imgs)]
-            self._trace_tbl = tuple(acc)
+            self._trace_tbl = self._to_rows(acc)
         return self._apply_linear(self._trace_tbl, a)
 
     def in_subfield(self, a: Felt, e: int) -> bool:
@@ -641,24 +675,59 @@ class _Gf2Context(FieldContext):
         return acc
 
 
+def _slot_codec(width: int):
+    """(pack, unpack) between vectors of non-negative ints below 2^(8*width)
+    and one int holding entry i in bytes width*i .. width*(i+1)-1.
+    unpack(x, count) reads count slots.  Widths of 1, 2, 4 or 8 bytes go
+    through an array of that item size; wider slots have no array typecode,
+    so they are cut from the byte string one by one."""
+    tc = next((tc for tc in "BHILQ" if array(tc).itemsize == width), None)
+    if tc is not None:
+        order = sys.byteorder
+
+        def pack(v):
+            return int.from_bytes(array(tc, v), order)
+
+        def unpack(x, count):
+            return array(tc, x.to_bytes(width * count, order))
+
+        return pack, unpack
+
+    def pack(v):
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]), "little")
+
+    def unpack(x, count):
+        raw = x.to_bytes(width * count, "little")
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+    return pack, unpack
+
+
 class _OddContext(FieldContext):
-    """Coefficient-tuple engine for odd prime q."""
+    """Tuple elements with packed slot arithmetic for odd prime q; the
+    module docstring gives the layout and the slot-width bound."""
 
     def _setup_engine(self) -> None:
         q, deg = self.q, self.deg
         self.zero = (0,) * deg
         self.one = (1,) + (0,) * (deg - 1)
+        # dot's slot bound for up to deg terms (module docstring)
+        bound = (deg + 2) * deg * (q - 1) ** 2
+        nbytes = -(-bound.bit_length() // 8)
+        width = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+        self._pack, self._unpack = _slot_codec(width)
+        self._split = 8 * width * deg
+        self._low = (1 << self._split) - 1
         # images of X^(deg+s) reduced mod f, for product reduction
         red = []
         v = [(-c) % q for c in self.modulus[:deg]]
         for _ in range(deg - 1):
-            red.append(tuple(v))
+            red.append(v)
             carry = v[deg - 1]
             v = [0] + v[: deg - 1]
             if carry:
                 v = [(x + carry * r) % q for x, r in zip(v, red[0])]
-        self._red = red
-        self._modlist = list(self.modulus)
+        self._red = self._to_rows(red)
 
     def add(self, a, b):
         q = self.q
@@ -673,71 +742,62 @@ class _OddContext(FieldContext):
         return tuple((-x) % q for x in a)
 
     def mul(self, a, b):
-        q, deg = self.q, self.deg
-        prod = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        acc = prod[:deg]
-        red = self._red
-        for s in range(deg - 1):
-            hi = prod[deg + s]
-            if hi:
-                row = red[s]
-                for k in range(deg):
-                    acc[k] += hi * row[k]
-        return tuple(v % q for v in acc)
+        return self._reduce(self._pack(a) * self._pack(b))
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i] with one reduction per 2n terms.
+
+        The packed products are summed unreduced, so each of the 4n-1 slots
+        of a chunk of at most 2n terms holds at most 2n * 2n * (q-1)^2;
+        reducing adds (h mod q) * row_s, under 2n * (q-1)^2 per slot, and
+        the canonical partial sum carried into the next chunk adds under q.
+        Every slot stays below (2n + 2) * 2n * (q-1)^2, the bound the slot
+        width is chosen for, so no slot carries and the slot-wise mod q of
+        the result is exact.  This does not go through mul.
+        """
+        pack, k = self._pack, self.deg
+        acc = sum(map(operator.mul, map(pack, xs[:k]), map(pack, ys[:k])))
+        for s in range(k, len(xs), k):
+            carried = pack(self._reduce(acc))
+            acc = sum(map(operator.mul, map(pack, xs[s : s + k]), map(pack, ys[s : s + k])), carried)
+        return self._reduce(acc)
+
+    def linear_images(self, coeffs, powers):
+        # the tables are packed already, so each image is one unreduced
+        # sum; dot's slot bound covers up to 2n terms
+        if len(coeffs) > self.deg:
+            return super().linear_images(coeffs, powers)
+        packed = list(map(self._pack, coeffs))
+        tables = map(self._frob_rows, powers)
+        return [self._reduce(sum(map(operator.mul, packed, rows))) for rows in zip(*tables)]
+
+    def _reduce(self, p):
+        """Canonical element of a packed, unreduced product or sum of them."""
+        q = self.q
+        high = map(q.__rmod__, self._unpack(p >> self._split, self.deg - 1))
+        p = sum(map(operator.mul, high, self._red), p & self._low)
+        return tuple(map(q.__rmod__, self._unpack(p, self.deg)))
 
     def inv(self, a):
+        """a^-1 = a^(r-1) / N(a) for r = (q^(2n) - 1) / (q - 1) (Itoh-Tsujii).
+
+        The norm N(a) = a^r = a * a^(r-1) lies in F_q and is nonzero, and
+        r - 1 = S_(2n-1) with S_k = q + q^2 + ... + q^k.  b_k = a^(S_k)
+        follows an addition chain on k: b_(2k) = b_k * b_k^(q^k) and
+        b_(k+1) = (a * b_k)^q, starting from b_1 = a^q.  The products and
+        Frobenius powers run on the packed kernel directly, so an inversion
+        makes no calls to mul or frobenius.
+        """
         if a == self.zero:
             raise ZeroInputError("inverse of zero")
-        q = self.q
-        # extended Euclid; s1 tracks the coefficient of a, so the final
-        # constant remainder c satisfies s1 * a = c (mod f)
-        r0, r1 = self._modlist, _pq_trim(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            qpoly, rem = self._divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, self._poly_sub(s0, self._poly_mul(qpoly, s1))
-        scale = pow(r1[0], -1, q)
-        out = [(scale * c) % q for c in s1]
-        out = out + [0] * (self.deg - len(out))
-        return tuple(out)
-
-    def _poly_mul(self, a, b):
-        if not a or not b:
-            return []
-        q = self.q
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % q
-        return _pq_trim(out)
-
-    def _poly_sub(self, a, b):
-        q = self.q
-        m = max(len(a), len(b))
-        a = a + [0] * (m - len(a))
-        b = b + [0] * (m - len(b))
-        return _pq_trim([(x - y) % q for x, y in zip(a, b)])
-
-    def _divmod(self, a, b):
-        q = self.q
-        a = a[:]
-        db = len(b) - 1
-        inv_lead = pow(b[db], -1, q)
-        quot = [0] * max(1, len(a) - db)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i] % q
-            if c:
-                scale = (c * inv_lead) % q
-                quot[i - db] = scale
-                for j in range(db + 1):
-                    a[i - db + j] = (a[i - db + j] - scale * b[j]) % q
-        return _pq_trim(quot), _pq_trim(a[:db])
+        q, pack, reduce, frob = self.q, self._pack, self._reduce, self._frob_rows
+        b, k = self._apply_linear(frob(1), a), 1
+        for bit in bin(self.deg - 1)[3:]:
+            b, k = reduce(pack(b) * pack(self._apply_linear(frob(k), b))), 2 * k
+            if bit == "1":
+                b, k = self._apply_linear(frob(1), reduce(pack(a) * pack(b))), k + 1
+        scale = pow(reduce(pack(a) * pack(b))[0], -1, q)
+        return tuple(c * scale % q for c in b)
 
     def from_coeffs(self, coeffs):
         if len(coeffs) != self.deg:
@@ -750,15 +810,16 @@ class _OddContext(FieldContext):
     def to_coeffs(self, a):
         return list(a)
 
-    def _apply_linear(self, tbl, a):
-        q, deg = self.q, self.deg
-        acc = [0] * deg
-        for i, c in enumerate(a):
-            if c:
-                row = tbl[i]
-                for k in range(deg):
-                    acc[k] += c * row[k]
-        return tuple(v % q for v in acc)
+    def _apply_linear(self, rows, a):
+        q = self.q
+        return tuple(map(q.__rmod__, self._unpack(sum(map(operator.mul, a, rows)), self.deg)))
+
+    def _to_rows(self, images):
+        return tuple(map(self._pack, images))
+
+    def frob_images(self, j):
+        deg = self.deg
+        return tuple(tuple(self._unpack(r, deg)) for r in self._frob_rows(j))
 
 
 def make_context(q: int, n: int) -> FieldContext:
@@ -766,13 +827,15 @@ def make_context(q: int, n: int) -> FieldContext:
 
     Raises NotPrimeError, EvenExtensionError or TooLargeError when the
     parameters are out of range; elements must pack into 64 bits, i.e.
-    q^(2n) <= 2^64.
+    q^(2n) <= 2^64.  q > 2^32 and n > 32 are rejected by plain comparisons
+    before the prime test and before q^(2n) is formed.
     """
+    _check_q_budget(q)
     if not isinstance(q, int) or not _is_prime(q):
         raise NotPrimeError(f"q = {q} is not a prime")
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise EvenExtensionError(f"n = {n} is not a positive odd integer")
-    if q ** (2 * n) > 2**_ELEMENT_BIT_BUDGET:
+    if n > _MAX_N or q ** (2 * n) > 2**_ELEMENT_BIT_BUDGET:
         raise TooLargeError(f"q^(2n) = {q}^{2 * n} exceeds the 64-bit element budget")
     modulus = canonical_modulus(q, n)
     cls = _Gf2Context if q == 2 else _OddContext

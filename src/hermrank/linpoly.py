@@ -29,26 +29,14 @@ def lp_zero(ctx: FieldContext, n: int) -> LinearizedPoly:
 
 
 def lp_eval(ctx: FieldContext, poly: LinearizedPoly, x: Felt) -> Felt:
-    acc = ctx.zero
-    for i, c in enumerate(poly.coeffs):
-        if c != ctx.zero:
-            acc = ctx.add(acc, ctx.mul(c, ctx.frobenius(x, 2 * i)))
-    return acc
+    live = [i for i, c in enumerate(poly.coeffs) if c != ctx.zero]
+    return ctx.dot([poly.coeffs[i] for i in live], [ctx.frobenius(x, 2 * i) for i in live])
 
 
 def lp_interpolate(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> LinearizedPoly:
     """The unique polynomial taking values[r] at the points whose transposed
     Moore matrix has inverse tinv: coefficient j is sum_r values[r] * tinv[r][j]."""
-    n = len(tinv)
-    coeffs = []
-    for j in range(n):
-        acc = ctx.zero
-        for r in range(n):
-            v = values[r]
-            if v != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(v, tinv[r][j]))
-        coeffs.append(acc)
-    return LinearizedPoly(tuple(coeffs))
+    return LinearizedPoly(tuple(ctx.dot(values, col) for col in zip(*tinv)))
 
 
 @dataclass(frozen=True)
@@ -79,16 +67,10 @@ def map_rank(ctx: FieldContext, poly: LinearizedPoly) -> int:
     is involved; this keeps the computation independent of any code-level
     basis choice.
     """
-    deg = ctx.deg
-    cols = None
-    for i, c in enumerate(poly.coeffs):
-        if c == ctx.zero:
-            continue
-        tbl = ctx.frob_images((2 * i) % deg)
-        term = [ctx.mul(c, tbl[k]) for k in range(deg)]
-        cols = term if cols is None else [ctx.add(x, y) for x, y in zip(cols, term)]
-    if cols is None:
+    live = [i for i, c in enumerate(poly.coeffs) if c != ctx.zero]
+    if not live:
         return 0
+    cols = ctx.linear_images([poly.coeffs[i] for i in live], [2 * i for i in live])
     if ctx.q == 2:
         full = _f2_rank(cols)
     else:

@@ -1,0 +1,157 @@
+"""Schoolbook odd-q field arithmetic, kept as an oracle for the packed engine.
+
+The package multiplies odd-q elements by packing coefficient tuples into
+single ints (see hermrank.field).  These are the coefficient-by-coefficient
+loops it replaced: the product as a convolution followed by reduction with
+the rows X^(2n+s) mod f, an F_q-linear map applied from its monomial
+images, and the modulus scan's multiply-mod-f, powering and Rabin test.
+They read only q, n and the modulus of a context, so a fault in the packed
+kernel cannot hide in them.
+"""
+
+import functools
+
+from hermrank.field import _pq_gcd, _pq_rem, _pq_trim, _prime_factors
+
+
+@functools.lru_cache(maxsize=None)
+def reduction_rows(q, modulus):
+    """X^(deg+s) mod f for s = 0 .. deg-2, as coefficient lists."""
+    deg = len(modulus) - 1
+    red = []
+    v = [(-c) % q for c in modulus[:deg]]
+    for _ in range(deg - 1):
+        red.append(tuple(v))
+        carry = v[deg - 1]
+        v = [0] + v[: deg - 1]
+        if carry:
+            v = [(x + carry * r) % q for x, r in zip(v, red[0])]
+    return red
+
+
+def mul(ctx, a, b):
+    q, deg = ctx.q, ctx.deg
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    acc = prod[:deg]
+    for s, row in enumerate(reduction_rows(q, ctx.modulus)):
+        hi = prod[deg + s]
+        if hi:
+            for k in range(deg):
+                acc[k] += hi * row[k]
+    return tuple(v % q for v in acc)
+
+
+def add(ctx, a, b):
+    return tuple((x + y) % ctx.q for x, y in zip(a, b))
+
+
+def dot(ctx, xs, ys):
+    acc = ctx.zero
+    for x, y in zip(xs, ys):
+        acc = add(ctx, acc, mul(ctx, x, y))
+    return acc
+
+
+def pow_elem(ctx, a, e):
+    r = ctx.one
+    while e:
+        if e & 1:
+            r = mul(ctx, r, a)
+        a = mul(ctx, a, a)
+        e >>= 1
+    return r
+
+
+def apply_linear(ctx, images, a):
+    """The F_q-linear map with images[i] = image of X^i, applied to a."""
+    q, deg = ctx.q, ctx.deg
+    acc = [0] * deg
+    for i, c in enumerate(a):
+        if c:
+            row = images[i]
+            for k in range(deg):
+                acc[k] += c * row[k]
+    return tuple(v % q for v in acc)
+
+
+@functools.lru_cache(maxsize=None)
+def frob_images(ctx, j):
+    """(X^i)^(q^j) for i = 0 .. 2n-1, by schoolbook powering."""
+    y = pow_elem(ctx, ctx.gen, ctx.q ** (j % ctx.deg))
+    out = [ctx.one]
+    for _ in range(ctx.deg - 1):
+        out.append(mul(ctx, out[-1], y))
+    return tuple(out)
+
+
+def frobenius(ctx, a, j):
+    return apply_linear(ctx, frob_images(ctx, j), a)
+
+
+def linear_images(ctx, coeffs, powers):
+    """X^k -> sum_i coeffs[i] * (X^k)^(q^powers[i]) for k = 0 .. 2n-1."""
+    return [dot(ctx, coeffs, [frob_images(ctx, j)[k] for j in powers]) for k in range(ctx.deg)]
+
+
+def rel_trace(ctx, a):
+    acc = ctx.zero
+    for i in range(ctx.n):
+        acc = add(ctx, acc, frobenius(ctx, a, 2 * i))
+    return acc
+
+
+# -- the modulus scan ---------------------------------------------------------
+
+
+def pq_mulmod(a, b, f, q):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    out = [v % q for v in out]
+    return _pq_rem(out, f, q)
+
+
+def pq_powmod(base, e, f, q):
+    r = [1]
+    base = _pq_rem(base, f, q)
+    while e:
+        if e & 1:
+            r = pq_mulmod(r, base, f, q)
+        base = pq_mulmod(base, base, f, q)
+        e >>= 1
+    return r
+
+
+def pq_irreducible(coeffs, q):
+    deg = len(coeffs) - 1
+    x = [0, 1]
+    if _pq_trim(pq_powmod(x, q**deg, coeffs, q)) != x:
+        return False
+    for p in _prime_factors(deg):
+        h = pq_powmod(x, q ** (deg // p), coeffs, q)
+        h = h + [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % q
+        if len(_pq_gcd(coeffs, h, q)) > 1:
+            return False
+    return True
+
+
+def scan_modulus(q, n):
+    """First monic irreducible of degree 2n in the order canonical_modulus
+    documents, found with the schoolbook Rabin test."""
+    deg = 2 * n
+    for c in range(q**deg):
+        digits = []
+        v = c
+        for _ in range(deg):
+            digits.append(v % q)
+            v //= q
+        if pq_irreducible(digits + [1], q):
+            return tuple(digits) + (1,)
+    raise AssertionError("no irreducible found")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -60,6 +61,24 @@ def test_params_rejects_bad_triple(capsys):
     assert main(["params", "--q", "2", "--n", "4", "--d", "3"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["params", "--q", "9", "--n", "3", "--d", "3"]) == 2
+
+
+def test_oversized_params_exit_2_at_once(tmp_path, workspace, capsys):
+    p, _, _, msg_path, _ = workspace
+    params_path = _write(tmp_path / "big.json", dict(params_to_json_obj(p), q=1000000000000000003, n=1))
+    runs = [
+        ["params", "--q", "1000000000000000003", "--n", "1", "--d", "1"],
+        ["params", "--q", "3", "--n", "100000001", "--d", "1"],
+        ["encode", "--params", params_path, "--message", msg_path],
+    ]
+    for argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # -- encode / corrupt / decode pipeline -------------------------------------

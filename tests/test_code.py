@@ -1,5 +1,7 @@
 """Code parameters, the unitary pairing, basis search, matrix conversions."""
 
+import time
+
 import pytest
 
 from hermrank import (
@@ -21,7 +23,7 @@ from hermrank import (
     rank_distance,
     unitary_pairing,
 )
-from hermrank.exceptions import BadParamsError, TooLargeError
+from hermrank.exceptions import BadParamsError, HermrankError, TooLargeError
 from reference_moore import mat_mul, moore_rows, moore_tinv, transpose
 
 
@@ -66,6 +68,17 @@ def test_build_params_rejects_bad_triples():
         build_params(2, 3, -1)
     with pytest.raises(TooLargeError):
         build_params(2, 33, 3)
+
+
+@pytest.mark.parametrize("q,n", [(1000000000000000003, 1), (3, 10**7 + 1)])
+def test_oversized_params_fail_at_once(q, n, params_for):
+    # checked by plain comparisons before the prime test and before q^(2n)
+    doc = dict(params_to_json_obj(params_for(3, 3, 3)), q=q, n=n, d=1)
+    for call in (lambda: build_params(q, n, 1), lambda: params_from_json_obj(doc)):
+        start = time.perf_counter()
+        with pytest.raises(HermrankError):
+            call()
+        assert time.perf_counter() - start < 2.0
 
 
 # -- unitary pairing --------------------------------------------------------

@@ -26,6 +26,7 @@ from hermrank import (
     skew_bm,
     solve_key_equation,
 )
+from hermrank import codec
 from hermrank.codec import (
     REASON_INCONSISTENT,
     REASON_RADIUS,
@@ -549,3 +550,43 @@ def test_random_message_is_deterministic_and_valid(params_for):
     assert len(m1.parts) == p.k
     for part in m1.parts:
         assert ctx.in_subfield(part, ctx.n)
+
+
+# -- operation counts of the packed odd-q engine ----------------------------
+
+
+def test_packed_engine_op_counts(params_for, monkeypatch):
+    # machine-independent guard: interpolation and the certifying rank run
+    # on dot and the packed Frobenius tables, never on mul
+    p = params_for(3, 9, 5)
+    ctx = p.ctx
+    msg, _, received = _noisy(p, 43, 2, MODE_HERMITIAN)
+    assert decode(p, received).message == msg  # every table decode reads is built
+    cls = type(ctx)
+    counts = {"mul": 0, "dot": 0}
+    for name in counts:
+        def counting(self, *args, _orig=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    seen = {"lp_interpolate": [], "map_rank": []}
+    for name in seen:
+        def spy(*args, _orig=getattr(codec, name), _name=name):
+            before = dict(counts)
+            out = _orig(*args)
+            seen[_name].append({k: counts[k] - before[k] for k in counts})
+            return out
+
+        monkeypatch.setattr(codec, name, spy)
+    assert decode(p, received).message == msg
+    assert seen["lp_interpolate"] == [{"mul": 0, "dot": p.n}]
+    assert seen["map_rank"] and all(c["mul"] == 0 for c in seen["map_rank"])
+
+    counts["mul"] = 0
+    for j in range(3 * ctx.deg):
+        ctx.frobenius(received[0], j)
+    assert counts["mul"] == 0
+    # one table per Frobenius power, kept in packed form only
+    assert set(ctx._frob) <= set(range(ctx.deg))
+    assert all(len(rows) == ctx.deg and all(type(r) is int for r in rows) for rows in ctx._frob.values())

@@ -1,9 +1,12 @@
 """Field tower arithmetic: moduli, Frobenius, trace, subfields, norms."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_field
 from hermrank import SplitMix64, canonical_modulus, make_context
 from hermrank.exceptions import (
     EvenExtensionError,
@@ -90,6 +93,13 @@ def test_canonical_modulus_is_first_irreducible(q, n):
         assert not _is_irreducible_bruteforce(digits + [1], q)
 
 
+@pytest.mark.parametrize("q,n", [(3, 9), (3, 19), (5, 13), (7, 5), (13, 3)])
+def test_canonical_modulus_matches_schoolbook_scan(q, n):
+    # the scan's powers of x run on the packed engine; the oracle runs the
+    # same Rabin test on coefficient lists
+    assert canonical_modulus(q, n) == reference_field.scan_modulus(q, n)
+
+
 def test_make_context_rejects_bad_parameters():
     with pytest.raises(NotPrimeError):
         make_context(4, 3)
@@ -104,6 +114,15 @@ def test_make_context_rejects_bad_parameters():
     with pytest.raises(TooLargeError):
         make_context(3, 21)
     make_context(2, 31)  # 2^62: largest binary context
+
+
+@pytest.mark.parametrize("q,n", [(1000000000000000003, 1), (2**32 + 15, 1), (3, 10**7 + 1), (3, 10**8 + 1)])
+def test_make_context_rejects_oversized_parameters_at_once(q, n):
+    # trial division of q, or forming q^(2n), would run for minutes
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        make_context(q, n)
+    assert time.perf_counter() - start < 2.0
 
 
 # -- ring axioms ------------------------------------------------------------
@@ -140,7 +159,12 @@ def test_axioms_ternary(a, b, c):
         assert ctx.mul(x, ctx.inv(x)) == ctx.one
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (5, 1)])
+#: Odd-q points for the packed kernel: the fixed code points, a prime past
+#: 2^8 and the largest prime below 2^32, whose slots are wider than 64 bits.
+ODD_POINTS = [(3, 3), (3, 19), (5, 13), (7, 5), (251, 3), (4294967291, 1)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (5, 1)] + ODD_POINTS[1:])
 def test_mul_matches_schoolbook_reduction(q, n, rand_felt):
     # independent oracle: convolve coefficient lists, long-divide by the modulus
     ctx = make_context(q, n)
@@ -156,6 +180,45 @@ def test_mul_matches_schoolbook_reduction(q, n, rand_felt):
                 for j in range(len(mod)):
                     prod[i - len(mod) + 1 + j] = (prod[i - len(mod) + 1 + j] - c * mod[j]) % q
         assert ctx.from_coeffs(prod[: ctx.deg]) == ctx.mul(a, b)
+
+
+def _kernel_inputs(ctx, rng, rand_felt, count):
+    """Every coefficient q-1 (the largest slot sums), then random elements."""
+    return [ctx.from_coeffs([ctx.q - 1] * ctx.deg)] + [rand_felt(ctx, rng) for _ in range(count - 1)]
+
+
+@pytest.mark.parametrize("q,n", ODD_POINTS)
+def test_packed_kernel_matches_schoolbook(q, n, rand_felt):
+    ctx = make_context(q, n)
+    xs = _kernel_inputs(ctx, SplitMix64(q + n), rand_felt, 6)
+    for a in xs:
+        for b in xs:
+            assert ctx.mul(a, b) == reference_field.mul(ctx, a, b)
+        if a != ctx.zero:
+            assert reference_field.mul(ctx, a, ctx.inv(a)) == ctx.one
+        assert ctx.rel_trace(a) == reference_field.rel_trace(ctx, a)
+    for j in sorted({1, 2, n, n + 1, 2 * n - 1}):
+        assert ctx.frob_images(j) == reference_field.frob_images(ctx, j)
+        for a in xs:
+            assert ctx.frobenius(a, j) == reference_field.frobenius(ctx, a, j)
+    for powers in ([1], [2 * i for i in range(n)], [(3 * i) % (2 * n) for i in range(2 * n + 1)]):
+        coeffs = (xs * len(powers))[: len(powers)]
+        assert ctx.linear_images(coeffs, powers) == reference_field.linear_images(ctx, coeffs, powers)
+    for a in xs[:2]:
+        assert all(type(c) is int for c in ctx.mul(a, a) + ctx.frobenius(a, 1))
+
+
+@pytest.mark.parametrize("q,n", ODD_POINTS)
+def test_dot_matches_schoolbook(q, n, rand_felt):
+    # up to 2n terms share one reduction; longer inputs reduce in chunks
+    ctx = make_context(q, n)
+    rng = SplitMix64(7 * q + n)
+    for terms in (0, 1, n, 2 * n, 2 * n + 1, 4 * n + 3):
+        top = [ctx.from_coeffs([q - 1] * ctx.deg)] * terms
+        assert ctx.dot(top, top) == reference_field.dot(ctx, top, top)
+        xs = [rand_felt(ctx, rng) for _ in range(terms)]
+        ys = [rand_felt(ctx, rng) for _ in range(terms)]
+        assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
 
 
 def test_lagrange_order_of_multiplicative_group(rand_felt):

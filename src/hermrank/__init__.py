@@ -42,16 +42,7 @@ from .codec import (
 )
 from .exceptions import HermrankError
 from .field import FieldContext, Felt, canonical_modulus, make_context
-from .linpoly import (
-    DicksonMatrix,
-    LinearizedPoly,
-    dickson,
-    fq2_matrix_rank,
-    lp_eval,
-    lp_interpolate,
-    map_rank,
-    matrix_rank,
-)
+from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, map_rank
 from .oracle import CodeTable, NearestResult, brute_min_distance, enumerate_code, nearest_codeword
 from .rng import SplitMix64, substream_seed
 
@@ -62,7 +53,6 @@ __all__ = [
     "CodeParams",
     "CodeTable",
     "DecodeResult",
-    "DicksonMatrix",
     "Felt",
     "FieldContext",
     "HermitianMatrix",
@@ -81,18 +71,15 @@ __all__ = [
     "corrupt",
     "decode",
     "decompose_eta",
-    "dickson",
     "encode",
     "enumerate_code",
     "expand_message",
     "extract_message",
     "find_selfdual_basis",
-    "fq2_matrix_rank",
     "lp_eval",
     "lp_interpolate",
     "make_context",
     "map_rank",
-    "matrix_rank",
     "matrix_to_vector",
     "nearest_codeword",
     "params_from_json_obj",

@@ -2,12 +2,13 @@
 
 Two error shapes are supported.  Arbitrary mode draws t field elements
 independent over F_{q^2} and a t x n coefficient matrix over F_{q^2}, so the
-error spans a t-dimensional column space; Hermitian mode builds B*D*B^* from
-a random n x t matrix B over F_{q^2} and a nonzero F_q diagonal D, which is
-structurally Hermitian, and converts the matrix to vector form.  Either way
-the achieved rank is recomputed from the matrix coordinates and the draw is
-repeated until it is exactly t, so the advertised rank is a guarantee rather
-than an expectation.
+error spans a t-dimensional column space; Hermitian mode draws a random
+n x t matrix B over F_{q^2} and a nonzero F_q diagonal D and returns the
+vector form of the Hermitian matrix B*D*B^*, computed without forming the
+matrix.  Either way the achieved rank is recomputed by rank_distance from
+the zero word, i.e. as the F_{q^2}-dimension of the span of the error's
+entries, and the draw is repeated until it is exactly t, so the advertised
+rank is a guarantee rather than an expectation.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import CodeParams, HermitianMatrix, codeword_to_matrix, matrix_to_vector
+from .code import CodeParams, rank_distance
 from .exceptions import BadParamsError, BadRankError
 from .field import Felt, FieldContext
-from .linpoly import fq2_matrix_rank
 from .rng import SplitMix64
 
 MODE_ARBITRARY = "arbitrary"
@@ -44,12 +44,13 @@ def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
         return (ctx.zero,) * n
     rng = SplitMix64(spec.seed)
     sub2 = ctx.subfield_elements(2)
+    zero = (ctx.zero,) * n
     for _ in range(10000):
         if spec.mode == MODE_ARBITRARY:
             e = _draw_arbitrary(ctx, n, spec.t, rng, sub2)
         else:
             e = _draw_hermitian(params, n, spec.t, rng, sub2)
-        if fq2_matrix_rank(ctx, codeword_to_matrix(params, e).rows) == spec.t:
+        if rank_distance(params, e, zero) == spec.t:
             return e
     raise RuntimeError("rank-t sampling failed to converge")  # pragma: no cover
 
@@ -74,11 +75,12 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64, sub2) -
     q = ctx.q
     b = [[sub2[rng.below(len(sub2))] for _ in range(t)] for _ in range(n)]
     diag = [ctx.from_base(1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
-    # entry (i, j) = sum_l b[i][l] * diag[l] * b[j][l]^q
-    bd = [[ctx.mul(x, dl) for x, dl in zip(row, diag)] for row in b]
-    bq = [[ctx.frobenius(x, 1) for x in row] for row in b]
-    rows = tuple(tuple(ctx.dot(left, right) for right in bq) for left in bd)
-    return matrix_to_vector(params, HermitianMatrix(rows=rows))
+    # B*D*B^* has entry (i, r) = sum_l b[i][l] * diag[l] * b[r][l]^q, and
+    # matrix_to_vector dots column r with alpha_dual, so entry r of the
+    # vector is sum_l diag[l] * beta[l] * b[r][l]^q with beta[l] = column l
+    # of B dotted with alpha_dual
+    dbeta = [ctx.mul(dl, ctx.dot(col, params.alpha_dual)) for dl, col in zip(diag, zip(*b))]
+    return tuple(ctx.dot(dbeta, [ctx.frobenius(x, 1) for x in row]) for row in b)
 
 
 def corrupt(ctx: FieldContext, word: Sequence[Felt], error: Sequence[Felt]) -> tuple:

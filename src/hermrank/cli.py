@@ -156,6 +156,10 @@ def _p95(lats: list) -> float:
 
 def cmd_simulate(args) -> int:
     ranks = _parse_ranks(args.ranks)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     params = build_params(args.q, args.n, args.d)
     if any(t > params.n for t in ranks):
         raise ValueError(f"ranks must not exceed n = {params.n}")

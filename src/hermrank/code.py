@@ -16,7 +16,9 @@ A codeword vector c = (c_0, ..., c_{n-1}) converts to an n x n matrix over
 F_{q^2} whose column r holds the coordinates of c_r over the orthonormal
 basis; for codewords this matrix is Hermitian (A equals its conjugate
 transpose), and rank distance between vectors is the F_{q^2}-rank of the
-difference matrix.
+difference matrix.  That conversion is an F_{q^2}-isomorphism, so the rank
+is computed as the F_{q^2}-dimension of the span of the difference's
+entries, with no matrix built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .field import (
     json_field,
     make_context,
 )
-from .linpoly import fq2_matrix_rank
 from .rng import GOLDEN, SplitMix64
 
 
@@ -221,10 +222,21 @@ def matrix_to_vector(params: CodeParams, mat: HermitianMatrix) -> tuple:
 
 
 def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> int:
-    """F_{q^2}-rank of the difference matrix of two vectors."""
+    """F_{q^2}-rank of the difference matrix of two vectors, with no matrix.
+
+    The coordinate map z -> (rel_trace(alpha_i^q * z))_i is an
+    F_{q^2}-isomorphism K -> F_{q^2}^n, so the rank of the difference
+    matrix, whose columns are the coordinates of the entries diff_r, is
+    dim over F_{q^2} of span{diff_r}.  With F_{q^2} = F_q + F_q * w, that
+    span is the F_q-span of diff and w * diff, whose F_q-dimension is twice
+    the rank.
+    """
     ctx = params.ctx
     diff = [ctx.sub(x, y) for x, y in zip(a, b)]
-    return fq2_matrix_rank(ctx, codeword_to_matrix(params, diff).rows)
+    w = ctx.fq2_w()
+    full = ctx.fq_rank(diff + [ctx.mul(w, x) for x in diff])
+    assert full % 2 == 0  # an F_{q^2}-span has even F_q-dimension
+    return full // 2
 
 
 # -- serialization ----------------------------------------------------------

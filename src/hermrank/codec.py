@@ -60,15 +60,12 @@ class Message:
 def random_message(params: CodeParams, rng: SplitMix64) -> Message:
     ctx = params.ctx
     basis = ctx.subfield_basis(ctx.n)
-    parts = []
-    for _ in range(params.k):
-        acc = ctx.zero
-        for b in basis:
-            c = rng.below(ctx.q)
-            if c:
-                acc = ctx.add(acc, ctx.mul(ctx.from_base(c), b))
-        parts.append(acc)
-    return Message(tuple(parts))
+    # each part is an F_q-combination of the basis, one digit drawn per
+    # basis element in order
+    scalars = [ctx.from_base(c) for c in range(ctx.q)]
+    return Message(
+        tuple(ctx.dot([scalars[rng.below(ctx.q)] for _ in basis], basis) for _ in range(params.k))
+    )
 
 
 def expand_message(params: CodeParams, msg: Message) -> LinearizedPoly:

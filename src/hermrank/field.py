@@ -23,6 +23,8 @@ Element representation depends on the characteristic:
   terms * 2n * (q-1)^2 in a slot, the reduction rows add less than
   2n * (q-1)^2 and a carried partial sum less than q, so w is the least
   byte count with 2^(8w) > (terms + 2) * 2n * (q-1)^2 for terms = 2n.
+  ``fq_rank``, the F_q-rank of a set of elements, eliminates on the same
+  packed rows.
 
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
@@ -232,7 +234,7 @@ def canonical_modulus(q: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Prime-field linear algebra, used for subfield bases and rank shortcuts.
+# Prime-field linear algebra, used for subfield bases.
 # ---------------------------------------------------------------------------
 
 
@@ -275,23 +277,6 @@ def _fq_kernel(rows: list[list[int]], q: int) -> list[list[int]]:
             vec[pcol] = (-rref[prow][free]) % q
         basis.append(vec)
     return basis
-
-
-def _fq_rank(rows: list[list[int]], q: int) -> int:
-    return len(_fq_rref(rows, q)[1])
-
-
-def _f2_rank(rows: list[int]) -> int:
-    """Rank of a matrix over F_2 whose rows are packed ints."""
-    rank = 0
-    pool = [r for r in rows if r]
-    while pool:
-        pivot = pool.pop()
-        rank += 1
-        top = 1 << (pivot.bit_length() - 1)
-        pool = [(r ^ pivot) if r & top else r for r in pool]
-        pool = [r for r in pool if r]
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +340,11 @@ class FieldContext:
         """Table form of a linear map's monomial images: the images
         themselves, unless an engine stores them otherwise."""
         return tuple(images)
+
+    def fq_rank(self, elems: Sequence[Felt]) -> int:
+        """Dimension over F_q of the span of elems, each read as its 2n
+        coefficients; the one elimination behind every rank in the package."""
+        raise NotImplementedError
 
     # -- shared operations --------------------------------------------------
 
@@ -674,6 +664,19 @@ class _Gf2Context(FieldContext):
             a &= a - 1
         return acc
 
+    def fq_rank(self, elems):
+        # XOR elimination on the packed coefficient bits: each pivot clears
+        # its top bit from every other row
+        rank = 0
+        pool = [r for r in elems if r]
+        while pool:
+            pivot = pool.pop()
+            rank += 1
+            top = 1 << (pivot.bit_length() - 1)
+            pool = [(r ^ pivot) if r & top else r for r in pool]
+            pool = [r for r in pool if r]
+        return rank
+
 
 def _slot_codec(width: int):
     """(pack, unpack) between vectors of non-negative ints below 2^(8*width)
@@ -816,6 +819,33 @@ class _OddContext(FieldContext):
 
     def _to_rows(self, images):
         return tuple(map(self._pack, images))
+
+    def fq_rank(self, elems):
+        """The q = 2 engine's pivot-and-clear elimination on packed rows.
+
+        A popped row is reduced slot-wise mod q and scaled so its first
+        nonzero slot c is 1; every other row r then becomes r + (q - f) *
+        pivot with f = r[c] mod q, which clears slot c mod q and is left
+        unreduced.  A row takes at most one such update per pivot, and
+        there are at most 2n pivots, so its slots stay below
+        q + 2n * (q-1)^2, inside dot's slot bound: no slot carries.
+        """
+        q, deg, pack, unpack = self.q, self.deg, self._pack, self._unpack
+        bits = self._split // deg
+        mask = (1 << bits) - 1
+        rank = 0
+        pool = [pack(e) for e in elems if e != self.zero]
+        while pool:
+            row = [x % q for x in unpack(pool.pop(), deg)]
+            c = next((i for i, x in enumerate(row) if x), None)
+            if c is None:
+                continue
+            rank += 1
+            scale = pow(row[c], -1, q)
+            pivot = pack([x * scale % q for x in row])
+            shift = bits * c
+            pool = [r + (q - f) * pivot if (f := (r >> shift & mask) % q) else r for r in pool]
+        return rank
 
     def frob_images(self, j):
         deg = self.deg

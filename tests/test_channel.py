@@ -14,7 +14,9 @@ from hermrank import (
     random_rank_error,
     rank_distance,
 )
+from hermrank.channel import _draw_hermitian
 from hermrank.exceptions import BadParamsError, BadRankError
+from reference_rank import draw_hermitian_via_matrix
 
 
 def test_rank_zero_error_is_zero(params_for):
@@ -73,6 +75,19 @@ def test_hermitian_mode_matrices_are_hermitian(params_for):
         for seed in range(5):
             e = random_rank_error(p, ChannelSpec(t=t, mode=MODE_HERMITIAN, seed=90 * t + seed))
             assert codeword_to_matrix(p, e).is_hermitian(ctx)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 7, 5), (3, 5, 3), (5, 5, 3)])
+def test_hermitian_draw_matches_matrix_path(params_for, q, n, d):
+    # the vector-form draw gives the vector of B*D*B^* exactly, and leaves
+    # the RNG where the matrix path leaves it
+    p = params_for(q, n, d)
+    sub2 = p.ctx.subfield_elements(2)
+    for t in range(1, n + 1):
+        for seed in range(4):
+            fast, slow = SplitMix64(50 * t + seed), SplitMix64(50 * t + seed)
+            assert _draw_hermitian(p, n, t, fast, sub2) == draw_hermitian_via_matrix(p, n, t, slow, sub2)
+            assert fast.next_u64() == slow.next_u64()
 
 
 def test_arbitrary_mode_is_genuinely_wider(params_for):

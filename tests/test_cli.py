@@ -248,6 +248,19 @@ def test_simulate_bad_ranks(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [("--trials", "-3"), ("--threads", "-4"), ("--threads", "0")])
+def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value):
+    out = tmp_path / "bad.json"
+    argv = ["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "1",
+            "--seed", "1", "--out", str(out)]
+    # argparse keeps the last value given for a repeated flag
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # -- mindist ----------------------------------------------------------------
 
 

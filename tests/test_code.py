@@ -5,6 +5,9 @@ import time
 import pytest
 
 from hermrank import (
+    MODE_ARBITRARY,
+    MODE_HERMITIAN,
+    ChannelSpec,
     Message,
     SplitMix64,
     build_params,
@@ -16,15 +19,16 @@ from hermrank import (
     lp_interpolate,
     make_context,
     map_rank,
-    matrix_rank,
     matrix_to_vector,
     params_from_json_obj,
     params_to_json_obj,
+    random_rank_error,
     rank_distance,
     unitary_pairing,
 )
 from hermrank.exceptions import BadParamsError, HermrankError, TooLargeError
 from reference_moore import mat_mul, moore_rows, moore_tinv, transpose
+from reference_rank import matrix_rank
 
 
 def _rand_word(params, rng):
@@ -268,10 +272,12 @@ def test_rank_distance_metric_basics(params_for):
         assert 0 <= rank_distance(p, a, b) <= p.n
 
 
-@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 3, 3)])
+@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 3, 3), (2, 7, 5), (2, 9, 5), (3, 5, 3), (5, 5, 3)])
 def test_rank_distance_three_way_agreement(params_for, q, n, d):
-    # same number three ways: blown-up F_q elimination, generic elimination
-    # over K, and the rank of the interpolated difference map
+    # same number three ways: the span rank of the entries, generic
+    # elimination of the matrix over K, and the rank of the interpolated
+    # difference map; on uniform random words, differences of them, and
+    # channel draws in both modes at t = 1, the radius, one past it and n
     p = params_for(q, n, d)
     ctx = p.ctx
     rng = SplitMix64(37)
@@ -282,6 +288,15 @@ def test_rank_distance_three_way_agreement(params_for, q, n, d):
         mat = codeword_to_matrix(p, a)
         assert matrix_rank(ctx, mat.rows) == dist
         assert map_rank(ctx, lp_interpolate(ctx, p.moore_inv, a)) == dist
+        b = _rand_word(p, rng)
+        diff = tuple(ctx.sub(x, y) for x, y in zip(a, b))
+        assert rank_distance(p, a, b) == matrix_rank(ctx, codeword_to_matrix(p, diff).rows)
+    for mode in (MODE_ARBITRARY, MODE_HERMITIAN):
+        for t in sorted({1, p.radius, p.radius + 1, n} & set(range(1, n + 1))):
+            for seed in range(3):
+                e = random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=60 * t + seed))
+                assert rank_distance(p, e, zero) == t
+                assert matrix_rank(ctx, codeword_to_matrix(p, e).rows) == t
 
 
 # -- serialization ----------------------------------------------------------

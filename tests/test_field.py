@@ -17,6 +17,7 @@ from hermrank.exceptions import (
     ZeroInputError,
 )
 from hermrank.field import context_from_json_obj
+from reference_rank import matrix_rank
 
 
 # -- canonical modulus ------------------------------------------------------
@@ -219,6 +220,36 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         xs = [rand_felt(ctx, rng) for _ in range(terms)]
         ys = [rand_felt(ctx, rng) for _ in range(terms)]
         assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (5, 3)])
+def test_fq_rank_edge_cases(q, n, rand_felt):
+    ctx = make_context(q, n)
+    assert ctx.fq_rank([]) == 0
+    assert ctx.fq_rank([ctx.zero] * 4) == 0
+    a = rand_felt(ctx, SplitMix64(q * n))
+    a = a if a != ctx.zero else ctx.one
+    assert ctx.fq_rank([a, a, ctx.zero, a]) == 1
+    # F_q-multiples of one element span a line
+    assert ctx.fq_rank([ctx.mul(ctx.from_base(c), a) for c in range(q)]) == 1
+    monomials = ctx.frob_images(0)
+    assert ctx.fq_rank(list(monomials) * 2) == 2 * n
+    assert ctx.fq_rank(ctx.subfield_basis(2) + ctx.subfield_basis(n)) == n + 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (5, 3)])
+def test_fq_rank_matches_coefficient_matrix_rank(q, n, rand_felt):
+    # oracle: generic elimination over K of the coefficient matrix, which
+    # has the same rank as over F_q
+    ctx = make_context(q, n)
+    rng = SplitMix64(11 * q + n)
+    for count in (1, 2, n, 2 * n, 2 * n + 3):
+        for _ in range(6):
+            elems = [rand_felt(ctx, rng) for _ in range(count)]
+            # sums of earlier elements force dependent rows
+            elems += [ctx.add(elems[0], elems[-1]), ctx.sub(elems[-1], elems[0])]
+            rows = [[ctx.from_base(c) for c in ctx.to_coeffs(e)] for e in elems]
+            assert ctx.fq_rank(elems) == matrix_rank(ctx, rows)
 
 
 def test_lagrange_order_of_multiplicative_group(rand_felt):

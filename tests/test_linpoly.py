@@ -1,19 +1,12 @@
-"""Linearized polynomials: evaluation, interpolation, Dickson matrix, ranks."""
+"""Linearized polynomials: evaluation, interpolation, map rank (against the
+matrix-form oracles in reference_rank)."""
 
 import pytest
 
-from hermrank import (
-    SplitMix64,
-    dickson,
-    fq2_matrix_rank,
-    lp_eval,
-    lp_interpolate,
-    make_context,
-    map_rank,
-    matrix_rank,
-)
+from hermrank import SplitMix64, lp_eval, lp_interpolate, make_context, map_rank
 from hermrank.linpoly import LinearizedPoly, lp_zero
 from reference_moore import moore_rows, moore_tinv
+from reference_rank import dickson, matrix_rank
 
 
 def _gen_points(ctx):
@@ -184,24 +177,6 @@ def test_matrix_rank_basics(rand_felt):
             continue
         outer = [[ctx.mul(a, b) for b in v] for a in u]
         assert matrix_rank(ctx, outer) == 1
-
-
-@pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
-@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 2)])
-def test_fq2_matrix_rank_agrees_with_generic(q, n, shape):
-    # entries drawn from F_{q^2}; extension to K cannot change the rank
-    ctx = make_context(q, n)
-    sub2 = ctx.subfield_elements(2)
-    rng = SplitMix64(9)
-    rows_n, cols_n = shape
-    for _ in range(30):
-        mat = [[sub2[rng.below(len(sub2))] for _ in range(cols_n)] for _ in range(rows_n)]
-        assert fq2_matrix_rank(ctx, mat) == matrix_rank(ctx, mat)
-
-
-def test_fq2_matrix_rank_empty():
-    ctx = make_context(2, 3)
-    assert fq2_matrix_rank(ctx, []) == 0
 
 
 # -- support width bounds the kernel ---------------------------------------

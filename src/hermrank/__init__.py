@@ -42,7 +42,7 @@ from .codec import (
 )
 from .exceptions import HermrankError
 from .field import FieldContext, Felt, canonical_modulus, make_context
-from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, map_rank
+from .linpoly import LinearizedPoly, lp_eval, lp_interpolate
 from .oracle import CodeTable, NearestResult, brute_min_distance, enumerate_code, nearest_codeword
 from .rng import SplitMix64, substream_seed
 
@@ -79,7 +79,6 @@ __all__ = [
     "lp_eval",
     "lp_interpolate",
     "make_context",
-    "map_rank",
     "matrix_to_vector",
     "nearest_codeword",
     "params_from_json_obj",

@@ -84,20 +84,24 @@ def cmd_decode(args) -> int:
     return 0 if result.ok else 1
 
 
-def _parse_ranks(text: str) -> list:
+def _parse_ranks(text: str, n: int) -> list:
+    """Comma-separated ranks and lo-hi ranges, each bounded by 0 <= lo <=
+    hi <= n before it is expanded; repeats are dropped."""
     out = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if "-" in token:
-            lo, hi = token.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(token))
+        lo, hi = token.split("-", 1) if "-" in token else (token, token)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"bad rank range {token!r}")
+        if hi > n:
+            raise ValueError(f"ranks must not exceed n = {n}")
+        out.extend(range(lo, hi + 1))
     seen = set()
     ranks = [t for t in out if not (t in seen or seen.add(t))]
-    if not ranks or any(t < 0 for t in ranks):
+    if not ranks:
         raise ValueError(f"bad rank list {text!r}")
     return ranks
 
@@ -155,14 +159,12 @@ def _p95(lats: list) -> float:
 
 
 def cmd_simulate(args) -> int:
-    ranks = _parse_ranks(args.ranks)
     if args.trials < 0:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     params = build_params(args.q, args.n, args.d)
-    if any(t > params.n for t in ranks):
-        raise ValueError(f"ranks must not exceed n = {params.n}")
+    ranks = _parse_ranks(args.ranks, params.n)
     wall0 = time.perf_counter()
     results = []
     sharded = args.threads > 1 and args.trials > 0

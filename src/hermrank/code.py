@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exceptions import BadParamsError, BasisSearchFailedError
+from .exceptions import BadParamsError, BadShapeError, BasisSearchFailedError
 from .field import (
     Felt,
     FieldContext,
@@ -229,8 +229,10 @@ def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> i
     matrix, whose columns are the coordinates of the entries diff_r, is
     dim over F_{q^2} of span{diff_r}.  With F_{q^2} = F_q + F_q * w, that
     span is the F_q-span of diff and w * diff, whose F_q-dimension is twice
-    the rank.
+    the rank.  Both vectors must have n entries.
     """
+    if len(a) != params.n or len(b) != params.n:
+        raise BadShapeError(f"words need exactly {params.n} components")
     ctx = params.ctx
     diff = [ctx.sub(x, y) for x, y in zip(a, b)]
     w = ctx.fq2_w()

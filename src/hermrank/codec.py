@@ -19,18 +19,19 @@ reads the d-1 error coefficients outside the window directly from beta,
 synthesizes the shortest skew feedback register generating them (the
 recurrence g_i = sum_l lambda_l * g_{i-l}^(q^(2l)) holds cyclically for a
 rank-t error), completes the windowed coefficients by running the register
-forward, subtracts, and extracts the message.  Every candidate is certified
-by the rank of its completed error polynomial g: once extraction succeeds,
-g is exactly the interpolation polynomial of received - encode(message)
-(see decode), so a result is only accepted when the residual rank is within
-the unique-decoding radius, and a wrong message can never be returned.
+forward, subtracts, and extracts the message.  The one candidate is
+certified by register closure: the register must also generate the
+completed error polynomial g cyclically, at all n indices.  Once
+extraction succeeds, g is exactly the interpolation polynomial of
+received - encode(message), and closure holds exactly when its rank is
+within the unique-decoding radius (see decode), so a wrong message can
+never be returned.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .code import CodeParams, decompose_eta
 from .exceptions import (
@@ -41,7 +42,7 @@ from .exceptions import (
     SymmetryCheckError,
 )
 from .field import Felt, json_field
-from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, lp_zero, map_rank
+from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, lp_zero
 from .rng import SplitMix64
 
 REASON_RADIUS = "RadiusExceeded"
@@ -108,8 +109,10 @@ def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
     the received word on the basis points; it is the sum of the sent
     window coefficients and the error polynomial's coefficients.  Outside
     the window the sent part is zero, so those d-1 error coefficients are
-    visible directly.
+    visible directly.  A word that is not n long raises BadShapeError.
     """
+    if len(received) != params.n:
+        raise BadShapeError(f"word needs exactly {params.n} components")
     beta = lp_interpolate(params.ctx, params.moore_inv, received).coeffs
     known = {idx: beta[idx] for idx in known_indices(params)}
     return beta, known
@@ -207,10 +210,22 @@ def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> Linear
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
     coeffs = dict(known_g)
     for i in range(m - kappa, m + kappa + 1):
-        live = [l for l in range(1, t + 1) if coeffs[(i - l) % n] != ctx.zero]
-        images = [ctx.frobenius(coeffs[(i - l) % n], 2 * l) for l in live]
-        coeffs[i % n] = ctx.dot([lam[l - 1] for l in live], images)
+        coeffs[i % n] = _feedback(ctx, coeffs, lam, i, n)
     return LinearizedPoly(tuple(coeffs[i] for i in range(n)))
+
+
+def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
+    """The register's output at cyclic index i: sum_l lam[l-1] * coeffs[i-l]^(q^(2l))."""
+    live = [l for l in range(1, len(lam) + 1) if coeffs[(i - l) % n] != ctx.zero]
+    images = [ctx.frobenius(coeffs[(i - l) % n], 2 * l) for l in live]
+    return ctx.dot([lam[l - 1] for l in live], images)
+
+
+def _register_closes(params: CodeParams, g: LinearizedPoly, lam: Sequence[Felt]) -> bool:
+    """True when the register lam generates g's coefficients cyclically:
+    g_i = sum_l lam_l * g_(i-l)^(q^(2l)) at every index i mod n."""
+    c = g.coeffs
+    return all(c[i] == _feedback(params.ctx, c, lam, i, params.n) for i in range(params.n))
 
 
 def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
@@ -242,11 +257,12 @@ class DecodeResult:
     """Outcome of a decode attempt.
 
     On success the message encodes to a codeword within the radius of the
-    received word (that is what certification means), error_poly is the
-    interpolation polynomial of the residual received - encode(message),
-    which decode obtains as the completed register output, and error_rank
-    is its rank.  On failure, reason is one of the REASON_* strings and
-    diagnostics records what the solvers saw.
+    received word (register closure certifies this, see decode),
+    error_poly is the interpolation polynomial of the residual received -
+    encode(message), which decode obtains as the completed register output,
+    and error_rank is its rank, the register's length.  On failure, reason
+    is one of the REASON_* strings and diagnostics records what the solvers
+    saw.
     """
 
     ok: bool
@@ -257,48 +273,67 @@ class DecodeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _gaussian_candidates(params: CodeParams, known: dict, skip_t: int) -> Iterator[tuple]:
-    """Key-equation candidates at every rank 1..radius except skip_t, solved
-    one at a time as the caller asks for them."""
-    for t in range(1, params.radius + 1):
-        if t != skip_t:
-            lam = solve_key_equation(params, known, t)
-            if lam is not None:
-                yield t, lam, "gaussian"
-
-
 def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
-    """Certified bounded-distance decoding.
+    """Certified bounded-distance decoding with a single candidate.
 
-    Candidate registers come from Berlekamp-Massey first and then from the
-    Gaussian key-equation solver at every rank up to the radius; each
-    candidate is completed, extracted and certified, and the first certified
-    message wins.  Candidates are built on demand, so the Gaussian solves
-    beyond the one at the BM length only run when nothing has certified
-    yet.  Distinct codewords are at least d apart, so at most one candidate
-    can ever certify; failure reports the most advanced stage any candidate
-    reached (certification, then symmetry, then subfield, then
-    inconsistency).
+    The candidate is the zero error when the d-1 exposed coefficients are
+    all zero, and otherwise Berlekamp-Massey's register (lambda, L = bm_t)
+    when L <= radius; with L > radius there is none.  The candidate is
+    completed to g, extracted, and accepted when its register closes
+    cyclically on g; error_rank is then its length.  The failure reason is
+    the stage the candidate reached: RadiusExceeded when it extracts but
+    does not close, SymmetryCheckFailed or SubfieldCheckFailed when
+    extraction fails, and InconsistentKeyEquation when there is no
+    candidate.  The Gaussian solve at L only feeds
+    diagnostics["bm_gaussian_agree"].
 
-    Certification is rank(g) <= radius for the completed register output g,
-    and that is exactly the re-encoding test rank(received - encode(msg)) <=
-    radius:
+    No other candidate can exist.  A Gaussian key-equation solve at rank
+    t <= radius asks for the unique register of length t generating the
+    exposed sequence, and returns None unless there is exactly one:
+
+    - t < L: BM's register is the shortest generating the sequence, so no
+      register of length t does.
+    - t > L: every nu*Lambda_L with nu_0 = 1 and q^2-degree <= t-L solves
+      the rank-t system, because its rows at j >= t only read Lambda_L's
+      outputs at positions >= L, which are zero.  The skew ring has no zero
+      divisors, so these are distinct, the solution is not unique, and the
+      solve returns None.  If L > radius, every t <= radius is below L.
+    - t = L: bm_lam solves the system, so the solve returns bm_lam or None
+      and adds no candidate of its own.
+
+    So trying the Gaussian solves as candidates as well would change no
+    verdict, reason or candidates_tried.
+
+    Closure certifies exactly the re-encoding test rank(received -
+    encode(msg)) <= radius:
 
     - Once extraction's subfield and symmetry checks pass, expanding the
       extracted message gives back the window it came from: the center c
       satisfies c^(q^(2n)) = c, each pair's b = u + eta*v holds exactly, and
-      the mirror check forces the upper half.
-    - Outside the window the expansion is zero and g carries beta there
-      unchanged, so beta - expand(msg) = g coefficient by coefficient.
-    - Interpolation is linear and encode evaluates expand(msg) on alpha, so
-      received - encode(msg) is g evaluated on alpha.  Its F_{q^2}-rank is
-      the rank of the map g because alpha spans K over F_{q^2}.
+      the mirror check forces the upper half.  Outside the window the
+      expansion is zero and g carries beta there unchanged, so beta -
+      expand(msg) = g, and received - encode(msg) is g evaluated on alpha.
+      Its F_{q^2}-rank is the rank of the map g because alpha spans K over
+      F_{q^2}.
+    - Upper bound: closure means Lambda o g = 0 modulo x^(q^(2n)) - x, with
+      Lambda = x - sum_l lambda_l x^(q^(2l)), so im g lies in ker Lambda and
+      rank(g) <= t.  This holds even when lambda_t = 0.
+    - Exactness: a rank-r map's coefficients are generated cyclically by
+      the subspace polynomial of its image, normalised to constant term 1,
+      a register of length r.  So L <= r, and with closure r = t = L.
+    - Converse: complete_g makes the register generate g from index
+      m+kappa+1+t through the window, so if rank(g) = r <= radius and
+      closure failed first at wrap position n+j (j < t), the skew Massey
+      lemma would give r >= n+j+1-t >= n+1-radius > radius, since
+      n >= d > 2*radius; a contradiction.  So closure holds whenever
+      rank(g) <= radius.
 
-    So the accepted results, error_poly and error_rank are those of the
-    re-encoding test, and a wrong message can never be returned.
+    Every accepted result, error_poly and error_rank is therefore that of
+    the re-encoding test, and a wrong message can never be returned.  See
+    Gabidulin, Probl. Inf. Transm. 1985, and Sidorenko, Richter and
+    Bossert, IEEE Trans. IT 2011, for the register facts.
     """
     ctx = params.ctx
-    radius = params.radius
     beta, known = beta_split(params, received)
     seq = [known[idx] for idx in known_indices(params)]
     diags: dict = {}
@@ -306,59 +341,35 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     if all(v == ctx.zero for v in seq):
         # a zero exposed window within the radius forces a zero error: any
         # nonzero polynomial confined to the message window has rank >= d
-        candidates = [(0, (), "zero-window")]
+        t, lam, src = 0, (), "zero-window"
+        g = lp_zero(ctx, params.n)
     else:
-        bm_t, bm_lam = skew_bm(params, seq)
-        diags["bm_t"] = bm_t
-        first = []
-        if 1 <= bm_t <= radius:
-            gauss = solve_key_equation(params, known, bm_t)
-            diags["bm_gaussian_agree"] = gauss == bm_lam
-            first.append((bm_t, bm_lam, "bm"))
-            if gauss is not None and gauss != bm_lam:
-                first.append((bm_t, gauss, "gaussian"))
-        # the solve at bm_t above already covers that rank
-        candidates = itertools.chain(first, _gaussian_candidates(params, known, bm_t))
+        t, lam = skew_bm(params, seq)
+        src = "bm"
+        diags["bm_t"] = t
+        if t > params.radius:
+            diags["candidates_tried"] = 0
+            return DecodeResult(ok=False, reason=REASON_INCONSISTENT, diagnostics=diags)
+        diags["bm_gaussian_agree"] = solve_key_equation(params, known, t) == lam
+        g = complete_g(params, known, lam)
 
-    failure_stages = set()
-    tried = 0
-    for t, lam, src in candidates:
-        tried += 1
-        if t == 0:
-            g = lp_zero(ctx, params.n)
-        else:
-            g = complete_g(params, known, lam)
-        window = [
-            ctx.sub(beta[i % params.n], g.coeffs[i % params.n])
-            for i in range(params.m - params.kappa, params.m + params.kappa + 1)
-        ]
-        try:
-            msg = extract_message(params, window)
-        except SubfieldCheckError:
-            failure_stages.add(REASON_SUBFIELD)
-            continue
-        except SymmetryCheckError:
-            failure_stages.add(REASON_SYMMETRY)
-            continue
-        rank = map_rank(ctx, g)
-        if rank <= radius:
+    window = [
+        ctx.sub(beta[i % params.n], g.coeffs[i % params.n])
+        for i in range(params.m - params.kappa, params.m + params.kappa + 1)
+    ]
+    try:
+        msg = extract_message(params, window)
+    except SubfieldCheckError:
+        reason = REASON_SUBFIELD
+    except SymmetryCheckError:
+        reason = REASON_SYMMETRY
+    else:
+        if _register_closes(params, g, lam):
             diags["solver"] = src
             diags["equations_used"] = params.d - 1 - t
-            return DecodeResult(
-                ok=True,
-                message=msg,
-                error_poly=g,
-                error_rank=rank,
-                diagnostics=diags,
-            )
-        failure_stages.add(REASON_RADIUS)
-
-    for reason in (REASON_RADIUS, REASON_SYMMETRY, REASON_SUBFIELD):
-        if reason in failure_stages:
-            break
-    else:
-        reason = REASON_INCONSISTENT
-    diags["candidates_tried"] = tried
+            return DecodeResult(ok=True, message=msg, error_poly=g, error_rank=t, diagnostics=diags)
+        reason = REASON_RADIUS
+    diags["candidates_tried"] = 1
     return DecodeResult(ok=False, reason=reason, diagnostics=diags)
 
 

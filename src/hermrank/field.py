@@ -369,12 +369,6 @@ class FieldContext:
                 acc = self.add(acc, self.mul(x, y))
         return acc
 
-    def linear_images(self, coeffs: Sequence[Felt], powers: Sequence[int]) -> list:
-        """Images of the monomials X^k, k = 0 .. 2n-1, under the map
-        x -> sum_i coeffs[i] * x^(q^powers[i]); image k is a dot product
-        with the k-th entries of the Frobenius tables."""
-        return [self.dot(coeffs, images) for images in zip(*(self.frob_images(j) for j in powers))]
-
     def _frob_rows(self, j: int) -> tuple:
         """Table of x -> x^(q^j), built once per context and power j mod 2n."""
         j %= self.deg
@@ -764,15 +758,6 @@ class _OddContext(FieldContext):
             carried = pack(self._reduce(acc))
             acc = sum(map(operator.mul, map(pack, xs[s : s + k]), map(pack, ys[s : s + k])), carried)
         return self._reduce(acc)
-
-    def linear_images(self, coeffs, powers):
-        # the tables are packed already, so each image is one unreduced
-        # sum; dot's slot bound covers up to 2n terms
-        if len(coeffs) > self.deg:
-            return super().linear_images(coeffs, powers)
-        packed = list(map(self._pack, coeffs))
-        tables = map(self._frob_rows, powers)
-        return [self._reduce(sum(map(operator.mul, packed, rows))) for rows in zip(*tables)]
 
     def _reduce(self, p):
         """Canonical element of a packed, unreduced product or sum of them."""

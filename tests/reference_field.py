@@ -92,11 +92,6 @@ def frobenius(ctx, a, j):
     return apply_linear(ctx, frob_images(ctx, j), a)
 
 
-def linear_images(ctx, coeffs, powers):
-    """X^k -> sum_i coeffs[i] * (X^k)^(q^powers[i]) for k = 0 .. 2n-1."""
-    return [dot(ctx, coeffs, [frob_images(ctx, j)[k] for j in powers]) for k in range(ctx.deg)]
-
-
 def rel_trace(ctx, a):
     acc = ctx.zero
     for i in range(ctx.n):

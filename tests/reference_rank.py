@@ -1,16 +1,32 @@
-"""Matrix-form ranks and the matrix-path Hermitian draw, kept as oracles.
+"""Ranks the package no longer computes, and the matrix-path Hermitian draw,
+kept as oracles.
 
-The package computes every rank as the F_q-dimension of a span of field
-elements (FieldContext.fq_rank) and never builds a matrix on its hot paths.
-These helpers keep the matrix forms that the span ranks replace: generic
-elimination over K, the Dickson matrix of a linearized polynomial, and the
-Hermitian channel draw that forms B*D*B^* entry by entry before converting
-it to vector form.
+The package computes every word rank as the F_q-dimension of a span of
+field elements (FieldContext.fq_rank), never builds a matrix on its hot
+paths, and certifies a decode by register closure instead of a map rank.
+These helpers keep what that replaced: the rank of a linearized map,
+generic elimination over K, the Dickson matrix of a linearized polynomial,
+and the Hermitian channel draw that forms B*D*B^* entry by entry before
+converting it to vector form.
 """
 
 from dataclasses import dataclass
 
 from hermrank.code import HermitianMatrix, matrix_to_vector
+from hermrank.linpoly import lp_eval
+
+
+def map_rank(ctx, poly):
+    """Rank over F_{q^2} of the linear map x -> poly(x) on K.
+
+    The map is F_q-linear on K, a 2n-dimensional F_q-space, so its F_q-rank
+    is the span rank of the images of the monomial basis X^k; that is twice
+    the F_{q^2}-rank because the image is an F_{q^2}-subspace.
+    """
+    monomials = [ctx.from_coeffs([int(i == k) for i in range(ctx.deg)]) for k in range(ctx.deg)]
+    full = ctx.fq_rank([lp_eval(ctx, poly, x) for x in monomials])
+    assert full % 2 == 0  # F_{q^2}-linearity forces an even F_q-rank
+    return full // 2
 
 
 def matrix_rank(ctx, rows):

@@ -10,13 +10,12 @@ from hermrank import (
     codeword_to_matrix,
     corrupt,
     lp_interpolate,
-    map_rank,
     random_rank_error,
     rank_distance,
 )
 from hermrank.channel import _draw_hermitian
 from hermrank.exceptions import BadParamsError, BadRankError
-from reference_rank import draw_hermitian_via_matrix
+from reference_rank import draw_hermitian_via_matrix, map_rank
 
 
 def test_rank_zero_error_is_zero(params_for):

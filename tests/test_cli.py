@@ -248,6 +248,20 @@ def test_simulate_bad_ranks(capsys):
     capsys.readouterr()
 
 
+def test_simulate_rank_ranges_bounded_before_expanding(capsys):
+    # a range past n fails before it is expanded, and a reversed range
+    # is an error rather than an empty one
+    base = ["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "1", "--seed", "1"]
+    for ranks in ("0-10000000000", "0,5-3", "2-6"):
+        start = time.perf_counter()
+        assert main(base + ["--ranks", ranks]) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("flag,value", [("--trials", "-3"), ("--threads", "-4"), ("--threads", "0")])
 def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value):
     out = tmp_path / "bad.json"

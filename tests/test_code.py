@@ -18,7 +18,6 @@ from hermrank import (
     find_selfdual_basis,
     lp_interpolate,
     make_context,
-    map_rank,
     matrix_to_vector,
     params_from_json_obj,
     params_to_json_obj,
@@ -26,9 +25,9 @@ from hermrank import (
     rank_distance,
     unitary_pairing,
 )
-from hermrank.exceptions import BadParamsError, HermrankError, TooLargeError
+from hermrank.exceptions import BadParamsError, BadShapeError, HermrankError, TooLargeError
 from reference_moore import mat_mul, moore_rows, moore_tinv, transpose
-from reference_rank import matrix_rank
+from reference_rank import map_rank, matrix_rank
 
 
 def _rand_word(params, rng):
@@ -270,6 +269,17 @@ def test_rank_distance_metric_basics(params_for):
         assert rank_distance(p, a, a) == 0
         assert rank_distance(p, a, b) == rank_distance(p, b, a)
         assert 0 <= rank_distance(p, a, b) <= p.n
+
+
+def test_rank_distance_rejects_wrong_lengths(params_for):
+    # pairing the entries would silently drop the longer word's extras
+    p = params_for(2, 5, 3)
+    zero = (p.ctx.zero,) * p.n
+    word = _rand_word(p, SplitMix64(37))
+    for bad in ((), word[:-1], word + (p.ctx.one,)):
+        for a, b in ((bad, zero), (zero, bad), (bad, bad)):
+            with pytest.raises(BadShapeError):
+                rank_distance(p, a, b)
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 3, 3), (2, 7, 5), (2, 9, 5), (3, 5, 3), (5, 5, 3)])

@@ -18,7 +18,6 @@ from hermrank import (
     extract_message,
     lp_eval,
     lp_interpolate,
-    map_rank,
     nearest_codeword,
     random_message,
     random_rank_error,
@@ -39,9 +38,16 @@ from hermrank.codec import (
     word_from_json_obj,
     word_to_json_obj,
 )
-from hermrank.exceptions import BadRankError, NotInSubfieldError, SubfieldCheckError, SymmetryCheckError
+from hermrank.exceptions import (
+    BadRankError,
+    BadShapeError,
+    NotInSubfieldError,
+    SubfieldCheckError,
+    SymmetryCheckError,
+)
 from hermrank.linpoly import LinearizedPoly, lp_zero
 from reference_moore import encode_via_matrix
+from reference_rank import map_rank
 
 
 def _word_from_poly(params, poly):
@@ -499,6 +505,19 @@ def test_decode_diagnostics_shape(params_for):
     assert res.diagnostics["equations_used"] == p.d - 1 - 2
 
 
+def test_decode_rejects_wrong_length_words(params_for):
+    # interpolation would silently drop extra entries and treat a short
+    # word as its prefix, so the length is checked first
+    p = params_for(2, 7, 5)
+    zero = p.ctx.zero
+    word = encode(p, random_message(p, SplitMix64(101)))
+    for bad in ((), word[:-1], word + (zero, zero)):
+        with pytest.raises(BadShapeError):
+            decode(p, bad)
+        with pytest.raises(BadShapeError):
+            beta_split(p, bad)
+
+
 def test_decode_degenerate_distance_one(params_for):
     # d = 1 means radius 0: clean words decode, any corruption fails
     p = params_for(2, 5, 1)
@@ -556,7 +575,7 @@ def test_random_message_is_deterministic_and_valid(params_for):
 
 
 def test_packed_engine_op_counts(params_for, monkeypatch):
-    # machine-independent guard: interpolation and the certifying rank run
+    # machine-independent guard: interpolation and the closure check run
     # on dot and the packed Frobenius tables, never on mul
     p = params_for(3, 9, 5)
     ctx = p.ctx
@@ -570,7 +589,7 @@ def test_packed_engine_op_counts(params_for, monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(cls, name, counting)
-    seen = {"lp_interpolate": [], "map_rank": []}
+    seen = {"lp_interpolate": [], "_register_closes": []}
     for name in seen:
         def spy(*args, _orig=getattr(codec, name), _name=name):
             before = dict(counts)
@@ -581,7 +600,7 @@ def test_packed_engine_op_counts(params_for, monkeypatch):
         monkeypatch.setattr(codec, name, spy)
     assert decode(p, received).message == msg
     assert seen["lp_interpolate"] == [{"mul": 0, "dot": p.n}]
-    assert seen["map_rank"] and all(c["mul"] == 0 for c in seen["map_rank"])
+    assert seen["_register_closes"] and all(c["mul"] == 0 for c in seen["_register_closes"])
 
     counts["mul"] = 0
     for j in range(3 * ctx.deg):

@@ -28,7 +28,7 @@ from hermrank.linpoly import LinearizedPoly
 
 from reference_decode import reference_decode
 
-POINTS = [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3), (5, 3, 3)]
+POINTS = [(2, 5, 3), (2, 7, 5), (2, 7, 7), (3, 3, 3), (3, 5, 3), (3, 7, 5), (5, 3, 3)]
 
 
 def _same(p, rec):
@@ -112,8 +112,10 @@ def test_odd_q_verdicts_match_exhaustive_scan(params_for):
 
 def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     # one interpolation (the received word), no encode, and only the
-    # key-equation solve at the BM length when the BM candidate certifies
+    # key-equation solve at the BM length, whatever the outcome; none when
+    # BM's register is longer than the radius
     p = params_for(2, 7, 5)
+    ctx = p.ctx
     msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
     calls = {"interpolate": 0, "solve": 0}
 
@@ -132,3 +134,19 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     res = decode(p, rec)
     assert res.ok and res.message == msg and res.diagnostics["solver"] == "bm"
     assert calls == {"interpolate": 1, "solve": 1}
+
+    # one beyond the radius: BM's register fails extraction
+    calls.update(interpolate=0, solve=0)
+    res = decode(p, _noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[1])
+    assert res.reason == REASON_SUBFIELD and res.diagnostics["bm_t"] <= p.radius
+    assert calls == {"interpolate": 1, "solve": 1}
+
+    # exposed coefficients 1, 0, 0, 1 need a register of length 3
+    calls.update(interpolate=0, solve=0)
+    coeffs = [ctx.zero] * p.n
+    first, *_, last = codec.known_indices(p)
+    coeffs[first] = coeffs[last] = ctx.one
+    err = tuple(lp_eval(ctx, LinearizedPoly(tuple(coeffs)), a) for a in p.alpha)
+    res = decode(p, corrupt(ctx, encode(p, msg), err))
+    assert res.reason == REASON_INCONSISTENT and res.diagnostics["bm_t"] == 3 > p.radius
+    assert calls == {"interpolate": 1, "solve": 0}

@@ -2,7 +2,7 @@
 
 import hermrank
 
-REMOVED = ("DicksonMatrix", "dickson", "matrix_rank", "fq2_matrix_rank")
+REMOVED = ("DicksonMatrix", "dickson", "matrix_rank", "fq2_matrix_rank", "map_rank")
 
 
 def test_all_names_resolve_sorted_and_unique():

@@ -202,9 +202,6 @@ def test_packed_kernel_matches_schoolbook(q, n, rand_felt):
         assert ctx.frob_images(j) == reference_field.frob_images(ctx, j)
         for a in xs:
             assert ctx.frobenius(a, j) == reference_field.frobenius(ctx, a, j)
-    for powers in ([1], [2 * i for i in range(n)], [(3 * i) % (2 * n) for i in range(2 * n + 1)]):
-        coeffs = (xs * len(powers))[: len(powers)]
-        assert ctx.linear_images(coeffs, powers) == reference_field.linear_images(ctx, coeffs, powers)
     for a in xs[:2]:
         assert all(type(c) is int for c in ctx.mul(a, a) + ctx.frobenius(a, 1))
 

@@ -3,10 +3,10 @@ matrix-form oracles in reference_rank)."""
 
 import pytest
 
-from hermrank import SplitMix64, lp_eval, lp_interpolate, make_context, map_rank
+from hermrank import SplitMix64, lp_eval, lp_interpolate, make_context
 from hermrank.linpoly import LinearizedPoly, lp_zero
 from reference_moore import moore_rows, moore_tinv
-from reference_rank import dickson, matrix_rank
+from reference_rank import dickson, map_rank, matrix_rank
 
 
 def _gen_points(ctx):

@@ -38,7 +38,6 @@ from .codec import (
     extract_message,
     random_message,
     skew_bm,
-    solve_key_equation,
 )
 from .exceptions import HermrankError
 from .field import FieldContext, Felt, canonical_modulus, make_context
@@ -87,7 +86,6 @@ __all__ = [
     "random_rank_error",
     "rank_distance",
     "skew_bm",
-    "solve_key_equation",
     "substream_seed",
     "unitary_pairing",
 ]

@@ -19,13 +19,15 @@ reads the d-1 error coefficients outside the window directly from beta,
 synthesizes the shortest skew feedback register generating them (the
 recurrence g_i = sum_l lambda_l * g_{i-l}^(q^(2l)) holds cyclically for a
 rank-t error), completes the windowed coefficients by running the register
-forward, subtracts, and extracts the message.  The one candidate is
-certified by register closure: the register must also generate the
-completed error polynomial g cyclically, at all n indices.  Once
-extraction succeeds, g is exactly the interpolation polynomial of
-received - encode(message), and closure holds exactly when its rank is
-within the unique-decoding radius (see decode), so a wrong message can
-never be returned.
+forward, subtracts, and extracts the message.  The register is unique
+(Massey's theorem), so it is the one candidate, and it is certified by
+register closure: the register must also generate the completed error
+polynomial g cyclically.  Completion makes it do so everywhere except at
+the t indices where it wraps from the window back to the exposed
+coefficients, so only those are checked.  Once extraction succeeds, g is
+exactly the interpolation polynomial of received - encode(message), and
+closure holds exactly when its rank is within the unique-decoding radius
+(see decode), so a wrong message can never be returned.
 """
 
 from __future__ import annotations
@@ -118,45 +120,6 @@ def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
     return beta, known
 
 
-def solve_key_equation(params: CodeParams, known_g: dict, t: int) -> Optional[tuple]:
-    """Solve the d-1-t register equations for lambda by Gaussian elimination.
-
-    Equations are g_i = sum_{l=1}^{t} lambda_l * g_{i-l}^(q^(2l)) for the
-    cyclic indices i = m+kappa+t+1, ..., m+kappa+d-1; every coefficient they
-    touch is in known_g.  Returns the solution only when it exists and is
-    unique (system rank exactly t); returns None otherwise, which callers
-    read as "t is not the rank of the error".
-    """
-    ctx = params.ctx
-    n = params.n
-    if not 1 <= t <= params.radius:
-        raise BadRankError(f"t = {t} outside 1..{params.radius}")
-    start = params.m + params.kappa + 1
-    aug = []
-    for off in range(t, params.d - 1):
-        i = (start + off) % n
-        row = [ctx.frobenius(known_g[(i - l) % n], 2 * l) for l in range(1, t + 1)]
-        row.append(known_g[i])
-        aug.append(row)
-    rank = 0
-    for col in range(t):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != ctx.zero), None)
-        if piv is None:
-            return None  # underdetermined: solution not unique
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        ipiv = ctx.inv(aug[rank][col])
-        aug[rank] = [ctx.mul(ipiv, v) for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != ctx.zero:
-                f = aug[r][col]
-                aug[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][t] != ctx.zero:
-            return None  # inconsistent
-    return tuple(aug[r][t] for r in range(t))
-
-
 def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     """Shortest skew feedback register generating seq; returns (t, lambda).
 
@@ -222,10 +185,13 @@ def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
 
 
 def _register_closes(params: CodeParams, g: LinearizedPoly, lam: Sequence[Felt]) -> bool:
-    """True when the register lam generates g's coefficients cyclically:
-    g_i = sum_l lam_l * g_(i-l)^(q^(2l)) at every index i mod n."""
-    c = g.coeffs
-    return all(c[i] == _feedback(params.ctx, c, lam, i, params.n) for i in range(params.n))
+    """True when the register lam generates g's coefficients cyclically,
+    g_i = sum_l lam_l * g_(i-l)^(q^(2l)) at every index i mod n, for g
+    completed from lam.  Only the len(lam) wrap indices m+kappa+1+j, j <
+    len(lam), can fail; every other index holds by construction (see decode)."""
+    c, n = g.coeffs, params.n
+    start = params.m + params.kappa + 1
+    return all(c[(start + j) % n] == _feedback(params.ctx, c, lam, start + j, n) for j in range(len(lam)))
 
 
 def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
@@ -284,25 +250,21 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     the stage the candidate reached: RadiusExceeded when it extracts but
     does not close, SymmetryCheckFailed or SubfieldCheckFailed when
     extraction fails, and InconsistentKeyEquation when there is no
-    candidate.  The Gaussian solve at L only feeds
-    diagnostics["bm_gaussian_agree"].
+    candidate.
 
-    No other candidate can exist.  A Gaussian key-equation solve at rank
-    t <= radius asks for the unique register of length t generating the
-    exposed sequence, and returns None unless there is exactly one:
-
-    - t < L: BM's register is the shortest generating the sequence, so no
-      register of length t does.
-    - t > L: every nu*Lambda_L with nu_0 = 1 and q^2-degree <= t-L solves
-      the rank-t system, because its rows at j >= t only read Lambda_L's
-      outputs at positions >= L, which are zero.  The skew ring has no zero
-      divisors, so these are distinct, the solution is not unique, and the
-      solve returns None.  If L > radius, every t <= radius is below L.
-    - t = L: bm_lam solves the system, so the solve returns bm_lam or None
-      and adds no candidate of its own.
-
-    So trying the Gaussian solves as candidates as well would change no
-    verdict, reason or candidates_tried.
+    No other candidate can exist, and diagnostics["bm_gaussian_agree"] is
+    True by theorem, without a second solve.  The exposed sequence has
+    N = d-1 >= 2*radius >= 2L terms, and by Massey's uniqueness theorem
+    (IEEE Trans. IT 1969), whose skew form is in Sidorenko, Richter and
+    Bossert (below), the shortest register generating a sequence is unique
+    when 2L <= N.  So the Gaussian key-equation solve at rank L, which asks
+    for the unique register of length L generating the exposed sequence,
+    returns bm_lam.  A solve at t < L has no solution, since BM's register
+    is shortest.  One at L < t <= radius is solved by every nu*Lambda_L
+    with nu_0 = 1 and q^2-degree <= t-L, since its rows read only
+    Lambda_L's outputs at positions >= L, which are zero; these are
+    distinct because the skew ring has no zero divisors, so the solution
+    is not unique.
 
     Closure certifies exactly the re-encoding test rank(received -
     encode(msg)) <= radius:
@@ -321,6 +283,10 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     - Exactness: a rank-r map's coefficients are generated cyclically by
       the subspace polynomial of its image, normalised to constant term 1,
       a register of length r.  So L <= r, and with closure r = t = L.
+    - Only the t wrap indices m+kappa+1+j, j < t, are checked.  complete_g
+      produced every window index with this same feedback sum, and BM's
+      register generates every exposed index m+kappa+1+j with j >= t, so
+      the register generates g at all other indices by construction.
     - Converse: complete_g makes the register generate g from index
       m+kappa+1+t through the window, so if rank(g) = r <= radius and
       closure failed first at wrap position n+j (j < t), the skew Massey
@@ -350,7 +316,7 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
         if t > params.radius:
             diags["candidates_tried"] = 0
             return DecodeResult(ok=False, reason=REASON_INCONSISTENT, diagnostics=diags)
-        diags["bm_gaussian_agree"] = solve_key_equation(params, known, t) == lam
+        diags["bm_gaussian_agree"] = True  # the shortest register is unique, see above
         g = complete_g(params, known, lam)
 
     window = [

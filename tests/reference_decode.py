@@ -1,13 +1,17 @@
 """The decoder as it was before certification moved onto the error polynomial.
 
-Every candidate is generated up front, and each extracted message is
-certified by re-encoding it, taking the rank distance of the codeword
-matrices and interpolating the residual a second time.  It is kept only as
-an oracle: hermrank.codec.decode must return an identical DecodeResult,
-diagnostics and their key order included.
+Every candidate is generated up front, with a Gaussian key-equation solve
+at every rank up to the radius, and each extracted message is certified by
+re-encoding it, taking the rank distance of the codeword matrices and
+interpolating the residual a second time.  It is kept only as an oracle:
+hermrank.codec.decode must return an identical DecodeResult, diagnostics and
+their key order included.  solve_key_equation, which decode no longer runs,
+lives here as the oracle for Berlekamp-Massey's register.
 """
 
-from hermrank.code import rank_distance
+from typing import Optional
+
+from hermrank.code import CodeParams, rank_distance
 from hermrank.codec import (
     REASON_INCONSISTENT,
     REASON_RADIUS,
@@ -20,10 +24,48 @@ from hermrank.codec import (
     extract_message,
     known_indices,
     skew_bm,
-    solve_key_equation,
 )
-from hermrank.exceptions import SubfieldCheckError, SymmetryCheckError
+from hermrank.exceptions import BadRankError, SubfieldCheckError, SymmetryCheckError
 from hermrank.linpoly import lp_interpolate, lp_zero
+
+
+def solve_key_equation(params: CodeParams, known_g: dict, t: int) -> Optional[tuple]:
+    """Solve the d-1-t register equations for lambda by Gaussian elimination.
+
+    Equations are g_i = sum_{l=1}^{t} lambda_l * g_{i-l}^(q^(2l)) for the
+    cyclic indices i = m+kappa+t+1, ..., m+kappa+d-1; every coefficient they
+    touch is in known_g.  Returns the solution only when it exists and is
+    unique (system rank exactly t); returns None otherwise, which callers
+    read as "t is not the rank of the error".
+    """
+    ctx = params.ctx
+    n = params.n
+    if not 1 <= t <= params.radius:
+        raise BadRankError(f"t = {t} outside 1..{params.radius}")
+    start = params.m + params.kappa + 1
+    aug = []
+    for off in range(t, params.d - 1):
+        i = (start + off) % n
+        row = [ctx.frobenius(known_g[(i - l) % n], 2 * l) for l in range(1, t + 1)]
+        row.append(known_g[i])
+        aug.append(row)
+    rank = 0
+    for col in range(t):
+        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != ctx.zero), None)
+        if piv is None:
+            return None  # underdetermined: solution not unique
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        ipiv = ctx.inv(aug[rank][col])
+        aug[rank] = [ctx.mul(ipiv, v) for v in aug[rank]]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col] != ctx.zero:
+                f = aug[r][col]
+                aug[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(aug[r], aug[rank])]
+        rank += 1
+    for r in range(rank, len(aug)):
+        if aug[r][t] != ctx.zero:
+            return None  # inconsistent
+    return tuple(aug[r][t] for r in range(t))
 
 
 def reference_decode(params, received):

@@ -35,11 +35,11 @@ from hermrank import (
     random_rank_error,
     rank_distance,
     skew_bm,
-    solve_key_equation,
     substream_seed,
 )
 from hermrank.codec import known_indices
 from hermrank.linpoly import LinearizedPoly
+from reference_decode import solve_key_equation
 from reference_rank import dickson, matrix_rank
 
 SMALL_SETS = [(2, 3, 3), (2, 5, 3), (2, 5, 5), (3, 3, 3), (2, 7, 7)]

@@ -224,6 +224,44 @@ def test_simulate_builds_params_once(tmp_path, monkeypatch):
     assert [row["trials"] for row in json.loads(out.read_text())["results"]] == [2] * 5
 
 
+def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch):
+    # every worker of a pool starts at the first submit, so --threads 64 with
+    # 2 trials must ask for no more workers than shards and cores; the fake
+    # pool runs in this process and starts none
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_worker_params", None)
+    base = ["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "0-2", "--seed", "1"]
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    assert main(base + ["--threads", "1", "--out", str(one)]) == 0
+    assert asked == []
+    assert main(base + ["--threads", "64", "--out", str(many)]) == 0
+    assert all(w <= min(2, os.cpu_count() or 1) for w in asked)
+    assert many.read_bytes() == one.read_bytes()
+
+    # on a host with more cores than shards the shards bound the pool
+    asked.clear()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert main(base + ["--threads", "64", "--out", str(many)]) == 0
+    assert asked == [2]
+    assert many.read_bytes() == one.read_bytes()
+
+
 def test_simulate_with_timing(tmp_path):
     out = tmp_path / "t.json"
     assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "3",

@@ -23,7 +23,6 @@ from hermrank import (
     random_rank_error,
     rank_distance,
     skew_bm,
-    solve_key_equation,
 )
 from hermrank import codec
 from hermrank.codec import (
@@ -46,6 +45,7 @@ from hermrank.exceptions import (
     SymmetryCheckError,
 )
 from hermrank.linpoly import LinearizedPoly, lp_zero
+from reference_decode import solve_key_equation
 from reference_moore import encode_via_matrix
 from reference_rank import map_rank
 
@@ -264,7 +264,9 @@ def test_skew_bm_zero_sequence(params_for):
 
 
 @pytest.mark.parametrize("t", [1, 2])
-def test_skew_bm_matches_gaussian_solver(params_for, t):
+def test_skew_bm_matches_gaussian_solver(params_for, t, rand_felt):
+    # Massey's uniqueness theorem: with 2L <= d-1 the shortest register is
+    # unique, so the Gaussian solve at BM's length L returns BM's register
     p = params_for(2, 7, 5)
     for seed in range(10):
         _, _, rec = _noisy(p, 700 * t + seed, t)
@@ -273,6 +275,26 @@ def test_skew_bm_matches_gaussian_solver(params_for, t):
         bm_t, bm_lam = skew_bm(p, seq)
         assert bm_t == t
         assert solve_key_equation(p, known, t) == bm_lam
+
+    # sequences from random registers of every length L <= radius, a
+    # quarter of them with lambda_L = 0, at each point of both parities
+    for q, n, d in [(2, 7, 5), (2, 9, 7), (3, 7, 5), (3, 7, 7), (5, 5, 5)]:
+        p = params_for(q, n, d)
+        ctx = p.ctx
+        rng = SplitMix64(7_100 * t + 10 * q + n)
+        for trial in range(24):
+            L = 1 + rng.below(p.radius)
+            lam = [rand_felt(ctx, rng) for _ in range(L)]
+            if trial % 4 == 0:
+                lam[-1] = ctx.zero
+            seq = [rand_felt(ctx, rng) for _ in range(L)]
+            seq[0] = ctx.one  # never the zero sequence
+            for j in range(L, p.d - 1):
+                seq.append(ctx.dot(lam, [ctx.frobenius(seq[j - l], 2 * l) for l in range(1, L + 1)]))
+            bm_t, bm_lam = skew_bm(p, seq)
+            assert 1 <= bm_t <= L
+            known = dict(zip(known_indices(p), seq))
+            assert solve_key_equation(p, known, bm_t) == bm_lam
 
 
 def test_skew_bm_output_generates_its_input(params_for, rand_felt):

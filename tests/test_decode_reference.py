@@ -27,6 +27,7 @@ from hermrank.codec import REASON_INCONSISTENT, REASON_RADIUS, REASON_SUBFIELD, 
 from hermrank.linpoly import LinearizedPoly
 
 from reference_decode import reference_decode
+from reference_rank import map_rank
 
 POINTS = [(2, 5, 3), (2, 7, 5), (2, 7, 7), (3, 3, 3), (3, 5, 3), (3, 7, 5), (5, 3, 3)]
 
@@ -111,13 +112,14 @@ def test_odd_q_verdicts_match_exhaustive_scan(params_for):
 
 
 def test_decode_certifies_without_reencoding(params_for, monkeypatch):
-    # one interpolation (the received word), no encode, and only the
-    # key-equation solve at the BM length, whatever the outcome; none when
-    # BM's register is longer than the radius
+    # one interpolation (the received word), no encode, and one feedback sum
+    # per window index and per wrap index: k + t when the candidate reaches
+    # closure, k when extraction fails, none when BM's register is longer
+    # than the radius
     p = params_for(2, 7, 5)
     ctx = p.ctx
     msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
-    calls = {"interpolate": 0, "solve": 0}
+    calls = {"interpolate": 0, "feedback": 0}
 
     def counting(name, orig):
         def wrapper(*args):
@@ -129,24 +131,60 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
         raise AssertionError("decode re-encoded a candidate")
 
     monkeypatch.setattr(codec, "lp_interpolate", counting("interpolate", codec.lp_interpolate))
-    monkeypatch.setattr(codec, "solve_key_equation", counting("solve", codec.solve_key_equation))
+    monkeypatch.setattr(codec, "_feedback", counting("feedback", codec._feedback))
     monkeypatch.setattr(codec, "encode", forbidden)
     res = decode(p, rec)
     assert res.ok and res.message == msg and res.diagnostics["solver"] == "bm"
-    assert calls == {"interpolate": 1, "solve": 1}
+    assert calls == {"interpolate": 1, "feedback": p.k + p.radius}
 
     # one beyond the radius: BM's register fails extraction
-    calls.update(interpolate=0, solve=0)
+    calls.update(interpolate=0, feedback=0)
     res = decode(p, _noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[1])
     assert res.reason == REASON_SUBFIELD and res.diagnostics["bm_t"] <= p.radius
-    assert calls == {"interpolate": 1, "solve": 1}
+    assert calls == {"interpolate": 1, "feedback": p.k}
 
     # exposed coefficients 1, 0, 0, 1 need a register of length 3
-    calls.update(interpolate=0, solve=0)
+    calls.update(interpolate=0, feedback=0)
     coeffs = [ctx.zero] * p.n
     first, *_, last = codec.known_indices(p)
     coeffs[first] = coeffs[last] = ctx.one
     err = tuple(lp_eval(ctx, LinearizedPoly(tuple(coeffs)), a) for a in p.alpha)
     res = decode(p, corrupt(ctx, encode(p, msg), err))
     assert res.reason == REASON_INCONSISTENT and res.diagnostics["bm_t"] == 3 > p.radius
-    assert calls == {"interpolate": 1, "solve": 0}
+    assert calls == {"interpolate": 1, "feedback": 0}
+
+
+@pytest.mark.parametrize(
+    "q,n,d,count", [(2, 7, 7, 100), (2, 9, 7, 100), (3, 7, 5, 100), (5, 5, 5, 100), (2, 31, 15, 16)]
+)
+def test_register_run_around_the_cycle(params_for, rand_felt, q, n, d, count):
+    # The error polynomial is a random register of length L <= radius run
+    # forward from the first exposed index around the whole cycle.  BM finds
+    # the register and completion rebuilds the window exactly, so extraction
+    # returns the sent message; closure can fail only where the run wraps
+    # back onto its first L coefficients, and then the error's rank must
+    # exceed the radius.
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    rng = SplitMix64(9_000 + 100 * q + n)
+    start = p.m + p.kappa + 1
+    rejected = 0
+    for _ in range(count):
+        msg = random_message(p, rng)
+        L = 1 + rng.below(p.radius)
+        lam = [rand_felt(ctx, rng) for _ in range(L)]
+        run = [rand_felt(ctx, rng) for _ in range(L)]
+        run[0] = ctx.one
+        for j in range(L, n):
+            run.append(ctx.dot(lam, [ctx.frobenius(run[j - l], 2 * l) for l in range(1, L + 1)]))
+        coeffs = [ctx.zero] * n
+        for j, c in enumerate(run):
+            coeffs[(start + j) % n] = c
+        e = LinearizedPoly(tuple(coeffs))
+        res = _same(p, corrupt(ctx, encode(p, msg), tuple(lp_eval(ctx, e, a) for a in p.alpha)))
+        if res.ok:
+            assert res.message == msg and res.error_poly == e
+        else:
+            assert res.reason == REASON_RADIUS and map_rank(ctx, e) > p.radius
+            rejected += 1
+    assert rejected >= count * 3 // 4

@@ -2,7 +2,7 @@
 
 import hermrank
 
-REMOVED = ("DicksonMatrix", "dickson", "matrix_rank", "fq2_matrix_rank", "map_rank")
+REMOVED = ("DicksonMatrix", "dickson", "matrix_rank", "fq2_matrix_rank", "map_rank", "solve_key_equation")
 
 
 def test_all_names_resolve_sorted_and_unique():
@@ -19,3 +19,4 @@ def test_removed_names_stay_removed():
         assert name not in hermrank.__all__
         assert not hasattr(hermrank, name)
         assert not hasattr(hermrank.linpoly, name)
+        assert not hasattr(hermrank.codec, name)

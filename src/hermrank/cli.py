@@ -168,8 +168,9 @@ def cmd_simulate(args) -> int:
     results = []
     # one pool serves every rank, and each worker builds the params once; it
     # never outnumbers the shards or the cores, since every worker starts at
-    # the first submit.  The shard bounds still follow --threads.
-    workers = min(args.threads, args.trials, os.cpu_count() or 1)
+    # the first submit.  min(--threads, trials) shards leave none empty.
+    nshards = min(args.threads, args.trials)
+    workers = min(nshards, os.cpu_count() or 1)
     sharded = workers > 1
     pool = (
         ProcessPoolExecutor(workers, initializer=_init_sim_worker, initargs=(args.q, args.n, args.d))
@@ -179,12 +180,8 @@ def cmd_simulate(args) -> int:
     with pool:
         for t in ranks:
             if sharded:
-                bounds = [args.trials * j // args.threads for j in range(args.threads + 1)]
-                jobs = [
-                    (args.mode, args.seed, t, lo, hi, args.with_timing)
-                    for lo, hi in zip(bounds, bounds[1:])
-                    if lo < hi
-                ]
+                bounds = [args.trials * j // nshards for j in range(nshards + 1)]
+                jobs = [(args.mode, args.seed, t, lo, hi, args.with_timing) for lo, hi in zip(bounds, bounds[1:])]
                 shards = list(pool.map(_worker_sim_chunk, *zip(*jobs)))
             else:
                 shards = [_sim_chunk(params, args.mode, args.seed, t, 0, args.trials, args.with_timing)]

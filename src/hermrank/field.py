@@ -35,6 +35,18 @@ context as the table of images of the monomial basis (packed rows for odd
 q) and applied as sum_i a_i * row_i; no exponentiation happens at lookup
 time.  The relative trace down to F_{q^2} (the sum of the even Frobenius
 powers) is precomputed the same way.
+
+The canonical modulus f comes from a scan over the monic candidates of
+degree D = 2n, each tested on the engine built for F_q[X]/(f) as if it were
+the modulus.  Berlekamp's criterion decides irreducibility in two steps.
+First, x^(q^D) = x mod f: then f divides X^(q^D) - X, whose derivative is
+-1, so f is squarefree.  For a squarefree f = f_1 ... f_r, the Chinese
+remainder theorem splits F_q[X]/(f) into the fields F_q[X]/(f_i), and the
+kernel of the F_q-linear map a -> a^q - a is the copy of F_q in each, of
+dimension r.  So f is irreducible exactly when that map, given by the
+monomial images of Frobenius minus the identity, has ``fq_rank`` D - 1.
+The first step cannot be dropped: for a power g^e of an irreducible g the
+kernel is F_q alone too, so the rank step passes it.
 """
 
 from __future__ import annotations
@@ -103,104 +115,17 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_q, used only for the modulus scan.
-# Packed-int fast path for q = 2; for odd q, little-endian coefficient lists
-# for remainders and gcds, and the packed engine for the powers of x.
-# ---------------------------------------------------------------------------
-
-
-def _g2_clmul(a: int, b: int) -> int:
-    r = 0
-    while a:
-        if a & 1:
-            r ^= b
-        a >>= 1
-        b <<= 1
-    return r
-
-
-def _g2_rem(a: int, b: int) -> int:
-    db = b.bit_length()
-    da = a.bit_length()
-    while da >= db:
-        a ^= b << (da - db)
-        da = a.bit_length()
-    return a
-
-
-def _g2_powmod(base: int, e: int, f: int) -> int:
-    r = 1
-    base = _g2_rem(base, f)
-    while e:
-        if e & 1:
-            r = _g2_rem(_g2_clmul(r, base), f)
-        base = _g2_rem(_g2_clmul(base, base), f)
-        e >>= 1
-    return r
-
-
-def _g2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _g2_rem(a, b)
-    return a
-
-
-def _g2_irreducible(fpacked: int, deg: int) -> bool:
-    x = 2
-    if _g2_powmod(x, 1 << deg, fpacked) != x:
-        return False
-    for p in _prime_factors(deg):
-        h = _g2_powmod(x, 1 << (deg // p), fpacked) ^ x
-        if _g2_gcd(fpacked, h).bit_length() > 1:
-            return False
-    return True
-
-
-def _pq_trim(a: list[int]) -> list[int]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pq_rem(a: list[int], b: list[int], q: int) -> list[int]:
-    a = a[:]
-    db = len(b) - 1
-    inv_lead = pow(b[db], -1, q)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            scale = (c * inv_lead) % q
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - scale * b[j]) % q
-    return _pq_trim(a[:db])
-
-
-def _pq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _pq_trim(a[:]), _pq_trim(b[:])
-    while b:
-        a, b = b, _pq_rem(a, b, q)
-    return a
-
-
-def _pq_irreducible(coeffs: list[int], q: int) -> bool:
-    """Rabin's test for the monic f = coeffs of degree deg: f is irreducible
-    iff x^(q^deg) = x mod f and gcd(f, x^(q^(deg/p)) - x) = 1 for each prime
-    p dividing deg.  The powers are taken by the packed odd-q engine on
-    F_q[X]/(f), with its reduction rows built once for this candidate; the
-    engine's products never divide, so they are valid for any monic f."""
+def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
+    """Berlekamp's test (module docstring) for the monic f = coeffs of even
+    degree D, on the engine for F_q[X]/(f) with its tables built for this
+    candidate; the engines' products never divide, so they are valid for
+    any monic f."""
     deg = len(coeffs) - 1
-    ring = _OddContext(q, deg // 2, tuple(coeffs))
-    x = ring.gen
-    if ring.pow_elem(x, q**deg) != x:
+    ring = (_Gf2Context if q == 2 else _OddContext)(q, deg // 2, tuple(coeffs))
+    if ring.pow_elem(ring.gen, q**deg) != ring.gen:
         return False
-    for p in _prime_factors(deg):
-        h = list(ring.pow_elem(x, q ** (deg // p)))
-        h[1] = (h[1] - 1) % q
-        if len(_pq_gcd(coeffs, h, q)) > 1:
-            return False
-    return True
+    diffs = [ring.sub(a, b) for a, b in zip(ring.frob_images(1), ring.frob_images(0))]
+    return ring.fq_rank(diffs) == deg - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,27 +135,14 @@ def canonical_modulus(q: int, n: int) -> tuple[int, ...]:
     Candidates X^(2n) + a_{2n-1} X^(2n-1) + ... + a_0 are ordered by the value
     of (a_0, ..., a_{2n-1}) read as a base-q integer with a_0 least
     significant; the first irreducible wins.  Returns the full coefficient
-    tuple (a_0, ..., a_{2n-1}, 1).
+    tuple (a_0, ..., a_{2n-1}, 1).  Irreducibles of every degree exist, so
+    the scan always returns.
     """
     deg = 2 * n
-    c = 0
-    while True:
-        digits = []
-        v = c
-        for _ in range(deg):
-            digits.append(v % q)
-            v //= q
-        if v == 0:
-            if q == 2:
-                # for q = 2 the digit vector is exactly the binary expansion of c
-                ok = _g2_irreducible((1 << deg) | c, deg)
-            else:
-                ok = _pq_irreducible(digits + [1], q)
-            if ok:
-                return tuple(digits) + (1,)
-        c += 1
-        if c > q**deg:  # pragma: no cover - irreducibles always exist
-            raise RuntimeError("modulus scan overflow")
+    for c in range(q**deg):
+        coeffs = tuple(c // q**i % q for i in range(deg)) + (1,)
+        if _irreducible(q, coeffs):
+            return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +481,14 @@ class _Gf2Context(FieldContext):
             v <<= 1
             if v >> deg & 1:
                 v ^= fpacked
-        nbytes = (deg - 1 + 7) // 8
+        # byte table k maps a byte to the sum of mono[8k + bit] over its set
+        # bits, built by doubling; zero padding keeps every row 256 long
+        mono += [0] * (-len(mono) % 8)
         rtab = []
-        for k in range(nbytes):
-            row = [0] * 256
-            for byte in range(1, 256):
-                acc = 0
-                b = byte
-                while b:
-                    bit = (b & -b).bit_length() - 1
-                    pos = 8 * k + bit
-                    if pos < len(mono):
-                        acc ^= mono[pos]
-                    b &= b - 1
-                row[byte] = acc
+        for k in range(0, len(mono), 8):
+            row = [0]
+            for m in mono[k : k + 8]:
+                row += [r ^ m for r in row]
             rtab.append(row)
         self._rtab = rtab
 

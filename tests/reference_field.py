@@ -1,17 +1,20 @@
-"""Schoolbook odd-q field arithmetic, kept as an oracle for the packed engine.
+"""Schoolbook field arithmetic, kept as an oracle for the packed engines.
 
 The package multiplies odd-q elements by packing coefficient tuples into
 single ints (see hermrank.field).  These are the coefficient-by-coefficient
 loops it replaced: the product as a convolution followed by reduction with
-the rows X^(2n+s) mod f, an F_q-linear map applied from its monomial
-images, and the modulus scan's multiply-mod-f, powering and Rabin test.
-They read only q, n and the modulus of a context, so a fault in the packed
-kernel cannot hide in them.
+the rows X^(2n+s) mod f, and an F_q-linear map applied from its monomial
+images.  They read only q, n and the modulus of a context, so a fault in
+the packed kernel cannot hide in them.
+
+The modulus scan below serves every q, q = 2 included: Rabin's test on
+coefficient lists, with its own remainder and gcd, against the package's
+Berlekamp test on the field engines.
 """
 
 import functools
 
-from hermrank.field import _pq_gcd, _pq_rem, _pq_trim, _prime_factors
+from hermrank.field import _prime_factors
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,6 +103,33 @@ def rel_trace(ctx, a):
 
 
 # -- the modulus scan ---------------------------------------------------------
+
+
+def _pq_trim(a: list[int]) -> list[int]:
+    i = len(a)
+    while i > 0 and a[i - 1] == 0:
+        i -= 1
+    return a[:i]
+
+
+def _pq_rem(a: list[int], b: list[int], q: int) -> list[int]:
+    a = a[:]
+    db = len(b) - 1
+    inv_lead = pow(b[db], -1, q)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            scale = (c * inv_lead) % q
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - scale * b[j]) % q
+    return _pq_trim(a[:db])
+
+
+def _pq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    a, b = _pq_trim(a[:]), _pq_trim(b[:])
+    while b:
+        a, b = b, _pq_rem(a, b, q)
+    return a
 
 
 def pq_mulmod(a, b, f, q):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -259,6 +260,17 @@ def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert main(base + ["--threads", "64", "--out", str(many)]) == 0
     assert asked == [2]
+    assert many.read_bytes() == one.read_bytes()
+
+    # the shard bounds follow min(--threads, trials), so a huge --threads
+    # allocates nothing in proportion to it
+    tracemalloc.start()
+    try:
+        assert main(base + ["--threads", "1000000", "--out", str(many)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
     assert many.read_bytes() == one.read_bytes()
 
 

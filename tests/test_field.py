@@ -16,7 +16,7 @@ from hermrank.exceptions import (
     TooLargeError,
     ZeroInputError,
 )
-from hermrank.field import context_from_json_obj
+from hermrank.field import _irreducible, context_from_json_obj
 from reference_rank import matrix_rank
 
 
@@ -94,10 +94,20 @@ def test_canonical_modulus_is_first_irreducible(q, n):
         assert not _is_irreducible_bruteforce(digits + [1], q)
 
 
-@pytest.mark.parametrize("q,n", [(3, 9), (3, 19), (5, 13), (7, 5), (13, 3)])
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 6), (5, 4), (7, 2)])
+def test_irreducible_matches_trial_division(q, max_deg):
+    # every monic polynomial of each even degree; the reducible ones include
+    # powers such as (x^2+x+1)^2 over F_2, which pass the rank step alone
+    for deg in range(2, max_deg + 1, 2):
+        for c in range(q**deg):
+            coeffs = [c // q**i % q for i in range(deg)] + [1]
+            assert _irreducible(q, coeffs) == _is_irreducible_bruteforce(coeffs, q), coeffs
+
+
+@pytest.mark.parametrize("q,n", [(2, 7), (2, 15), (2, 31), (3, 9), (3, 19), (5, 13), (7, 5), (13, 3)])
 def test_canonical_modulus_matches_schoolbook_scan(q, n):
-    # the scan's powers of x run on the packed engine; the oracle runs the
-    # same Rabin test on coefficient lists
+    # the scan runs Berlekamp's test on the field engines; the oracle runs
+    # Rabin's test on coefficient lists
     assert canonical_modulus(q, n) == reference_field.scan_modulus(q, n)
 
 
@@ -165,7 +175,7 @@ def test_axioms_ternary(a, b, c):
 ODD_POINTS = [(3, 3), (3, 19), (5, 13), (7, 5), (251, 3), (4294967291, 1)]
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (5, 1)] + ODD_POINTS[1:])
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (2, 15), (2, 31), (3, 3), (5, 1)] + ODD_POINTS[1:])
 def test_mul_matches_schoolbook_reduction(q, n, rand_felt):
     # independent oracle: convolve coefficient lists, long-divide by the modulus
     ctx = make_context(q, n)

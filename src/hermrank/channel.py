@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .code import CodeParams, rank_distance
-from .exceptions import BadParamsError, BadRankError
+from .exceptions import BadParamsError, BadRankError, BadShapeError
 from .field import Felt, FieldContext
 from .rng import SplitMix64
 
@@ -59,15 +59,7 @@ def _draw_arbitrary(ctx: FieldContext, n: int, t: int, rng: SplitMix64, sub2) ->
     q = ctx.q
     gammas = [ctx.from_coeffs([rng.below(q) for _ in range(ctx.deg)]) for _ in range(t)]
     coeffs = [[sub2[rng.below(len(sub2))] for _ in range(n)] for _ in range(t)]
-    out = []
-    for i in range(n):
-        acc = ctx.zero
-        for l in range(t):
-            c = coeffs[l][i]
-            if c != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(gammas[l], c))
-        out.append(acc)
-    return tuple(out)
+    return tuple(ctx.dot(col, gammas) for col in zip(*coeffs))
 
 
 def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64, sub2) -> tuple:
@@ -85,5 +77,5 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64, sub2) -
 
 def corrupt(ctx: FieldContext, word: Sequence[Felt], error: Sequence[Felt]) -> tuple:
     if len(word) != len(error):
-        raise ValueError("word and error lengths differ")
+        raise BadShapeError("word and error lengths differ")
     return tuple(ctx.add(c, e) for c, e in zip(word, error))

@@ -45,8 +45,13 @@ def _emit(obj: dict, path: str | None) -> None:
 
 
 def _read_json(path: str) -> dict:
+    """The parsed document; one nested deeper than the parser's recursion
+    limit is an input error like any other malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise HermrankError("JSON document is nested too deeply") from None
 
 
 def _load_params(path: str):

@@ -23,8 +23,6 @@ Element representation depends on the characteristic:
   terms * 2n * (q-1)^2 in a slot, the reduction rows add less than
   2n * (q-1)^2 and a carried partial sum less than q, so w is the least
   byte count with 2^(8w) > (terms + 2) * 2n * (q-1)^2 for terms = 2n.
-  ``fq_rank``, the F_q-rank of a set of elements, eliminates on the same
-  packed rows.
 
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
@@ -35,6 +33,13 @@ context as the table of images of the monomial basis (packed rows for odd
 q) and applied as sum_i a_i * row_i; no exponentiation happens at lookup
 time.  The relative trace down to F_{q^2} (the sum of the even Frobenius
 powers) is precomputed the same way.
+
+Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
+nonzero coefficient of a row and clears it from the other rows, by XOR on
+the bits for q = 2 and on unreduced packed slot rows for odd q.  ``fq_rank``
+counts its pivots, and ``subfield_basis`` back-substitutes them into the one
+reduced echelon basis of F_{q^e}, spanned by the trace images of the
+monomials.
 
 The canonical modulus f comes from a scan over the monic candidates of
 degree D = 2n, each tested on the engine built for F_q[X]/(f) as if it were
@@ -115,6 +120,11 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def _lead(coeffs: Sequence[int]) -> int:
+    """Index of the highest nonzero coefficient."""
+    return max(i for i, c in enumerate(coeffs) if c)
+
+
 def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
     """Berlekamp's test (module docstring) for the monic f = coeffs of even
     degree D, on the engine for F_q[X]/(f) with its tables built for this
@@ -146,52 +156,6 @@ def canonical_modulus(q: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Prime-field linear algebra, used for subfield bases.
-# ---------------------------------------------------------------------------
-
-
-def _fq_rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod q; returns (rows, pivot column list)."""
-    rows = [r[:] for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % q != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, q)
-        rows[r] = [(v * inv) % q for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c] % q
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _fq_kernel(rows: list[list[int]], q: int) -> list[list[int]]:
-    """Canonical basis of the right kernel of the matrix, ordered by free column."""
-    ncols = len(rows[0]) if rows else 0
-    rref, pivots = _fq_rref(rows, q)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = (-rref[prow][free]) % q
-        basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Field contexts.
 # ---------------------------------------------------------------------------
 
@@ -214,7 +178,6 @@ class FieldContext:
         self._trace_tbl: tuple | None = None
         self._subfield_bases: dict[int, tuple] = {}
         self._subfield_elems: dict[int, tuple] = {}
-        self._fq2_w: Felt | None = None
         self._q1_factors: list[int] | None = None
 
     # -- primitive arithmetic supplied by subclasses ------------------------
@@ -253,10 +216,32 @@ class FieldContext:
         themselves, unless an engine stores them otherwise."""
         return tuple(images)
 
-    def fq_rank(self, elems: Sequence[Felt]) -> int:
-        """Dimension over F_q of the span of elems, each read as its 2n
-        coefficients; the one elimination behind every rank in the package."""
+    def _echelon(self, elems: Sequence[Felt]) -> list:
+        """Pivots of an elimination on the span of elems, each read as its
+        2n coefficients: nonzero elements with distinct leads (highest
+        nonzero coefficient), each 1 at its lead and 0 at the lead of every
+        pivot before it."""
         raise NotImplementedError
+
+    def fq_rank(self, elems: Sequence[Felt]) -> int:
+        """Dimension over F_q of the span of elems; the one elimination
+        behind every rank in the package."""
+        return len(self._echelon(elems))
+
+    def _reduced_basis(self, elems: Sequence[Felt]) -> tuple:
+        """The reduced echelon basis of the span of elems, in increasing
+        lead order: each element 1 at its lead and 0 at every other lead.
+
+        Back-substitution from the last pivot: a pivot is already 0 at the
+        leads of the pivots before it, and subtracting c * b for a later,
+        reduced b changes it only at b's lead and below, at no other lead.
+        """
+        basis: dict[int, Felt] = {}
+        for p in reversed(self._echelon(elems)):
+            c = self.to_coeffs(p)
+            p = self.sub(p, self.dot([self.from_base(c[lead]) for lead in basis], list(basis.values())))
+            basis[_lead(c)] = p
+        return tuple(basis[lead] for lead in sorted(basis))
 
     # -- shared operations --------------------------------------------------
 
@@ -313,14 +298,18 @@ class FieldContext:
             return a
         return self._apply_linear(self._frob_rows(j), a)
 
+    def _trace_images(self, e: int) -> list:
+        """Tr_{K/F_{q^e}}(X^i) for i = 0 .. 2n-1: the sums of the Frobenius
+        images for the powers q^(e*j), j = 0 .. 2n/e - 1."""
+        acc = list(self.frob_images(0))
+        for j in range(e, self.deg, e):
+            acc = list(map(self.add, acc, self.frob_images(j)))
+        return acc
+
     def rel_trace(self, a: Felt) -> Felt:
         """Trace down to F_{q^2}: the sum of a^(q^(2i)) for i = 0 .. n-1."""
         if self._trace_tbl is None:
-            acc = list(self.frob_images(0))
-            for i in range(1, self.n):
-                imgs = self.frob_images(2 * i)
-                acc = [self.add(x, y) for x, y in zip(acc, imgs)]
-            self._trace_tbl = self._to_rows(acc)
+            self._trace_tbl = self._to_rows(self._trace_images(2))
         return self._apply_linear(self._trace_tbl, a)
 
     def in_subfield(self, a: Felt, e: int) -> bool:
@@ -330,25 +319,24 @@ class FieldContext:
         return self.frobenius(a, e) == a
 
     def subfield_basis(self, e: int) -> tuple:
-        """Canonical F_q-basis of F_{q^e} inside K (kernel of Frobenius^e - id)."""
+        """Canonical F_q-basis of F_{q^e} inside K: its reduced echelon basis.
+
+        The trace Tr_{K/F_{q^e}} maps K onto F_{q^e}, so the trace images
+        of the monomials span it, and _reduced_basis reduces them.  A
+        subspace has exactly one reduced echelon basis: its leads are the
+        highest nonzero positions of its nonzero elements, and two elements
+        1 at the same lead and 0 at every other lead differ by an element
+        that is 0 at every lead, which is zero.  So this is also the basis
+        an RREF kernel of Frobenius^e - id gives, ordered by free column:
+        kernel vector v_f is 1 at its free column f, its highest nonzero
+        entry, and 0 at the other free columns.
+        """
         if e <= 0 or (2 * self.n) % e != 0:
             raise NotADivisorError(f"subfield degree {e} does not divide {2 * self.n}")
-        cached = self._subfield_bases.get(e)
-        if cached is not None:
-            return cached
-        if e == self.deg:
-            basis = tuple(self.frob_images(0))
-        else:
-            imgs = self.frob_images(e)
-            rows = []
-            cols = [self.to_coeffs(imgs[i]) for i in range(self.deg)]
-            for r in range(self.deg):
-                row = [(cols[i][r] - (1 if i == r else 0)) % self.q for i in range(self.deg)]
-                rows.append(row)
-            kern = _fq_kernel(rows, self.q)
-            assert len(kern) == e, "Frobenius fixed field has the wrong dimension"
-            basis = tuple(self.from_coeffs(v) for v in kern)
-        self._subfield_bases[e] = basis
+        basis = self._subfield_bases.get(e)
+        if basis is None:
+            basis = self._subfield_bases[e] = self._reduced_basis(self._trace_images(e))
+            assert len(basis) == e, "trace image has the wrong dimension"
         return basis
 
     def subfield_elements(self, e: int) -> tuple:
@@ -366,25 +354,16 @@ class FieldContext:
         return out
 
     def fq2_w(self) -> Felt:
-        """Canonical element with F_{q^2} = F_q + F_q * w."""
-        if self._fq2_w is None:
-            for b in self.subfield_basis(2):
-                if not self.in_subfield(b, 1):
-                    self._fq2_w = b
-                    break
-            else:  # pragma: no cover - basis always spans past F_q
-                raise RuntimeError("degenerate F_{q^2} basis")
-        return self._fq2_w
+        """Canonical element with F_{q^2} = F_q + F_q * w: the second
+        element of the reduced basis of F_{q^2}, whose first is 1 (lead 0)."""
+        return self.subfield_basis(2)[1]
 
     def fq2_coords(self, a: Felt) -> tuple[int, int]:
-        """Coordinates (s, t) with a = s + t*w for a in F_{q^2}."""
-        w = self.fq2_w()
-        wc = self.to_coeffs(w)
-        pivot = next(i for i in range(1, self.deg) if wc[i])
+        """Coordinates (s, t) with a = s + t*w for a in F_{q^2}.  In the
+        reduced basis {1, w}, w is 0 at X^0 and 1 at its lead, where 1 is 0,
+        so s and t are the coefficients of a at X^0 and at that lead."""
         ac = self.to_coeffs(a)
-        t = (ac[pivot] * pow(wc[pivot], -1, self.q)) % self.q
-        s = (ac[0] - t * wc[0]) % self.q
-        return s, t
+        return ac[0], ac[_lead(self.to_coeffs(self.fq2_w()))]
 
     def solve_hermitian_norm(self, a: Felt) -> Felt:
         """Solve c^(q+1) = a for c in F_{q^2}, given nonzero a in F_q.
@@ -564,18 +543,18 @@ class _Gf2Context(FieldContext):
             a &= a - 1
         return acc
 
-    def fq_rank(self, elems):
+    def _echelon(self, elems):
         # XOR elimination on the packed coefficient bits: each pivot clears
         # its top bit from every other row
-        rank = 0
+        pivots = []
         pool = [r for r in elems if r]
         while pool:
             pivot = pool.pop()
-            rank += 1
+            pivots.append(pivot)
             top = 1 << (pivot.bit_length() - 1)
             pool = [(r ^ pivot) if r & top else r for r in pool]
             pool = [r for r in pool if r]
-        return rank
+        return pivots
 
 
 def _slot_codec(width: int):
@@ -711,10 +690,10 @@ class _OddContext(FieldContext):
     def _to_rows(self, images):
         return tuple(map(self._pack, images))
 
-    def fq_rank(self, elems):
+    def _echelon(self, elems):
         """The q = 2 engine's pivot-and-clear elimination on packed rows.
 
-        A popped row is reduced slot-wise mod q and scaled so its first
+        A popped row is reduced slot-wise mod q and scaled so its last
         nonzero slot c is 1; every other row r then becomes r + (q - f) *
         pivot with f = r[c] mod q, which clears slot c mod q and is left
         unreduced.  A row takes at most one such update per pivot, and
@@ -724,19 +703,19 @@ class _OddContext(FieldContext):
         q, deg, pack, unpack = self.q, self.deg, self._pack, self._unpack
         bits = self._split // deg
         mask = (1 << bits) - 1
-        rank = 0
+        pivots = []
         pool = [pack(e) for e in elems if e != self.zero]
         while pool:
             row = [x % q for x in unpack(pool.pop(), deg)]
-            c = next((i for i, x in enumerate(row) if x), None)
+            c = next((i for i in range(deg - 1, -1, -1) if row[i]), None)
             if c is None:
                 continue
-            rank += 1
             scale = pow(row[c], -1, q)
-            pivot = pack([x * scale % q for x in row])
-            shift = bits * c
-            pool = [r + (q - f) * pivot if (f := (r >> shift & mask) % q) else r for r in pool]
-        return rank
+            pivot = [x * scale % q for x in row]
+            pivots.append(tuple(pivot))
+            packed, shift = pack(pivot), bits * c
+            pool = [r + (q - f) * packed if (f := (r >> shift & mask) % q) else r for r in pool]
+        return pivots
 
     def frob_images(self, j):
         deg = self.deg

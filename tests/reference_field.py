@@ -10,6 +10,12 @@ the packed kernel cannot hide in them.
 The modulus scan below serves every q, q = 2 included: Rabin's test on
 coefficient lists, with its own remainder and gcd, against the package's
 Berlekamp test on the field engines.
+
+The subfield oracle is the list Gauss-Jordan the package once used for
+subfield bases: F_{q^e} as the kernel of Frobenius^e - id, with the RREF
+kernel basis ordered by free column, against the package's reduced echelon
+basis of the trace images from the engines' own elimination.  It works on
+coefficient lists, so it serves q = 2 as well.
 """
 
 import functools
@@ -180,3 +186,60 @@ def scan_modulus(q, n):
         if pq_irreducible(digits + [1], q):
             return tuple(digits) + (1,)
     raise AssertionError("no irreducible found")
+
+
+# -- the subfield oracle ------------------------------------------------------
+
+
+def _fq_rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod q; returns (rows, pivot column list)."""
+    rows = [r[:] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] % q != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [(v * inv) % q for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % q:
+                f = rows[i][c] % q
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _fq_kernel(rows: list[list[int]], q: int) -> list[list[int]]:
+    """Canonical basis of the right kernel of the matrix, ordered by free column."""
+    ncols = len(rows[0]) if rows else 0
+    rref, pivots = _fq_rref(rows, q)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = (-rref[prow][free]) % q
+        basis.append(vec)
+    return basis
+
+
+def subfield_kernel_basis(ctx, e):
+    """Coefficient lists of the kernel basis of Frobenius^e - id, the map
+    whose column i holds (X^i)^(q^e) - X^i; X^(q^e) comes from pow_elem,
+    not from the Frobenius tables."""
+    q, deg = ctx.q, ctx.deg
+    y = ctx.pow_elem(ctx.gen, q**e)
+    cols = [ctx.to_coeffs(ctx.one)]
+    for _ in range(deg - 1):
+        cols.append(ctx.to_coeffs(ctx.mul(ctx.from_coeffs(cols[-1]), y)))
+    rows = [[(cols[i][r] - (i == r)) % q for i in range(deg)] for r in range(deg)]
+    return _fq_kernel(rows, q)

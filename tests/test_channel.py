@@ -14,7 +14,7 @@ from hermrank import (
     rank_distance,
 )
 from hermrank.channel import _draw_hermitian
-from hermrank.exceptions import BadParamsError, BadRankError
+from hermrank.exceptions import BadParamsError, BadRankError, HermrankError
 from reference_rank import draw_hermitian_via_matrix, map_rank
 
 
@@ -115,6 +115,8 @@ def test_corrupt_basics(params_for, rand_felt):
     assert corrupt(ctx, noisy, e) == word
     with pytest.raises(ValueError):
         corrupt(ctx, word, e[:-1])
+    with pytest.raises(HermrankError):
+        corrupt(ctx, word + word[:1], e)
 
 
 def test_corrupt_subtracts_in_odd_characteristic(params_for, rand_felt):

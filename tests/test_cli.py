@@ -432,6 +432,11 @@ def test_non_integer_coefficients_rejected(tmp_path, params_for, capsys, q, n, d
         assert not out.exists()
 
 
+#: Raw file text: a list nested 200,000 deep, far past the JSON parser's
+#: recursion limit.
+DEEP_JSON = b"[" * 200_000
+
+
 @pytest.mark.parametrize(
     "kind,doc,shown",
     [
@@ -441,18 +446,28 @@ def test_non_integer_coefficients_rejected(tmp_path, params_for, capsys, q, n, d
         ("word", {"v": 3}, "word field 'v' must be a list, got an integer"),
         ("word", "v", "word must be a JSON object, got a string"),
         ("word", {"v": [[0] * 6]}, "word needs exactly 3 components"),
+        pytest.param("message", DEEP_JSON, "JSON document is nested too deeply", id="message-nested"),
+        pytest.param("word", DEEP_JSON, "JSON document is nested too deeply", id="word-nested"),
+        pytest.param("params", DEEP_JSON, "JSON document is nested too deeply", id="params-nested"),
     ],
 )
 def test_malformed_message_and_word_files_rejected(tmp_path, params_for, capsys, kind, doc, shown):
     p = params_for(3, 3, 3)
-    with pytest.raises(HermrankError):
-        (message_from_json_obj if kind == "message" else word_from_json_obj)(p, doc)
     params_path = _write(tmp_path / "p.json", params_to_json_obj(p))
-    doc_path = _write(tmp_path / "doc.json", doc)
+    if isinstance(doc, bytes):
+        (tmp_path / "doc.json").write_bytes(doc)
+        doc_path = str(tmp_path / "doc.json")
+    else:
+        with pytest.raises(HermrankError):
+            (message_from_json_obj if kind == "message" else word_from_json_obj)(p, doc)
+        doc_path = _write(tmp_path / "doc.json", doc)
     if kind == "message":
         argv = ["encode", "--params", params_path, "--message", doc_path]
-    else:
+    elif kind == "word":
         argv = ["decode", "--params", params_path, "--in", doc_path]
+    else:
+        word_path = _write(tmp_path / "word.json", word_to_json_obj(p, (p.ctx.zero,) * p.n))
+        argv = ["decode", "--params", doc_path, "--in", word_path]
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()

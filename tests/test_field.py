@@ -342,6 +342,56 @@ def test_subfield_elements_are_closed_under_arithmetic():
             assert ctx.add(a, b) in four
 
 
+#: Every binary point, odd q up to n = 19, and wide primes down to n = 1.
+SUBFIELD_POINTS = (
+    [(2, n) for n in range(1, 32, 2)]
+    + [(3, n) for n in range(1, 20, 2)]
+    + [(5, 1), (5, 3), (5, 13), (7, 1), (7, 11), (11, 3), (13, 3), (251, 3), (65521, 1)]
+)
+
+
+@pytest.mark.parametrize("q,n", SUBFIELD_POINTS)
+def test_subfield_basis_matches_kernel_oracle(q, n):
+    # the reduced basis of the trace images is the one reduced echelon
+    # basis, so it equals the RREF kernel basis of Frobenius^e - id
+    ctx = make_context(q, n)
+    for e in range(1, 2 * n + 1):
+        if 2 * n % e == 0:
+            got = [ctx.to_coeffs(b) for b in ctx.subfield_basis(e)]
+            assert got == reference_field.subfield_kernel_basis(ctx, e), e
+
+
+def _lead(coeffs):
+    return max(i for i, c in enumerate(coeffs) if c)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 31), (3, 3), (3, 19), (5, 3), (4294967291, 1)])
+def test_reduced_basis_is_reduced_echelon(q, n, rand_felt):
+    ctx = make_context(q, n)
+    rng = SplitMix64(q + 3 * n)
+    a, b = rand_felt(ctx, rng), rand_felt(ctx, rng)
+    randoms = [rand_felt(ctx, rng) for _ in range(2 * ctx.deg)]
+    inputs = [
+        [],
+        [ctx.zero] * 3,
+        [a, a, ctx.zero, a],
+        [a, b, ctx.add(a, b), ctx.sub(a, b), ctx.mul(ctx.from_base(q - 1), b)],
+        list(ctx.frob_images(0))[::-1],
+        randoms[:3] + [ctx.add(randoms[0], randoms[2])],
+        randoms,
+    ]
+    for elems in inputs:
+        basis = ctx._reduced_basis(elems)
+        leads = [_lead(ctx.to_coeffs(x)) for x in basis]
+        assert leads == sorted(set(leads))
+        for x, lead in zip(basis, leads):
+            coeffs = ctx.to_coeffs(x)
+            assert [coeffs[m] for m in leads] == [int(m == lead) for m in leads]
+        assert ctx.fq_rank(basis) == ctx.fq_rank(elems) == len(basis)
+        # the basis spans the same space
+        assert ctx.fq_rank(list(elems) + list(basis)) == len(basis)
+
+
 def test_fq2_coords_roundtrip():
     for q, n in [(2, 3), (3, 3)]:
         ctx = make_context(q, n)

@@ -41,7 +41,7 @@ from .codec import (
 )
 from .exceptions import HermrankError
 from .field import FieldContext, Felt, canonical_modulus, make_context
-from .linpoly import LinearizedPoly, lp_eval, lp_interpolate
+from .linpoly import LinearizedPoly, lp_interpolate
 from .oracle import CodeTable, NearestResult, brute_min_distance, enumerate_code, nearest_codeword
 from .rng import SplitMix64, substream_seed
 
@@ -75,7 +75,6 @@ __all__ = [
     "expand_message",
     "extract_message",
     "find_selfdual_basis",
-    "lp_eval",
     "lp_interpolate",
     "make_context",
     "matrix_to_vector",

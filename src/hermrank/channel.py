@@ -9,6 +9,10 @@ matrix.  Either way the achieved rank is recomputed by rank_distance from
 the zero word, i.e. as the F_{q^2}-dimension of the span of the error's
 entries, and the draw is repeated until it is exactly t, so the advertised
 rank is a guarantee rather than an expectation.
+
+F_{q^2} entries come from subfield_elements(2), a list of all q^2 elements,
+so the channel (and the CLI's corrupt and simulate) needs memory in
+proportion to q^2, about 4*10^9 elements at q = 65521: small q only.
 """
 
 from __future__ import annotations

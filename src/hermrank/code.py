@@ -27,15 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exceptions import BadParamsError, BadShapeError, BasisSearchFailedError
-from .field import (
-    Felt,
-    FieldContext,
-    _check_q_budget,
-    _is_prime,
-    context_from_json_obj,
-    json_field,
-    make_context,
-)
+from .field import Felt, FieldContext, context_from_json_obj, json_field, make_context
 from .rng import GOLDEN, SplitMix64
 
 
@@ -124,18 +116,16 @@ class CodeParams:
 
 def build_params(q: int, n: int, d: int) -> CodeParams:
     """Validate (q, n, d) and assemble deterministic code parameters."""
-    _check_q_budget(q)
-    if not isinstance(q, int) or not _is_prime(q):
-        raise BadParamsError(f"q must be a prime, got {q}")
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise BadParamsError(f"n must be odd and positive, got {n}")
-    if not isinstance(d, int) or d % 2 == 0:
-        raise BadParamsError(f"d must be odd, got {d}")
-    if not 1 <= d <= n:
-        raise BadParamsError(f"d must satisfy 1 <= d <= n, got d={d}, n={n}")
     ctx = make_context(q, n)
+    _check_d(ctx, d)
     alpha = find_selfdual_basis(ctx)
     return _assemble(ctx, d, alpha, choose_eta(ctx))
+
+
+def _check_d(ctx: FieldContext, d) -> None:
+    """BadParamsError unless d is an odd integer with 1 <= d <= n."""
+    if not isinstance(d, int) or d % 2 == 0 or not 1 <= d <= ctx.n:
+        raise BadParamsError(f"d must be odd with 1 <= d <= n = {ctx.n}, got {d}")
 
 
 def _assemble(ctx: FieldContext, d: int, alpha: tuple, eta: Felt) -> CodeParams:
@@ -264,8 +254,7 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     BadParamsError naming the field."""
     ctx = context_from_json_obj(obj)
     d = json_field(obj, "d", int, "params", BadParamsError)
-    if d % 2 == 0 or not 1 <= d <= ctx.n:
-        raise BadParamsError(f"d = {d} is not admissible for n = {ctx.n}")
+    _check_d(ctx, d)
     alpha = tuple(ctx.felt_from_json(a) for a in json_field(obj, "alpha", list, "params", BadParamsError))
     if len(alpha) != ctx.n:
         raise BadParamsError(f"expected {ctx.n} basis elements, got {len(alpha)}")

@@ -10,7 +10,9 @@ that evaluation on the orthonormal basis yields a Hermitian matrix:
     coeff[m+j] = coeff[m-j]^(q^(n+2j))              (conjugate symmetry)
 
 and zero elsewhere.  The codeword is the evaluation of that polynomial on
-the basis points.  Any nonzero polynomial supported on a width-k cyclic
+the basis points; with conj(x) = x^(q^n) it is c_r = conj(sum_i
+conj(coeff[i]) * moore_inv[r][i]), the adjoint of interpolation on the
+stored Moore table.  Any nonzero polynomial supported on a width-k cyclic
 window has at most 2*kappa = n-d independent kernel directions, so nonzero
 codewords have rank at least d; that is the whole distance argument.
 
@@ -44,7 +46,7 @@ from .exceptions import (
     SymmetryCheckError,
 )
 from .field import Felt, json_field
-from .linpoly import LinearizedPoly, lp_eval, lp_interpolate, lp_zero
+from .linpoly import LinearizedPoly, lp_interpolate, lp_zero
 from .rng import SplitMix64
 
 REASON_RADIUS = "RadiusExceeded"
@@ -92,8 +94,15 @@ def expand_message(params: CodeParams, msg: Message) -> LinearizedPoly:
 
 
 def encode(params: CodeParams, msg: Message) -> tuple:
-    poly = expand_message(params, msg)
-    return tuple(lp_eval(params.ctx, poly, a) for a in params.alpha)
+    """c_r = sum_i g_i * alpha_r^(q^(2i)) for the expanded polynomial g.
+
+    With the automorphism conj(x) = x^(q^n), moore_inv[r][i] =
+    alpha_r^(q^(n+2i)) and q^(2n) fixing K give c_r = conj(sum_i conj(g_i)
+    * moore_inv[r][i]): the adjoint of interpolation on the same table.
+    """
+    ctx, n = params.ctx, params.n
+    g = [ctx.frobenius(c, n) for c in expand_message(params, msg).coeffs]
+    return tuple(ctx.frobenius(ctx.dot(g, row), n) for row in params.moore_inv)
 
 
 def known_indices(params: CodeParams) -> tuple:

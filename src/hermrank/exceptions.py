@@ -11,11 +11,15 @@ class HermrankError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotPrimeError(HermrankError, ValueError):
+class BadParamsError(HermrankError, ValueError):
+    """(q, n, d) is not an admissible code parameter triple."""
+
+
+class NotPrimeError(BadParamsError):
     """The base field order q is not a prime."""
 
 
-class EvenExtensionError(HermrankError, ValueError):
+class EvenExtensionError(BadParamsError):
     """The extension length n is not a positive odd integer."""
 
 
@@ -37,10 +41,6 @@ class BadShapeError(HermrankError, ValueError):
 
 class ZeroInputError(HermrankError, ValueError):
     """An operation that requires a nonzero input received zero."""
-
-
-class BadParamsError(HermrankError, ValueError):
-    """(q, n, d) is not an admissible code parameter triple."""
 
 
 class BasisSearchFailedError(HermrankError, RuntimeError):

@@ -84,13 +84,6 @@ _MAX_Q = 2 ** (_ELEMENT_BIT_BUDGET // 2)
 _MAX_N = _ELEMENT_BIT_BUDGET // 2
 
 
-def _check_q_budget(q) -> None:
-    """TooLargeError for an int q above 2^32, which no n can fit in the
-    element budget; a plain comparison, so it runs before the prime test."""
-    if isinstance(q, int) and q > _MAX_Q:
-        raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
-
-
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -178,7 +171,7 @@ class FieldContext:
         self._trace_tbl: tuple | None = None
         self._subfield_bases: dict[int, tuple] = {}
         self._subfield_elems: dict[int, tuple] = {}
-        self._q1_factors: list[int] | None = None
+        self._norm_gen: tuple | None = None
 
     # -- primitive arithmetic supplied by subclasses ------------------------
 
@@ -381,23 +374,7 @@ class FieldContext:
         if q == 2:
             return self.one
         a_int = self.to_coeffs(a)[0]
-        if self._q1_factors is None:
-            self._q1_factors = _prime_factors(q - 1)
-        u1, u2 = self.subfield_basis(2)
-        g = None
-        h_int = 0
-        for idx in range(1, 64 * q):
-            i, j = divmod(idx, q)
-            cand = self.add(self.mul(self.from_base(i), u1), self.mul(self.from_base(j), u2))
-            if cand == self.zero:
-                continue
-            h = self.mul(self.frobenius(cand, 1), cand)
-            h_int = self.to_coeffs(h)[0]
-            if h_int and all(pow(h_int, (q - 1) // p, q) != 1 for p in self._q1_factors):
-                g = cand
-                break
-        if g is None:  # pragma: no cover - generators are dense
-            raise RuntimeError("no norm generator found")
+        g, h_int = self._norm_generator()
         # discrete log of a_int to base h_int in F_q*
         m = math.isqrt(q - 1) + 1
         baby = {}
@@ -406,18 +383,39 @@ class FieldContext:
             baby.setdefault(v, jj)
             v = (v * h_int) % q
         giant = pow(h_int, -m, q)
-        s = None
         v = a_int
         for ii in range(m + 1):
             if v in baby:
-                s = ii * m + baby[v]
                 break
             v = (v * giant) % q
-        if s is None:  # pragma: no cover - dlog always exists for a generator
+        else:  # pragma: no cover - dlog always exists for a generator
             raise RuntimeError("discrete log failed")
-        c = self.pow_elem(g, s)
+        c = self.pow_elem(g, ii * m + baby[v])
         assert self.mul(self.frobenius(c, 1), c) == a
         return c
+
+    def _norm_generator(self) -> tuple:
+        """(g, N(g)) for the first g = i + j*w, in the order of idx = i*q + j,
+        whose norm g^(q+1) generates F_q*; found once per context, odd q.
+        The first q - 1 candidates j*w have norms j^2 * N(w), all squares
+        when N(w) is one (Euler's criterion), and a square never generates
+        F_q* for odd q, so the scan then starts at idx = q: same g."""
+        if self._norm_gen is None:
+            q = self.q
+            factors = _prime_factors(q - 1)
+            u1, u2 = self.subfield_basis(2)
+            norm_w = self.to_coeffs(self.mul(self.frobenius(u2, 1), u2))[0]
+            start = q if pow(norm_w, (q - 1) // 2, q) == 1 else 1
+            for idx in range(start, 64 * q):
+                i, j = divmod(idx, q)
+                cand = self.add(self.mul(self.from_base(i), u1), self.mul(self.from_base(j), u2))
+                h_int = self.to_coeffs(self.mul(self.frobenius(cand, 1), cand))[0]
+                if all(pow(h_int, (q - 1) // p, q) != 1 for p in factors):
+                    self._norm_gen = (cand, h_int)
+                    break
+            else:  # pragma: no cover - generators are dense
+                raise RuntimeError("no norm generator found")
+        return self._norm_gen
 
     # -- serialization ------------------------------------------------------
 
@@ -728,9 +726,11 @@ def make_context(q: int, n: int) -> FieldContext:
     Raises NotPrimeError, EvenExtensionError or TooLargeError when the
     parameters are out of range; elements must pack into 64 bits, i.e.
     q^(2n) <= 2^64.  q > 2^32 and n > 32 are rejected by plain comparisons
-    before the prime test and before q^(2n) is formed.
+    before the prime test and before q^(2n) is formed.  This is the one
+    check of q and n; build_params relies on it.
     """
-    _check_q_budget(q)
+    if isinstance(q, int) and q > _MAX_Q:
+        raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
     if not isinstance(q, int) or not _is_prime(q):
         raise NotPrimeError(f"q = {q} is not a prime")
     if not isinstance(n, int) or n < 1 or n % 2 == 0:

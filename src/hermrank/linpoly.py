@@ -2,9 +2,12 @@
 
 A polynomial is the coefficient vector (g_0, ..., g_{n-1}) of the map
 x -> sum_i g_i * x^(q^(2i)), which is F_{q^2}-linear on K.  The module
-provides evaluation, interpolation through a given inverse of the
-transposed Moore matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it
-in closed form for its orthonormal basis, see code._assemble).
+provides interpolation through a given inverse of the transposed Moore
+matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it in closed form
+for its orthonormal basis, see code._assemble).  On that basis the table
+is tinv[r][j] = alpha_r^(q^(n+2j)), so it evaluates as well: with conj(x) =
+x^(q^n), g(alpha_r) = conj(sum_j conj(g_j) * tinv[r][j]), which is how
+codec.encode works.  Evaluation at arbitrary points is a test oracle.
 """
 
 from __future__ import annotations
@@ -24,11 +27,6 @@ class LinearizedPoly:
 
 def lp_zero(ctx: FieldContext, n: int) -> LinearizedPoly:
     return LinearizedPoly((ctx.zero,) * n)
-
-
-def lp_eval(ctx: FieldContext, poly: LinearizedPoly, x: Felt) -> Felt:
-    live = [i for i, c in enumerate(poly.coeffs) if c != ctx.zero]
-    return ctx.dot([poly.coeffs[i] for i in live], [ctx.frobenius(x, 2 * i) for i in live])
 
 
 def lp_interpolate(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> LinearizedPoly:

@@ -16,9 +16,14 @@ subfield bases: F_{q^e} as the kernel of Frobenius^e - id, with the RREF
 kernel basis ordered by free column, against the package's reduced echelon
 basis of the trace images from the engines' own elimination.  It works on
 coefficient lists, so it serves q = 2 as well.
+
+The norm-equation oracle is the solver the package once used: it scans the
+candidates i + j*w from idx = 1 for every right-hand side, with no skip of
+the candidates j*w whose norms are all squares.
 """
 
 import functools
+import math
 
 from hermrank.field import _prime_factors
 
@@ -243,3 +248,31 @@ def subfield_kernel_basis(ctx, e):
         cols.append(ctx.to_coeffs(ctx.mul(ctx.from_coeffs(cols[-1]), y)))
     rows = [[(cols[i][r] - (i == r)) % q for i in range(deg)] for r in range(deg)]
     return _fq_kernel(rows, q)
+
+
+def solve_hermitian_norm_scan(ctx, a):
+    """c in F_{q^2} with c^(q+1) = a for nonzero a in F_q, odd q: the first
+    norm generator g = i + j*w in the digit order of idx = i*q + j, scanned
+    from idx = 1, then a baby-step/giant-step discrete log of a to base N(g)."""
+    q = ctx.q
+    a_int = ctx.to_coeffs(a)[0]
+    factors = _prime_factors(q - 1)
+    u1, u2 = ctx.subfield_basis(2)
+    for idx in range(1, 64 * q):
+        i, j = divmod(idx, q)
+        g = ctx.add(ctx.mul(ctx.from_base(i), u1), ctx.mul(ctx.from_base(j), u2))
+        h_int = ctx.to_coeffs(ctx.mul(ctx.frobenius(g, 1), g))[0]
+        if h_int and all(pow(h_int, (q - 1) // p, q) != 1 for p in factors):
+            break
+    m = math.isqrt(q - 1) + 1
+    baby = {}
+    v = 1
+    for jj in range(m):
+        baby.setdefault(v, jj)
+        v = v * h_int % q
+    giant = pow(h_int, -m, q)
+    v = a_int
+    for ii in range(m + 1):
+        if v in baby:
+            return ctx.pow_elem(g, ii * m + baby[v])
+        v = v * giant % q

@@ -1,15 +1,22 @@
-"""Moore-matrix interpolation by generic elimination, kept as an oracle.
+"""Moore-matrix evaluation and interpolation by generic means, kept as oracles.
 
 The package interpolates through the closed-form inverse
-CodeParams.moore_inv, which is only valid on an orthonormal basis.  These
-helpers build the Moore matrix on arbitrary points and invert its transpose
-by Gauss-Jordan elimination, so tests can check the closed form bit for bit
-and exercise interpolation on point sets that are not orthonormal.  The
-evaluation encoder is cross-checked against the dense product with the
-Moore rows as well.
+CodeParams.moore_inv, which is only valid on an orthonormal basis, and
+encodes through the same table (codec.encode).  These helpers build the
+Moore matrix on arbitrary points and invert its transpose by Gauss-Jordan
+elimination, so tests can check the closed form bit for bit and exercise
+interpolation on point sets that are not orthonormal.  lp_eval evaluates a
+linearized polynomial at any point with one Frobenius power per live
+coefficient, the way the encoder used to; the encoder is cross-checked
+against it and against the dense product with the Moore rows.
 """
 
 from hermrank.codec import expand_message
+
+
+def lp_eval(ctx, poly, x):
+    live = [i for i, c in enumerate(poly.coeffs) if c != ctx.zero]
+    return ctx.dot([poly.coeffs[i] for i in live], [ctx.frobenius(x, 2 * i) for i in live])
 
 
 def moore_rows(ctx, points):

@@ -13,7 +13,7 @@ converting it to vector form.
 from dataclasses import dataclass
 
 from hermrank.code import HermitianMatrix, matrix_to_vector
-from hermrank.linpoly import lp_eval
+from reference_moore import lp_eval
 
 
 def map_rank(ctx, poly):

@@ -27,7 +27,6 @@ from hermrank import (
     encode,
     enumerate_code,
     expand_message,
-    lp_eval,
     lp_interpolate,
     matrix_to_vector,
     nearest_codeword,
@@ -40,6 +39,7 @@ from hermrank import (
 from hermrank.codec import known_indices
 from hermrank.linpoly import LinearizedPoly
 from reference_decode import solve_key_equation
+from reference_moore import lp_eval
 from reference_rank import dickson, matrix_rank
 
 SMALL_SETS = [(2, 3, 3), (2, 5, 3), (2, 5, 5), (3, 3, 3), (2, 7, 7)]

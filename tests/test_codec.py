@@ -16,7 +16,6 @@ from hermrank import (
     enumerate_code,
     expand_message,
     extract_message,
-    lp_eval,
     lp_interpolate,
     nearest_codeword,
     random_message,
@@ -46,7 +45,7 @@ from hermrank.exceptions import (
 )
 from hermrank.linpoly import LinearizedPoly, lp_zero
 from reference_decode import solve_key_equation
-from reference_moore import encode_via_matrix
+from reference_moore import encode_via_matrix, lp_eval
 from reference_rank import map_rank
 
 
@@ -137,13 +136,19 @@ def test_encode_zero_and_additivity(params_for):
         assert tuple(ctx.add(a, b) for a, b in zip(w1, w2)) == w3
 
 
-@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3)])
+@pytest.mark.parametrize(
+    "q,n,d",
+    [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3), (2, 31, 15), (3, 19, 9), (5, 13, 7), (2, 1, 1), (3, 1, 1), (3, 7, 7), (2, 9, 9)],
+)
 def test_encode_agrees_with_matrix_path(params_for, q, n, d):
+    # the benchmark points, n = 1, and k = 1 (d = n)
     p = params_for(q, n, d)
     rng = SplitMix64(53)
     for _ in range(15):
         msg = random_message(p, rng)
-        assert encode(p, msg) == encode_via_matrix(p, msg)
+        word = encode(p, msg)
+        assert word == encode_via_matrix(p, msg)
+        assert word == _word_from_poly(p, expand_message(p, msg))
 
 
 def test_minimal_code_pairwise_distance(params_for):
@@ -631,3 +636,28 @@ def test_packed_engine_op_counts(params_for, monkeypatch):
     # one table per Frobenius power, kept in packed form only
     assert set(ctx._frob) <= set(range(ctx.deg))
     assert all(len(rows) == ctx.deg and all(type(r) is int for r in rows) for rows in ctx._frob.values())
+
+
+@pytest.mark.parametrize("q,n,d", [(3, 9, 5), (2, 31, 15), (5, 13, 7)])
+def test_encode_reads_moore_table(params_for, monkeypatch, q, n, d):
+    # machine-independent guard: one encode is n dots with the rows of
+    # moore_inv and at most 2(n + k) Frobenius powers (k subfield checks,
+    # k window twists, n conjugations in and n out), not one power per
+    # basis point and live coefficient
+    p = params_for(q, n, d)
+    msg = random_message(p, SplitMix64(59))
+    cls = type(p.ctx)
+    counts = {"dot": 0, "frobenius": 0}
+    rows = []
+    for name in counts:
+        def counting(self, *args, _orig=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            if _name == "dot":
+                rows.append(args[1])
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    encode(p, msg)
+    assert counts["dot"] == p.n
+    assert counts["frobenius"] <= 2 * (p.n + p.k)
+    assert rows == list(p.moore_inv)

@@ -17,7 +17,6 @@ from hermrank import (
     decode,
     encode,
     enumerate_code,
-    lp_eval,
     nearest_codeword,
     random_message,
     random_rank_error,
@@ -27,6 +26,7 @@ from hermrank.codec import REASON_INCONSISTENT, REASON_RADIUS, REASON_SUBFIELD, 
 from hermrank.linpoly import LinearizedPoly
 
 from reference_decode import reference_decode
+from reference_moore import lp_eval
 from reference_rank import map_rank
 
 POINTS = [(2, 5, 3), (2, 7, 5), (2, 7, 7), (3, 3, 3), (3, 5, 3), (3, 7, 5), (5, 3, 3)]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import reference_field
 from hermrank import SplitMix64, canonical_modulus, make_context
 from hermrank.exceptions import (
+    BadParamsError,
     EvenExtensionError,
     NotADivisorError,
     NotInSubfieldError,
@@ -120,6 +121,10 @@ def test_make_context_rejects_bad_parameters():
         make_context(2, 2)
     with pytest.raises(EvenExtensionError):
         make_context(2, 0)
+    # one validator: make_context's q and n errors are BadParamsErrors
+    for q, n in [(4, 3), (3, 4)]:
+        with pytest.raises(BadParamsError):
+            make_context(q, n)
     with pytest.raises(TooLargeError):
         make_context(2, 33)  # 2^66 > 2^64
     with pytest.raises(TooLargeError):
@@ -413,6 +418,34 @@ def test_solve_hermitian_norm_all_targets(q, n):
         a = ctx.from_base(a_int)
         c = ctx.solve_hermitian_norm(a)
         assert ctx.mul(ctx.frobenius(c, 1), c) == a
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 19, 23, 29, 31, 43])
+def test_solve_hermitian_norm_matches_scan_oracle(q, n):
+    # skipping the candidates j*w when N(w) is a square, and finding the
+    # generator once per context, must not change any solution
+    ctx = make_context(q, n)
+    for a_int in range(1, q):
+        a = ctx.from_base(a_int)
+        assert ctx.solve_hermitian_norm(a) == reference_field.solve_hermitian_norm_scan(ctx, a)
+
+
+def test_solve_hermitian_norm_skips_square_norm_candidates(monkeypatch):
+    # at n = 1 with q = 3 (mod 4), N(w) = 1: the q - 1 candidates j*w all
+    # have square norms, and scanning them costs thousands of field calls
+    ctx = make_context(10007, 1)
+    cls = type(ctx)
+    calls = [0]
+    for name in ("add", "mul", "frobenius", "pow_elem"):
+        def counting(self, *args, _orig=getattr(cls, name)):
+            calls[0] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    c = ctx.solve_hermitian_norm(ctx.from_base(5))
+    assert ctx.mul(ctx.frobenius(c, 1), c) == ctx.from_base(5)
+    assert calls[0] < 200, calls[0]
 
 
 def test_solve_hermitian_norm_rejects_bad_input():

@@ -3,9 +3,9 @@ matrix-form oracles in reference_rank)."""
 
 import pytest
 
-from hermrank import SplitMix64, lp_eval, lp_interpolate, make_context
+from hermrank import SplitMix64, lp_interpolate, make_context
 from hermrank.linpoly import LinearizedPoly, lp_zero
-from reference_moore import moore_rows, moore_tinv
+from reference_moore import lp_eval, moore_rows, moore_tinv
 from reference_rank import dickson, map_rank, matrix_rank
 
 

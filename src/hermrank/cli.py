@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .channel import MODE_ARBITRARY, MODE_HERMITIAN, ChannelSpec, corrupt, random_rank_error
 from .code import build_params, codeword_to_matrix, params_from_json_obj, params_to_json_obj
@@ -147,6 +146,14 @@ def _sim_chunk(params, mode, master_seed, t, start, stop, want_timing):
 _worker_params = None  # built once per simulate worker by _init_sim_worker
 
 
+def _process_pool(workers, initializer, initargs):
+    """simulate's worker pool.  concurrent.futures is imported here, on the
+    sharded path only, so no other command pays for the import."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs)
+
+
 def _init_sim_worker(q, n, d) -> None:
     global _worker_params
     _worker_params = build_params(q, n, d)
@@ -178,7 +185,7 @@ def cmd_simulate(args) -> int:
     workers = min(nshards, os.cpu_count() or 1)
     sharded = workers > 1
     pool = (
-        ProcessPoolExecutor(workers, initializer=_init_sim_worker, initargs=(args.q, args.n, args.d))
+        _process_pool(workers, _init_sim_worker, (args.q, args.n, args.d))
         if sharded
         else contextlib.nullcontext()
     )

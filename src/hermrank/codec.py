@@ -99,10 +99,14 @@ def encode(params: CodeParams, msg: Message) -> tuple:
     With the automorphism conj(x) = x^(q^n), moore_inv[r][i] =
     alpha_r^(q^(n+2i)) and q^(2n) fixing K give c_r = conj(sum_i conj(g_i)
     * moore_inv[r][i]): the adjoint of interpolation on the same table.
+    g is zero off the window, so only its k indices m-kappa .. m+kappa
+    (mod n) are conjugated and dotted with the matching row entries.
     """
     ctx, n = params.ctx, params.n
-    g = [ctx.frobenius(c, n) for c in expand_message(params, msg).coeffs]
-    return tuple(ctx.frobenius(ctx.dot(g, row), n) for row in params.moore_inv)
+    g = expand_message(params, msg).coeffs
+    window = [i % n for i in range(params.m - params.kappa, params.m + params.kappa + 1)]
+    gw = [ctx.frobenius(g[i], n) for i in window]
+    return tuple(ctx.frobenius(ctx.dot(gw, [row[i] for i in window]), n) for row in params.moore_inv)
 
 
 def known_indices(params: CodeParams) -> tuple:

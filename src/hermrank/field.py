@@ -51,7 +51,16 @@ kernel of the F_q-linear map a -> a^q - a is the copy of F_q in each, of
 dimension r.  So f is irreducible exactly when that map, given by the
 monomial images of Frobenius minus the identity, has ``fq_rank`` D - 1.
 The first step cannot be dropped: for a power g^e of an irreducible g the
-kernel is F_q alone too, so the rank step passes it.
+kernel is F_q alone too, so the rank step passes it.  x^(q^D) is formed as
+D applications of the q-power table, the table the rank step reads, not by
+square-and-multiply; a -> a^q is F_q-linear on F_q[X]/(f) for any f.
+
+Before any engine is built, a candidate with a root in F_q is dropped: a
+monic f of degree D >= 2 with f(a) = 0 has the factor X - a, so Berlekamp's
+test would reject it too.  Only a < min(q, D) is tried, by Horner's rule on
+the coefficients.  For q <= D that is all of F_q and the filter is
+complete; for larger q it is partial, and the bound keeps it at D
+evaluations per candidate instead of q, about 4*10^9 at q near 2^32.
 """
 
 from __future__ import annotations
@@ -122,10 +131,20 @@ def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
     """Berlekamp's test (module docstring) for the monic f = coeffs of even
     degree D, on the engine for F_q[X]/(f) with its tables built for this
     candidate; the engines' products never divide, so they are valid for
-    any monic f."""
+    any monic f.  A candidate with a root a < min(q, D) is rejected first,
+    by Horner's rule, before any engine is built."""
     deg = len(coeffs) - 1
+    for a in range(min(q, deg)):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * a + c) % q
+        if not v:
+            return False
     ring = (_Gf2Context if q == 2 else _OddContext)(q, deg // 2, tuple(coeffs))
-    if ring.pow_elem(ring.gen, q**deg) != ring.gen:
+    frob, x = ring._frob_rows(1), ring.gen
+    for _ in range(deg):
+        x = ring._apply_linear(frob, x)
+    if x != ring.gen:
         return False
     diffs = [ring.sub(a, b) for a, b in zip(ring.frob_images(1), ring.frob_images(0))]
     return ring.fq_rank(diffs) == deg - 1
@@ -689,7 +708,7 @@ class _OddContext(FieldContext):
         return tuple(map(self._pack, images))
 
     def _echelon(self, elems):
-        """The q = 2 engine's pivot-and-clear elimination on packed rows.
+        """The odd-q engine's pivot-and-clear elimination on packed rows.
 
         A popped row is reduced slot-wise mod q and scaled so its last
         nonzero slot c is 1; every other row r then becomes r + (q - f) *

@@ -245,7 +245,7 @@ def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_process_pool", InProcessPool)
     monkeypatch.setattr(cli, "_worker_params", None)
     base = ["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "0-2", "--seed", "1"]
     one, many = tmp_path / "one.json", tmp_path / "many.json"
@@ -487,3 +487,14 @@ def test_module_entry_point(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_import_leaves_process_pool_unloaded():
+    # only simulate's sharded path needs concurrent.futures; importing the
+    # CLI must not load it, so no other command pays for the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import hermrank.cli, sys; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -138,10 +138,12 @@ def test_encode_zero_and_additivity(params_for):
 
 @pytest.mark.parametrize(
     "q,n,d",
-    [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3), (2, 31, 15), (3, 19, 9), (5, 13, 7), (2, 1, 1), (3, 1, 1), (3, 7, 7), (2, 9, 9)],
+    [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3), (2, 31, 15), (3, 19, 9), (5, 13, 7), (2, 1, 1), (3, 1, 1), (3, 7, 7), (2, 9, 9),
+     (5, 5, 5), (2, 7, 1), (3, 5, 1)],
 )
 def test_encode_agrees_with_matrix_path(params_for, q, n, d):
-    # the benchmark points, n = 1, and k = 1 (d = n)
+    # the benchmark points, n = 1, k = 1 (d = n, a one-index window) and
+    # k = n (d = 1, a window covering every index)
     p = params_for(q, n, d)
     rng = SplitMix64(53)
     for _ in range(15):
@@ -640,10 +642,11 @@ def test_packed_engine_op_counts(params_for, monkeypatch):
 
 @pytest.mark.parametrize("q,n,d", [(3, 9, 5), (2, 31, 15), (5, 13, 7)])
 def test_encode_reads_moore_table(params_for, monkeypatch, q, n, d):
-    # machine-independent guard: one encode is n dots with the rows of
-    # moore_inv and at most 2(n + k) Frobenius powers (k subfield checks,
-    # k window twists, n conjugations in and n out), not one power per
-    # basis point and live coefficient
+    # machine-independent guard: one encode is n dots with the window
+    # entries of the rows of moore_inv and at most n + 3k Frobenius powers
+    # (k subfield checks, k window twists, k conjugations in and n out), not
+    # one power per basis point and live coefficient, nor a conjugation of
+    # each of the n - k zero coefficients
     p = params_for(q, n, d)
     msg = random_message(p, SplitMix64(59))
     cls = type(p.ctx)
@@ -659,5 +662,6 @@ def test_encode_reads_moore_table(params_for, monkeypatch, q, n, d):
         monkeypatch.setattr(cls, name, counting)
     encode(p, msg)
     assert counts["dot"] == p.n
-    assert counts["frobenius"] <= 2 * (p.n + p.k)
-    assert rows == list(p.moore_inv)
+    assert counts["frobenius"] <= p.n + 3 * p.k
+    window = [i % p.n for i in range(p.m - p.kappa, p.m + p.kappa + 1)]
+    assert rows == [[row[i] for i in window] for row in p.moore_inv]

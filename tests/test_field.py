@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_field
-from hermrank import SplitMix64, canonical_modulus, make_context
+from hermrank import SplitMix64, canonical_modulus, field, make_context
 from hermrank.exceptions import (
     BadParamsError,
     EvenExtensionError,
@@ -110,6 +110,25 @@ def test_canonical_modulus_matches_schoolbook_scan(q, n):
     # the scan runs Berlekamp's test on the field engines; the oracle runs
     # Rabin's test on coefficient lists
     assert canonical_modulus(q, n) == reference_field.scan_modulus(q, n)
+
+
+@pytest.mark.parametrize("q,n,engine,reached", [(5, 13, "_OddContext", 57), (2, 31, "_Gf2Context", 27)])
+def test_scan_builds_engines_only_for_rootless_candidates(monkeypatch, q, n, engine, reached):
+    # machine-independent guard on the scan's work: the root filter leaves
+    # 57 of the 163 candidates at (5,13) and 27 of the 106 at (2,31) for an
+    # engine, against one engine per candidate without it
+    expected = canonical_modulus(q, n)
+    built = []
+
+    class Counting(getattr(field, engine)):
+        def _setup_engine(self):
+            built.append(self.modulus)
+            super()._setup_engine()
+
+    monkeypatch.setattr(field, engine, Counting)
+    assert canonical_modulus.__wrapped__(q, n) == expected
+    assert len(built) == reached
+    assert all(f[0] != 0 for f in built)
 
 
 def test_make_context_rejects_bad_parameters():

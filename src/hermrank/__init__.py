@@ -15,12 +15,12 @@ Quick start::
 from .channel import MODE_ARBITRARY, MODE_HERMITIAN, ChannelSpec, corrupt, random_rank_error
 from .code import (
     CodeParams,
-    HermitianMatrix,
     build_params,
     choose_eta,
     codeword_to_matrix,
     decompose_eta,
     find_selfdual_basis,
+    is_hermitian,
     matrix_to_vector,
     params_from_json_obj,
     params_to_json_obj,
@@ -41,7 +41,7 @@ from .codec import (
 )
 from .exceptions import HermrankError
 from .field import FieldContext, Felt, canonical_modulus, make_context
-from .linpoly import LinearizedPoly, lp_interpolate
+from .linpoly import lp_interpolate
 from .oracle import CodeTable, NearestResult, brute_min_distance, enumerate_code, nearest_codeword
 from .rng import SplitMix64, substream_seed
 
@@ -54,9 +54,7 @@ __all__ = [
     "DecodeResult",
     "Felt",
     "FieldContext",
-    "HermitianMatrix",
     "HermrankError",
-    "LinearizedPoly",
     "Message",
     "NearestResult",
     "SplitMix64",
@@ -75,6 +73,7 @@ __all__ = [
     "expand_message",
     "extract_message",
     "find_selfdual_basis",
+    "is_hermitian",
     "lp_interpolate",
     "make_context",
     "matrix_to_vector",

@@ -18,7 +18,7 @@ import sys
 import time
 
 from .channel import MODE_ARBITRARY, MODE_HERMITIAN, ChannelSpec, corrupt, random_rank_error
-from .code import build_params, codeword_to_matrix, params_from_json_obj, params_to_json_obj
+from .code import build_params, codeword_to_matrix, is_hermitian, params_from_json_obj, params_to_json_obj
 from .codec import (
     decode,
     decode_result_to_json_obj,
@@ -252,9 +252,9 @@ def _fq2_str(ctx, a) -> str:
 def cmd_matrix(args) -> int:
     params = _load_params(args.params)
     word = word_from_json_obj(params, _read_json(args.infile))
-    mat = codeword_to_matrix(params, word)
-    hermitian = mat.is_hermitian(params.ctx)
-    cells = [[_fq2_str(params.ctx, v) for v in row] for row in mat.rows]
+    rows = codeword_to_matrix(params, word)
+    hermitian = is_hermitian(params.ctx, rows)
+    cells = [[_fq2_str(params.ctx, v) for v in row] for row in rows]
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print("  ".join(c.rjust(width) for c in row))
@@ -263,7 +263,7 @@ def cmd_matrix(args) -> int:
         ctx = params.ctx
         _emit(
             {
-                "entries": [[ctx.felt_to_json(v) for v in row] for row in mat.rows],
+                "entries": [[ctx.felt_to_json(v) for v in row] for row in rows],
                 "hermitian": hermitian,
             },
             args.out,
@@ -345,10 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HermrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (HermrankError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

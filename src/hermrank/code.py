@@ -167,37 +167,26 @@ def decompose_eta(params: CodeParams, b: Felt) -> tuple:
     return u, v
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """n x n matrix over F_{q^2}; Hermitian-ness is a property of codeword
-    images, not an invariant of the container, so it is checked on demand."""
-
-    rows: tuple
-
-    def is_hermitian(self, ctx: FieldContext) -> bool:
-        n = len(self.rows)
-        return all(
-            self.rows[i][j] == ctx.frobenius(self.rows[j][i], 1)
-            for i in range(n)
-            for j in range(n)
-        )
+def is_hermitian(ctx: FieldContext, rows: Sequence[Sequence[Felt]]) -> bool:
+    """True when the square matrix rows over F_{q^2} equals its conjugate
+    transpose: rows[i][j] == rows[j][i]^q for all i, j."""
+    n = len(rows)
+    return all(rows[i][j] == ctx.frobenius(rows[j][i], 1) for i in range(n) for j in range(n))
 
 
-def codeword_to_matrix(params: CodeParams, c: Sequence[Felt]) -> HermitianMatrix:
-    """Column r = F_{q^2}-coordinates of c_r over the orthonormal basis.
+def codeword_to_matrix(params: CodeParams, c: Sequence[Felt]) -> tuple:
+    """The n x n matrix over F_{q^2}, as a tuple of row tuples, whose column
+    r holds the coordinates of c_r over the orthonormal basis.
 
     Entry (i, r) is rel_trace(alpha_i^q * c_r).  The map is total: any
     length-n vector converts, and only genuine codewords are guaranteed a
-    Hermitian result.
+    Hermitian result (see is_hermitian).
     """
     ctx = params.ctx
-    rows = tuple(
-        tuple(ctx.rel_trace(ctx.mul(aq, cr)) for cr in c) for aq in params.alpha_q
-    )
-    return HermitianMatrix(rows=rows)
+    return tuple(tuple(ctx.rel_trace(ctx.mul(aq, cr)) for cr in c) for aq in params.alpha_q)
 
 
-def matrix_to_vector(params: CodeParams, mat: HermitianMatrix) -> tuple:
+def matrix_to_vector(params: CodeParams, rows: Sequence[Sequence[Felt]]) -> tuple:
     """Inverse of codeword_to_matrix.
 
     The coordinate functionals z -> rel_trace(alpha_i^q * z) are expanded
@@ -208,7 +197,7 @@ def matrix_to_vector(params: CodeParams, mat: HermitianMatrix) -> tuple:
     that basis.
     """
     ctx = params.ctx
-    return tuple(ctx.dot(col, params.alpha_dual) for col in zip(*mat.rows))
+    return tuple(ctx.dot(col, params.alpha_dual) for col in zip(*rows))
 
 
 def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> int:

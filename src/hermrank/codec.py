@@ -46,7 +46,7 @@ from .exceptions import (
     SymmetryCheckError,
 )
 from .field import Felt, json_field
-from .linpoly import LinearizedPoly, lp_interpolate, lp_zero
+from .linpoly import lp_interpolate
 from .rng import SplitMix64
 
 REASON_RADIUS = "RadiusExceeded"
@@ -66,15 +66,14 @@ def random_message(params: CodeParams, rng: SplitMix64) -> Message:
     ctx = params.ctx
     basis = ctx.subfield_basis(ctx.n)
     # each part is an F_q-combination of the basis, one digit drawn per
-    # basis element in order
-    scalars = [ctx.from_base(c) for c in range(ctx.q)]
-    return Message(
-        tuple(ctx.dot([scalars[rng.below(ctx.q)] for _ in basis], basis) for _ in range(params.k))
-    )
+    # basis element in order; each distinct digit is embedded once
+    digits = [[rng.below(ctx.q) for _ in basis] for _ in range(params.k)]
+    scalars = {c: ctx.from_base(c) for c in set().union(*digits)}
+    return Message(tuple(ctx.dot([scalars[c] for c in row], basis) for row in digits))
 
 
-def expand_message(params: CodeParams, msg: Message) -> LinearizedPoly:
-    """Full coefficient vector of the window construction above."""
+def expand_message(params: CodeParams, msg: Message) -> tuple:
+    """The tuple of n coefficients of the window construction above."""
     ctx = params.ctx
     n, m, kappa = params.n, params.m, params.kappa
     parts = msg.parts
@@ -90,7 +89,7 @@ def expand_message(params: CodeParams, msg: Message) -> LinearizedPoly:
         lo = ctx.frobenius(b, 1)
         coeffs[(m - j) % n] = lo
         coeffs[(m + j) % n] = ctx.frobenius(lo, n + 2 * j)
-    return LinearizedPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def encode(params: CodeParams, msg: Message) -> tuple:
@@ -103,7 +102,7 @@ def encode(params: CodeParams, msg: Message) -> tuple:
     (mod n) are conjugated and dotted with the matching row entries.
     """
     ctx, n = params.ctx, params.n
-    g = expand_message(params, msg).coeffs
+    g = expand_message(params, msg)
     window = [i % n for i in range(params.m - params.kappa, params.m + params.kappa + 1)]
     gw = [ctx.frobenius(g[i], n) for i in window]
     return tuple(ctx.frobenius(ctx.dot(gw, [row[i] for i in window]), n) for row in params.moore_inv)
@@ -128,7 +127,7 @@ def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
     """
     if len(received) != params.n:
         raise BadShapeError(f"word needs exactly {params.n} components")
-    beta = lp_interpolate(params.ctx, params.moore_inv, received).coeffs
+    beta = lp_interpolate(params.ctx, params.moore_inv, received)
     known = {idx: beta[idx] for idx in known_indices(params)}
     return beta, known
 
@@ -172,7 +171,7 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     return length, tuple(lam[:length])
 
 
-def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> LinearizedPoly:
+def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> tuple:
     """Run the register forward to fill the windowed error coefficients.
 
     Indices m-kappa .. m+kappa are produced in increasing order; index i
@@ -187,7 +186,7 @@ def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> Linear
     coeffs = dict(known_g)
     for i in range(m - kappa, m + kappa + 1):
         coeffs[i % n] = _feedback(ctx, coeffs, lam, i, n)
-    return LinearizedPoly(tuple(coeffs[i] for i in range(n)))
+    return tuple(coeffs[i] for i in range(n))
 
 
 def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
@@ -197,14 +196,14 @@ def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
     return ctx.dot([lam[l - 1] for l in live], images)
 
 
-def _register_closes(params: CodeParams, g: LinearizedPoly, lam: Sequence[Felt]) -> bool:
+def _register_closes(params: CodeParams, g: Sequence[Felt], lam: Sequence[Felt]) -> bool:
     """True when the register lam generates g's coefficients cyclically,
     g_i = sum_l lam_l * g_(i-l)^(q^(2l)) at every index i mod n, for g
     completed from lam.  Only the len(lam) wrap indices m+kappa+1+j, j <
     len(lam), can fail; every other index holds by construction (see decode)."""
-    c, n = g.coeffs, params.n
+    n = params.n
     start = params.m + params.kappa + 1
-    return all(c[(start + j) % n] == _feedback(params.ctx, c, lam, start + j, n) for j in range(len(lam)))
+    return all(g[(start + j) % n] == _feedback(params.ctx, g, lam, start + j, n) for j in range(len(lam)))
 
 
 def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
@@ -237,8 +236,9 @@ class DecodeResult:
 
     On success the message encodes to a codeword within the radius of the
     received word (register closure certifies this, see decode),
-    error_poly is the interpolation polynomial of the residual received -
-    encode(message), which decode obtains as the completed register output,
+    error_poly is the n-coefficient tuple of the interpolation polynomial of
+    the residual received - encode(message), which decode obtains as the
+    completed register output,
     and error_rank is its rank, the register's length.  On failure, reason
     is one of the REASON_* strings and diagnostics records what the solvers
     saw.
@@ -246,7 +246,7 @@ class DecodeResult:
 
     ok: bool
     message: Optional[Message] = None
-    error_poly: Optional[LinearizedPoly] = None
+    error_poly: Optional[tuple] = None
     error_rank: Optional[int] = None
     reason: Optional[str] = None
     diagnostics: dict = field(default_factory=dict)
@@ -321,7 +321,7 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
         # a zero exposed window within the radius forces a zero error: any
         # nonzero polynomial confined to the message window has rank >= d
         t, lam, src = 0, (), "zero-window"
-        g = lp_zero(ctx, params.n)
+        g = (ctx.zero,) * params.n
     else:
         t, lam = skew_bm(params, seq)
         src = "bm"
@@ -333,7 +333,7 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
         g = complete_g(params, known, lam)
 
     window = [
-        ctx.sub(beta[i % params.n], g.coeffs[i % params.n])
+        ctx.sub(beta[i % params.n], g[i % params.n])
         for i in range(params.m - params.kappa, params.m + params.kappa + 1)
     ]
     try:

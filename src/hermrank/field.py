@@ -93,21 +93,6 @@ _MAX_Q = 2 ** (_ELEMENT_BIT_BUDGET // 2)
 _MAX_N = _ELEMENT_BIT_BUDGET // 2
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(m: int) -> list[int]:
     out = []
     f = 2
@@ -381,17 +366,15 @@ class FieldContext:
         """Solve c^(q+1) = a for c in F_{q^2}, given nonzero a in F_q.
 
         The norm from F_{q^2} down to F_q is surjective, so a solution always
-        exists.  For odd q it is found by a baby-step/giant-step discrete log
-        in F_q* against the norm of a fixed norm-generating element; for q = 2
-        the only valid input is 1.
+        exists.  It is found by a baby-step/giant-step discrete log in F_q*
+        against the norm of a fixed norm-generating element; at q = 2 that
+        element is 1 and the only valid input, 1, has discrete log 0.
         """
         if a == self.zero:
             raise ZeroInputError("norm equation needs a nonzero right-hand side")
         if not self.in_subfield(a, 1):
             raise NotInSubfieldError("right-hand side of the norm equation must lie in F_q")
         q = self.q
-        if q == 2:
-            return self.one
         a_int = self.to_coeffs(a)[0]
         g, h_int = self._norm_generator()
         # discrete log of a_int to base h_int in F_q*
@@ -415,10 +398,11 @@ class FieldContext:
 
     def _norm_generator(self) -> tuple:
         """(g, N(g)) for the first g = i + j*w, in the order of idx = i*q + j,
-        whose norm g^(q+1) generates F_q*; found once per context, odd q.
+        whose norm g^(q+1) generates F_q*; found once per context.
         The first q - 1 candidates j*w have norms j^2 * N(w), all squares
         when N(w) is one (Euler's criterion), and a square never generates
-        F_q* for odd q, so the scan then starts at idx = q: same g."""
+        F_q* for odd q, so the scan then starts at idx = q: same g.  At
+        q = 2, F_q* is trivial and the scan stops at its first candidate."""
         if self._norm_gen is None:
             q = self.q
             factors = _prime_factors(q - 1)
@@ -577,18 +561,18 @@ class _Gf2Context(FieldContext):
 def _slot_codec(width: int):
     """(pack, unpack) between vectors of non-negative ints below 2^(8*width)
     and one int holding entry i in bytes width*i .. width*(i+1)-1.
-    unpack(x, count) reads count slots.  Widths of 1, 2, 4 or 8 bytes go
-    through an array of that item size; wider slots have no array typecode,
-    so they are cut from the byte string one by one."""
+    unpack(x, count) reads count slots.  On a little-endian host, widths of
+    1, 2, 4 or 8 bytes go through an array of that item size, whose bytes
+    are then already in slot order; wider slots, and every width on a
+    big-endian host, are cut from the byte string one by one."""
     tc = next((tc for tc in "BHILQ" if array(tc).itemsize == width), None)
-    if tc is not None:
-        order = sys.byteorder
+    if tc is not None and sys.byteorder == "little":
 
         def pack(v):
-            return int.from_bytes(array(tc, v), order)
+            return int.from_bytes(array(tc, v), "little")
 
         def unpack(x, count):
-            return array(tc, x.to_bytes(width * count, order))
+            return array(tc, x.to_bytes(width * count, "little"))
 
         return pack, unpack
 
@@ -750,7 +734,7 @@ def make_context(q: int, n: int) -> FieldContext:
     """
     if isinstance(q, int) and q > _MAX_Q:
         raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
-    if not isinstance(q, int) or not _is_prime(q):
+    if not isinstance(q, int) or _prime_factors(q) != [q]:
         raise NotPrimeError(f"q = {q} is not a prime")
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise EvenExtensionError(f"n = {n} is not a positive odd integer")

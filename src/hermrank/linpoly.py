@@ -1,6 +1,6 @@
 """Linearized polynomials over K = F_{q^(2n)} with respect to x -> x^(q^2).
 
-A polynomial is the coefficient vector (g_0, ..., g_{n-1}) of the map
+A polynomial is the coefficient tuple (g_0, ..., g_{n-1}) of the map
 x -> sum_i g_i * x^(q^(2i)), which is F_{q^2}-linear on K.  The module
 provides interpolation through a given inverse of the transposed Moore
 matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it in closed form
@@ -12,24 +12,13 @@ codec.encode works.  Evaluation at arbitrary points is a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .field import Felt, FieldContext
 
 
-@dataclass(frozen=True)
-class LinearizedPoly:
-    """Coefficient vector of x -> sum_i coeffs[i] * x^(q^(2i))."""
-
-    coeffs: tuple
-
-
-def lp_zero(ctx: FieldContext, n: int) -> LinearizedPoly:
-    return LinearizedPoly((ctx.zero,) * n)
-
-
-def lp_interpolate(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> LinearizedPoly:
-    """The unique polynomial taking values[r] at the points whose transposed
-    Moore matrix has inverse tinv: coefficient j is sum_r values[r] * tinv[r][j]."""
-    return LinearizedPoly(tuple(ctx.dot(values, col) for col in zip(*tinv)))
+def lp_interpolate(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> tuple:
+    """The coefficient tuple of the unique polynomial taking values[r] at the
+    points whose transposed Moore matrix has inverse tinv: coefficient j is
+    sum_r values[r] * tinv[r][j]."""
+    return tuple(ctx.dot(values, col) for col in zip(*tinv))

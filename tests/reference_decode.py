@@ -26,7 +26,7 @@ from hermrank.codec import (
     skew_bm,
 )
 from hermrank.exceptions import BadRankError, SubfieldCheckError, SymmetryCheckError
-from hermrank.linpoly import lp_interpolate, lp_zero
+from hermrank.linpoly import lp_interpolate
 
 
 def solve_key_equation(params: CodeParams, known_g: dict, t: int) -> Optional[tuple]:
@@ -95,11 +95,11 @@ def reference_decode(params, received):
     failure_stages = set()
     for t, lam, src in candidates:
         if t == 0:
-            g = lp_zero(ctx, params.n)
+            g = (ctx.zero,) * params.n
         else:
             g = complete_g(params, known, lam)
         window = [
-            ctx.sub(beta[i % params.n], g.coeffs[i % params.n])
+            ctx.sub(beta[i % params.n], g[i % params.n])
             for i in range(params.m - params.kappa, params.m + params.kappa + 1)
         ]
         try:

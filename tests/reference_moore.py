@@ -15,8 +15,8 @@ from hermrank.codec import expand_message
 
 
 def lp_eval(ctx, poly, x):
-    live = [i for i, c in enumerate(poly.coeffs) if c != ctx.zero]
-    return ctx.dot([poly.coeffs[i] for i in live], [ctx.frobenius(x, 2 * i) for i in live])
+    live = [i for i, c in enumerate(poly) if c != ctx.zero]
+    return ctx.dot([poly[i] for i in live], [ctx.frobenius(x, 2 * i) for i in live])
 
 
 def moore_rows(ctx, points):
@@ -68,5 +68,5 @@ def encode_via_matrix(params, msg):
     """The codeword as the dense product of the coefficient vector with the
     Moore rows on alpha, independent of lp_eval."""
     ctx = params.ctx
-    coeffs = expand_message(params, msg).coeffs
+    coeffs = expand_message(params, msg)
     return tuple(_dot(ctx, coeffs, row) for row in moore_rows(ctx, params.alpha))

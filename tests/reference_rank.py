@@ -12,7 +12,7 @@ converting it to vector form.
 
 from dataclasses import dataclass
 
-from hermrank.code import HermitianMatrix, matrix_to_vector
+from hermrank.code import matrix_to_vector
 from reference_moore import lp_eval
 
 
@@ -67,9 +67,9 @@ def dickson(ctx, poly):
     Column 0 is the coefficient vector itself; column j is column 0 shifted
     cyclically by j with the j-th power of the automorphism applied.
     """
-    n = len(poly.coeffs)
+    n = len(poly)
     rows = tuple(
-        tuple(ctx.frobenius(poly.coeffs[(i - j) % n], 2 * j) for j in range(n)) for i in range(n)
+        tuple(ctx.frobenius(poly[(i - j) % n], 2 * j) for j in range(n)) for i in range(n)
     )
     return DicksonMatrix(rows=rows)
 
@@ -86,4 +86,4 @@ def draw_hermitian_via_matrix(params, n, t, rng, sub2):
     bd = [[ctx.mul(x, dl) for x, dl in zip(row, diag)] for row in b]
     bq = [[ctx.frobenius(x, 1) for x in row] for row in b]
     rows = tuple(tuple(ctx.dot(left, right) for right in bq) for left in bd)
-    return matrix_to_vector(params, HermitianMatrix(rows=rows))
+    return matrix_to_vector(params, rows)

@@ -16,6 +16,7 @@ from hermrank import (
     decompose_eta,
     encode,
     find_selfdual_basis,
+    is_hermitian,
     lp_interpolate,
     make_context,
     matrix_to_vector,
@@ -201,8 +202,8 @@ def test_codeword_matrix_zero(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     mat = codeword_to_matrix(p, (ctx.zero,) * p.n)
-    assert all(v == ctx.zero for row in mat.rows for v in row)
-    assert mat.is_hermitian(ctx)
+    assert all(v == ctx.zero for row in mat for v in row)
+    assert is_hermitian(ctx, mat)
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3)])
@@ -221,8 +222,8 @@ def test_codewords_give_hermitian_matrices(params_for, q, n, d):
             )
         word = encode(p, Message(parts))
         mat = codeword_to_matrix(p, word)
-        assert mat.is_hermitian(ctx)
-        entries_ok = all(ctx.in_subfield(v, 2) for row in mat.rows for v in row)
+        assert is_hermitian(ctx, mat)
+        entries_ok = all(ctx.in_subfield(v, 2) for row in mat for v in row)
         assert entries_ok
 
 
@@ -240,7 +241,7 @@ def test_random_vectors_are_usually_not_hermitian(params_for):
     rejected = 0
     for _ in range(20):
         word = _rand_word(p, rng)
-        if not codeword_to_matrix(p, word).is_hermitian(p.ctx):
+        if not is_hermitian(p.ctx, codeword_to_matrix(p, word)):
             rejected += 1
     assert rejected > 0
 
@@ -296,17 +297,17 @@ def test_rank_distance_three_way_agreement(params_for, q, n, d):
         a = _rand_word(p, rng)
         dist = rank_distance(p, a, zero)
         mat = codeword_to_matrix(p, a)
-        assert matrix_rank(ctx, mat.rows) == dist
+        assert matrix_rank(ctx, mat) == dist
         assert map_rank(ctx, lp_interpolate(ctx, p.moore_inv, a)) == dist
         b = _rand_word(p, rng)
         diff = tuple(ctx.sub(x, y) for x, y in zip(a, b))
-        assert rank_distance(p, a, b) == matrix_rank(ctx, codeword_to_matrix(p, diff).rows)
+        assert rank_distance(p, a, b) == matrix_rank(ctx, codeword_to_matrix(p, diff))
     for mode in (MODE_ARBITRARY, MODE_HERMITIAN):
         for t in sorted({1, p.radius, p.radius + 1, n} & set(range(1, n + 1))):
             for seed in range(3):
                 e = random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=60 * t + seed))
                 assert rank_distance(p, e, zero) == t
-                assert matrix_rank(ctx, codeword_to_matrix(p, e).rows) == t
+                assert matrix_rank(ctx, codeword_to_matrix(p, e)) == t
 
 
 # -- serialization ----------------------------------------------------------

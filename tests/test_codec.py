@@ -1,5 +1,7 @@
 """Encoder, key-equation solvers, register synthesis, certified decoding."""
 
+import tracemalloc
+
 import pytest
 
 from hermrank import (
@@ -43,7 +45,6 @@ from hermrank.exceptions import (
     SubfieldCheckError,
     SymmetryCheckError,
 )
-from hermrank.linpoly import LinearizedPoly, lp_zero
 from reference_decode import solve_key_equation
 from reference_moore import encode_via_matrix, lp_eval
 from reference_rank import map_rank
@@ -63,11 +64,25 @@ def _noisy(params, msg_seed, t, mode=MODE_ARBITRARY):
 # -- message expansion ------------------------------------------------------
 
 
+def test_random_message_embeds_only_drawn_digits(params_for):
+    # a table of all q scalars would hold a million elements here
+    p = params_for(1000003, 1, 1)
+    ctx = p.ctx
+    tracemalloc.start()
+    try:
+        msg = random_message(p, SplitMix64(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert msg.parts == (ctx.from_base(SplitMix64(1).below(ctx.q)),)
+    assert peak < 2**20, peak
+
+
 def test_expand_zero_message(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     poly = expand_message(p, Message((ctx.zero,) * p.k))
-    assert poly == lp_zero(ctx, p.n)
+    assert poly == (ctx.zero,) * p.n
 
 
 def test_expand_single_coefficient_window(params_for):
@@ -76,10 +91,10 @@ def test_expand_single_coefficient_window(params_for):
     ctx = p.ctx
     f0 = ctx.subfield_elements(3)[5]
     poly = expand_message(p, Message((f0,)))
-    assert poly.coeffs[p.m] == ctx.frobenius(f0, p.n + 1)
+    assert poly[p.m] == ctx.frobenius(f0, p.n + 1)
     for i in range(p.n):
         if i != p.m:
-            assert poly.coeffs[i] == ctx.zero
+            assert poly[i] == ctx.zero
 
 
 def test_expand_window_structure(params_for):
@@ -89,13 +104,13 @@ def test_expand_window_structure(params_for):
     msg = random_message(p, rng)
     poly = expand_message(p, msg)
     m, kappa = p.m, p.kappa
-    assert poly.coeffs[m] == ctx.frobenius(msg.parts[0], p.n + 1)
+    assert poly[m] == ctx.frobenius(msg.parts[0], p.n + 1)
     b = ctx.add(msg.parts[1], ctx.mul(p.eta, msg.parts[2]))
-    assert poly.coeffs[m - 1] == ctx.frobenius(b, 1)
-    assert poly.coeffs[m + 1] == ctx.frobenius(poly.coeffs[m - 1], p.n + 2)
+    assert poly[m - 1] == ctx.frobenius(b, 1)
+    assert poly[m + 1] == ctx.frobenius(poly[m - 1], p.n + 2)
     for i in range(p.n):
         if not (m - kappa <= i <= m + kappa):
-            assert poly.coeffs[i] == ctx.zero
+            assert poly[i] == ctx.zero
 
 
 def test_expand_window_symmetry_everywhere(params_for):
@@ -106,8 +121,8 @@ def test_expand_window_symmetry_everywhere(params_for):
         for _ in range(10):
             poly = expand_message(p, random_message(p, rng))
             for j in range(1, p.kappa + 1):
-                lo = poly.coeffs[(p.m - j) % n]
-                hi = poly.coeffs[(p.m + j) % n]
+                lo = poly[(p.m - j) % n]
+                hi = poly[(p.m + j) % n]
                 assert hi == ctx.frobenius(lo, n + 2 * j)
 
 
@@ -180,7 +195,7 @@ def test_beta_split_on_clean_codeword(params_for):
     rng = SplitMix64(59)
     msg = random_message(p, rng)
     beta, known = beta_split(p, encode(p, msg))
-    assert beta == expand_message(p, msg).coeffs
+    assert beta == expand_message(p, msg)
     assert all(v == ctx.zero for v in known.values())
     assert set(known) == set(known_indices(p))
 
@@ -195,8 +210,8 @@ def test_beta_is_sum_of_window_and_error_coeffs(params_for, q, n, d, rand_felt):
         msg = random_message(p, rng)
         evec = tuple(rand_felt(ctx, rng) for _ in range(p.n))
         beta, known = beta_split(p, corrupt(ctx, encode(p, msg), evec))
-        sent = expand_message(p, msg).coeffs
-        g = lp_interpolate(ctx, p.moore_inv, evec).coeffs
+        sent = expand_message(p, msg)
+        g = lp_interpolate(ctx, p.moore_inv, evec)
         assert beta == tuple(ctx.add(a, b) for a, b in zip(sent, g))
         for idx in known_indices(p):
             assert known[idx] == g[idx]  # sent part vanishes there
@@ -379,7 +394,7 @@ def test_extract_inverts_expand(params_for, q, n, d):
     rng = SplitMix64(79)
     for _ in range(15):
         msg = random_message(p, rng)
-        coeffs = expand_message(p, msg).coeffs
+        coeffs = expand_message(p, msg)
         window = [coeffs[(p.m - p.kappa + j) % n] for j in range(p.k)]
         assert extract_message(p, window) == msg
 
@@ -394,7 +409,7 @@ def test_extract_rejects_center_outside_subfield(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     msg = random_message(p, SplitMix64(83))
-    coeffs = expand_message(p, msg).coeffs
+    coeffs = expand_message(p, msg)
     window = [coeffs[p.m - 1], ctx.add(coeffs[p.m], p.eta), coeffs[p.m + 1]]
     with pytest.raises(SubfieldCheckError):
         extract_message(p, window)
@@ -404,7 +419,7 @@ def test_extract_rejects_broken_symmetry(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     msg = random_message(p, SplitMix64(89))
-    coeffs = expand_message(p, msg).coeffs
+    coeffs = expand_message(p, msg)
     window = [coeffs[p.m - 1], coeffs[p.m], ctx.add(coeffs[p.m + 1], ctx.one)]
     with pytest.raises(SymmetryCheckError):
         extract_message(p, window)
@@ -425,7 +440,7 @@ def test_decode_clean_word(params_for):
     res = decode(p, encode(p, msg))
     assert res.ok and res.message == msg
     assert res.error_rank == 0
-    assert res.error_poly == lp_zero(p.ctx, p.n)
+    assert res.error_poly == (p.ctx.zero,) * p.n
     assert res.diagnostics["solver"] == "zero-window"
 
 
@@ -479,7 +494,7 @@ def test_decode_beyond_radius_matches_exhaustive_search(params_for):
 def test_decode_failure_reason_inconsistent(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
-    poly = LinearizedPoly((ctx.zero, ctx.one, ctx.zero, ctx.zero, ctx.zero))
+    poly = (ctx.zero, ctx.one, ctx.zero, ctx.zero, ctx.zero)
     res = decode(p, _word_from_poly(p, poly))
     assert not res.ok and res.reason == REASON_INCONSISTENT
     assert res.diagnostics["candidates_tried"] == 0
@@ -490,7 +505,7 @@ def test_decode_failure_reason_symmetry(params_for):
     # zero-error candidate fails the mirror check, nothing else exists
     p = params_for(2, 5, 3)
     ctx = p.ctx
-    poly = LinearizedPoly((ctx.zero, ctx.zero, ctx.one, ctx.zero, ctx.zero))
+    poly = (ctx.zero, ctx.zero, ctx.one, ctx.zero, ctx.zero)
     res = decode(p, _word_from_poly(p, poly))
     assert not res.ok and res.reason == REASON_SYMMETRY
 
@@ -498,7 +513,7 @@ def test_decode_failure_reason_symmetry(params_for):
 def test_decode_failure_reason_subfield(params_for):
     p = params_for(2, 3, 3)
     ctx = p.ctx
-    poly = LinearizedPoly((ctx.zero, ctx.zero, p.eta))
+    poly = (ctx.zero, ctx.zero, p.eta)
     res = decode(p, _word_from_poly(p, poly))
     assert not res.ok and res.reason == REASON_SUBFIELD
 
@@ -515,7 +530,7 @@ def test_decode_failure_reason_radius(params_for):
     g = {0: g0, 1: g1}
     for i in range(2, 5):
         g[i] = ctx.mul(lam, ctx.frobenius(g[i - 1], 2))
-    poly = LinearizedPoly(tuple(g[i] for i in range(5)))
+    poly = tuple(g[i] for i in range(5))
     assert map_rank(ctx, poly) == 5
     msg = random_message(p, SplitMix64(7))
     rec = corrupt(ctx, encode(p, msg), _word_from_poly(p, poly))
@@ -582,7 +597,7 @@ def test_decode_result_json_shapes(params_for):
     assert ok_obj["t"] == 1
     assert message_from_json_obj(p, ok_obj["message"]) == msg
     ctx = p.ctx
-    bad = decode(p, _word_from_poly(p, LinearizedPoly((ctx.zero, ctx.one) + (ctx.zero,) * 3)))
+    bad = decode(p, _word_from_poly(p, (ctx.zero, ctx.one) + (ctx.zero,) * 3))
     bad_obj = decode_result_to_json_obj(p, bad)
     assert bad_obj["status"] == "Failure"
     assert bad_obj["reason"] == REASON_INCONSISTENT

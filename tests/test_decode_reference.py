@@ -23,7 +23,6 @@ from hermrank import (
 )
 from hermrank import codec
 from hermrank.codec import REASON_INCONSISTENT, REASON_RADIUS, REASON_SUBFIELD, REASON_SYMMETRY
-from hermrank.linpoly import LinearizedPoly
 
 from reference_decode import reference_decode
 from reference_moore import lp_eval
@@ -85,7 +84,7 @@ def test_every_outcome_is_compared(params_for):
         for _ in range(6):
             coeffs = [ctx.zero] * p.n
             coeffs[i] = ctx.from_coeffs([rng.below(2) for _ in range(ctx.deg)])
-            err = tuple(lp_eval(ctx, LinearizedPoly(tuple(coeffs)), a) for a in p.alpha)
+            err = tuple(lp_eval(ctx, tuple(coeffs), a) for a in p.alpha)
             res = _same(p, corrupt(ctx, word, err))
             seen.add("ok" if res.ok else res.reason)
     for _ in range(60):
@@ -148,7 +147,7 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     coeffs = [ctx.zero] * p.n
     first, *_, last = codec.known_indices(p)
     coeffs[first] = coeffs[last] = ctx.one
-    err = tuple(lp_eval(ctx, LinearizedPoly(tuple(coeffs)), a) for a in p.alpha)
+    err = tuple(lp_eval(ctx, tuple(coeffs), a) for a in p.alpha)
     res = decode(p, corrupt(ctx, encode(p, msg), err))
     assert res.reason == REASON_INCONSISTENT and res.diagnostics["bm_t"] == 3 > p.radius
     assert calls == {"interpolate": 1, "feedback": 0}
@@ -180,7 +179,7 @@ def test_register_run_around_the_cycle(params_for, rand_felt, q, n, d, count):
         coeffs = [ctx.zero] * n
         for j, c in enumerate(run):
             coeffs[(start + j) % n] = c
-        e = LinearizedPoly(tuple(coeffs))
+        e = tuple(coeffs)
         res = _same(p, corrupt(ctx, encode(p, msg), tuple(lp_eval(ctx, e, a) for a in p.alpha)))
         if res.ok:
             assert res.message == msg and res.error_poly == e

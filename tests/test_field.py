@@ -1,5 +1,6 @@
 """Field tower arithmetic: moduli, Frobenius, trace, subfields, norms."""
 
+import sys
 import time
 
 import pytest
@@ -151,6 +152,17 @@ def test_make_context_rejects_bad_parameters():
     make_context(2, 31)  # 2^62: largest binary context
 
 
+@pytest.mark.parametrize("q", [0, -3, 9, 25, 4294967295])
+def test_make_context_rejects_non_primes(q):
+    # 4294967295 = 3 * 5 * 17 * 257 * 65537 is within the size bound
+    with pytest.raises(NotPrimeError):
+        make_context(q, 1)
+
+
+def test_make_context_accepts_largest_32_bit_prime():
+    assert make_context(4294967291, 1).q == 4294967291
+
+
 @pytest.mark.parametrize("q,n", [(1000000000000000003, 1), (2**32 + 15, 1), (3, 10**7 + 1), (3, 10**8 + 1)])
 def test_make_context_rejects_oversized_parameters_at_once(q, n):
     # trial division of q, or forming q^(2n), would run for minutes
@@ -251,6 +263,19 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         xs = [rand_felt(ctx, rng) for _ in range(terms)]
         ys = [rand_felt(ctx, rng) for _ in range(terms)]
         assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
+
+
+@pytest.mark.parametrize("q,n", [(3, 5), (5, 13), (3, 19)])
+def test_packed_kernel_ignores_host_byte_order(monkeypatch, q, n, rand_felt):
+    # on a big-endian host an array's items are big-endian; the slot layout
+    # must come out the same, so products match the schoolbook oracle
+    modulus = canonical_modulus(q, n)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    ctx = field._OddContext(q, n, modulus)
+    rng = SplitMix64(q + n)
+    for _ in range(50):
+        a, b = rand_felt(ctx, rng), rand_felt(ctx, rng)
+        assert ctx.mul(a, b) == reference_field.mul(ctx, a, b)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3), (5, 3)])
@@ -465,6 +490,13 @@ def test_solve_hermitian_norm_skips_square_norm_candidates(monkeypatch):
     c = ctx.solve_hermitian_norm(ctx.from_base(5))
     assert ctx.mul(ctx.frobenius(c, 1), c) == ctx.from_base(5)
     assert calls[0] < 200, calls[0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 31])
+def test_solve_hermitian_norm_binary(n):
+    # at q = 2 the discrete-log path has the trivial group F_2* and returns 1
+    ctx = make_context(2, n)
+    assert ctx.solve_hermitian_norm(ctx.one) == ctx.one
 
 
 def test_solve_hermitian_norm_rejects_bad_input():

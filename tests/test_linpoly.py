@@ -4,7 +4,6 @@ matrix-form oracles in reference_rank)."""
 import pytest
 
 from hermrank import SplitMix64, lp_interpolate, make_context
-from hermrank.linpoly import LinearizedPoly, lp_zero
 from reference_moore import lp_eval, moore_rows, moore_tinv
 from reference_rank import dickson, map_rank, matrix_rank
 
@@ -16,9 +15,7 @@ def _gen_points(ctx):
 
 
 def _rand_poly(ctx, rng):
-    return LinearizedPoly(
-        tuple(ctx.from_coeffs([rng.below(ctx.q) for _ in range(ctx.deg)]) for _ in range(ctx.n))
-    )
+    return tuple(ctx.from_coeffs([rng.below(ctx.q) for _ in range(ctx.deg)]) for _ in range(ctx.n))
 
 
 # -- evaluation -------------------------------------------------------------
@@ -27,10 +24,10 @@ def _rand_poly(ctx, rng):
 def test_lp_eval_zero_and_identity(rand_felt):
     ctx = make_context(2, 3)
     rng = SplitMix64(1)
-    ident = LinearizedPoly((ctx.one, ctx.zero, ctx.zero))
+    ident = (ctx.one, ctx.zero, ctx.zero)
     for _ in range(20):
         x = rand_felt(ctx, rng)
-        assert lp_eval(ctx, lp_zero(ctx, 3), x) == ctx.zero
+        assert lp_eval(ctx, (ctx.zero,) * 3, x) == ctx.zero
         assert lp_eval(ctx, ident, x) == x
 
 
@@ -43,7 +40,7 @@ def test_lp_eval_matches_naive_powers(q, n, rand_felt):
         poly = _rand_poly(ctx, rng)
         x = rand_felt(ctx, rng)
         acc = ctx.zero
-        for i, c in enumerate(poly.coeffs):
+        for i, c in enumerate(poly):
             acc = ctx.add(acc, ctx.mul(c, ctx.pow_elem(x, q ** (2 * i))))
         assert lp_eval(ctx, poly, x) == acc
 
@@ -102,10 +99,10 @@ def test_interpolation_special_values():
     ctx = make_context(2, 3)
     pts = _gen_points(ctx)
     tinv = moore_tinv(ctx, pts)
-    assert lp_interpolate(ctx, tinv, [ctx.zero] * 3) == lp_zero(ctx, 3)
+    assert lp_interpolate(ctx, tinv, [ctx.zero] * 3) == (ctx.zero,) * 3
     # values equal to the points themselves come from the identity map
     ident = lp_interpolate(ctx, tinv, pts)
-    assert ident == LinearizedPoly((ctx.one, ctx.zero, ctx.zero))
+    assert ident == (ctx.one, ctx.zero, ctx.zero)
 
 
 # -- Dickson matrix ---------------------------------------------------------
@@ -119,9 +116,9 @@ def test_dickson_formula():
     n = 3
     for i in range(n):
         for j in range(n):
-            assert d.rows[i][j] == ctx.frobenius(poly.coeffs[(i - j) % n], 2 * j)
+            assert d.rows[i][j] == ctx.frobenius(poly[(i - j) % n], 2 * j)
     # column 0 is the raw coefficient vector
-    assert tuple(d.rows[i][0] for i in range(n)) == poly.coeffs
+    assert tuple(d.rows[i][0] for i in range(n)) == poly
 
 
 # -- ranks ------------------------------------------------------------------
@@ -130,11 +127,11 @@ def test_dickson_formula():
 def test_map_rank_extremes():
     for q, n in [(2, 3), (3, 3), (2, 5)]:
         ctx = make_context(q, n)
-        assert map_rank(ctx, lp_zero(ctx, n)) == 0
-        ident = LinearizedPoly((ctx.one,) + (ctx.zero,) * (n - 1))
+        assert map_rank(ctx, (ctx.zero,) * n) == 0
+        ident = (ctx.one,) + (ctx.zero,) * (n - 1)
         assert map_rank(ctx, ident) == n
         # all-ones coefficients give the trace map onto F_{q^2}: rank 1
-        trace_poly = LinearizedPoly((ctx.one,) * n)
+        trace_poly = (ctx.one,) * n
         assert map_rank(ctx, trace_poly) == 1
 
 
@@ -193,7 +190,7 @@ def test_narrow_support_forces_high_rank_exhaustive():
         for c in nonzero:
             coeffs = [ctx.zero] * 3
             coeffs[pos] = c
-            assert map_rank(ctx, LinearizedPoly(tuple(coeffs))) == 3
+            assert map_rank(ctx, tuple(coeffs)) == 3
             singles += 1
     assert singles == 189
     for pos in range(3):
@@ -204,4 +201,4 @@ def test_narrow_support_forces_high_rank_exhaustive():
                 coeffs = [ctx.zero] * 3
                 coeffs[pos] = a
                 coeffs[(pos + 1) % 3] = b
-                assert map_rank(ctx, LinearizedPoly(tuple(coeffs))) >= 2
+                assert map_rank(ctx, tuple(coeffs)) >= 2

@@ -11,8 +11,10 @@ entries, and the draw is repeated until it is exactly t, so the advertised
 rank is a guarantee rather than an expectation.
 
 F_{q^2} entries come from subfield_elements(2), a list of all q^2 elements,
-so the channel (and the CLI's corrupt and simulate) needs memory in
-proportion to q^2, about 4*10^9 elements at q = 65521: small q only.
+so a nonzero error needs memory in proportion to q^2.  Above q^2 = 2^20
+(the oracle's DEFAULT_ENUM_LIMIT; the largest such prime is q = 1021) the
+channel, and with it the CLI's corrupt and simulate, raises TooLargeError
+before building that list.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .code import CodeParams, rank_distance
-from .exceptions import BadParamsError, BadRankError, BadShapeError
+from .exceptions import BadParamsError, BadRankError, BadShapeError, TooLargeError
 from .field import Felt, FieldContext
+from .oracle import DEFAULT_ENUM_LIMIT
 from .rng import SplitMix64
 
 MODE_ARBITRARY = "arbitrary"
@@ -46,6 +49,8 @@ def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
         raise BadParamsError(f"unknown error mode {spec.mode!r}")
     if spec.t == 0:
         return (ctx.zero,) * n
+    if ctx.q * ctx.q > DEFAULT_ENUM_LIMIT:
+        raise TooLargeError(f"q^2 = {ctx.q * ctx.q} exceeds the channel's bound of {DEFAULT_ENUM_LIMIT}")
     rng = SplitMix64(spec.seed)
     sub2 = ctx.subfield_elements(2)
     zero = (ctx.zero,) * n
@@ -72,10 +77,10 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64, sub2) -
     b = [[sub2[rng.below(len(sub2))] for _ in range(t)] for _ in range(n)]
     diag = [ctx.from_base(1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
     # B*D*B^* has entry (i, r) = sum_l b[i][l] * diag[l] * b[r][l]^q, and
-    # matrix_to_vector dots column r with alpha_dual, so entry r of the
-    # vector is sum_l diag[l] * beta[l] * b[r][l]^q with beta[l] = column l
-    # of B dotted with alpha_dual
-    dbeta = [ctx.mul(dl, ctx.dot(col, params.alpha_dual)) for dl, col in zip(diag, zip(*b))]
+    # matrix_to_vector maps column r to (column r dotted with alpha)^(q^(n+1)),
+    # so entry r of the vector is sum_l diag[l] * beta[l] * b[r][l]^q with
+    # beta[l] = (column l of B dotted with alpha)^(q^(n+1))
+    dbeta = [ctx.mul(dl, ctx.frobenius(ctx.dot(col, params.alpha), n + 1)) for dl, col in zip(diag, zip(*b))]
     return tuple(ctx.dot(dbeta, [ctx.frobenius(x, 1) for x in row]) for row in b)
 
 

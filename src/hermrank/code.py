@@ -19,6 +19,10 @@ transpose), and rank distance between vectors is the F_{q^2}-rank of the
 difference matrix.  That conversion is an F_{q^2}-isomorphism, so the rank
 is computed as the F_{q^2}-dimension of the span of the difference's
 entries, with no matrix built.
+
+The one derived basis table is the inverse Moore matrix moore_inv[r][j] =
+alpha_r^(q^(n+2j)).  It is also the basis's only certificate (_moore_inv),
+and the matrix conversions read their conjugated basis from it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Sequence
 
 from .exceptions import BadParamsError, BadShapeError, BasisSearchFailedError
 from .field import Felt, FieldContext, context_from_json_obj, json_field, make_context
+from .linpoly import lp_interpolate
 from .rng import GOLDEN, SplitMix64
 
 
@@ -43,8 +48,8 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
     (q, n) only, so the result is deterministic.  Each step projects the
     candidate against the prefix, rejects it while its self-pairing is zero
     (the isotropic cone misses most vectors), and scales by a solution of
-    the norm equation so the self-pairing becomes exactly 1.  The finished
-    Gram matrix is recomputed and must equal the identity.
+    the norm equation so the self-pairing becomes exactly 1.  The result is
+    certified once, by build_params (see _moore_inv).
     """
     q, deg = ctx.q, ctx.deg
     rng = SplitMix64(q * GOLDEN + ctx.n)
@@ -64,16 +69,33 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
             raise BasisSearchFailedError(
                 f"no anisotropic extension found in {budget} draws at step {len(basis)}"
             )
-    _check_gram(ctx, basis)
     return tuple(basis)
 
 
-def _check_gram(ctx: FieldContext, basis: Sequence[Felt]) -> None:
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            want = ctx.one if i == j else ctx.zero
-            if unitary_pairing(ctx, a, b) != want:
-                raise BasisSearchFailedError("basis failed its Gram identity recheck")
+def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt]) -> tuple:
+    """The table moore_inv[r][j] = alpha_r^(q^(n+2j)), certified: unless it
+    interpolates the identity map's values alpha back to the polynomial x,
+    BasisSearchFailedError.  The check accepts exactly the orthonormal
+    bases, and on them the table is the inverse of the transposed Moore
+    matrix M[r][j] = alpha_r^(q^(2j)):
+
+    Coefficient k of the interpolation is c_k = sum_r alpha_r *
+    alpha_r^(q^(n+2k)), and sum_k c_k x^(q^(2k)) = sum_r <alpha_r, x> alpha_r
+    with <x, y> = rel_trace(x^(q^n) y).  A q^2-linearized polynomial of
+    q^2-degree < n that vanishes on all of K is zero, its degree being below
+    |K|, so c = (1, 0, ..., 0) exactly when x = sum_r <alpha_r, x> alpha_r
+    for every x in K.  That identity makes alpha span K over F_{q^2}, so
+    its n elements are a basis, and at x = alpha_s it reads <alpha_r,
+    alpha_s> = [r = s], the Gram identity; the converse is immediate.
+    Raising c_k = [k = 0] to q^(2a) gives (M^T moore_inv)[a][b] =
+    c_{b-a}^(q^(2a)) = [a = b] (b - a taken mod n), so the same check
+    certifies the inverse.
+    """
+    n = ctx.n
+    table = tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha)
+    if lp_interpolate(ctx, table, alpha) != (ctx.one,) + (ctx.zero,) * (n - 1):
+        raise BasisSearchFailedError("basis failed its Gram identity recheck")
+    return table
 
 
 def choose_eta(ctx: FieldContext) -> Felt:
@@ -89,8 +111,9 @@ class CodeParams:
     m = (n+1)/2 and kappa = (n-d)/2 locate the width-k window of nonzero
     polynomial coefficients; k = n-d+1 is the message length over F_{q^n}.
     alpha is the orthonormal basis, eta the second basis vector of K over
-    F_{q^n}, moore_inv the inverse of the transposed Moore matrix on alpha.
-    The remaining fields are precomputed images used in hot paths.
+    F_{q^n}, moore_inv the inverse of the transposed Moore matrix on alpha
+    (the one derived basis table, and alpha's certificate: see _moore_inv),
+    eta_split_inv the constant decompose_eta divides by.
     """
 
     ctx: FieldContext
@@ -101,8 +124,6 @@ class CodeParams:
     alpha: tuple
     eta: Felt
     moore_inv: tuple  # moore_inv[r][j] = alpha_r^(q^(n+2j))
-    alpha_q: tuple  # alpha_i^q, the conjugated coordinate functionals
-    alpha_dual: tuple  # alpha_i^(q^(n+1)), expansion basis for those functionals
     eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
 
     @property
@@ -119,7 +140,7 @@ def build_params(q: int, n: int, d: int) -> CodeParams:
     ctx = make_context(q, n)
     _check_d(ctx, d)
     alpha = find_selfdual_basis(ctx)
-    return _assemble(ctx, d, alpha, choose_eta(ctx))
+    return _assemble(ctx, d, alpha, _moore_inv(ctx, alpha), choose_eta(ctx))
 
 
 def _check_d(ctx: FieldContext, d) -> None:
@@ -128,16 +149,9 @@ def _check_d(ctx: FieldContext, d) -> None:
         raise BadParamsError(f"d must be odd with 1 <= d <= n = {ctx.n}, got {d}")
 
 
-def _assemble(ctx: FieldContext, d: int, alpha: tuple, eta: Felt) -> CodeParams:
-    """moore_inv[r][j] = alpha_r^(q^(n+2j)) is exactly (M^T)^-1 for the Moore
-    matrix M[r][j] = alpha_r^(q^(2j)), given the Gram identity on alpha that
-    both callers (find_selfdual_basis, params_from_json_obj) check first.
-    That identity makes alpha_r^(q^n) the trace-dual basis, so x = sum_r
-    Tr(alpha_r^(q^n) x) alpha_r on K.  Comparing coefficients of this
-    identity of q^2-linearized maps gives sum_r alpha_r alpha_r^(q^(n+2k)) =
-    [k = 0], and raising it to q^(n+2j) gives (M^T moore_inv)[j+k][j] =
-    [k = 0].  So the O(n^2) Gram check also certifies the inverse.
-    """
+def _assemble(ctx: FieldContext, d: int, alpha: tuple, moore_inv: tuple, eta: Felt) -> CodeParams:
+    """CodeParams from a basis alpha and the table _moore_inv certified it
+    with; both callers (build_params, params_from_json_obj) pass it in."""
     n = ctx.n
     return CodeParams(
         ctx=ctx,
@@ -147,9 +161,7 @@ def _assemble(ctx: FieldContext, d: int, alpha: tuple, eta: Felt) -> CodeParams:
         k=n - d + 1,
         alpha=alpha,
         eta=eta,
-        moore_inv=tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha),
-        alpha_q=tuple(ctx.frobenius(a, 1) for a in alpha),
-        alpha_dual=tuple(ctx.frobenius(a, n + 1) for a in alpha),
+        moore_inv=moore_inv,
         eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, n))),
     )
 
@@ -178,12 +190,14 @@ def codeword_to_matrix(params: CodeParams, c: Sequence[Felt]) -> tuple:
     """The n x n matrix over F_{q^2}, as a tuple of row tuples, whose column
     r holds the coordinates of c_r over the orthonormal basis.
 
-    Entry (i, r) is rel_trace(alpha_i^q * c_r).  The map is total: any
-    length-n vector converts, and only genuine codewords are guaranteed a
-    Hermitian result (see is_hermitian).
+    Entry (i, r) is rel_trace(alpha_i^q * c_r).  Since n + 2m = 2n + 1,
+    alpha_i^q is moore_inv[i][m mod n] (column 0 at n = 1, where m = 1).
+    The map is total: any length-n vector converts, and only genuine
+    codewords are guaranteed a Hermitian result (see is_hermitian).
     """
     ctx = params.ctx
-    return tuple(tuple(ctx.rel_trace(ctx.mul(aq, cr)) for cr in c) for aq in params.alpha_q)
+    col = params.m % params.n
+    return tuple(tuple(ctx.rel_trace(ctx.mul(row[col], cr)) for cr in c) for row in params.moore_inv)
 
 
 def matrix_to_vector(params: CodeParams, rows: Sequence[Sequence[Felt]]) -> tuple:
@@ -194,10 +208,12 @@ def matrix_to_vector(params: CodeParams, rows: Sequence[Sequence[Felt]]) -> tupl
     expansion vector j is rel_trace((alpha_i^(q^n) * alpha_j)^(q^(n+1))),
     and the trace is invariant under q^2-powers, so orthonormality makes it
     delta_ij exactly.  Entry r is the column r of the matrix dotted with
-    that basis.
+    that basis.  The column's entries lie in F_{q^2}, which x -> x^(q^(n+1))
+    fixes (n + 1 is even), so that dot is (column r dotted with
+    alpha)^(q^(n+1)): one Frobenius per column and no stored table.
     """
     ctx = params.ctx
-    return tuple(ctx.dot(col, params.alpha_dual) for col in zip(*rows))
+    return tuple(ctx.frobenius(ctx.dot(col, params.alpha), params.n + 1) for col in zip(*rows))
 
 
 def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> int:
@@ -237,9 +253,10 @@ def params_to_json_obj(params: CodeParams) -> dict:
 
 def params_from_json_obj(obj: dict) -> CodeParams:
     """Rebuild params from JSON, recomputing and cross-checking everything
-    derivable: canonical modulus, Gram identity (from which _assemble
-    derives the Moore inverse), eta basis.  Only an object with integers q,
-    n, d and lists modulus, alpha, eta is read; any other shape raises
+    derivable, in this order: canonical modulus, d, alpha's shape and
+    length, orthonormality (the Moore-table certificate of _moore_inv,
+    whose table the params keep), eta basis.  Only an object with integers
+    q, n, d and lists modulus, alpha, eta is read; any other shape raises
     BadParamsError naming the field."""
     ctx = context_from_json_obj(obj)
     d = json_field(obj, "d", int, "params", BadParamsError)
@@ -248,10 +265,10 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     if len(alpha) != ctx.n:
         raise BadParamsError(f"expected {ctx.n} basis elements, got {len(alpha)}")
     try:
-        _check_gram(ctx, alpha)
+        moore_inv = _moore_inv(ctx, alpha)
     except BasisSearchFailedError as exc:
         raise BadParamsError("stored basis is not orthonormal") from exc
     eta = ctx.felt_from_json(json_field(obj, "eta", list, "params", BadParamsError))
     if ctx.in_subfield(eta, ctx.n):
         raise BadParamsError("stored eta lies in F_{q^n}")
-    return _assemble(ctx, d, alpha, eta)
+    return _assemble(ctx, d, alpha, moore_inv, eta)

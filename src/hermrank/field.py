@@ -422,9 +422,6 @@ class FieldContext:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        return {"q": self.q, "n": self.n, "modulus": list(self.modulus)}
-
     def felt_to_json(self, a: Felt) -> list[int]:
         return self.to_coeffs(a)
 

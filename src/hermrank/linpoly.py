@@ -4,7 +4,7 @@ A polynomial is the coefficient tuple (g_0, ..., g_{n-1}) of the map
 x -> sum_i g_i * x^(q^(2i)), which is F_{q^2}-linear on K.  The module
 provides interpolation through a given inverse of the transposed Moore
 matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it in closed form
-for its orthonormal basis, see code._assemble).  On that basis the table
+for its orthonormal basis, see code._moore_inv).  On that basis the table
 is tinv[r][j] = alpha_r^(q^(n+2j)), so it evaluates as well: with conj(x) =
 x^(q^n), g(alpha_r) = conj(sum_j conj(g_j) * tinv[r][j]), which is how
 codec.encode works.  Evaluation at arbitrary points is a test oracle.

@@ -8,10 +8,17 @@ elimination, so tests can check the closed form bit for bit and exercise
 interpolation on point sets that are not orthonormal.  lp_eval evaluates a
 linearized polynomial at any point with one Frobenius power per live
 coefficient, the way the encoder used to; the encoder is cross-checked
-against it and against the dense product with the Moore rows.
+against it and against the dense product with the Moore rows.  check_gram
+tests orthonormality by the n^2 unitary pairings, the oracle for the
+package's Moore-table certificate (code._moore_inv).
 """
 
+from typing import Sequence
+
+from hermrank.code import unitary_pairing
 from hermrank.codec import expand_message
+from hermrank.exceptions import BasisSearchFailedError
+from hermrank.field import Felt, FieldContext
 
 
 def lp_eval(ctx, poly, x):
@@ -70,3 +77,11 @@ def encode_via_matrix(params, msg):
     ctx = params.ctx
     coeffs = expand_message(params, msg)
     return tuple(_dot(ctx, coeffs, row) for row in moore_rows(ctx, params.alpha))
+
+
+def check_gram(ctx: FieldContext, basis: Sequence[Felt]) -> None:
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            want = ctx.one if i == j else ctx.zero
+            if unitary_pairing(ctx, a, b) != want:
+                raise BasisSearchFailedError("basis failed its Gram identity recheck")

@@ -1,5 +1,7 @@
 """Seeded error sampling and corruption."""
 
+import json
+
 import pytest
 
 from hermrank import (
@@ -7,15 +9,21 @@ from hermrank import (
     MODE_HERMITIAN,
     ChannelSpec,
     SplitMix64,
+    build_params,
     codeword_to_matrix,
     corrupt,
     is_hermitian,
     lp_interpolate,
+    params_to_json_obj,
     random_rank_error,
     rank_distance,
 )
+from hermrank import cli
 from hermrank.channel import _draw_hermitian
-from hermrank.exceptions import BadParamsError, BadRankError, HermrankError
+from hermrank.codec import word_to_json_obj
+from hermrank.exceptions import BadParamsError, BadRankError, HermrankError, TooLargeError
+from hermrank.field import FieldContext
+from hermrank.oracle import DEFAULT_ENUM_LIMIT
 from reference_rank import draw_hermitian_via_matrix, map_rank
 
 
@@ -129,3 +137,31 @@ def test_corrupt_subtracts_in_odd_characteristic(params_for, rand_felt):
     noisy = corrupt(ctx, word, e)
     neg_e = tuple(ctx.neg(x) for x in e)
     assert corrupt(ctx, noisy, neg_e) == word
+
+
+def test_channel_refuses_large_q_before_listing_fq2(monkeypatch, tmp_path, capsys):
+    # the draw lists all q^2 elements of F_{q^2}: about 500 GiB at q = 65521,
+    # so above 2^20 of them the channel raises instead of allocating
+    orig = FieldContext.subfield_elements
+
+    def guarded(self, e):
+        if self.q**e > DEFAULT_ENUM_LIMIT:
+            pytest.fail(f"asked for all {self.q}^{e} elements of F_(q^{e})")
+        return orig(self, e)
+
+    monkeypatch.setattr(FieldContext, "subfield_elements", guarded)
+    p = build_params(65521, 1, 1)
+    zero = (p.ctx.zero,) * p.n
+    for mode in (MODE_ARBITRARY, MODE_HERMITIAN):
+        with pytest.raises(TooLargeError, match="4293001441"):
+            random_rank_error(p, ChannelSpec(t=1, mode=mode, seed=1))
+        assert random_rank_error(p, ChannelSpec(t=0, mode=mode, seed=1)) == zero
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params_to_json_obj(p)))
+    word_path = tmp_path / "word.json"
+    word_path.write_text(json.dumps(word_to_json_obj(p, zero)))
+    argv = ["corrupt", "--params", str(params_path), "--in", str(word_path), "--rank", "1", "--seed", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "q^2" in captured.err

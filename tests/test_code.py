@@ -26,8 +26,15 @@ from hermrank import (
     rank_distance,
     unitary_pairing,
 )
-from hermrank.exceptions import BadParamsError, BadShapeError, HermrankError, TooLargeError
-from reference_moore import mat_mul, moore_rows, moore_tinv, transpose
+from hermrank import code as code_mod
+from hermrank.exceptions import (
+    BadParamsError,
+    BadShapeError,
+    BasisSearchFailedError,
+    HermrankError,
+    TooLargeError,
+)
+from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, transpose
 from reference_rank import map_rank, matrix_rank
 
 
@@ -206,7 +213,9 @@ def test_codeword_matrix_zero(params_for):
     assert is_hermitian(ctx, mat)
 
 
-@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3)])
+@pytest.mark.parametrize(
+    "q,n,d", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3)]
+)
 def test_codewords_give_hermitian_matrices(params_for, q, n, d):
     p = params_for(q, n, d)
     ctx = p.ctx
@@ -246,7 +255,7 @@ def test_random_vectors_are_usually_not_hermitian(params_for):
     assert rejected > 0
 
 
-@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 3, 3), (2, 7, 5)])
+@pytest.mark.parametrize("q,n,d", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 5, 3), (3, 3, 3), (2, 7, 5)])
 def test_matrix_vector_roundtrip(params_for, q, n, d):
     # conversion is a bijection on all of K^n, not only on codewords
     p = params_for(q, n, d)
@@ -408,3 +417,101 @@ def test_params_load_inverts_once(params_for, monkeypatch):
     again = params_from_json_obj(obj)
     assert len(calls) == 1
     assert again.eta_split_inv == p.eta_split_inv
+
+
+# -- basis certificate ------------------------------------------------------
+
+
+def _gram_ok(ctx, basis):
+    try:
+        check_gram(ctx, basis)
+    except BasisSearchFailedError:
+        return False
+    return True
+
+
+def _tampered_bases(ctx, alpha):
+    """Variants of an orthonormal basis, some still orthonormal, some not."""
+    n, q = ctx.n, ctx.q
+    units = [u for u in ctx.subfield_elements(2) if u != ctx.zero]
+    # u^(q-1) has norm u^(q^2-1) = 1, so scaling by it keeps alpha orthonormal
+    u = next(u for u in units if u != ctx.frobenius(u, 1))
+    unit = ctx.mul(ctx.frobenius(u, 1), ctx.inv(u))
+    coeffs = ctx.to_coeffs(alpha[0])
+    coeffs[0] = (coeffs[0] + 1) % q
+    out = {
+        "original": alpha,
+        "reversed": alpha[::-1],
+        "rotated": alpha[1:] + alpha[:1],
+        "norm-1 scaled": (ctx.mul(unit, alpha[0]),) + alpha[1:],
+        "changed coefficient": (ctx.from_coeffs(coeffs),) + alpha[1:],
+        "zero element": alpha[:-1] + (ctx.zero,),
+    }
+    if n > 1:
+        out["duplicated element"] = (alpha[0],) + alpha[:-1]
+    bad = next((u for u in units if ctx.mul(ctx.frobenius(u, 1), u) != ctx.one), None)
+    assert (bad is None) == (q == 2)  # every unit of F_4 has norm 1
+    if bad is not None:
+        out["scaled by norm != 1"] = alpha[:-1] + (ctx.mul(bad, alpha[-1]),)
+    return out
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 1, 1), (3, 1, 1), (2, 5, 3), (3, 5, 3), (5, 3, 3), (2, 7, 5)])
+def test_basis_certificate_matches_gram_oracle(params_for, q, n, d):
+    # a stored basis loads exactly when its n^2 unitary pairings form the
+    # identity, and the table it loads with is the inverse of the
+    # transposed Moore matrix, computed by elimination
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    verdicts = {}
+    for name, basis in _tampered_bases(ctx, p.alpha).items():
+        obj = params_to_json_obj(p)
+        obj["alpha"] = [ctx.felt_to_json(a) for a in basis]
+        verdicts[name] = _gram_ok(ctx, basis)
+        if verdicts[name]:
+            again = params_from_json_obj(obj)
+            assert again.alpha == basis
+            assert again.moore_inv == moore_tinv(ctx, basis)
+        else:
+            with pytest.raises(BadParamsError, match="orthonormal"):
+                params_from_json_obj(obj)
+    for name in ("original", "reversed", "rotated", "norm-1 scaled"):
+        assert verdicts[name], name
+    for name in ("zero element", "duplicated element", "scaled by norm != 1"):
+        assert not verdicts.get(name, False), name
+
+
+def test_params_load_makes_no_pairing(params_for, monkeypatch):
+    # the certificate is one interpolation through the Moore table the
+    # params keep; the n^2 Gram pairings took n^2 relative traces
+    p = params_for(3, 9, 5)
+    obj = params_to_json_obj(p)
+    cls = type(p.ctx)
+    traces = []
+    orig = cls.rel_trace
+
+    def counting(self, a):
+        traces.append(a)
+        return orig(self, a)
+
+    monkeypatch.setattr(cls, "rel_trace", counting)
+    again = params_from_json_obj(obj)
+    assert traces == []
+    assert again.moore_inv == p.moore_inv
+
+
+def test_each_params_certified_once(monkeypatch):
+    # build_params and a load each run the Moore-table certificate once,
+    # and find_selfdual_basis does not recheck on its own
+    calls = []
+    orig = code_mod.lp_interpolate
+
+    def counting(ctx, tinv, values):
+        calls.append(values)
+        return orig(ctx, tinv, values)
+
+    monkeypatch.setattr(code_mod, "lp_interpolate", counting)
+    p = build_params(3, 5, 3)
+    assert calls == [p.alpha]
+    params_from_json_obj(params_to_json_obj(p))
+    assert calls == [p.alpha, p.alpha]

@@ -534,7 +534,7 @@ def test_from_coeffs_validates():
 
 def test_context_json_cross_check():
     ctx = make_context(2, 3)
-    obj = ctx.to_json_obj()
+    obj = {"q": 2, "n": 3, "modulus": list(ctx.modulus)}
     again = context_from_json_obj(obj)
     assert again.modulus == ctx.modulus
     obj["modulus"] = [1, 0, 1, 0, 0, 0, 1]

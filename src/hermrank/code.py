@@ -21,8 +21,10 @@ is computed as the F_{q^2}-dimension of the span of the difference's
 entries, with no matrix built.
 
 The one derived basis table is the inverse Moore matrix moore_inv[r][j] =
-alpha_r^(q^(n+2j)).  It is also the basis's only certificate (_moore_inv),
-and the matrix conversions read their conjugated basis from it.
+alpha_r^(q^(n+2j)), kept both as tuples and as the field engine's packed
+rows (moore_packed).  Interpolating alpha through those rows is the basis's
+only certificate (_moore_inv), decoding interpolates through the same
+rows, and the encoder and matrix conversions read the tuples.
 """
 
 from __future__ import annotations
@@ -73,11 +75,13 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
 
 
 def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt]) -> tuple:
-    """The table moore_inv[r][j] = alpha_r^(q^(n+2j)), certified: unless it
-    interpolates the identity map's values alpha back to the polynomial x,
-    BasisSearchFailedError.  The check accepts exactly the orthonormal
-    bases, and on them the table is the inverse of the transposed Moore
-    matrix M[r][j] = alpha_r^(q^(2j)):
+    """The table moore_inv[r][j] = alpha_r^(q^(n+2j)) and its packed rows
+    (ctx.pack_rows), certified: unless the packed rows interpolate the
+    identity map's values alpha back to the polynomial x, one packed
+    combination, BasisSearchFailedError.  Decoding interpolates through
+    the same rows, so the table it reads is the one certified.  The check
+    accepts exactly the orthonormal bases, and on them the table is the
+    inverse of the transposed Moore matrix M[r][j] = alpha_r^(q^(2j)):
 
     Coefficient k of the interpolation is c_k = sum_r alpha_r *
     alpha_r^(q^(n+2k)), and sum_k c_k x^(q^(2k)) = sum_r <alpha_r, x> alpha_r
@@ -93,9 +97,10 @@ def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt]) -> tuple:
     """
     n = ctx.n
     table = tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha)
-    if lp_interpolate(ctx, table, alpha) != (ctx.one,) + (ctx.zero,) * (n - 1):
+    rows = ctx.pack_rows(table)
+    if lp_interpolate(ctx, rows, alpha) != (ctx.one,) + (ctx.zero,) * (n - 1):
         raise BasisSearchFailedError("basis failed its Gram identity recheck")
-    return table
+    return table, rows
 
 
 def choose_eta(ctx: FieldContext) -> Felt:
@@ -112,8 +117,10 @@ class CodeParams:
     polynomial coefficients; k = n-d+1 is the message length over F_{q^n}.
     alpha is the orthonormal basis, eta the second basis vector of K over
     F_{q^n}, moore_inv the inverse of the transposed Moore matrix on alpha
-    (the one derived basis table, and alpha's certificate: see _moore_inv),
-    eta_split_inv the constant decompose_eta divides by.
+    (the one derived basis table), moore_packed its packed rows, through
+    which interpolation is one packed combination and which certified
+    alpha (see _moore_inv), eta_split_inv the constant decompose_eta
+    divides by.
     """
 
     ctx: FieldContext
@@ -124,6 +131,7 @@ class CodeParams:
     alpha: tuple
     eta: Felt
     moore_inv: tuple  # moore_inv[r][j] = alpha_r^(q^(n+2j))
+    moore_packed: tuple  # ctx.pack_rows(moore_inv)
     eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
 
     @property
@@ -140,7 +148,7 @@ def build_params(q: int, n: int, d: int) -> CodeParams:
     ctx = make_context(q, n)
     _check_d(ctx, d)
     alpha = find_selfdual_basis(ctx)
-    return _assemble(ctx, d, alpha, _moore_inv(ctx, alpha), choose_eta(ctx))
+    return _assemble(ctx, d, alpha, *_moore_inv(ctx, alpha), choose_eta(ctx))
 
 
 def _check_d(ctx: FieldContext, d) -> None:
@@ -149,9 +157,12 @@ def _check_d(ctx: FieldContext, d) -> None:
         raise BadParamsError(f"d must be odd with 1 <= d <= n = {ctx.n}, got {d}")
 
 
-def _assemble(ctx: FieldContext, d: int, alpha: tuple, moore_inv: tuple, eta: Felt) -> CodeParams:
-    """CodeParams from a basis alpha and the table _moore_inv certified it
-    with; both callers (build_params, params_from_json_obj) pass it in."""
+def _assemble(
+    ctx: FieldContext, d: int, alpha: tuple, moore_inv: tuple, moore_packed: tuple, eta: Felt
+) -> CodeParams:
+    """CodeParams from a basis alpha and the table and packed rows
+    _moore_inv certified it with; both callers (build_params,
+    params_from_json_obj) pass them in."""
     n = ctx.n
     return CodeParams(
         ctx=ctx,
@@ -162,6 +173,7 @@ def _assemble(ctx: FieldContext, d: int, alpha: tuple, moore_inv: tuple, eta: Fe
         alpha=alpha,
         eta=eta,
         moore_inv=moore_inv,
+        moore_packed=moore_packed,
         eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, n))),
     )
 
@@ -255,9 +267,9 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     """Rebuild params from JSON, recomputing and cross-checking everything
     derivable, in this order: canonical modulus, d, alpha's shape and
     length, orthonormality (the Moore-table certificate of _moore_inv,
-    whose table the params keep), eta basis.  Only an object with integers
-    q, n, d and lists modulus, alpha, eta is read; any other shape raises
-    BadParamsError naming the field."""
+    whose table and packed rows the params keep), eta basis.  Only an
+    object with integers q, n, d and lists modulus, alpha, eta is read; any
+    other shape raises BadParamsError naming the field."""
     ctx = context_from_json_obj(obj)
     d = json_field(obj, "d", int, "params", BadParamsError)
     _check_d(ctx, d)
@@ -265,10 +277,10 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     if len(alpha) != ctx.n:
         raise BadParamsError(f"expected {ctx.n} basis elements, got {len(alpha)}")
     try:
-        moore_inv = _moore_inv(ctx, alpha)
+        moore_inv, moore_packed = _moore_inv(ctx, alpha)
     except BasisSearchFailedError as exc:
         raise BadParamsError("stored basis is not orthonormal") from exc
     eta = ctx.felt_from_json(json_field(obj, "eta", list, "params", BadParamsError))
     if ctx.in_subfield(eta, ctx.n):
         raise BadParamsError("stored eta lies in F_{q^n}")
-    return _assemble(ctx, d, alpha, moore_inv, eta)
+    return _assemble(ctx, d, alpha, moore_inv, moore_packed, eta)

@@ -17,6 +17,7 @@ window has at most 2*kappa = n-d independent kernel directions, so nonzero
 codewords have rank at least d; that is the whole distance argument.
 
 Decoding interpolates the received word to beta = coeff + error_coeffs,
+one packed combination of the certified Moore rows (CodeParams.moore_packed),
 reads the d-1 error coefficients outside the window directly from beta,
 synthesizes the shortest skew feedback register generating them (the
 recurrence g_i = sum_l lambda_l * g_{i-l}^(q^(2l)) holds cyclically for a
@@ -120,14 +121,16 @@ def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
     """Interpolate the received word and read off the exposed error coeffs.
 
     beta is the coefficient vector of the unique polynomial agreeing with
-    the received word on the basis points; it is the sum of the sent
-    window coefficients and the error polynomial's coefficients.  Outside
-    the window the sent part is zero, so those d-1 error coefficients are
-    visible directly.  A word that is not n long raises BadShapeError.
+    the received word on the basis points, formed by one packed combination
+    of the Moore rows that certified the basis (params.moore_packed); it is
+    the sum of the sent window coefficients and the error polynomial's
+    coefficients.  Outside the window the sent part is zero, so those d-1
+    error coefficients are visible directly.  A word that is not n long
+    raises BadShapeError.
     """
     if len(received) != params.n:
         raise BadShapeError(f"word needs exactly {params.n} components")
-    beta = lp_interpolate(params.ctx, params.moore_inv, received)
+    beta = lp_interpolate(params.ctx, params.moore_packed, received)
     known = {idx: beta[idx] for idx in known_indices(params)}
     return beta, known
 
@@ -141,27 +144,29 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     coefficients by the s-th automorphism power while shifting, so the
     classic update C - (delta/delta_prev^(q^(2s))) * Z^s * B cancels the
     current discrepancy exactly as in the commutative case, and the length
-    bookkeeping is unchanged.
+    bookkeeping is unchanged.  The divisor's inverse is inv(delta_prev)
+    twisted by q^(2s), as Frobenius is a field automorphism, so delta_prev
+    is inverted once, when it is set: one inversion per length change.
     """
     ctx = params.ctx
     conn = [ctx.one]
     prev = [ctx.one]
     length = 0
     gap = 1
-    prev_delta = ctx.one
+    prev_inv = ctx.one  # inv(delta_prev)
     for j, _ in enumerate(seq):
         live = [l for l, cl in enumerate(conn[: j + 1]) if cl != ctx.zero]
         delta = ctx.dot([conn[l] for l in live], [ctx.frobenius(seq[j - l], 2 * l) for l in live])
         if delta == ctx.zero:
             gap += 1
             continue
-        coef = ctx.mul(delta, ctx.inv(ctx.frobenius(prev_delta, 2 * gap)))
+        coef = ctx.mul(delta, ctx.frobenius(prev_inv, 2 * gap))
         updated = conn + [ctx.zero] * max(0, len(prev) + gap - len(conn))
         for l, bl in enumerate(prev):
             if bl != ctx.zero:
                 updated[l + gap] = ctx.sub(updated[l + gap], ctx.mul(coef, ctx.frobenius(bl, 2 * gap)))
         if 2 * length <= j:
-            prev, prev_delta, length = conn, delta, j + 1 - length
+            prev, prev_inv, length = conn, ctx.inv(delta), j + 1 - length
             gap = 1
         else:
             gap += 1

@@ -24,6 +24,25 @@ Element representation depends on the characteristic:
   2n * (q-1)^2 and a carried partial sum less than q, so w is the least
   byte count with 2^(8w) > (terms + 2) * 2n * (q-1)^2 for terms = 2n.
 
+A constant square table (the code's Moore inverse) is also kept as packed
+rows, so combining its rows with n scalars, sum_r v_r * table[r][j] for
+every j at once, is one packed combination.  ``pack_rows`` lays row r out
+as one int holding entry j at a fixed stride, and ``combine_rows`` forms
+the sum of the scalar-times-row products over r and cuts out each output
+field for its one reduction.  The stride is what a product of two elements
+fills, so the fields of a sum never overlap:
+
+* q = 2: entry j starts at bit 2*deg*j.  A carry-less product of two
+  elements of deg bits has at most 2*deg - 1 bits, and XOR never carries,
+  so field j of the sum is exactly sum_r v_r * table[r][j] before
+  reduction.  The kernel is mul's 4-bit windowed product with the whole
+  row as the multiplicand, and each field is reduced through ``_rtab``.
+* odd q: entry j is the ``_pack``ed element at slot 4n*j.  A product fills
+  the 4n - 1 slots of its field, and field j of the sum adds n products, so
+  a slot holds at most n * 2n * (q-1)^2.  That is the dot bound with
+  terms = n <= 2n, inside the slot width, so no slot carries into the next
+  and no field into the next; each field takes one ``_reduce``.
+
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
 its coefficient list, least significant first, always of length 2n.
@@ -212,6 +231,18 @@ class FieldContext:
         """Table form of a linear map's monomial images: the images
         themselves, unless an engine stores them otherwise."""
         return tuple(images)
+
+    def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
+        """Packed-row form of a square table for combine_rows: each row as
+        one int holding its entries at the engine's stride (module
+        docstring)."""
+        raise NotImplementedError
+
+    def combine_rows(self, values: Sequence[Felt], rows: Sequence[int]) -> tuple:
+        """(sum_r values[r] * table[r][j])_j for the square table packed
+        into rows by pack_rows: one packed combination of the rows, then
+        one reduction per output.  This does not go through mul or dot."""
+        raise NotImplementedError
 
     def _echelon(self, elems: Sequence[Felt]) -> list:
         """Pivots of an elimination on the span of elems, each read as its
@@ -541,6 +572,44 @@ class _Gf2Context(FieldContext):
             a &= a - 1
         return acc
 
+    def pack_rows(self, table):
+        stride = 2 * self.deg
+        return tuple(sum(e << stride * j for j, e in enumerate(row)) for row in table)
+
+    def combine_rows(self, values, rows):
+        # the windowed product of mul with the whole row as multiplicand;
+        # the terms of nibble k are collected in acc[k] and shifted once
+        deg = self.deg
+        acc = [0] * -(-deg // 4)
+        for v, row in zip(values, rows):
+            if v:
+                t = [0, row]
+                for i in range(1, 8):
+                    d = t[i] << 1
+                    t.append(d)
+                    t.append(d ^ row)
+                k = 0
+                while v:
+                    acc[k] ^= t[v & 15]
+                    v >>= 4
+                    k += 1
+        p = 0
+        for part in reversed(acc):
+            p = p << 4 ^ part
+        stride, mask, rtab = 2 * deg, self._mask, self._rtab
+        out = []
+        for _ in rows:
+            hi = p >> deg & mask
+            lo = p & mask
+            k = 0
+            while hi:
+                lo ^= rtab[k][hi & 255]
+                hi >>= 8
+                k += 1
+            out.append(lo)
+            p >>= stride
+        return tuple(out)
+
     def _echelon(self, elems):
         # XOR elimination on the packed coefficient bits: each pivot clears
         # its top bit from every other row
@@ -687,6 +756,20 @@ class _OddContext(FieldContext):
 
     def _to_rows(self, images):
         return tuple(map(self._pack, images))
+
+    def pack_rows(self, table):
+        stride = 2 * self._split
+        return tuple(sum(self._pack(e) << stride * j for j, e in enumerate(row)) for row in table)
+
+    def combine_rows(self, values, rows):
+        acc = sum(map(operator.mul, map(self._pack, values), rows))
+        stride = 2 * self._split
+        mask = (1 << stride) - 1
+        out = []
+        for _ in rows:
+            out.append(self._reduce(acc & mask))
+            acc >>= stride
+        return tuple(out)
 
     def _echelon(self, elems):
         """The odd-q engine's pivot-and-clear elimination on packed rows.

@@ -4,8 +4,11 @@ A polynomial is the coefficient tuple (g_0, ..., g_{n-1}) of the map
 x -> sum_i g_i * x^(q^(2i)), which is F_{q^2}-linear on K.  The module
 provides interpolation through a given inverse of the transposed Moore
 matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it in closed form
-for its orthonormal basis, see code._moore_inv).  On that basis the table
-is tinv[r][j] = alpha_r^(q^(n+2j)), so it evaluates as well: with conj(x) =
+for its orthonormal basis, see code._moore_inv), held as the packed rows of
+FieldContext.pack_rows: interpolation is one packed combination of those
+rows (FieldContext.combine_rows), and the code's rows are the ones its
+certificate interpolated through.  On the orthonormal basis the table is
+tinv[r][j] = alpha_r^(q^(n+2j)), so it evaluates as well: with conj(x) =
 x^(q^n), g(alpha_r) = conj(sum_j conj(g_j) * tinv[r][j]), which is how
 codec.encode works.  Evaluation at arbitrary points is a test oracle.
 """
@@ -17,8 +20,9 @@ from typing import Sequence
 from .field import Felt, FieldContext
 
 
-def lp_interpolate(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> tuple:
+def lp_interpolate(ctx: FieldContext, rows: Sequence[int], values: Sequence[Felt]) -> tuple:
     """The coefficient tuple of the unique polynomial taking values[r] at the
-    points whose transposed Moore matrix has inverse tinv: coefficient j is
-    sum_r values[r] * tinv[r][j]."""
-    return tuple(ctx.dot(values, col) for col in zip(*tinv))
+    points whose transposed Moore matrix has inverse tinv, given as its
+    packed rows ctx.pack_rows(tinv): coefficient j is sum_r values[r] *
+    tinv[r][j], all n of them from one packed combination."""
+    return ctx.combine_rows(values, rows)

@@ -6,10 +6,12 @@ re-encoding it, taking the rank distance of the codeword matrices and
 interpolating the residual a second time.  It is kept only as an oracle:
 hermrank.codec.decode must return an identical DecodeResult, diagnostics and
 their key order included.  solve_key_equation, which decode no longer runs,
-lives here as the oracle for Berlekamp-Massey's register.
+lives here as the oracle for Berlekamp-Massey's register, and skew_bm is the
+synthesis as it was before it stored the inverse of delta_prev: it inverts
+delta_prev^(q^(2s)) at every nonzero discrepancy.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from hermrank.code import CodeParams, rank_distance
 from hermrank.codec import (
@@ -23,10 +25,49 @@ from hermrank.codec import (
     encode,
     extract_message,
     known_indices,
-    skew_bm,
 )
 from hermrank.exceptions import BadRankError, SubfieldCheckError, SymmetryCheckError
+from hermrank.field import Felt
 from hermrank.linpoly import lp_interpolate
+
+
+def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
+    """Shortest skew feedback register generating seq; returns (t, lambda).
+
+    This is Berlekamp-Massey synthesis in the twisted polynomial ring where
+    Z*c = c^(q^2)*Z.  The connection polynomial C acts on the sequence by
+    C[u]_j = sum_l C_l * u_{j-l}^(q^(2l)); multiplying C by Z^s twists its
+    coefficients by the s-th automorphism power while shifting, so the
+    classic update C - (delta/delta_prev^(q^(2s))) * Z^s * B cancels the
+    current discrepancy exactly as in the commutative case, and the length
+    bookkeeping is unchanged.
+    """
+    ctx = params.ctx
+    conn = [ctx.one]
+    prev = [ctx.one]
+    length = 0
+    gap = 1
+    prev_delta = ctx.one
+    for j, _ in enumerate(seq):
+        live = [l for l, cl in enumerate(conn[: j + 1]) if cl != ctx.zero]
+        delta = ctx.dot([conn[l] for l in live], [ctx.frobenius(seq[j - l], 2 * l) for l in live])
+        if delta == ctx.zero:
+            gap += 1
+            continue
+        coef = ctx.mul(delta, ctx.inv(ctx.frobenius(prev_delta, 2 * gap)))
+        updated = conn + [ctx.zero] * max(0, len(prev) + gap - len(conn))
+        for l, bl in enumerate(prev):
+            if bl != ctx.zero:
+                updated[l + gap] = ctx.sub(updated[l + gap], ctx.mul(coef, ctx.frobenius(bl, 2 * gap)))
+        if 2 * length <= j:
+            prev, prev_delta, length = conn, delta, j + 1 - length
+            gap = 1
+        else:
+            gap += 1
+        conn = updated
+    lam = [ctx.neg(c) for c in conn[1:]]
+    lam += [ctx.zero] * (length - len(lam))
+    return length, tuple(lam[:length])
 
 
 def solve_key_equation(params: CodeParams, known_g: dict, t: int) -> Optional[tuple]:
@@ -113,7 +154,7 @@ def reference_decode(params, received):
         word = encode(params, msg)
         dist = rank_distance(params, received, word)
         if dist <= radius:
-            resid = lp_interpolate(ctx, params.moore_inv, [ctx.sub(r, c) for r, c in zip(received, word)])
+            resid = lp_interpolate(ctx, params.moore_packed, [ctx.sub(r, c) for r, c in zip(received, word)])
             diags["solver"] = src
             diags["equations_used"] = params.d - 1 - t
             return DecodeResult(

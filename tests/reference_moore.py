@@ -1,8 +1,11 @@
 """Moore-matrix evaluation and interpolation by generic means, kept as oracles.
 
 The package interpolates through the closed-form inverse
-CodeParams.moore_inv, which is only valid on an orthonormal basis, and
-encodes through the same table (codec.encode).  These helpers build the
+CodeParams.moore_inv, which is only valid on an orthonormal basis, held as
+packed rows (one FieldContext.combine_rows per interpolation), and encodes
+through the same table (codec.encode).  lp_interpolate_dots is the
+interpolation it replaced, one dot per coefficient over the tuple table,
+kept as the oracle for the packed rows.  These helpers build the
 Moore matrix on arbitrary points and invert its transpose by Gauss-Jordan
 elimination, so tests can check the closed form bit for bit and exercise
 interpolation on point sets that are not orthonormal.  lp_eval evaluates a
@@ -24,6 +27,13 @@ from hermrank.field import Felt, FieldContext
 def lp_eval(ctx, poly, x):
     live = [i for i, c in enumerate(poly) if c != ctx.zero]
     return ctx.dot([poly[i] for i in live], [ctx.frobenius(x, 2 * i) for i in live])
+
+
+def lp_interpolate_dots(ctx: FieldContext, tinv: Sequence[Sequence[Felt]], values: Sequence[Felt]) -> tuple:
+    """The coefficient tuple of the unique polynomial taking values[r] at the
+    points whose transposed Moore matrix has inverse tinv: coefficient j is
+    sum_r values[r] * tinv[r][j]."""
+    return tuple(ctx.dot(values, col) for col in zip(*tinv))
 
 
 def moore_rows(ctx, points):
@@ -55,8 +65,9 @@ def transpose(rows):
 
 
 def moore_tinv(ctx, points):
-    """Inverse of the transposed Moore matrix on points, the table
-    lp_interpolate reads; None when the points are dependent over F_{q^2}."""
+    """Inverse of the transposed Moore matrix on points, the table whose
+    packed rows lp_interpolate reads; None when the points are dependent
+    over F_{q^2}."""
     return invert_matrix(ctx, transpose(moore_rows(ctx, points)))
 
 

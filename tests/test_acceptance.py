@@ -209,7 +209,7 @@ def test_criterion_07_dickson_property(params_for):
             e = random_rank_error(
                 p, ChannelSpec(t=t, mode=MODE_ARBITRARY, seed=substream_seed(MASTER_SEED, 7_000 + idx))
             )
-            g = lp_interpolate(ctx, p.moore_inv, e)
+            g = lp_interpolate(ctx, p.moore_packed, e)
             dmat = dickson(ctx, g)
             if matrix_rank(ctx, dmat.rows) != rank_distance(p, e, zero):
                 ok = False
@@ -233,14 +233,14 @@ def test_criterion_08_interpolation_identities(params_for, rand_felt):
         for _ in range(1000):
             poly = tuple(rand_felt(ctx, rng) for _ in range(n))
             values = [lp_eval(ctx, poly, a) for a in p.alpha]
-            if lp_interpolate(ctx, p.moore_inv, values) != poly:
+            if lp_interpolate(ctx, p.moore_packed, values) != poly:
                 ok = False
         for _ in range(1000):
             msg = random_message(p, rng)
             evec = tuple(rand_felt(ctx, rng) for _ in range(n))
             beta, _ = beta_split(p, corrupt(ctx, encode(p, msg), evec))
             sent = expand_message(p, msg)
-            g = lp_interpolate(ctx, p.moore_inv, evec)
+            g = lp_interpolate(ctx, p.moore_packed, evec)
             if beta != tuple(ctx.add(a, b) for a, b in zip(sent, g)):
                 ok = False
     _verdict(8, "interpolation identities", ok, "1000+1000 per set")

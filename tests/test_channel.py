@@ -54,7 +54,7 @@ def test_error_rank_is_exact(params_for, q, n, d, mode):
         for seed in range(5):
             e = random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=40 * t + seed))
             assert rank_distance(p, e, zero) == t
-            assert map_rank(ctx, lp_interpolate(ctx, p.moore_inv, e)) == t
+            assert map_rank(ctx, lp_interpolate(ctx, p.moore_packed, e)) == t
 
 
 def test_full_rank_error(params_for):

@@ -307,7 +307,7 @@ def test_rank_distance_three_way_agreement(params_for, q, n, d):
         dist = rank_distance(p, a, zero)
         mat = codeword_to_matrix(p, a)
         assert matrix_rank(ctx, mat) == dist
-        assert map_rank(ctx, lp_interpolate(ctx, p.moore_inv, a)) == dist
+        assert map_rank(ctx, lp_interpolate(ctx, p.moore_packed, a)) == dist
         b = _rand_word(p, rng)
         diff = tuple(ctx.sub(x, y) for x, y in zip(a, b))
         assert rank_distance(p, a, b) == matrix_rank(ctx, codeword_to_matrix(p, diff))
@@ -506,9 +506,9 @@ def test_each_params_certified_once(monkeypatch):
     calls = []
     orig = code_mod.lp_interpolate
 
-    def counting(ctx, tinv, values):
+    def counting(ctx, rows, values):
         calls.append(values)
-        return orig(ctx, tinv, values)
+        return orig(ctx, rows, values)
 
     monkeypatch.setattr(code_mod, "lp_interpolate", counting)
     p = build_params(3, 5, 3)

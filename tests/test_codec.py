@@ -45,6 +45,7 @@ from hermrank.exceptions import (
     SubfieldCheckError,
     SymmetryCheckError,
 )
+from reference_decode import skew_bm as reference_skew_bm
 from reference_decode import solve_key_equation
 from reference_moore import encode_via_matrix, lp_eval
 from reference_rank import map_rank
@@ -211,7 +212,7 @@ def test_beta_is_sum_of_window_and_error_coeffs(params_for, q, n, d, rand_felt):
         evec = tuple(rand_felt(ctx, rng) for _ in range(p.n))
         beta, known = beta_split(p, corrupt(ctx, encode(p, msg), evec))
         sent = expand_message(p, msg)
-        g = lp_interpolate(ctx, p.moore_inv, evec)
+        g = lp_interpolate(ctx, p.moore_packed, evec)
         assert beta == tuple(ctx.add(a, b) for a, b in zip(sent, g))
         for idx in known_indices(p):
             assert known[idx] == g[idx]  # sent part vanishes there
@@ -355,6 +356,60 @@ def test_skew_bm_is_minimal_on_short_registers(params_for, rand_felt):
         assert t == 1 and got == (lam,)
 
 
+# the benchmark's points, each with its channel mode
+BENCH_POINTS = [(2, 31, 15, MODE_ARBITRARY), (3, 9, 5, MODE_HERMITIAN), (3, 19, 9, MODE_HERMITIAN),
+                (5, 13, 7, MODE_HERMITIAN)]
+
+
+def _exposed(p, rec):
+    _, known = beta_split(p, rec)
+    return [known[i] for i in known_indices(p)]
+
+
+@pytest.mark.parametrize("q,n,d,mode", BENCH_POINTS)
+def test_skew_bm_matches_reference(params_for, rand_felt, q, n, d, mode):
+    # storing inv(delta_prev) changes no register: the same (t, lambda) as
+    # the synthesis that inverts at every nonzero discrepancy, within the
+    # radius, beyond it, and on sequences of random elements
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    seqs = [_exposed(p, _noisy(p, 1300 * t + seed, t, mode)[2])
+            for t in (1, p.radius, p.radius + 1, p.radius + 2) for seed in range(3)]
+    rng = SplitMix64(1301 + q + n)
+    seqs += [[rand_felt(ctx, rng) for _ in range(d - 1)] for _ in range(3)]
+    for seq in seqs:
+        assert skew_bm(p, seq) == reference_skew_bm(p, seq)
+
+
+@pytest.mark.parametrize("q,n,d,mode", BENCH_POINTS)
+def test_decode_inverts_once_per_length_change(params_for, monkeypatch, q, n, d, mode):
+    # machine-independent guard: a decode makes at most one inversion per
+    # change of the register length, read off the length profile of the
+    # exposed sequence (the shortest register of each prefix), not one per
+    # nonzero discrepancy
+    p = params_for(q, n, d)
+    cls = type(p.ctx)
+    count = [0]
+
+    def counting(self, a, _orig=cls.inv):
+        count[0] += 1
+        return _orig(self, a)
+
+    for t in (1, p.radius, p.radius + 1):
+        for seed in range(2):
+            msg, _, rec = _noisy(p, 1400 * t + seed, t, mode)
+            seq = _exposed(p, rec)
+            profile = [reference_skew_bm(p, seq[:j])[0] for j in range(len(seq) + 1)]
+            changes = sum(a != b for a, b in zip(profile, profile[1:]))
+            count[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(cls, "inv", counting)
+                res = decode(p, rec)
+            assert count[0] <= changes
+            if t <= p.radius:
+                assert res.ok and res.message == msg
+
+
 # -- window completion ------------------------------------------------------
 
 
@@ -370,7 +425,7 @@ def test_complete_g_reconstructs_error_polynomial(params_for, q, n, d):
             bm_t, lam = skew_bm(p, seq)
             assert bm_t == t
             g = complete_g(p, known, lam)
-            assert g == lp_interpolate(ctx, p.moore_inv, err)
+            assert g == lp_interpolate(ctx, p.moore_packed, err)
             assert map_rank(ctx, g) == t
 
 
@@ -456,7 +511,7 @@ def test_decode_roundtrip_within_radius(params_for, q, n, d, mode):
             assert res.ok, (q, n, d, mode, t, seed, res.reason)
             assert res.message == msg
             assert res.error_rank == t
-            assert res.error_poly == lp_interpolate(ctx, p.moore_inv, err)
+            assert res.error_poly == lp_interpolate(ctx, p.moore_packed, err)
 
 
 def test_decode_certification_never_lies(params_for):
@@ -619,14 +674,15 @@ def test_random_message_is_deterministic_and_valid(params_for):
 
 
 def test_packed_engine_op_counts(params_for, monkeypatch):
-    # machine-independent guard: interpolation and the closure check run
-    # on dot and the packed Frobenius tables, never on mul
+    # machine-independent guard: interpolation is one packed combination of
+    # the Moore rows, with no mul or dot, and the closure check runs on dot
+    # and the packed Frobenius tables, never on mul
     p = params_for(3, 9, 5)
     ctx = p.ctx
     msg, _, received = _noisy(p, 43, 2, MODE_HERMITIAN)
     assert decode(p, received).message == msg  # every table decode reads is built
     cls = type(ctx)
-    counts = {"mul": 0, "dot": 0}
+    counts = {"mul": 0, "dot": 0, "combine_rows": 0}
     for name in counts:
         def counting(self, *args, _orig=getattr(cls, name), _name=name):
             counts[_name] += 1
@@ -643,7 +699,7 @@ def test_packed_engine_op_counts(params_for, monkeypatch):
 
         monkeypatch.setattr(codec, name, spy)
     assert decode(p, received).message == msg
-    assert seen["lp_interpolate"] == [{"mul": 0, "dot": p.n}]
+    assert seen["lp_interpolate"] == [{"mul": 0, "dot": 0, "combine_rows": 1}]
     assert seen["_register_closes"] and all(c["mul"] == 0 for c in seen["_register_closes"])
 
     counts["mul"] = 0

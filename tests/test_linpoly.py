@@ -4,7 +4,7 @@ matrix-form oracles in reference_rank)."""
 import pytest
 
 from hermrank import SplitMix64, lp_interpolate, make_context
-from reference_moore import lp_eval, moore_rows, moore_tinv
+from reference_moore import lp_eval, lp_interpolate_dots, moore_rows, moore_tinv
 from reference_rank import dickson, map_rank, matrix_rank
 
 
@@ -87,22 +87,52 @@ def test_moore_rejects_dependent_points():
 def test_interpolation_roundtrip(q, n):
     ctx = make_context(q, n)
     pts = _gen_points(ctx)
-    tinv = moore_tinv(ctx, pts)
+    packed = ctx.pack_rows(moore_tinv(ctx, pts))
     rng = SplitMix64(4)
     for _ in range(25):
         poly = _rand_poly(ctx, rng)
         values = [lp_eval(ctx, poly, p) for p in pts]
-        assert lp_interpolate(ctx, tinv, values) == poly
+        assert lp_interpolate(ctx, packed, values) == poly
 
 
 def test_interpolation_special_values():
     ctx = make_context(2, 3)
     pts = _gen_points(ctx)
-    tinv = moore_tinv(ctx, pts)
-    assert lp_interpolate(ctx, tinv, [ctx.zero] * 3) == (ctx.zero,) * 3
+    packed = ctx.pack_rows(moore_tinv(ctx, pts))
+    assert lp_interpolate(ctx, packed, [ctx.zero] * 3) == (ctx.zero,) * 3
     # values equal to the points themselves come from the identity map
-    ident = lp_interpolate(ctx, tinv, pts)
+    ident = lp_interpolate(ctx, packed, pts)
     assert ident == (ctx.one, ctx.zero, ctx.zero)
+
+
+# every (q, n) the suite or the benchmark builds a code at, with one d
+# used there (the basis, and so the Moore table, depends on (q, n) alone);
+# (2, 31) has the widest q = 2 stride, and q = 4294967291 the 9-byte slots
+# that the odd-q engine cuts from the byte string one by one
+PACKED_POINTS = [
+    (2, 1, 1), (2, 3, 3), (2, 5, 3), (2, 7, 5), (2, 9, 5), (2, 31, 15),
+    (3, 1, 1), (3, 3, 3), (3, 5, 3), (3, 7, 5), (3, 9, 5), (3, 19, 9),
+    (5, 1, 1), (5, 3, 3), (5, 5, 3), (5, 7, 5), (5, 13, 7),
+    (65521, 1, 1), (1000003, 1, 1), (4294967291, 1, 1),
+]
+
+
+@pytest.mark.parametrize("q,n,d", PACKED_POINTS)
+def test_packed_interpolation_matches_dot_oracle(params_for, rand_felt, q, n, d):
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    if q == 4294967291:
+        assert ctx._split == 8 * 9 * ctx.deg  # 9-byte slots
+    assert p.moore_packed == ctx.pack_rows(p.moore_inv)
+    rng = SplitMix64(q + 7 * n)
+    top = ctx.from_coeffs([q - 1] * ctx.deg)  # every coefficient q - 1
+    vectors = [[rand_felt(ctx, rng) for _ in range(n)] for _ in range(6)]
+    vectors += [[top] * n, [ctx.zero] * n, list(p.alpha)]
+    for values in vectors:
+        assert lp_interpolate(ctx, p.moore_packed, values) == lp_interpolate_dots(ctx, p.moore_inv, values)
+    # all-(q-1) values against an all-(q-1) table fill every slot to the bound
+    full = ((top,) * n,) * n
+    assert lp_interpolate(ctx, ctx.pack_rows(full), [top] * n) == lp_interpolate_dots(ctx, full, [top] * n)
 
 
 # -- Dickson matrix ---------------------------------------------------------

@@ -98,7 +98,10 @@ def _parse_ranks(text: str, n: int) -> list:
         if not token:
             continue
         lo, hi = token.split("-", 1) if "-" in token else (token, token)
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"bad rank {token!r}") from None
         if lo > hi:
             raise ValueError(f"bad rank range {token!r}")
         if hi > n:

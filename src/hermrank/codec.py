@@ -67,10 +67,9 @@ def random_message(params: CodeParams, rng: SplitMix64) -> Message:
     ctx = params.ctx
     basis = ctx.subfield_basis(ctx.n)
     # each part is an F_q-combination of the basis, one digit drawn per
-    # basis element in order; each distinct digit is embedded once
+    # basis element in order
     digits = [[rng.below(ctx.q) for _ in basis] for _ in range(params.k)]
-    scalars = {c: ctx.from_base(c) for c in set().union(*digits)}
-    return Message(tuple(ctx.dot([scalars[c] for c in row], basis) for row in digits))
+    return Message(ctx.fq_combine(basis, digits))
 
 
 def expand_message(params: CodeParams, msg: Message) -> tuple:

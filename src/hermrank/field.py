@@ -51,7 +51,9 @@ Frobenius powers x -> x^(q^j) are F_q-linear, so each is stored once per
 context as the table of images of the monomial basis (packed rows for odd
 q) and applied as sum_i a_i * row_i; no exponentiation happens at lookup
 time.  The relative trace down to F_{q^2} (the sum of the even Frobenius
-powers) is precomputed the same way.
+powers) is precomputed the same way.  ``fq_combine`` runs that kernel on
+any F_q digits against any at most 2n elements, so a sum of digits times
+elements never embeds a digit or forms a product.
 
 Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
 nonzero coefficient of a row and clears it from the other rows, by XOR on
@@ -85,11 +87,12 @@ evaluations per candidate instead of q, about 4*10^9 at q near 2^32.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
 from array import array
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .exceptions import (
     BadElementError,
@@ -193,7 +196,6 @@ class FieldContext:
         self._frob: dict[int, tuple] = {}
         self._trace_tbl: tuple | None = None
         self._subfield_bases: dict[int, tuple] = {}
-        self._subfield_elems: dict[int, tuple] = {}
         self._norm_gen: tuple | None = None
 
     # -- primitive arithmetic supplied by subclasses ------------------------
@@ -267,11 +269,28 @@ class FieldContext:
         basis: dict[int, Felt] = {}
         for p in reversed(self._echelon(elems)):
             c = self.to_coeffs(p)
-            p = self.sub(p, self.dot([self.from_base(c[lead]) for lead in basis], list(basis.values())))
-            basis[_lead(c)] = p
+            (below,) = self.fq_combine(list(basis.values()), [[c[lead] for lead in basis]])
+            basis[_lead(c)] = self.sub(p, below)
         return tuple(basis[lead] for lead in sorted(basis))
 
     # -- shared operations --------------------------------------------------
+
+    def fq_combine(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]) -> tuple:
+        """(sum_i digits[i] * elems[i] for digits in digit_rows): F_q-combinations
+        of at most 2n elements with digits in [0, q).
+
+        The elements are packed once by _to_rows, and each combination is
+        one pass of _apply_linear's kernel, with no product and no
+        reduction: an XOR of the selected elements for q = 2, and for odd q
+        one big-int sum of digit times packed element with one slot-wise
+        mod q.  That sum cannot carry: a packed element holds its canonical
+        coefficients, at most q - 1 per slot, so 2n terms put at most
+        2n * (q-1)^2 in a slot, below the (2n + 2) * 2n * (q-1)^2 the slot
+        width is chosen for (module docstring).
+        """
+        rows = self._to_rows(elems)
+        assert len(rows) <= self.deg, "more terms than the slot bound allows"
+        return tuple(self._apply_linear(rows, digits) for digits in digit_rows)
 
     def from_base(self, c: int) -> Felt:
         """Embed an integer residue as a constant, i.e. an F_q element."""
@@ -368,18 +387,10 @@ class FieldContext:
         return basis
 
     def subfield_elements(self, e: int) -> tuple:
-        """All q^e elements of F_{q^e}, in canonical digit order.  Small e only."""
-        cached = self._subfield_elems.get(e)
-        if cached is not None:
-            return cached
-        basis = self.subfield_basis(e)
-        elems = [self.zero]
-        for b in basis:
-            scaled = [self.mul(self.from_base(c), b) for c in range(self.q)]
-            elems = [self.add(z, s) for z in elems for s in scaled]
-        out = tuple(elems)
-        self._subfield_elems[e] = out
-        return out
+        """All q^e elements of F_{q^e}, in canonical digit order: entry i
+        combines the base-q digits of i with the basis, the first basis
+        element's digit the most significant.  Small e only."""
+        return self.fq_combine(self.subfield_basis(e), itertools.product(range(self.q), repeat=e))
 
     def fq2_w(self) -> Felt:
         """Canonical element with F_{q^2} = F_q + F_q * w: the second
@@ -437,12 +448,11 @@ class FieldContext:
         if self._norm_gen is None:
             q = self.q
             factors = _prime_factors(q - 1)
-            u1, u2 = self.subfield_basis(2)
-            norm_w = self.to_coeffs(self.mul(self.frobenius(u2, 1), u2))[0]
+            basis = self.subfield_basis(2)
+            norm_w = self.to_coeffs(self.mul(self.frobenius(basis[1], 1), basis[1]))[0]
             start = q if pow(norm_w, (q - 1) // 2, q) == 1 else 1
             for idx in range(start, 64 * q):
-                i, j = divmod(idx, q)
-                cand = self.add(self.mul(self.from_base(i), u1), self.mul(self.from_base(j), u2))
+                (cand,) = self.fq_combine(basis, [divmod(idx, q)])
                 h_int = self.to_coeffs(self.mul(self.frobenius(cand, 1), cand))[0]
                 if all(pow(h_int, (q - 1) // p, q) != 1 for p in factors):
                     self._norm_gen = (cand, h_int)
@@ -571,6 +581,9 @@ class _Gf2Context(FieldContext):
             acc ^= tbl[i]
             a &= a - 1
         return acc
+
+    def fq_combine(self, elems, digit_rows):
+        return tuple(functools.reduce(operator.xor, itertools.compress(elems, digits), 0) for digits in digit_rows)
 
     def pack_rows(self, table):
         stride = 2 * self.deg

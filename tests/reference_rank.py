@@ -1,5 +1,5 @@
-"""Ranks the package no longer computes, and the matrix-path Hermitian draw,
-kept as oracles.
+"""Ranks the package no longer computes, and the channel and message draws
+it replaced, kept as oracles.
 
 The package computes every word rank as the F_q-dimension of a span of
 field elements (FieldContext.fq_rank), never builds a matrix on its hot
@@ -8,11 +8,21 @@ These helpers keep what that replaced: the rank of a linearized map,
 generic elimination over K, the Dickson matrix of a linearized polynomial,
 and the Hermitian channel draw that forms B*D*B^* entry by entry before
 converting it to vector form.
+
+The channel draws each F_{q^2} entry as two F_q digits and combines them
+with FieldContext.fq_combine.  The draws it replaced index the list of all
+q^2 elements, sub2 = subfield_elements(2), and multiply elements with dot;
+random_message_dots is the message draw that embedded its digits and
+dotted them with the basis.  They make the same RNG calls in the same
+order, so they must give the same errors and messages.
 """
 
 from dataclasses import dataclass
 
-from hermrank.code import matrix_to_vector
+from hermrank.channel import MODE_ARBITRARY
+from hermrank.code import matrix_to_vector, rank_distance
+from hermrank.codec import Message
+from hermrank.rng import SplitMix64
 from reference_moore import lp_eval
 
 
@@ -87,3 +97,42 @@ def draw_hermitian_via_matrix(params, n, t, rng, sub2):
     bq = [[ctx.frobenius(x, 1) for x in row] for row in b]
     rows = tuple(tuple(ctx.dot(left, right) for right in bq) for left in bd)
     return matrix_to_vector(params, rows)
+
+
+def draw_arbitrary_listed(ctx, n, t, rng, sub2):
+    q = ctx.q
+    gammas = [ctx.from_coeffs([rng.below(q) for _ in range(ctx.deg)]) for _ in range(t)]
+    coeffs = [[sub2[rng.below(len(sub2))] for _ in range(n)] for _ in range(t)]
+    return tuple(ctx.dot(col, gammas) for col in zip(*coeffs))
+
+
+def draw_hermitian_listed(params, n, t, rng, sub2):
+    ctx = params.ctx
+    q = ctx.q
+    b = [[sub2[rng.below(len(sub2))] for _ in range(t)] for _ in range(n)]
+    diag = [ctx.from_base(1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
+    dbeta = [ctx.mul(dl, ctx.frobenius(ctx.dot(col, params.alpha), n + 1)) for dl, col in zip(diag, zip(*b))]
+    return tuple(ctx.dot(dbeta, [ctx.frobenius(x, 1) for x in row]) for row in b)
+
+
+def random_rank_error_listed(params, spec):
+    """channel.random_rank_error through the list-indexed draws, for a
+    valid spec.t >= 1."""
+    ctx, n = params.ctx, params.n
+    rng = SplitMix64(spec.seed)
+    sub2 = ctx.subfield_elements(2)
+    zero = (ctx.zero,) * n
+    while True:
+        if spec.mode == MODE_ARBITRARY:
+            e = draw_arbitrary_listed(ctx, n, spec.t, rng, sub2)
+        else:
+            e = draw_hermitian_listed(params, n, spec.t, rng, sub2)
+        if rank_distance(params, e, zero) == spec.t:
+            return e
+
+
+def random_message_dots(params, rng):
+    ctx = params.ctx
+    basis = ctx.subfield_basis(ctx.n)
+    digits = [[rng.below(ctx.q) for _ in basis] for _ in range(params.k)]
+    return Message(tuple(ctx.dot([ctx.from_base(c) for c in row], basis) for row in digits))

@@ -296,6 +296,13 @@ def test_simulate_bad_ranks(capsys):
     assert main(base + ["--ranks", ""]) == 2
     assert main(base + ["--ranks", "7"]) == 2  # exceeds n
     capsys.readouterr()
+    # a token that is not a rank or a range is named, without int()'s text
+    for token in ("a", "-1", "1-", "2-x"):
+        assert main(base + ["--ranks", token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad rank {token!r}\n"
+        assert "invalid literal" not in captured.err
 
 
 def test_simulate_rank_ranges_bounded_before_expanding(capsys):

@@ -48,7 +48,7 @@ from hermrank.exceptions import (
 from reference_decode import skew_bm as reference_skew_bm
 from reference_decode import solve_key_equation
 from reference_moore import encode_via_matrix, lp_eval
-from reference_rank import map_rank
+from reference_rank import map_rank, random_message_dots
 
 
 def _word_from_poly(params, poly):
@@ -77,6 +77,16 @@ def test_random_message_embeds_only_drawn_digits(params_for):
         tracemalloc.stop()
     assert msg.parts == (ctx.from_base(SplitMix64(1).below(ctx.q)),)
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "q,n,d",
+    [(2, 31, 15), (3, 19, 9), (5, 13, 7), (2, 7, 5), (3, 5, 3), (7, 3, 3), (2, 1, 1), (1000003, 1, 1)],
+)
+def test_random_message_matches_dot_oracle(params_for, q, n, d):
+    p = params_for(q, n, d)
+    for seed in range(20):
+        assert random_message(p, SplitMix64(seed)) == random_message_dots(p, SplitMix64(seed))
 
 
 def test_expand_zero_message(params_for):

@@ -265,6 +265,33 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
 
 
+@pytest.mark.parametrize("q,n", [(3, 19), (5, 13), (4294967291, 1)])
+def test_fq_combine_at_slot_bound(q, n, rand_felt):
+    # 2n digits of q - 1 against 2n all-(q-1) elements fill every slot to
+    # 2n * (q-1)^2; (4294967291, 1) packs on the byte-cut path
+    ctx = make_context(q, n)
+    top = [ctx.from_coeffs([q - 1] * ctx.deg)] * ctx.deg
+    digits = [q - 1] * ctx.deg
+    assert ctx.fq_combine(top, [digits]) == (reference_field.apply_linear(ctx, top, digits),)
+    rng = SplitMix64(q + 3 * n)
+    for terms in (0, 1, n, 2 * n):
+        elems = [rand_felt(ctx, rng) for _ in range(terms)]
+        rows = [[rng.below(q) for _ in range(terms)] for _ in range(3)]
+        assert ctx.fq_combine(elems, rows) == tuple(reference_field.apply_linear(ctx, elems, r) for r in rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_subfield_elements_are_digit_combinations(q):
+    # entry i is (i // q) + (i % q) * w, the digit of 1 the more significant
+    ctx = make_context(q, 3)
+    w = ctx.fq2_w()
+    elems = ctx.subfield_elements(2)
+    assert len(elems) == q * q
+    for i, a in enumerate(elems):
+        assert (a,) == ctx.fq_combine((ctx.one, w), [(i // q, i % q)])
+        assert a == ctx.add(ctx.from_base(i // q), ctx.mul(ctx.from_base(i % q), w))
+
+
 @pytest.mark.parametrize("q,n", [(3, 5), (5, 13), (3, 19)])
 def test_packed_kernel_ignores_host_byte_order(monkeypatch, q, n, rand_felt):
     # on a big-endian host an array's items are big-endian; the slot layout

@@ -18,19 +18,22 @@ codewords have rank at least d; that is the whole distance argument.
 
 Decoding interpolates the received word to beta = coeff + error_coeffs,
 one packed combination of the certified Moore rows (CodeParams.moore_packed),
-reads the d-1 error coefficients outside the window directly from beta,
-synthesizes the shortest skew feedback register generating them (the
-recurrence g_i = sum_l lambda_l * g_{i-l}^(q^(2l)) holds cyclically for a
-rank-t error), completes the windowed coefficients by running the register
-forward, subtracts, and extracts the message.  The register is unique
-(Massey's theorem), so it is the one candidate, and it is certified by
-register closure: the register must also generate the completed error
-polynomial g cyclically.  Completion makes it do so everywhere except at
-the t indices where it wraps from the window back to the exposed
-coefficients, so only those are checked.  Once extraction succeeds, g is
-exactly the interpolation polynomial of received - encode(message), and
-closure holds exactly when its rank is within the unique-decoding radius
-(see decode), so a wrong message can never be returned.
+and reads it once, in the cyclic order from the first exposed index
+m+kappa+1 (mod n): positions 0 .. d-2 lie outside the window, so they hold
+error coefficients directly, and positions d-1 .. n-1 are the window
+m-kappa .. m+kappa.  It synthesizes the shortest skew feedback register
+generating the exposed positions (the recurrence g_p = sum_l lambda_l *
+g_{p-l}^(q^(2l)) holds all the way round the cycle for a rank-t error),
+runs it forward over the window to complete the error coefficients,
+subtracts, and extracts the message.  The register is unique (Massey's
+theorem), so it is the one candidate, and it is certified by register
+closure: run on over positions n .. n+t-1, where the cycle comes back to
+its start, it must give back the first t positions.  Completion makes it
+generate every other position, so only those t are checked.  Once
+extraction succeeds, g is exactly the interpolation polynomial of received
+- encode(message), and closure holds exactly when its rank is within the
+unique-decoding radius (see decode), so a wrong message can never be
+returned.
 """
 
 from __future__ import annotations
@@ -98,40 +101,41 @@ def encode(params: CodeParams, msg: Message) -> tuple:
     With the automorphism conj(x) = x^(q^n), moore_inv[r][i] =
     alpha_r^(q^(n+2i)) and q^(2n) fixing K give c_r = conj(sum_i conj(g_i)
     * moore_inv[r][i]): the adjoint of interpolation on the same table.
-    g is zero off the window, so only its k indices m-kappa .. m+kappa
-    (mod n) are conjugated and dotted with the matching row entries.
+    g is zero off the window, so only its k indices, the last k of the
+    cyclic order, are conjugated and dotted with the matching row entries.
     """
     ctx, n = params.ctx, params.n
     g = expand_message(params, msg)
-    window = [i % n for i in range(params.m - params.kappa, params.m + params.kappa + 1)]
+    window = _cyclic_order(params)[params.d - 1 :]
     gw = [ctx.frobenius(g[i], n) for i in window]
     return tuple(ctx.frobenius(ctx.dot(gw, [row[i] for i in window]), n) for row in params.moore_inv)
 
 
-def known_indices(params: CodeParams) -> tuple:
-    """The d-1 cyclic coefficient indices outside the message window, in the
-    order they follow the window: m+kappa+1, ..., m+kappa+d-1 (mod n)."""
-    n = params.n
+def _cyclic_order(params: CodeParams) -> list:
+    """The n coefficient indices in decoding order, from the first exposed
+    index m+kappa+1 (mod n): the d-1 exposed indices, then the window
+    m-kappa .. m+kappa."""
     start = params.m + params.kappa + 1
-    return tuple((start + j) % n for j in range(params.d - 1))
+    return [(start + p) % params.n for p in range(params.n)]
 
 
 def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
-    """Interpolate the received word and read off the exposed error coeffs.
+    """Interpolate the received word to beta, listed in the cyclic order.
 
     beta is the coefficient vector of the unique polynomial agreeing with
     the received word on the basis points, formed by one packed combination
     of the Moore rows that certified the basis (params.moore_packed); it is
     the sum of the sent window coefficients and the error polynomial's
-    coefficients.  Outside the window the sent part is zero, so those d-1
-    error coefficients are visible directly.  A word that is not n long
-    raises BadShapeError.
+    coefficients.  Its n coefficients are returned from index m+kappa+1
+    (mod n) on: positions 0 .. d-2 are outside the window, where the sent
+    part is zero, so those d-1 error coefficients are visible directly, and
+    positions d-1 .. n-1 are the window m-kappa .. m+kappa.  A word that is
+    not n long raises BadShapeError.
     """
     if len(received) != params.n:
         raise BadShapeError(f"word needs exactly {params.n} components")
     beta = lp_interpolate(params.ctx, params.moore_packed, received)
-    known = {idx: beta[idx] for idx in known_indices(params)}
-    return beta, known
+    return tuple(beta[i] for i in _cyclic_order(params))
 
 
 def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
@@ -175,39 +179,36 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     return length, tuple(lam[:length])
 
 
-def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> tuple:
-    """Run the register forward to fill the windowed error coefficients.
+def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt]) -> tuple:
+    """Run the register forward from the d-1 exposed coefficients over the
+    window, positions d-1 .. n-1 of the cyclic order; returns all n.
 
-    Indices m-kappa .. m+kappa are produced in increasing order; index i
-    consumes i-1 .. i-t, which are known or already produced because the
-    register length never exceeds d-1.
+    Position p consumes p-1 .. p-t, which are exposed or already produced
+    because the register length t never exceeds d-1.
     """
-    ctx = params.ctx
-    n, m, kappa = params.n, params.m, params.kappa
     t = len(lam)
     if not 1 <= t <= params.d - 1:
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
-    coeffs = dict(known_g)
-    for i in range(m - kappa, m + kappa + 1):
-        coeffs[i % n] = _feedback(ctx, coeffs, lam, i, n)
-    return tuple(coeffs[i] for i in range(n))
+    g = list(exposed)
+    for p in range(params.d - 1, params.n):
+        g.append(_feedback(params.ctx, g, lam, p))
+    return tuple(g)
 
 
-def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
-    """The register's output at cyclic index i: sum_l lam[l-1] * coeffs[i-l]^(q^(2l))."""
-    live = [l for l in range(1, len(lam) + 1) if coeffs[(i - l) % n] != ctx.zero]
-    images = [ctx.frobenius(coeffs[(i - l) % n], 2 * l) for l in live]
+def _feedback(ctx, g: Sequence[Felt], lam: Sequence[Felt], p: int) -> Felt:
+    """The register's output at position p: sum_l lam[l-1] * g[p-l]^(q^(2l))."""
+    live = [l for l in range(1, len(lam) + 1) if g[p - l] != ctx.zero]
+    images = [ctx.frobenius(g[p - l], 2 * l) for l in live]
     return ctx.dot([lam[l - 1] for l in live], images)
 
 
-def _register_closes(params: CodeParams, g: Sequence[Felt], lam: Sequence[Felt]) -> bool:
-    """True when the register lam generates g's coefficients cyclically,
-    g_i = sum_l lam_l * g_(i-l)^(q^(2l)) at every index i mod n, for g
-    completed from lam.  Only the len(lam) wrap indices m+kappa+1+j, j <
-    len(lam), can fail; every other index holds by construction (see decode)."""
-    n = params.n
-    start = params.m + params.kappa + 1
-    return all(g[(start + j) % n] == _feedback(params.ctx, g, lam, start + j, n) for j in range(len(lam)))
+def _register_closes(params: CodeParams, g: tuple, lam: Sequence[Felt]) -> bool:
+    """True when the register lam generates g, in the cyclic order and
+    completed from lam, all the way round: running it on over positions
+    n .. n+t-1 of g + g[:t] gives back g[:t].  Every other position holds
+    by construction (see decode)."""
+    run = g + g[: len(lam)]
+    return all(run[p] == _feedback(params.ctx, run, lam, p) for p in range(params.n, len(run)))
 
 
 def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
@@ -242,10 +243,9 @@ class DecodeResult:
     received word (register closure certifies this, see decode),
     error_poly is the n-coefficient tuple of the interpolation polynomial of
     the residual received - encode(message), which decode obtains as the
-    completed register output,
-    and error_rank is its rank, the register's length.  On failure, reason
-    is one of the REASON_* strings and diagnostics records what the solvers
-    saw.
+    completed register output put back in index order, and error_rank is
+    its rank, the register's length.  On failure, reason is one of the
+    REASON_* strings and diagnostics records what the solvers saw.
     """
 
     ok: bool
@@ -300,48 +300,44 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     - Exactness: a rank-r map's coefficients are generated cyclically by
       the subspace polynomial of its image, normalised to constant term 1,
       a register of length r.  So L <= r, and with closure r = t = L.
-    - Only the t wrap indices m+kappa+1+j, j < t, are checked.  complete_g
-      produced every window index with this same feedback sum, and BM's
-      register generates every exposed index m+kappa+1+j with j >= t, so
-      the register generates g at all other indices by construction.
-    - Converse: complete_g makes the register generate g from index
-      m+kappa+1+t through the window, so if rank(g) = r <= radius and
-      closure failed first at wrap position n+j (j < t), the skew Massey
-      lemma would give r >= n+j+1-t >= n+1-radius > radius, since
-      n >= d > 2*radius; a contradiction.  So closure holds whenever
-      rank(g) <= radius.
+    - Only positions n .. n+t-1 of the run g + g[:t], where the first t
+      positions come round again, are checked.  complete_g produced every
+      window position d-1 .. n-1 with this same feedback sum, and BM's
+      register generates every exposed position t .. d-2, so the register
+      generates g at every other position by construction.
+    - Converse: complete_g makes the register generate g from position t
+      through n-1, so if rank(g) = r <= radius and closure failed first at
+      position n+j (j < t), the skew Massey lemma would give r >= n+j+1-t
+      >= n+1-radius > radius, since n >= d > 2*radius; a contradiction.
+      So closure holds whenever rank(g) <= radius.
 
     Every accepted result, error_poly and error_rank is therefore that of
     the re-encoding test, and a wrong message can never be returned.  See
     Gabidulin, Probl. Inf. Transm. 1985, and Sidorenko, Richter and
     Bossert, IEEE Trans. IT 2011, for the register facts.
     """
-    ctx = params.ctx
-    beta, known = beta_split(params, received)
-    seq = [known[idx] for idx in known_indices(params)]
+    ctx, d = params.ctx, params.d
+    seq = beta_split(params, received)
+    exposed = seq[: d - 1]
     diags: dict = {}
 
-    if all(v == ctx.zero for v in seq):
+    if all(v == ctx.zero for v in exposed):
         # a zero exposed window within the radius forces a zero error: any
         # nonzero polynomial confined to the message window has rank >= d
         t, lam, src = 0, (), "zero-window"
         g = (ctx.zero,) * params.n
     else:
-        t, lam = skew_bm(params, seq)
+        t, lam = skew_bm(params, exposed)
         src = "bm"
         diags["bm_t"] = t
         if t > params.radius:
             diags["candidates_tried"] = 0
             return DecodeResult(ok=False, reason=REASON_INCONSISTENT, diagnostics=diags)
         diags["bm_gaussian_agree"] = True  # the shortest register is unique, see above
-        g = complete_g(params, known, lam)
+        g = complete_g(params, exposed, lam)
 
-    window = [
-        ctx.sub(beta[i % params.n], g[i % params.n])
-        for i in range(params.m - params.kappa, params.m + params.kappa + 1)
-    ]
     try:
-        msg = extract_message(params, window)
+        msg = extract_message(params, [ctx.sub(b, e) for b, e in zip(seq[d - 1 :], g[d - 1 :])])
     except SubfieldCheckError:
         reason = REASON_SUBFIELD
     except SymmetryCheckError:
@@ -349,8 +345,9 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     else:
         if _register_closes(params, g, lam):
             diags["solver"] = src
-            diags["equations_used"] = params.d - 1 - t
-            return DecodeResult(ok=True, message=msg, error_poly=g, error_rank=t, diagnostics=diags)
+            diags["equations_used"] = d - 1 - t
+            error_poly = tuple(v for _, v in sorted(zip(_cyclic_order(params), g)))
+            return DecodeResult(ok=True, message=msg, error_poly=error_poly, error_rank=t, diagnostics=diags)
         reason = REASON_RADIUS
     diags["candidates_tried"] = 1
     return DecodeResult(ok=False, reason=reason, diagnostics=diags)

@@ -292,10 +292,6 @@ class FieldContext:
         assert len(rows) <= self.deg, "more terms than the slot bound allows"
         return tuple(self._apply_linear(rows, digits) for digits in digit_rows)
 
-    def from_base(self, c: int) -> Felt:
-        """Embed an integer residue as a constant, i.e. an F_q element."""
-        return self.from_coeffs([c % self.q] + [0] * (self.deg - 1))
-
     def pow_elem(self, a: Felt, e: int) -> Felt:
         r = self.one
         while e:
@@ -707,22 +703,18 @@ class _OddContext(FieldContext):
         return self._reduce(self._pack(a) * self._pack(b))
 
     def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i] with one reduction per 2n terms.
+        """sum_i xs[i] * ys[i] over at most 2n terms, with one reduction.
 
         The packed products are summed unreduced, so each of the 4n-1 slots
-        of a chunk of at most 2n terms holds at most 2n * 2n * (q-1)^2;
-        reducing adds (h mod q) * row_s, under 2n * (q-1)^2 per slot, and
-        the canonical partial sum carried into the next chunk adds under q.
-        Every slot stays below (2n + 2) * 2n * (q-1)^2, the bound the slot
-        width is chosen for, so no slot carries and the slot-wise mod q of
-        the result is exact.  This does not go through mul.
+        holds at most 2n * 2n * (q-1)^2; reducing adds (h mod q) * row_s,
+        under 2n * (q-1)^2 per slot.  Every slot stays below (2n + 2) * 2n *
+        (q-1)^2, the bound the slot width is chosen for, so no slot carries
+        and the slot-wise mod q of the result is exact.  This does not go
+        through mul.
         """
-        pack, k = self._pack, self.deg
-        acc = sum(map(operator.mul, map(pack, xs[:k]), map(pack, ys[:k])))
-        for s in range(k, len(xs), k):
-            carried = pack(self._reduce(acc))
-            acc = sum(map(operator.mul, map(pack, xs[s : s + k]), map(pack, ys[s : s + k])), carried)
-        return self._reduce(acc)
+        assert len(xs) <= self.deg, "more terms than the slot bound allows"
+        pack = self._pack
+        return self._reduce(sum(map(operator.mul, map(pack, xs), map(pack, ys))))
 
     def _reduce(self, p):
         """Canonical element of a packed, unreduced product or sum of them."""

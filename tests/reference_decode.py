@@ -9,6 +9,13 @@ their key order included.  solve_key_equation, which decode no longer runs,
 lives here as the oracle for Berlekamp-Massey's register, and skew_bm is the
 synthesis as it was before it stored the inverse of delta_prev: it inverts
 delta_prev^(q^(2s)) at every nonzero discrepancy.
+
+The exposed coefficients are kept as they were before decoding read beta
+in one cyclic order: a dict keyed by cyclic index, filled and completed
+with modular index arithmetic (known_indices, beta_split, complete_g), and
+closure checked at the wrap indices m+kappa+1+j (register_closes).  They,
+and cyclic_order built from the same formulas, are the oracle for the
+cyclic order the package reads beta in.
 """
 
 from typing import Optional, Sequence
@@ -20,15 +27,71 @@ from hermrank.codec import (
     REASON_SUBFIELD,
     REASON_SYMMETRY,
     DecodeResult,
-    beta_split,
-    complete_g,
     encode,
     extract_message,
-    known_indices,
 )
-from hermrank.exceptions import BadRankError, SubfieldCheckError, SymmetryCheckError
+from hermrank.exceptions import BadRankError, BadShapeError, SubfieldCheckError, SymmetryCheckError
 from hermrank.field import Felt
 from hermrank.linpoly import lp_interpolate
+
+
+def known_indices(params: CodeParams) -> tuple:
+    """The d-1 cyclic coefficient indices outside the message window, in the
+    order they follow the window: m+kappa+1, ..., m+kappa+d-1 (mod n)."""
+    n = params.n
+    start = params.m + params.kappa + 1
+    return tuple((start + j) % n for j in range(params.d - 1))
+
+
+def cyclic_order(params: CodeParams) -> list:
+    """The n indices in the order hermrank.codec reads beta: known_indices,
+    then the window m-kappa .. m+kappa (mod n), as decode iterated it."""
+    n, m, kappa = params.n, params.m, params.kappa
+    return list(known_indices(params)) + [i % n for i in range(m - kappa, m + kappa + 1)]
+
+
+def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
+    """(beta, known): beta in index order, and its d-1 exposed coefficients
+    keyed by cyclic index."""
+    if len(received) != params.n:
+        raise BadShapeError(f"word needs exactly {params.n} components")
+    beta = lp_interpolate(params.ctx, params.moore_packed, received)
+    known = {idx: beta[idx] for idx in known_indices(params)}
+    return beta, known
+
+
+def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> tuple:
+    """Run the register forward to fill the windowed error coefficients.
+
+    Indices m-kappa .. m+kappa are produced in increasing order; index i
+    consumes i-1 .. i-t, which are known or already produced because the
+    register length never exceeds d-1.  Returns g in index order.
+    """
+    ctx = params.ctx
+    n, m, kappa = params.n, params.m, params.kappa
+    t = len(lam)
+    if not 1 <= t <= params.d - 1:
+        raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
+    coeffs = dict(known_g)
+    for i in range(m - kappa, m + kappa + 1):
+        coeffs[i % n] = _feedback(ctx, coeffs, lam, i, n)
+    return tuple(coeffs[i] for i in range(n))
+
+
+def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
+    """The register's output at cyclic index i: sum_l lam[l-1] * coeffs[i-l]^(q^(2l))."""
+    live = [l for l in range(1, len(lam) + 1) if coeffs[(i - l) % n] != ctx.zero]
+    images = [ctx.frobenius(coeffs[(i - l) % n], 2 * l) for l in live]
+    return ctx.dot([lam[l - 1] for l in live], images)
+
+
+def register_closes(params: CodeParams, g: Sequence[Felt], lam: Sequence[Felt]) -> bool:
+    """True when the register lam generates g's coefficients (index order)
+    at the len(lam) wrap indices m+kappa+1+j, j < len(lam), the only ones
+    that can fail for g completed from lam."""
+    n = params.n
+    start = params.m + params.kappa + 1
+    return all(g[(start + j) % n] == _feedback(params.ctx, g, lam, start + j, n) for j in range(len(lam)))
 
 
 def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:

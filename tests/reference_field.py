@@ -28,6 +28,11 @@ import math
 from hermrank.field import _prime_factors
 
 
+def from_base(ctx, c):
+    """The integer residue c mod q as a constant, i.e. an F_q element."""
+    return ctx.from_coeffs([c % ctx.q] + [0] * (ctx.deg - 1))
+
+
 @functools.lru_cache(maxsize=None)
 def reduction_rows(q, modulus):
     """X^(deg+s) mod f for s = 0 .. deg-2, as coefficient lists."""
@@ -260,7 +265,7 @@ def solve_hermitian_norm_scan(ctx, a):
     u1, u2 = ctx.subfield_basis(2)
     for idx in range(1, 64 * q):
         i, j = divmod(idx, q)
-        g = ctx.add(ctx.mul(ctx.from_base(i), u1), ctx.mul(ctx.from_base(j), u2))
+        g = ctx.add(ctx.mul(from_base(ctx, i), u1), ctx.mul(from_base(ctx, j), u2))
         h_int = ctx.to_coeffs(ctx.mul(ctx.frobenius(g, 1), g))[0]
         if h_int and all(pow(h_int, (q - 1) // p, q) != 1 for p in factors):
             break

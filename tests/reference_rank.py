@@ -23,6 +23,7 @@ from hermrank.channel import MODE_ARBITRARY
 from hermrank.code import matrix_to_vector, rank_distance
 from hermrank.codec import Message
 from hermrank.rng import SplitMix64
+from reference_field import from_base
 from reference_moore import lp_eval
 
 
@@ -91,7 +92,7 @@ def draw_hermitian_via_matrix(params, n, t, rng, sub2):
     ctx = params.ctx
     q = ctx.q
     b = [[sub2[rng.below(len(sub2))] for _ in range(t)] for _ in range(n)]
-    diag = [ctx.from_base(1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
+    diag = [from_base(ctx, 1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
     # entry (i, j) = sum_l b[i][l] * diag[l] * b[j][l]^q
     bd = [[ctx.mul(x, dl) for x, dl in zip(row, diag)] for row in b]
     bq = [[ctx.frobenius(x, 1) for x in row] for row in b]
@@ -110,7 +111,7 @@ def draw_hermitian_listed(params, n, t, rng, sub2):
     ctx = params.ctx
     q = ctx.q
     b = [[sub2[rng.below(len(sub2))] for _ in range(t)] for _ in range(n)]
-    diag = [ctx.from_base(1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
+    diag = [from_base(ctx, 1 + rng.below(q - 1)) if q > 2 else ctx.one for _ in range(t)]
     dbeta = [ctx.mul(dl, ctx.frobenius(ctx.dot(col, params.alpha), n + 1)) for dl, col in zip(diag, zip(*b))]
     return tuple(ctx.dot(dbeta, [ctx.frobenius(x, 1) for x in row]) for row in b)
 
@@ -135,4 +136,4 @@ def random_message_dots(params, rng):
     ctx = params.ctx
     basis = ctx.subfield_basis(ctx.n)
     digits = [[rng.below(ctx.q) for _ in basis] for _ in range(params.k)]
-    return Message(tuple(ctx.dot([ctx.from_base(c) for c in row], basis) for row in digits))
+    return Message(tuple(ctx.dot([from_base(ctx, c) for c in row], basis) for row in digits))

@@ -34,6 +34,7 @@ from hermrank.exceptions import (
     HermrankError,
     TooLargeError,
 )
+from reference_field import from_base
 from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, transpose
 from reference_rank import map_rank, matrix_rank
 
@@ -239,7 +240,7 @@ def test_codewords_give_hermitian_matrices(params_for, q, n, d):
 def _combine(ctx, basis, digits):
     acc = ctx.zero
     for b, c in zip(basis, digits):
-        acc = ctx.add(acc, ctx.mul(ctx.from_base(c), b))
+        acc = ctx.add(acc, ctx.mul(from_base(ctx, c), b))
     return acc
 
 

@@ -32,7 +32,6 @@ from hermrank.codec import (
     REASON_SUBFIELD,
     REASON_SYMMETRY,
     decode_result_to_json_obj,
-    known_indices,
     message_from_json_obj,
     message_to_json_obj,
     word_from_json_obj,
@@ -45,8 +44,10 @@ from hermrank.exceptions import (
     SubfieldCheckError,
     SymmetryCheckError,
 )
+from reference_decode import beta_split as reference_beta_split
+from reference_decode import cyclic_order, known_indices, solve_key_equation
 from reference_decode import skew_bm as reference_skew_bm
-from reference_decode import solve_key_equation
+from reference_field import from_base
 from reference_moore import encode_via_matrix, lp_eval
 from reference_rank import map_rank, random_message_dots
 
@@ -65,8 +66,10 @@ def _noisy(params, msg_seed, t, mode=MODE_ARBITRARY):
 # -- message expansion ------------------------------------------------------
 
 
-def test_random_message_embeds_only_drawn_digits(params_for):
-    # a table of all q scalars would hold a million elements here
+def test_random_message_peak_memory_at_large_q(params_for):
+    # one digit is drawn per basis element and combined with it, so the
+    # draw stays small where a table of all q scalars would hold a million
+    # elements
     p = params_for(1000003, 1, 1)
     ctx = p.ctx
     tracemalloc.start()
@@ -75,7 +78,7 @@ def test_random_message_embeds_only_drawn_digits(params_for):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert msg.parts == (ctx.from_base(SplitMix64(1).below(ctx.q)),)
+    assert msg.parts == (from_base(ctx, SplitMix64(1).below(ctx.q)),)
     assert peak < 2**20, peak
 
 
@@ -193,11 +196,13 @@ def test_minimal_code_pairwise_distance(params_for):
 
 
 def test_known_indices_frozen(params_for):
-    assert known_indices(params_for(2, 3, 3)) == (0, 1)
-    assert known_indices(params_for(2, 5, 3)) == (0, 1)
-    assert known_indices(params_for(2, 7, 5)) == (6, 0, 1, 2)
-    assert known_indices(params_for(2, 7, 7)) == (5, 6, 0, 1, 2, 3)
-    assert known_indices(params_for(2, 5, 1)) == ()
+    # the cyclic order's first d-1 entries are the exposed indices, the
+    # same as the dict-based decoder's known_indices
+    for (n, d), want in [((3, 3), (0, 1)), ((5, 3), (0, 1)), ((7, 5), (6, 0, 1, 2)),
+                         ((7, 7), (5, 6, 0, 1, 2, 3)), ((5, 1), ())]:
+        p = params_for(2, n, d)
+        assert tuple(codec._cyclic_order(p)[: d - 1]) == known_indices(p) == want
+        assert codec._cyclic_order(p) == cyclic_order(p)
 
 
 def test_beta_split_on_clean_codeword(params_for):
@@ -205,10 +210,9 @@ def test_beta_split_on_clean_codeword(params_for):
     ctx = p.ctx
     rng = SplitMix64(59)
     msg = random_message(p, rng)
-    beta, known = beta_split(p, encode(p, msg))
-    assert beta == expand_message(p, msg)
-    assert all(v == ctx.zero for v in known.values())
-    assert set(known) == set(known_indices(p))
+    seq = beta_split(p, encode(p, msg))
+    assert seq == tuple(expand_message(p, msg)[i] for i in cyclic_order(p))
+    assert all(v == ctx.zero for v in seq[: p.d - 1])
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 3), (2, 7, 5), (3, 5, 3)])
@@ -220,12 +224,11 @@ def test_beta_is_sum_of_window_and_error_coeffs(params_for, q, n, d, rand_felt):
     for _ in range(35):
         msg = random_message(p, rng)
         evec = tuple(rand_felt(ctx, rng) for _ in range(p.n))
-        beta, known = beta_split(p, corrupt(ctx, encode(p, msg), evec))
+        seq = beta_split(p, corrupt(ctx, encode(p, msg), evec))
         sent = expand_message(p, msg)
         g = lp_interpolate(ctx, p.moore_packed, evec)
-        assert beta == tuple(ctx.add(a, b) for a, b in zip(sent, g))
-        for idx in known_indices(p):
-            assert known[idx] == g[idx]  # sent part vanishes there
+        assert seq == tuple(ctx.add(sent[i], g[i]) for i in cyclic_order(p))
+        assert seq[: d - 1] == tuple(g[i] for i in known_indices(p))  # sent part vanishes there
 
 
 # -- key equation -----------------------------------------------------------
@@ -238,7 +241,7 @@ def test_solve_key_equation_recovers_register(params_for, q, n, d):
     for t in range(1, p.radius + 1):
         for seed in range(8):
             _, err, rec = _noisy(p, 100 * t + seed, t)
-            _, known = beta_split(p, rec)
+            _, known = reference_beta_split(p, rec)
             lam = solve_key_equation(p, known, t)
             assert lam is not None and len(lam) == t
             start = p.m + p.kappa + 1
@@ -253,7 +256,7 @@ def test_solve_key_equation_recovers_register(params_for, q, n, d):
 def test_solve_key_equation_guards(params_for):
     p = params_for(2, 7, 5)
     _, _, rec = _noisy(p, 3, 1)
-    _, known = beta_split(p, rec)
+    _, known = reference_beta_split(p, rec)
     with pytest.raises(BadRankError):
         solve_key_equation(p, known, 0)
     with pytest.raises(BadRankError):
@@ -263,7 +266,7 @@ def test_solve_key_equation_guards(params_for):
 def test_solve_key_equation_zero_sequence_is_underdetermined(params_for):
     p = params_for(2, 5, 3)
     rng = SplitMix64(67)
-    _, known = beta_split(p, encode(p, random_message(p, rng)))
+    _, known = reference_beta_split(p, encode(p, random_message(p, rng)))
     assert solve_key_equation(p, known, 1) is None
 
 
@@ -275,7 +278,7 @@ def test_solve_key_equation_overestimated_rank(params_for):
     ctx = p.ctx
     for seed in range(6):
         _, _, rec = _noisy(p, 500 + seed, 1)
-        _, known = beta_split(p, rec)
+        _, known = reference_beta_split(p, rec)
         lam = solve_key_equation(p, known, 2)
         if lam is None:
             continue
@@ -303,11 +306,10 @@ def test_skew_bm_matches_gaussian_solver(params_for, t, rand_felt):
     p = params_for(2, 7, 5)
     for seed in range(10):
         _, _, rec = _noisy(p, 700 * t + seed, t)
-        _, known = beta_split(p, rec)
-        seq = [known[i] for i in known_indices(p)]
+        seq = beta_split(p, rec)[: p.d - 1]
         bm_t, bm_lam = skew_bm(p, seq)
         assert bm_t == t
-        assert solve_key_equation(p, known, t) == bm_lam
+        assert solve_key_equation(p, dict(zip(known_indices(p), seq)), t) == bm_lam
 
     # sequences from random registers of every length L <= radius, a
     # quarter of them with lambda_L = 0, at each point of both parities
@@ -372,8 +374,7 @@ BENCH_POINTS = [(2, 31, 15, MODE_ARBITRARY), (3, 9, 5, MODE_HERMITIAN), (3, 19, 
 
 
 def _exposed(p, rec):
-    _, known = beta_split(p, rec)
-    return [known[i] for i in known_indices(p)]
+    return beta_split(p, rec)[: p.d - 1]
 
 
 @pytest.mark.parametrize("q,n,d,mode", BENCH_POINTS)
@@ -430,24 +431,23 @@ def test_complete_g_reconstructs_error_polynomial(params_for, q, n, d):
     for t in range(1, p.radius + 1):
         for seed in range(10):
             _, err, rec = _noisy(p, 900 * t + seed, t)
-            _, known = beta_split(p, rec)
-            seq = [known[i] for i in known_indices(p)]
-            bm_t, lam = skew_bm(p, seq)
+            exposed = beta_split(p, rec)[: d - 1]
+            bm_t, lam = skew_bm(p, exposed)
             assert bm_t == t
-            g = complete_g(p, known, lam)
-            assert g == lp_interpolate(ctx, p.moore_packed, err)
-            assert map_rank(ctx, g) == t
+            e = lp_interpolate(ctx, p.moore_packed, err)
+            assert complete_g(p, exposed, lam) == tuple(e[i] for i in cyclic_order(p))
+            assert map_rank(ctx, e) == t
 
 
 def test_complete_g_guards(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     _, _, rec = _noisy(p, 5, 1)
-    _, known = beta_split(p, rec)
+    exposed = beta_split(p, rec)[: p.d - 1]
     with pytest.raises(BadRankError):
-        complete_g(p, known, ())
+        complete_g(p, exposed, ())
     with pytest.raises(BadRankError):
-        complete_g(p, known, (ctx.one,) * p.d)
+        complete_g(p, exposed, (ctx.one,) * p.d)
 
 
 # -- message extraction -----------------------------------------------------

@@ -13,6 +13,8 @@ from hermrank import (
     MODE_HERMITIAN,
     ChannelSpec,
     SplitMix64,
+    beta_split,
+    complete_g,
     corrupt,
     decode,
     encode,
@@ -20,11 +22,14 @@ from hermrank import (
     nearest_codeword,
     random_message,
     random_rank_error,
+    skew_bm,
 )
 from hermrank import codec
 from hermrank.codec import REASON_INCONSISTENT, REASON_RADIUS, REASON_SUBFIELD, REASON_SYMMETRY
+from hermrank.exceptions import BadRankError
 
-from reference_decode import reference_decode
+import reference_decode as ref
+from reference_decode import cyclic_order, known_indices, reference_decode
 from reference_moore import lp_eval
 from reference_rank import map_rank
 
@@ -48,6 +53,22 @@ def _noisy(p, seed, t, mode):
     msg = random_message(p, rng)
     err = random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=rng.next_u64()))
     return msg, corrupt(p.ctx, encode(p, msg), err)
+
+
+def _cycle_error(p, rng, rand_felt, L):
+    # a random register of length L with a random start, run forward from
+    # the first exposed index around the whole cycle: (lambda, error
+    # polynomial in index order)
+    ctx, n = p.ctx, p.n
+    lam = [rand_felt(ctx, rng) for _ in range(L)]
+    run = [rand_felt(ctx, rng) for _ in range(L)]
+    run[0] = ctx.one
+    for j in range(L, n):
+        run.append(ctx.dot(lam, [ctx.frobenius(run[j - l], 2 * l) for l in range(1, L + 1)]))
+    coeffs = [ctx.zero] * n
+    for i, c in zip(cyclic_order(p), run):
+        coeffs[i] = c
+    return tuple(lam), tuple(coeffs)
 
 
 @pytest.mark.parametrize("q,n,d", POINTS)
@@ -145,7 +166,7 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     # exposed coefficients 1, 0, 0, 1 need a register of length 3
     calls.update(interpolate=0, feedback=0)
     coeffs = [ctx.zero] * p.n
-    first, *_, last = codec.known_indices(p)
+    first, *_, last = known_indices(p)
     coeffs[first] = coeffs[last] = ctx.one
     err = tuple(lp_eval(ctx, tuple(coeffs), a) for a in p.alpha)
     res = decode(p, corrupt(ctx, encode(p, msg), err))
@@ -166,20 +187,10 @@ def test_register_run_around_the_cycle(params_for, rand_felt, q, n, d, count):
     p = params_for(q, n, d)
     ctx = p.ctx
     rng = SplitMix64(9_000 + 100 * q + n)
-    start = p.m + p.kappa + 1
     rejected = 0
     for _ in range(count):
         msg = random_message(p, rng)
-        L = 1 + rng.below(p.radius)
-        lam = [rand_felt(ctx, rng) for _ in range(L)]
-        run = [rand_felt(ctx, rng) for _ in range(L)]
-        run[0] = ctx.one
-        for j in range(L, n):
-            run.append(ctx.dot(lam, [ctx.frobenius(run[j - l], 2 * l) for l in range(1, L + 1)]))
-        coeffs = [ctx.zero] * n
-        for j, c in enumerate(run):
-            coeffs[(start + j) % n] = c
-        e = tuple(coeffs)
+        _, e = _cycle_error(p, rng, rand_felt, 1 + rng.below(p.radius))
         res = _same(p, corrupt(ctx, encode(p, msg), tuple(lp_eval(ctx, e, a) for a in p.alpha)))
         if res.ok:
             assert res.message == msg and res.error_poly == e
@@ -187,3 +198,47 @@ def test_register_run_around_the_cycle(params_for, rand_felt, q, n, d, count):
             assert res.reason == REASON_RADIUS and map_rank(ctx, e) > p.radius
             rejected += 1
     assert rejected >= count * 3 // 4
+
+
+@pytest.mark.parametrize(
+    "q,n,d,count",
+    [(2, 31, 15, 8), (3, 9, 5, 30), (3, 19, 9, 8), (5, 13, 7, 12), (2, 7, 5, 40), (2, 7, 7, 40), (3, 1, 1, 0)],
+)
+def test_cyclic_order_matches_dict_indexing(params_for, rand_felt, q, n, d, count):
+    # beta read once in the cyclic order against the dict keyed by cyclic
+    # index that it replaced: the same exposed sequence, the same completion
+    # and closure verdict for the drawn register of every length up to d-1
+    # and for BM's, and the same decode result, error_poly included, on
+    # channel errors and on register runs around the cycle
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    rng = SplitMix64(9_500 + 100 * q + n)
+    words = [(None, _noisy(p, 9_600 + 10 * t + s, t, MODE_ARBITRARY)[1])
+             for t in range(min(p.radius + 1, n) + 1) for s in range(2)]
+    for _ in range(count):
+        lam, e = _cycle_error(p, rng, rand_felt, 1 + rng.below(d - 1))
+        err = tuple(lp_eval(ctx, e, a) for a in p.alpha)
+        words.append((lam, corrupt(ctx, encode(p, random_message(p, rng)), err)))
+    verdicts = set()
+    for lam, rec in words:
+        seq = beta_split(p, rec)
+        beta, known = ref.beta_split(p, rec)
+        assert seq == tuple(beta[i] for i in cyclic_order(p))
+        assert seq[: d - 1] == tuple(known[i] for i in known_indices(p))
+        res = _same(p, rec)
+        bm_t, bm_lam = skew_bm(p, seq[: d - 1])
+        for reg in filter(None, (lam, bm_lam)):
+            g, g_ref = complete_g(p, seq[: d - 1], reg), ref.complete_g(p, known, reg)
+            assert g == tuple(g_ref[i] for i in cyclic_order(p))
+            closes = codec._register_closes(p, g, reg)
+            assert closes == ref.register_closes(p, g_ref, reg)
+            verdicts.add(closes)
+            if reg is bm_lam and res.ok:
+                assert res.error_poly == g_ref and res.error_rank == bm_t
+    if d > 1:
+        assert verdicts == {True, False}
+    else:
+        with pytest.raises(BadRankError):
+            complete_g(p, (), (ctx.one,))
+        with pytest.raises(BadRankError):
+            ref.complete_g(p, {}, (ctx.one,))

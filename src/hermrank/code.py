@@ -115,6 +115,8 @@ class CodeParams:
 
     m = (n+1)/2 and kappa = (n-d)/2 locate the width-k window of nonzero
     polynomial coefficients; k = n-d+1 is the message length over F_{q^n}.
+    These, n and the radius are fixed by n and d, so they are derived, not
+    stored.
     alpha is the orthonormal basis, eta the second basis vector of K over
     F_{q^n}, moore_inv the inverse of the transposed Moore matrix on alpha
     (the one derived basis table), moore_packed its packed rows, through
@@ -125,9 +127,6 @@ class CodeParams:
 
     ctx: FieldContext
     d: int
-    m: int
-    kappa: int
-    k: int
     alpha: tuple
     eta: Felt
     moore_inv: tuple  # moore_inv[r][j] = alpha_r^(q^(n+2j))
@@ -137,6 +136,18 @@ class CodeParams:
     @property
     def n(self) -> int:
         return self.ctx.n
+
+    @property
+    def m(self) -> int:
+        return (self.n + 1) // 2
+
+    @property
+    def kappa(self) -> int:
+        return (self.n - self.d) // 2
+
+    @property
+    def k(self) -> int:
+        return self.n - self.d + 1
 
     @property
     def radius(self) -> int:
@@ -163,18 +174,14 @@ def _assemble(
     """CodeParams from a basis alpha and the table and packed rows
     _moore_inv certified it with; both callers (build_params,
     params_from_json_obj) pass them in."""
-    n = ctx.n
     return CodeParams(
         ctx=ctx,
         d=d,
-        m=(n + 1) // 2,
-        kappa=(n - d) // 2,
-        k=n - d + 1,
         alpha=alpha,
         eta=eta,
         moore_inv=moore_inv,
         moore_packed=moore_packed,
-        eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, n))),
+        eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, ctx.n))),
     )
 
 

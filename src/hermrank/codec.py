@@ -184,8 +184,11 @@ def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt])
     window, positions d-1 .. n-1 of the cyclic order; returns all n.
 
     Position p consumes p-1 .. p-t, which are exposed or already produced
-    because the register length t never exceeds d-1.
+    because the register length t never exceeds d-1.  exposed must hold
+    exactly d-1 coefficients (BadShapeError).
     """
+    if len(exposed) != params.d - 1:
+        raise BadShapeError(f"exposed needs exactly {params.d - 1} coefficients, got {len(exposed)}")
     t = len(lam)
     if not 1 <= t <= params.d - 1:
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")

@@ -9,39 +9,54 @@ element that happens to be fixed by the appropriate Frobenius power, and
 Element representation depends on the characteristic:
 
 * q = 2: an element is a plain ``int`` whose bits are the coefficients
-  (bit i = coefficient of X^i).  Addition is XOR, multiplication is a
-  carry-less product followed by a table-driven reduction.
+  (bit i = coefficient of X^i).  Addition is XOR.
 * odd prime q: an element is a ``tuple`` of 2n ints in [0, q), coefficient
   of X^i at position i.  Arithmetic packs a tuple into one int with a fixed
-  slot of w bytes per coefficient (Kronecker substitution), so a product of
-  two elements is one big-int product whose slot k holds the k-th
-  coefficient of the convolution.  Reduction adds (h mod q) * row_s for
-  each high slot h, where row_s is the packed X^(2n+s) mod f, and a single
-  unpack with a slot-wise mod q gives the canonical tuple back.  ``dot``
-  sums up to 2n packed products before that one reduction.  A slot must
-  never carry into the next: a sum of `terms` products puts at most
-  terms * 2n * (q-1)^2 in a slot, the reduction rows add less than
-  2n * (q-1)^2 and a carried partial sum less than q, so w is the least
-  byte count with 2^(8w) > (terms + 2) * 2n * (q-1)^2 for terms = 2n.
+  slot of w bytes per coefficient (Kronecker substitution).
+
+Every product in the package is one kernel: form unreduced products, add
+them, reduce once.  Each engine supplies only its arithmetic for it, and
+``FieldContext`` writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows``
+and ``_to_rows`` once on top:
+
+* ``_lift`` maps an element to the int it multiplies as: the element
+  itself for q = 2, its packed slots for odd q.
+* ``_product`` is the unreduced product of two lifted values: a 4-bit
+  windowed carry-less product for q = 2, the int product for odd q, whose
+  slot k holds the k-th coefficient of the convolution.
+* ``_sum`` adds unreduced products: XOR for q = 2, ``sum`` for odd q.
+* ``_reduce`` gives the canonical element of an unreduced product or sum
+  of them.  For q = 2 it folds the bits above X^(2n) in through byte
+  tables of X^(2n+s) mod f (``_rtab``).  For odd q it adds (h mod q) *
+  row_s for each high slot h, where row_s is the packed X^(2n+s) mod f,
+  and a single unpack with a slot-wise mod q gives the canonical tuple.
+* ``_stride`` is the width in bits that one unreduced product fills: 4n
+  bits for q = 2, 4n slots (2 * ``_split`` bits) for odd q.
+
+``mul`` is one product and one reduction, and ``dot`` sums up to 2n
+products before its one reduction.  For odd q a slot must never carry into
+the next: a sum of `terms` products puts at most terms * 2n * (q-1)^2 in a
+slot, the reduction rows add less than 2n * (q-1)^2 and a carried partial
+sum less than q, so w is the least byte count with 2^(8w) > (terms + 2) *
+2n * (q-1)^2 for terms = 2n.  XOR never carries, so q = 2 has no such
+bound, but ``dot`` keeps the same 2n-term contract at every q.
 
 A constant square table (the code's Moore inverse) is also kept as packed
 rows, so combining its rows with n scalars, sum_r v_r * table[r][j] for
 every j at once, is one packed combination.  ``pack_rows`` lays row r out
-as one int holding entry j at a fixed stride, and ``combine_rows`` forms
-the sum of the scalar-times-row products over r and cuts out each output
-field for its one reduction.  The stride is what a product of two elements
-fills, so the fields of a sum never overlap:
+as one int holding the lifted entry j at bit or slot ``_stride`` * j, and
+``combine_rows`` sums the products of each lifted scalar with its whole
+row, then cuts out each output field for its one ``_reduce``.  The stride
+is what a product of two elements fills, so the fields of a sum never
+overlap:
 
-* q = 2: entry j starts at bit 2*deg*j.  A carry-less product of two
-  elements of deg bits has at most 2*deg - 1 bits, and XOR never carries,
-  so field j of the sum is exactly sum_r v_r * table[r][j] before
-  reduction.  The kernel is mul's 4-bit windowed product with the whole
-  row as the multiplicand, and each field is reduced through ``_rtab``.
-* odd q: entry j is the ``_pack``ed element at slot 4n*j.  A product fills
-  the 4n - 1 slots of its field, and field j of the sum adds n products, so
-  a slot holds at most n * 2n * (q-1)^2.  That is the dot bound with
-  terms = n <= 2n, inside the slot width, so no slot carries into the next
-  and no field into the next; each field takes one ``_reduce``.
+* q = 2: a carry-less product of two elements of 2n bits has at most
+  4n - 1 bits, and XOR never carries, so field j of the sum is exactly
+  sum_r v_r * table[r][j] before reduction.
+* odd q: a product fills the 4n - 1 slots of its field, and field j of the
+  sum adds n products, so a slot holds at most n * 2n * (q-1)^2.  That is
+  the dot bound with terms = n <= 2n, inside the slot width, so no slot
+  carries into the next and no field into the next.
 
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
@@ -212,9 +227,6 @@ class FieldContext:
     def neg(self, a: Felt) -> Felt:
         raise NotImplementedError
 
-    def mul(self, a: Felt, b: Felt) -> Felt:
-        raise NotImplementedError
-
     def inv(self, a: Felt) -> Felt:
         raise NotImplementedError
 
@@ -227,23 +239,6 @@ class FieldContext:
     def _apply_linear(self, rows: Sequence, a: Felt) -> Felt:
         """Apply an F_q-linear map given by its table of monomial images in
         the form _to_rows makes."""
-        raise NotImplementedError
-
-    def _to_rows(self, images: Sequence[Felt]) -> tuple:
-        """Table form of a linear map's monomial images: the images
-        themselves, unless an engine stores them otherwise."""
-        return tuple(images)
-
-    def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
-        """Packed-row form of a square table for combine_rows: each row as
-        one int holding its entries at the engine's stride (module
-        docstring)."""
-        raise NotImplementedError
-
-    def combine_rows(self, values: Sequence[Felt], rows: Sequence[int]) -> tuple:
-        """(sum_r values[r] * table[r][j])_j for the square table packed
-        into rows by pack_rows: one packed combination of the rows, then
-        one reduction per output.  This does not go through mul or dot."""
         raise NotImplementedError
 
     def _echelon(self, elems: Sequence[Felt]) -> list:
@@ -273,6 +268,51 @@ class FieldContext:
             basis[_lead(c)] = self.sub(p, below)
         return tuple(basis[lead] for lead in sorted(basis))
 
+    # -- one product kernel on _lift, _product, _sum, _reduce, _stride -----
+
+    def mul(self, a: Felt, b: Felt) -> Felt:
+        """a * b: one product of the lifted elements, one reduction."""
+        return self._reduce(self._product(self._lift(a), self._lift(b)))
+
+    def dot(self, xs: Sequence[Felt], ys: Sequence[Felt]) -> Felt:
+        """sum_i xs[i] * ys[i] over at most 2n terms, with one reduction.
+
+        The products are summed unreduced.  For odd q each of the 4n-1
+        slots then holds at most 2n * 2n * (q-1)^2; reducing adds (h mod q)
+        * row_s, under 2n * (q-1)^2 per slot.  Every slot stays below
+        (2n + 2) * 2n * (q-1)^2, the bound the slot width is chosen for, so
+        no slot carries and the slot-wise mod q of the result is exact.
+        XOR never carries, and q = 2 keeps the same bound on the terms.
+        This does not go through mul.
+        """
+        assert len(xs) <= self.deg, "more terms than the slot bound allows"
+        lift = self._lift
+        return self._reduce(self._sum(map(self._product, map(lift, xs), map(lift, ys))))
+
+    def _to_rows(self, images: Sequence[Felt]) -> tuple:
+        """Table form of a linear map's monomial images: each image lifted."""
+        return tuple(map(self._lift, images))
+
+    def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
+        """Packed-row form of a square table for combine_rows: each row as
+        one int holding its lifted entries at the engine's stride (module
+        docstring)."""
+        stride, lift = self._stride, self._lift
+        return tuple(sum(lift(e) << stride * j for j, e in enumerate(row)) for row in table)
+
+    def combine_rows(self, values: Sequence[Felt], rows: Sequence[int]) -> tuple:
+        """(sum_r values[r] * table[r][j])_j for the square table packed
+        into rows by pack_rows: one packed combination of the rows, then
+        one reduction per output.  This does not go through mul or dot."""
+        acc = self._sum(map(self._product, map(self._lift, values), rows))
+        stride = self._stride
+        mask = (1 << stride) - 1
+        out = []
+        for _ in rows:
+            out.append(self._reduce(acc & mask))
+            acc >>= stride
+        return tuple(out)
+
     # -- shared operations --------------------------------------------------
 
     def fq_combine(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]) -> tuple:
@@ -300,14 +340,6 @@ class FieldContext:
             a = self.mul(a, a)
             e >>= 1
         return r
-
-    def dot(self, xs: Sequence[Felt], ys: Sequence[Felt]) -> Felt:
-        """sum_i xs[i] * ys[i], skipping the terms whose xs[i] is zero."""
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            if x != self.zero:
-                acc = self.add(acc, self.mul(x, y))
-        return acc
 
     def _frob_rows(self, j: int) -> tuple:
         """Table of x -> x^(q^j), built once per context and power j mod 2n."""
@@ -482,6 +514,7 @@ class _Gf2Context(FieldContext):
         self.zero = 0
         self.one = 1
         self._mask = (1 << deg) - 1
+        self._stride = 2 * deg
         fpacked = 0
         for i, c in enumerate(self.modulus):
             if c:
@@ -514,10 +547,15 @@ class _Gf2Context(FieldContext):
     def neg(self, a):
         return a
 
-    def mul(self, a, b):
+    # an element is already the int it multiplies as
+    _lift = staticmethod(operator.index)
+
+    @staticmethod
+    def _product(a, b):
+        """Carry-less product of a and b, b of any width: a 4-bit windowed
+        multiply over the nibbles of a."""
         if a < 2 or b < 2:
             return a * b
-        # 4-bit windowed carry-less multiply
         t = [0, b]
         for i in range(1, 8):
             d = t[i] << 1
@@ -531,6 +569,14 @@ class _Gf2Context(FieldContext):
                 p ^= t[w] << sh
             a >>= 4
             sh += 4
+        return p
+
+    @staticmethod
+    def _sum(products):
+        return functools.reduce(operator.xor, products, 0)
+
+    def _reduce(self, p):
+        """p mod f for p of at most 4n - 1 bits, through the byte tables."""
         hi = p >> self.deg
         p &= self._mask
         k = 0
@@ -580,44 +626,6 @@ class _Gf2Context(FieldContext):
 
     def fq_combine(self, elems, digit_rows):
         return tuple(functools.reduce(operator.xor, itertools.compress(elems, digits), 0) for digits in digit_rows)
-
-    def pack_rows(self, table):
-        stride = 2 * self.deg
-        return tuple(sum(e << stride * j for j, e in enumerate(row)) for row in table)
-
-    def combine_rows(self, values, rows):
-        # the windowed product of mul with the whole row as multiplicand;
-        # the terms of nibble k are collected in acc[k] and shifted once
-        deg = self.deg
-        acc = [0] * -(-deg // 4)
-        for v, row in zip(values, rows):
-            if v:
-                t = [0, row]
-                for i in range(1, 8):
-                    d = t[i] << 1
-                    t.append(d)
-                    t.append(d ^ row)
-                k = 0
-                while v:
-                    acc[k] ^= t[v & 15]
-                    v >>= 4
-                    k += 1
-        p = 0
-        for part in reversed(acc):
-            p = p << 4 ^ part
-        stride, mask, rtab = 2 * deg, self._mask, self._rtab
-        out = []
-        for _ in rows:
-            hi = p >> deg & mask
-            lo = p & mask
-            k = 0
-            while hi:
-                lo ^= rtab[k][hi & 255]
-                hi >>= 8
-                k += 1
-            out.append(lo)
-            p >>= stride
-        return tuple(out)
 
     def _echelon(self, elems):
         # XOR elimination on the packed coefficient bits: each pivot clears
@@ -673,8 +681,9 @@ class _OddContext(FieldContext):
         bound = (deg + 2) * deg * (q - 1) ** 2
         nbytes = -(-bound.bit_length() // 8)
         width = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
-        self._pack, self._unpack = _slot_codec(width)
+        self._lift, self._unpack = _slot_codec(width)
         self._split = 8 * width * deg
+        self._stride = 2 * self._split
         self._low = (1 << self._split) - 1
         # images of X^(deg+s) reduced mod f, for product reduction
         red = []
@@ -699,22 +708,8 @@ class _OddContext(FieldContext):
         q = self.q
         return tuple((-x) % q for x in a)
 
-    def mul(self, a, b):
-        return self._reduce(self._pack(a) * self._pack(b))
-
-    def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i] over at most 2n terms, with one reduction.
-
-        The packed products are summed unreduced, so each of the 4n-1 slots
-        holds at most 2n * 2n * (q-1)^2; reducing adds (h mod q) * row_s,
-        under 2n * (q-1)^2 per slot.  Every slot stays below (2n + 2) * 2n *
-        (q-1)^2, the bound the slot width is chosen for, so no slot carries
-        and the slot-wise mod q of the result is exact.  This does not go
-        through mul.
-        """
-        assert len(xs) <= self.deg, "more terms than the slot bound allows"
-        pack = self._pack
-        return self._reduce(sum(map(operator.mul, map(pack, xs), map(pack, ys))))
+    _product = staticmethod(operator.mul)
+    _sum = staticmethod(sum)
 
     def _reduce(self, p):
         """Canonical element of a packed, unreduced product or sum of them."""
@@ -735,13 +730,13 @@ class _OddContext(FieldContext):
         """
         if a == self.zero:
             raise ZeroInputError("inverse of zero")
-        q, pack, reduce, frob = self.q, self._pack, self._reduce, self._frob_rows
+        q, lift, reduce, frob = self.q, self._lift, self._reduce, self._frob_rows
         b, k = self._apply_linear(frob(1), a), 1
         for bit in bin(self.deg - 1)[3:]:
-            b, k = reduce(pack(b) * pack(self._apply_linear(frob(k), b))), 2 * k
+            b, k = reduce(lift(b) * lift(self._apply_linear(frob(k), b))), 2 * k
             if bit == "1":
-                b, k = self._apply_linear(frob(1), reduce(pack(a) * pack(b))), k + 1
-        scale = pow(reduce(pack(a) * pack(b))[0], -1, q)
+                b, k = self._apply_linear(frob(1), reduce(lift(a) * lift(b))), k + 1
+        scale = pow(reduce(lift(a) * lift(b))[0], -1, q)
         return tuple(c * scale % q for c in b)
 
     def from_coeffs(self, coeffs):
@@ -759,23 +754,6 @@ class _OddContext(FieldContext):
         q = self.q
         return tuple(map(q.__rmod__, self._unpack(sum(map(operator.mul, a, rows)), self.deg)))
 
-    def _to_rows(self, images):
-        return tuple(map(self._pack, images))
-
-    def pack_rows(self, table):
-        stride = 2 * self._split
-        return tuple(sum(self._pack(e) << stride * j for j, e in enumerate(row)) for row in table)
-
-    def combine_rows(self, values, rows):
-        acc = sum(map(operator.mul, map(self._pack, values), rows))
-        stride = 2 * self._split
-        mask = (1 << stride) - 1
-        out = []
-        for _ in rows:
-            out.append(self._reduce(acc & mask))
-            acc >>= stride
-        return tuple(out)
-
     def _echelon(self, elems):
         """The odd-q engine's pivot-and-clear elimination on packed rows.
 
@@ -786,7 +764,7 @@ class _OddContext(FieldContext):
         there are at most 2n pivots, so its slots stay below
         q + 2n * (q-1)^2, inside dot's slot bound: no slot carries.
         """
-        q, deg, pack, unpack = self.q, self.deg, self._pack, self._unpack
+        q, deg, pack, unpack = self.q, self.deg, self._lift, self._unpack
         bits = self._split // deg
         mask = (1 << bits) - 1
         pivots = []

@@ -5,7 +5,9 @@ single ints (see hermrank.field).  These are the coefficient-by-coefficient
 loops it replaced: the product as a convolution followed by reduction with
 the rows X^(2n+s) mod f, and an F_q-linear map applied from its monomial
 images.  They read only q, n and the modulus of a context, so a fault in
-the packed kernel cannot hide in them.
+the packed kernel cannot hide in them.  The product, sum and dot read and
+write elements through to_coeffs and from_coeffs, so they serve the q = 2
+engine as well.
 
 The modulus scan below serves every q, q = 2 included: Rabin's test on
 coefficient lists, with its own remainder and gcd, against the package's
@@ -50,6 +52,7 @@ def reduction_rows(q, modulus):
 
 def mul(ctx, a, b):
     q, deg = ctx.q, ctx.deg
+    a, b = ctx.to_coeffs(a), ctx.to_coeffs(b)
     prod = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
         if x:
@@ -61,11 +64,11 @@ def mul(ctx, a, b):
         if hi:
             for k in range(deg):
                 acc[k] += hi * row[k]
-    return tuple(v % q for v in acc)
+    return ctx.from_coeffs([v % q for v in acc])
 
 
 def add(ctx, a, b):
-    return tuple((x + y) % ctx.q for x, y in zip(a, b))
+    return ctx.from_coeffs([(x + y) % ctx.q for x, y in zip(ctx.to_coeffs(a), ctx.to_coeffs(b))])
 
 
 def dot(ctx, xs, ys):

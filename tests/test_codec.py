@@ -448,6 +448,15 @@ def test_complete_g_guards(params_for):
         complete_g(p, exposed, ())
     with pytest.raises(BadRankError):
         complete_g(p, exposed, (ctx.one,) * p.d)
+    # exposed must hold exactly d - 1 coefficients: the whole cyclic beta
+    # sequence would run on past n, and too few would index out of range
+    p = params_for(2, 7, 5)
+    _, _, rec = _noisy(p, 5, 1)
+    seq = beta_split(p, rec)
+    with pytest.raises(BadShapeError):
+        complete_g(p, seq, (p.ctx.one,))
+    with pytest.raises(BadShapeError):
+        complete_g(p, seq[:2], (p.ctx.one,) * 3)
 
 
 # -- message extraction -----------------------------------------------------
@@ -680,14 +689,15 @@ def test_random_message_is_deterministic_and_valid(params_for):
         assert ctx.in_subfield(part, ctx.n)
 
 
-# -- operation counts of the packed odd-q engine ----------------------------
+# -- operation counts of the packed engines ---------------------------------
 
 
-def test_packed_engine_op_counts(params_for, monkeypatch):
-    # machine-independent guard: interpolation is one packed combination of
-    # the Moore rows, with no mul or dot, and the closure check runs on dot
-    # and the packed Frobenius tables, never on mul
-    p = params_for(3, 9, 5)
+@pytest.mark.parametrize("q,n,d", [(3, 9, 5), (2, 7, 5)])
+def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
+    # machine-independent guard, on each engine: interpolation is one packed
+    # combination of the Moore rows, with no mul or dot, and the closure
+    # check runs on dot and the packed Frobenius tables, never on mul
+    p = params_for(q, n, d)
     ctx = p.ctx
     msg, _, received = _noisy(p, 43, 2, MODE_HERMITIAN)
     assert decode(p, received).message == msg  # every table decode reads is built

@@ -253,9 +253,10 @@ def test_packed_kernel_matches_schoolbook(q, n, rand_felt):
         assert all(type(c) is int for c in ctx.mul(a, a) + ctx.frobenius(a, 1))
 
 
-@pytest.mark.parametrize("q,n", ODD_POINTS)
+@pytest.mark.parametrize("q,n", ODD_POINTS + [(2, 1), (2, 5), (2, 31)])
 def test_dot_matches_schoolbook(q, n, rand_felt):
-    # up to 2n terms share one reduction; more would overrun the slot bound
+    # up to 2n terms share one reduction; more would overrun the odd-q slot
+    # bound, and q = 2 keeps the same contract
     ctx = make_context(q, n)
     rng = SplitMix64(7 * q + n)
     for terms in (0, 1, n, 2 * n):
@@ -266,6 +267,34 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
     with pytest.raises(AssertionError):
         ctx.dot([ctx.one] * (2 * n + 1), [ctx.one] * (2 * n + 1))
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 15), (3, 5), (5, 3), (251, 3)])
+def test_products_reduce_once(monkeypatch, q, n, rand_felt):
+    # machine-independent guard of the one product kernel on each engine:
+    # mul and dot sum unreduced products and reduce once, and combine_rows
+    # reduces once per output
+    ctx = make_context(q, n)
+    rng = SplitMix64(11 * q + n)
+    xs = [rand_felt(ctx, rng) for _ in range(2 * n)]
+    table = [[rand_felt(ctx, rng) for _ in range(n)] for _ in range(n)]
+    rows = ctx.pack_rows(table)
+    cls = type(ctx)
+    reduced = []
+
+    def counting(self, p, _orig=cls._reduce):
+        reduced.append(p)
+        return _orig(self, p)
+
+    monkeypatch.setattr(cls, "_reduce", counting)
+    assert ctx.mul(xs[0], xs[1]) == reference_field.mul(ctx, xs[0], xs[1])
+    assert len(reduced) == 1
+    assert ctx.dot(xs, xs[::-1]) == reference_field.dot(ctx, xs, xs[::-1])
+    assert len(reduced) == 2
+    values = xs[:n]
+    expected = tuple(reference_field.dot(ctx, values, col) for col in zip(*table))
+    assert ctx.combine_rows(values, rows) == expected
+    assert len(reduced) == 2 + n
 
 
 @pytest.mark.parametrize("q,n", [(3, 19), (5, 13), (4294967291, 1)])

@@ -17,6 +17,12 @@ def _absolute_imports(path):
             yield node.module
 
 
+def test_package_is_this_checkouts_source():
+    # the tests must exercise src/ of this checkout, not an installed copy
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert Path(hermrank.__file__).resolve().is_relative_to(src)
+
+
 def test_every_absolute_import_is_stdlib():
     assert len(SOURCES) >= 10
     foreign = [

@@ -4,14 +4,20 @@ mindist, matrix.
 All input and output is JSON with field elements as coefficient arrays
 (least significant first, always 2n entries).  Every command is
 deterministic given its flags; commands that need randomness require an
-explicit --seed.  Exit codes: 0 on success, 1 when a decode reports
-failure, 2 on usage or input errors.
+explicit --seed; the timings of simulate and mindist go to stderr, so
+their reports are byte-identical across runs (simulate's --with-timing
+aside).  simulate builds its params once per process: its shards run
+through one function, in this process or on a pool of worker processes,
+and a forked worker inherits the parent's params.  Exit codes: 0 on
+success, 1 when a decode reports failure, 2 on usage or input errors; any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -114,16 +120,26 @@ def _parse_ranks(text: str, n: int) -> list:
     return ranks
 
 
-def _sim_chunk(params, mode, master_seed, t, start, stop, want_timing):
-    """One shard of simulate trials; trial i is fully determined by
-    (master_seed, t, i) so sharding cannot change any outcome."""
-    counts = {
-        "trials": 0,
-        "successes": 0,
-        "failures": 0,
-        "mismatches": 0,
-        "inconsistent_events": 0,  # always 0: bm_gaussian_agree is never False
-    }
+#: the outcome counts of one rank's trials, summed over its shards
+_COUNTS = ("trials", "successes", "failures", "mismatches", "inconsistent_events")
+
+
+@functools.lru_cache(maxsize=1)
+def _sim_params(q, n, d):
+    """simulate's params, built once per process: a forked worker inherits
+    the parent's, any other worker builds them on its first shard.  A run
+    uses one triple, so only the latest is kept."""
+    return build_params(q, n, d)
+
+
+def _sim_chunk(q, n, d, mode, master_seed, t, start, stop):
+    """One shard of simulate trials, with each trial's decode latency in ms;
+    trial i is fully determined by (master_seed, t, i) so sharding cannot
+    change any outcome."""
+    params = _sim_params(q, n, d)
+    # inconsistent_events stays 0: bm_gaussian_agree is never False
+    counts = dict.fromkeys(_COUNTS, 0)
+    counts["trials"] = stop - start
     lats = []
     for i in range(start, stop):
         rng = SplitMix64(substream_seed(master_seed, (t << 32) + i))
@@ -132,38 +148,22 @@ def _sim_chunk(params, mode, master_seed, t, start, stop, want_timing):
         word = corrupt(params.ctx, encode(params, msg), err)
         t0 = time.perf_counter()
         result = decode(params, word)
-        elapsed = time.perf_counter() - t0
-        if want_timing:
-            lats.append(elapsed * 1000.0)
-        counts["trials"] += 1
-        if result.ok:
-            if result.message == msg:
-                counts["successes"] += 1
-            else:
-                counts["mismatches"] += 1
-        else:
+        lats.append((time.perf_counter() - t0) * 1000.0)
+        if not result.ok:
             counts["failures"] += 1
+        elif result.message == msg:
+            counts["successes"] += 1
+        else:
+            counts["mismatches"] += 1
     return counts, lats
 
 
-_worker_params = None  # built once per simulate worker by _init_sim_worker
-
-
-def _process_pool(workers, initializer, initargs):
+def _process_pool(workers):
     """simulate's worker pool.  concurrent.futures is imported here, on the
     sharded path only, so no other command pays for the import."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs)
-
-
-def _init_sim_worker(q, n, d) -> None:
-    global _worker_params
-    _worker_params = build_params(q, n, d)
-
-
-def _worker_sim_chunk(*args):
-    return _sim_chunk(_worker_params, *args)
+    return ProcessPoolExecutor(workers)
 
 
 def _p95(lats: list) -> float:
@@ -177,39 +177,31 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    params = build_params(args.q, args.n, args.d)
+    params = _sim_params(args.q, args.n, args.d)
     ranks = _parse_ranks(args.ranks, params.n)
     wall0 = time.perf_counter()
     results = []
-    # one pool serves every rank, and each worker builds the params once; it
-    # never outnumbers the shards or the cores, since every worker starts at
-    # the first submit.  min(--threads, trials) shards leave none empty.
-    nshards = min(args.threads, args.trials)
+    # min(--threads, trials) shards leave none empty (one when there are no
+    # trials).  One pool serves every rank; it never outnumbers the shards or
+    # the cores, since every worker starts at the first submit.
+    nshards = min(args.threads, args.trials) or 1
+    bounds = [args.trials * j // nshards for j in range(nshards + 1)]
     workers = min(nshards, os.cpu_count() or 1)
-    sharded = workers > 1
-    pool = (
-        _process_pool(workers, _init_sim_worker, (args.q, args.n, args.d))
-        if sharded
-        else contextlib.nullcontext()
-    )
-    with pool:
+    pool = _process_pool(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        run = pool.map if pool else map
         for t in ranks:
-            if sharded:
-                bounds = [args.trials * j // nshards for j in range(nshards + 1)]
-                jobs = [(args.mode, args.seed, t, lo, hi, args.with_timing) for lo, hi in zip(bounds, bounds[1:])]
-                shards = list(pool.map(_worker_sim_chunk, *zip(*jobs)))
-            else:
-                shards = [_sim_chunk(params, args.mode, args.seed, t, 0, args.trials, args.with_timing)]
-            merged = {"t": t, "trials": 0, "successes": 0, "failures": 0, "mismatches": 0, "inconsistent_events": 0}
+            shard = functools.partial(_sim_chunk, args.q, args.n, args.d, args.mode, args.seed, t)
+            row = {"t": t, **dict.fromkeys(_COUNTS, 0)}
             lats = []
-            for counts, shard_lats in shards:
-                for key in counts:
-                    merged[key] += counts[key]
-                lats.extend(shard_lats)
+            for counts, shard_lats in run(shard, bounds, bounds[1:]):
+                for key in _COUNTS:
+                    row[key] += counts[key]
+                lats += shard_lats
             if args.with_timing and lats:
-                merged["mean_ms"] = round(sum(lats) / len(lats), 3)
-                merged["p95_ms"] = round(_p95(lats), 3)
-            results.append(merged)
+                row["mean_ms"] = round(sum(lats) / len(lats), 3)
+                row["p95_ms"] = round(_p95(lats), 3)
+            results.append(row)
     wall = time.perf_counter() - wall0
     report = {
         "mode": args.mode,
@@ -230,17 +222,9 @@ def cmd_mindist(args) -> int:
     t0 = time.perf_counter()
     dist = brute_min_distance(params, args.limit)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000.0))
-    _emit(
-        {
-            "code_size": code_size(params),
-            "d": args.d,
-            "elapsed_ms": elapsed_ms,
-            "min_distance": dist,
-            "n": args.n,
-            "q": args.q,
-        },
-        args.out,
-    )
+    size = code_size(params)
+    print(f"mindist: {size} words in {elapsed_ms} ms", file=sys.stderr)
+    _emit({"code_size": size, "d": args.d, "min_distance": dist, "n": args.n, "q": args.q}, args.out)
     return 0
 
 
@@ -274,71 +258,62 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+def _shared(*parents) -> argparse.ArgumentParser:
+    """A parent parser for options that several subcommands take."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermrank",
         description="Hermitian rank-metric codes: encode, decode, simulate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    triple = _shared()
+    for flag in ("--q", "--n", "--d"):
+        triple.add_argument(flag, type=int, required=True)
+    params_file = _shared()
+    params_file.add_argument("--params", required=True)
+    word_file = _shared(params_file)
+    word_file.add_argument("--in", dest="infile", required=True)
+    mode = _shared()
+    mode.add_argument("--mode", choices=[MODE_ARBITRARY, MODE_HERMITIAN], default=MODE_ARBITRARY)
+    out = _shared()
+    out.add_argument("--out")
 
-    p = sub.add_parser("params", help="build and serialize code parameters")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("params", parents=[triple, out], help="build and serialize code parameters")
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("encode", help="encode a message file to a codeword")
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("encode", parents=[params_file, out], help="encode a message file to a codeword")
     p.add_argument("--message", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("corrupt", help="add a seeded rank-t error to a word")
-    p.add_argument("--params", required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("corrupt", parents=[word_file, mode, out], help="add a seeded rank-t error to a word")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=[MODE_ARBITRARY, MODE_HERMITIAN], default=MODE_ARBITRARY)
     p.add_argument("--error-out")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("decode", help="decode a received word")
-    p.add_argument("--params", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("decode", parents=[word_file, out], help="decode a received word")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo decode trials")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("simulate", parents=[triple, mode, out], help="Monte-Carlo decode trials")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--ranks", required=True, help="error ranks, e.g. '0,1' or '0-3'")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=[MODE_ARBITRARY, MODE_HERMITIAN], default=MODE_ARBITRARY)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--with-timing",
         action="store_true",
         help="include latency statistics in the report (breaks byte-identical reruns)",
     )
-    p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("mindist", help="exhaustive minimum distance scan")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("mindist", parents=[triple, out], help="exhaustive minimum distance scan")
     p.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_mindist)
 
-    p = sub.add_parser("matrix", help="print the matrix form of a word")
-    p.add_argument("--params", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("matrix", parents=[word_file, out], help="print the matrix form of a word")
     p.set_defaults(func=cmd_matrix)
 
     return parser
@@ -348,7 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HermrankError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (HermrankError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

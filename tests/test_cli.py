@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -210,31 +211,15 @@ def test_simulate_rank_range_syntax(tmp_path):
     assert json.loads(out.read_text())["ranks"] == [0, 1]
 
 
-def test_simulate_builds_params_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return build_params(*args)
-
-    monkeypatch.setattr(cli, "build_params", counting)
-    out = tmp_path / "s.json"
-    assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "0-4",
-                 "--seed", "3", "--threads", "1", "--out", str(out)]) == 0
-    assert calls == [(2, 5, 3)]
-    assert [row["trials"] for row in json.loads(out.read_text())["results"]] == [2] * 5
-
-
-def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch):
-    # every worker of a pool starts at the first submit, so --threads 64 with
-    # 2 trials must ask for no more workers than shards and cores; the fake
-    # pool runs in this process and starts none
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stands in for simulate's process pool: the shards run in this process,
+    and the list returned records the worker count each pool was asked for."""
     asked = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             asked.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -246,7 +231,67 @@ def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "_process_pool", InProcessPool)
-    monkeypatch.setattr(cli, "_worker_params", None)
+    return asked
+
+
+@pytest.fixture
+def fresh_sim_params():
+    # simulate's params are cached per process; a test that patches
+    # build_params must see every build, and must leave none behind
+    cli._sim_params.cache_clear()
+    yield
+    cli._sim_params.cache_clear()
+
+
+def test_simulate_builds_params_once(tmp_path, monkeypatch, fake_pool, fresh_sim_params):
+    # one build whether the shards run in this process or on the pool
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_params(*args)
+
+    monkeypatch.setattr(cli, "build_params", counting)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    out = tmp_path / "s.json"
+    for threads, pools in (("1", []), ("64", [2])):
+        calls.clear()
+        fake_pool.clear()
+        cli._sim_params.cache_clear()
+        assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "0-4",
+                     "--seed", "3", "--threads", threads, "--out", str(out)]) == 0
+        assert calls == [(2, 5, 3)]
+        assert fake_pool == pools
+        assert [row["trials"] for row in json.loads(out.read_text())["results"]] == [2] * 5
+
+
+def test_simulate_forked_workers_inherit_params(tmp_path, monkeypatch, fresh_sim_params):
+    # a real pool: forked workers find the parent's params in the cache, so
+    # the whole run builds them once
+    method = multiprocessing.get_start_method()
+    if method != "fork":
+        pytest.skip(f"workers started by {method!r} do not inherit the parent's params; each builds its own")
+    log = tmp_path / "builds.log"
+
+    def logging_build(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build_params(*args)
+
+    monkeypatch.setattr(cli, "build_params", logging_build)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "4", "--ranks", "0,1",
+                 "--seed", "3", "--threads", "2", "--out", str(out)]) == 0
+    assert log.read_text().splitlines() == [str(os.getpid())]
+    assert [row["successes"] for row in json.loads(out.read_text())["results"]] == [4, 4]
+
+
+def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch, fake_pool):
+    # every worker of a pool starts at the first submit, so --threads 64 with
+    # 2 trials must ask for no more workers than shards and cores; the fake
+    # pool runs in this process and starts none
+    asked = fake_pool
     base = ["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "2", "--ranks", "0-2", "--seed", "1"]
     one, many = tmp_path / "one.json", tmp_path / "many.json"
     assert main(base + ["--threads", "1", "--out", str(one)]) == 0
@@ -274,13 +319,19 @@ def test_simulate_pool_bounded_by_shards_and_cores(tmp_path, monkeypatch):
     assert many.read_bytes() == one.read_bytes()
 
 
-def test_simulate_with_timing(tmp_path):
-    out = tmp_path / "t.json"
-    assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "3",
-                 "--ranks", "1", "--seed", "11", "--with-timing", "--out", str(out)]) == 0
-    row = json.loads(out.read_text())["results"][0]
-    assert row["mean_ms"] > 0
-    assert row["p95_ms"] >= 0
+def test_simulate_with_timing(tmp_path, monkeypatch, fake_pool):
+    # shards always return their latencies; --with-timing alone decides
+    # whether the report shows them, in this process or through the pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        assert main(["simulate", "--q", "2", "--n", "5", "--d", "3", "--trials", "3", "--ranks", "1",
+                     "--seed", "11", "--threads", threads, "--with-timing", "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["results"][0]
+        assert row["trials"] == 3
+        assert row["mean_ms"] > 0
+        assert row["p95_ms"] >= 0
+    assert fake_pool == [2]
 
 
 def test_simulate_zero_trials(tmp_path):
@@ -335,14 +386,19 @@ def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value):
 # -- mindist ----------------------------------------------------------------
 
 
-def test_mindist_report(tmp_path):
-    out = tmp_path / "m.json"
-    assert main(["mindist", "--q", "2", "--n", "3", "--d", "3", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+def test_mindist_report(tmp_path, capsys):
+    # the elapsed time goes to stderr, so reruns give byte-equal reports
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["mindist", "--q", "2", "--n", "3", "--d", "3", "--out"]
+    assert main(argv + [str(a)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("mindist: 8 words in ") and err.endswith(" ms\n")
+    report = json.loads(a.read_text())
     assert report["min_distance"] == 3
     assert report["code_size"] == 8
-    assert isinstance(report["elapsed_ms"], int)
-    assert set(report) == {"code_size", "d", "elapsed_ms", "min_distance", "n", "q"}
+    assert set(report) == {"code_size", "d", "min_distance", "n", "q"}
+    assert main(argv + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_mindist_enumerates_once(tmp_path, monkeypatch):
@@ -481,6 +537,19 @@ def test_malformed_message_and_word_files_rejected(tmp_path, params_for, capsys,
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: " + shown]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bug", [TypeError, KeyError])
+def test_internal_errors_propagate(monkeypatch, capsys, bug):
+    # only input errors become exit code 2; a bug's exception is not
+    # dressed up as one
+    def broken(*args):
+        raise bug("internal")
+
+    monkeypatch.setattr(cli, "build_params", broken)
+    with pytest.raises(bug):
+        main(["params", "--q", "2", "--n", "3", "--d", "3"])
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point(capsys):

@@ -65,10 +65,14 @@ its coefficient list, least significant first, always of length 2n.
 Frobenius powers x -> x^(q^j) are F_q-linear, so each is stored once per
 context as the table of images of the monomial basis (packed rows for odd
 q) and applied as sum_i a_i * row_i; no exponentiation happens at lookup
-time.  The relative trace down to F_{q^2} (the sum of the even Frobenius
-powers) is precomputed the same way.  ``fq_combine`` runs that kernel on
-any F_q digits against any at most 2n elements, so a sum of digits times
-elements never embeds a digit or forms a product.
+time.  The tables are built by composition.  T_0 holds the monomials
+themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1 products.
+For j >= 2, row i of T_j is (X^i)^(q^j) = ((X^i)^(q^(j-1)))^q, the image
+under T_1 of row i of T_(j-1), so T_j costs 2n applications of T_1 and no
+product.  The relative trace down to F_{q^2} (the sum of the even
+Frobenius powers) is precomputed the same way.  ``fq_combine`` runs that
+kernel on any F_q digits against any at most 2n elements, so a sum of
+digits times elements never embeds a digit or forms a product.
 
 Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
 nonzero coefficient of a row and clears it from the other rows, by XOR on
@@ -79,24 +83,29 @@ monomials.
 
 The canonical modulus f comes from a scan over the monic candidates of
 degree D = 2n, each tested on the engine built for F_q[X]/(f) as if it were
-the modulus.  Berlekamp's criterion decides irreducibility in two steps.
-First, x^(q^D) = x mod f: then f divides X^(q^D) - X, whose derivative is
--1, so f is squarefree.  For a squarefree f = f_1 ... f_r, the Chinese
-remainder theorem splits F_q[X]/(f) into the fields F_q[X]/(f_i), and the
-kernel of the F_q-linear map a -> a^q - a is the copy of F_q in each, of
-dimension r.  So f is irreducible exactly when that map, given by the
-monomial images of Frobenius minus the identity, has ``fq_rank`` D - 1.
-The first step cannot be dropped: for a power g^e of an irreducible g the
-kernel is F_q alone too, so the rank step passes it.  x^(q^D) is formed as
-D applications of the q-power table, the table the rank step reads, not by
-square-and-multiply; a -> a^q is F_q-linear on F_q[X]/(f) for any f.
+the modulus; the engines' products never divide, so they are valid for any
+monic f.  Ben-Or's test decides irreducibility: f is irreducible exactly
+when gcd(f, X^(q^i) - X) = 1 for i = 1 .. D/2.  X^(q^i) - X is the product
+of the monic irreducibles whose degree divides i.  So a reducible f, which
+has an irreducible factor g of degree i <= D/2, shares g with
+X^(q^i) - X, while an irreducible f of degree D divides X^(q^i) - X only
+when D divides i, and so shares no factor with it for 0 < i < D.  No
+squarefree step is needed: a repeated factor g^2 is caught at i = deg g
+like any other, so (X^2+X+1)^2 over F_2 is rejected at i = 2.  The test
+steps x <- x^q from x = X with ``pow_elem``, so x = X^(q^i) mod f and the
+gcd is gcd(f, x - X); it stops at the first i with a common factor.  The
+gcd is Euclid's, by XOR on packed ints for q = 2 and on coefficient lists
+for odd q.  No candidate builds a Frobenius table or runs an elimination.
 
 Before any engine is built, a candidate with a root in F_q is dropped: a
-monic f of degree D >= 2 with f(a) = 0 has the factor X - a, so Berlekamp's
+monic f of degree D >= 2 with f(a) = 0 has the factor X - a, so Ben-Or's
 test would reject it too.  Only a < min(q, D) is tried, by Horner's rule on
 the coefficients.  For q <= D that is all of F_q and the filter is
 complete; for larger q it is partial, and the bound keeps it at D
-evaluations per candidate instead of q, about 4*10^9 at q near 2^32.
+evaluations per candidate instead of q, about 4*10^9 at q near 2^32.  A
+complete filter has already done Ben-Or's step i = 1: X^q - X is the
+product of the X - a for a in F_q, so gcd(f, X^q - X) = 1 exactly when f
+has no root in F_q.  So for q <= D the gcds start at i = 2.
 """
 
 from __future__ import annotations
@@ -150,11 +159,11 @@ def _lead(coeffs: Sequence[int]) -> int:
 
 
 def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
-    """Berlekamp's test (module docstring) for the monic f = coeffs of even
-    degree D, on the engine for F_q[X]/(f) with its tables built for this
-    candidate; the engines' products never divide, so they are valid for
-    any monic f.  A candidate with a root a < min(q, D) is rejected first,
-    by Horner's rule, before any engine is built."""
+    """Ben-Or's test (module docstring) for the monic f = coeffs of even
+    degree D, on the engine for F_q[X]/(f) built for this candidate.  A
+    candidate with a root a < min(q, D) is rejected first, by Horner's
+    rule, before any engine is built; for q <= D that filter is Ben-Or's
+    step i = 1, and the gcds start at i = 2."""
     deg = len(coeffs) - 1
     for a in range(min(q, deg)):
         v = 0
@@ -163,13 +172,12 @@ def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
         if not v:
             return False
     ring = (_Gf2Context if q == 2 else _OddContext)(q, deg // 2, tuple(coeffs))
-    frob, x = ring._frob_rows(1), ring.gen
-    for _ in range(deg):
-        x = ring._apply_linear(frob, x)
-    if x != ring.gen:
-        return False
-    diffs = [ring.sub(a, b) for a, b in zip(ring.frob_images(1), ring.frob_images(0))]
-    return ring.fq_rank(diffs) == deg - 1
+    x = ring.gen
+    for i in range(1, deg // 2 + 1):
+        x = ring.pow_elem(x, q)
+        if (i > 1 or q > deg) and not ring._coprime_to_modulus(ring.sub(x, ring.gen)):
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,6 +254,11 @@ class FieldContext:
         2n coefficients: nonzero elements with distinct leads (highest
         nonzero coefficient), each 1 at its lead and 0 at the lead of every
         pivot before it."""
+        raise NotImplementedError
+
+    def _coprime_to_modulus(self, h: Felt) -> bool:
+        """True when gcd(f, h) = 1, with h read as a polynomial of degree
+        below 2n; Euclid's algorithm on the engine's coefficient form."""
         raise NotImplementedError
 
     def fq_rank(self, elems: Sequence[Felt]) -> int:
@@ -333,32 +346,32 @@ class FieldContext:
         return tuple(self._apply_linear(rows, digits) for digits in digit_rows)
 
     def pow_elem(self, a: Felt, e: int) -> Felt:
-        r = self.one
-        while e:
-            if e & 1:
+        """a^e for e >= 0, square-and-multiply from the top bit of e:
+        bit_length(e) - 1 squarings and popcount(e) - 1 products."""
+        if not e:
+            return self.one
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
                 r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
         return r
 
     def _frob_rows(self, j: int) -> tuple:
-        """Table of x -> x^(q^j), built once per context and power j mod 2n."""
+        """Table T_j of x -> x^(q^j), built once per context and power j
+        mod 2n, by composition (module docstring)."""
         j %= self.deg
         rows = self._frob.get(j)
         if rows is None:
+            deg = self.deg
             if j == 0:
-                y = self.gen
+                out = [self.from_coeffs([int(k == i) for k in range(deg)]) for i in range(deg)]
             elif j == 1:
                 y = self.pow_elem(self.gen, self.q)
+                out = list(itertools.accumulate(itertools.repeat(y, deg - 1), self.mul, initial=self.one))
             else:
-                # X^(q^j) is the q-power image of X^(q^(j-1))
-                prev = self._apply_linear(self._frob_rows(j - 1), self.gen)
-                y = self._apply_linear(self._frob_rows(1), prev)
-            p = self.one
-            out = [p]
-            for _ in range(self.deg - 1):
-                p = self.mul(p, y)
-                out.append(p)
+                t1 = self._frob_rows(1)
+                out = [self._apply_linear(t1, a) for a in self.frob_images(j - 1)]
             rows = self._frob[j] = self._to_rows(out)
         return rows
 
@@ -602,6 +615,16 @@ class _Gf2Context(FieldContext):
             g1 ^= g2 << sh
         return g1
 
+    def _coprime_to_modulus(self, h):
+        # Euclid on packed ints: a mod b XORs shifted copies of b into a
+        a, b = self._fpacked, h
+        while b:
+            db = b.bit_length()
+            while (da := a.bit_length()) >= db:
+                a ^= b << (da - db)
+            a, b = b, a
+        return a == 1
+
     def from_coeffs(self, coeffs):
         if len(coeffs) != self.deg:
             raise BadElementError(f"element needs exactly {self.deg} coefficients")
@@ -738,6 +761,22 @@ class _OddContext(FieldContext):
                 b, k = self._apply_linear(frob(1), reduce(lift(a) * lift(b))), k + 1
         scale = pow(reduce(lift(a) * lift(b))[0], -1, q)
         return tuple(c * scale % q for c in b)
+
+    def _coprime_to_modulus(self, h):
+        # Euclid on coefficient lists, least significant first; a division
+        # leaves its entries unreduced and reduces the remainder mod q once
+        q = self.q
+        a, b = list(self.modulus), list(h)
+        while True:
+            while b and not b[-1]:
+                b.pop()
+            if not b:
+                return len(a) == 1
+            db, inv = len(b) - 1, pow(b[-1], -1, q)
+            for s in range(len(a) - 1 - db, -1, -1):
+                if c := a[s + db] * inv % q:
+                    a[s : s + db] = [x - c * y for x, y in zip(a[s : s + db], b)]
+            a, b = b, [x % q for x in a[:db]]
 
     def from_coeffs(self, coeffs):
         if len(coeffs) != self.deg:

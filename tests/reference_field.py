@@ -11,7 +11,8 @@ engine as well.
 
 The modulus scan below serves every q, q = 2 included: Rabin's test on
 coefficient lists, with its own remainder and gcd, against the package's
-Berlekamp test on the field engines.
+Ben-Or test.  Berlekamp's test on the field engines, which the package's
+scan once ran, is kept beside it as a second oracle.
 
 The subfield oracle is the list Gauss-Jordan the package once used for
 subfield bases: F_{q^e} as the kernel of Frobenius^e - id, with the RREF
@@ -27,6 +28,7 @@ the candidates j*w whose norms are all squares.
 import functools
 import math
 
+from hermrank import field
 from hermrank.field import _prime_factors
 
 
@@ -184,6 +186,31 @@ def pq_irreducible(coeffs, q):
         if len(_pq_gcd(coeffs, h, q)) > 1:
             return False
     return True
+
+
+def berlekamp_irreducible(q, coeffs):
+    """Berlekamp's test for the monic f = coeffs of even degree D, on the
+    package's engine for F_q[X]/(f), with no root filter.
+
+    First, x^(q^D) = x mod f: then f divides X^(q^D) - X, whose derivative
+    is -1, so f is squarefree.  For a squarefree f = f_1 ... f_r, the
+    Chinese remainder theorem splits F_q[X]/(f) into the fields
+    F_q[X]/(f_i), and the kernel of the F_q-linear map a -> a^q - a is the
+    copy of F_q in each, of dimension r.  So f is irreducible exactly when
+    that map, the monomial images of Frobenius minus the identity, has
+    F_q-rank D - 1.  The first step cannot be dropped: for a power g^e of
+    an irreducible g the kernel is F_q alone too, so the rank step passes
+    it.
+    """
+    deg = len(coeffs) - 1
+    ring = (field._Gf2Context if q == 2 else field._OddContext)(q, deg // 2, tuple(coeffs))
+    frob, x = ring._frob_rows(1), ring.gen
+    for _ in range(deg):
+        x = ring._apply_linear(frob, x)
+    if x != ring.gen:
+        return False
+    diffs = [ring.sub(a, b) for a, b in zip(ring.frob_images(1), ring.frob_images(0))]
+    return ring.fq_rank(diffs) == deg - 1
 
 
 def scan_modulus(q, n):

@@ -1,5 +1,6 @@
 """Field tower arithmetic: moduli, Frobenius, trace, subfields, norms."""
 
+import itertools
 import sys
 import time
 
@@ -99,17 +100,43 @@ def test_canonical_modulus_is_first_irreducible(q, n):
 
 @pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 6), (5, 4), (7, 2)])
 def test_irreducible_matches_trial_division(q, max_deg):
-    # every monic polynomial of each even degree; the reducible ones include
-    # powers such as (x^2+x+1)^2 over F_2, which pass the rank step alone
+    # every monic polynomial of each even degree, against trial division and
+    # against Berlekamp's test; the reducible ones include powers such as
+    # (x^2+x+1)^2 over F_2, which Ben-Or's test rejects at i = 2 with no
+    # squarefree step, and which pass Berlekamp's rank step alone
     for deg in range(2, max_deg + 1, 2):
         for c in range(q**deg):
             coeffs = [c // q**i % q for i in range(deg)] + [1]
-            assert _irreducible(q, coeffs) == _is_irreducible_bruteforce(coeffs, q), coeffs
+            expected = _is_irreducible_bruteforce(coeffs, q)
+            assert _irreducible(q, coeffs) == expected, coeffs
+            assert reference_field.berlekamp_irreducible(q, coeffs) == expected, coeffs
+
+
+def _mobius(m):
+    out, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (5, 4)])
+def test_irreducible_count_matches_gauss(q, max_deg):
+    # Gauss's count of the monic irreducibles of degree D over F_q,
+    # (1/D) * sum over d | D of mu(d) * q^(D/d), read from no implementation
+    for deg in range(2, max_deg + 1, 2):
+        expected = sum(_mobius(d) * q ** (deg // d) for d in range(1, deg + 1) if deg % d == 0) // deg
+        found = sum(_irreducible(q, [c // q**i % q for i in range(deg)] + [1]) for c in range(q**deg))
+        assert found == expected, deg
 
 
 @pytest.mark.parametrize("q,n", [(2, 7), (2, 15), (2, 31), (3, 9), (3, 19), (5, 13), (7, 5), (13, 3)])
 def test_canonical_modulus_matches_schoolbook_scan(q, n):
-    # the scan runs Berlekamp's test on the field engines; the oracle runs
+    # the scan runs Ben-Or's test on the field engines; the oracle runs
     # Rabin's test on coefficient lists
     assert canonical_modulus(q, n) == reference_field.scan_modulus(q, n)
 
@@ -131,6 +158,77 @@ def test_scan_builds_engines_only_for_rootless_candidates(monkeypatch, q, n, eng
     assert canonical_modulus.__wrapped__(q, n) == expected
     assert len(built) == reached
     assert all(f[0] != 0 for f in built)
+
+
+def _count_calls(monkeypatch, cls, names):
+    """Patch each named method of cls to count its calls; returns the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(cls, name)
+
+        def counting(self, *args, _name=name, _orig=orig):
+            counts[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "q,n,engine,muls,gcds", [(5, 13, "_OddContext", 504, 111), (2, 31, "_Gf2Context", 238, 211)]
+)
+def test_scan_work(monkeypatch, q, n, engine, muls, gcds):
+    # machine-independent guard on Ben-Or's scan: pow_elem's products and
+    # one gcd per step past the root filter, with no linear map and no table
+    expected = canonical_modulus(q, n)
+    counts = _count_calls(monkeypatch, getattr(field, engine), ("mul", "_apply_linear", "_coprime_to_modulus"))
+    assert canonical_modulus.__wrapped__(q, n) == expected
+    assert counts == {"mul": muls, "_apply_linear": 0, "_coprime_to_modulus": gcds}
+
+
+def test_frobenius_table_work(monkeypatch):
+    # all 2n tables at (5,13): T_0 takes nothing, T_1 takes pow_elem's 3
+    # products and 25 more, and each of the other 24 takes 26 applications
+    # of T_1 and no product
+    ctx = make_context(5, 13)
+    counts = _count_calls(monkeypatch, type(ctx), ("mul", "_apply_linear"))
+    for j in range(ctx.deg):
+        ctx._frob_rows(j)
+    assert counts == {"mul": 28, "_apply_linear": 624}
+
+
+@pytest.mark.parametrize("q,n", [(2, 31), (3, 19), (5, 13), (3, 9)])
+def test_composed_tables_are_powers_of_frobenius_of_x(q, n):
+    # T_j is composed from T_1 and T_(j-1); its rows must be the powers of
+    # X^(q^j), here formed by products alone.  The last table is asked for
+    # first, so it builds every table before it.
+    ctx = make_context(q, n)
+    ys = list(itertools.accumulate(itertools.repeat(q, ctx.deg - 1), ctx.pow_elem, initial=ctx.gen))
+    for j in reversed(range(ctx.deg)):
+        powers = itertools.accumulate(itertools.repeat(ys[j], ctx.deg - 1), ctx.mul, initial=ctx.one)
+        assert ctx.frob_images(j) == tuple(powers), j
+
+
+@pytest.mark.parametrize("q,n", [(5, 13), (2, 31)])
+def test_pow_elem_squares_and_multiplies_once_per_bit(monkeypatch, q, n):
+    # bit_length(e) - 1 squarings and popcount(e) - 1 products; the powers
+    # X^k with 1 < k <= 2n differ from X, so a product never has equal
+    # factors
+    ctx = make_context(q, n)
+    factors = []
+
+    def counting(self, a, b, _orig=field.FieldContext.mul):
+        factors.append(a == b)
+        return _orig(self, a, b)
+
+    monkeypatch.setattr(field.FieldContext, "mul", counting)
+    for e in (1, 2, 3, 5, 6, 2 * n - 1, 2 * n):
+        factors.clear()
+        assert ctx.pow_elem(ctx.gen, e) == reference_field.pow_elem(ctx, ctx.gen, e), e
+        assert factors.count(True) == e.bit_length() - 1, e
+        assert factors.count(False) == bin(e).count("1") - 1, e
+    factors.clear()
+    assert ctx.pow_elem(ctx.gen, 0) == ctx.one and not factors
 
 
 def test_make_context_rejects_bad_parameters():

@@ -20,11 +20,13 @@ difference matrix.  That conversion is an F_{q^2}-isomorphism, so the rank
 is computed as the F_{q^2}-dimension of the span of the difference's
 entries, with no matrix built.
 
-The one derived basis table is the inverse Moore matrix moore_inv[r][j] =
-alpha_r^(q^(n+2j)), kept both as tuples and as the field engine's packed
-rows (moore_packed).  Interpolating alpha through those rows is the basis's
-only certificate (_moore_inv), decoding interpolates through the same
-rows, and the encoder and matrix conversions read the tuples.
+The basis's derived tables are kept only as the field engine's packed
+rows.  The inverse Moore matrix moore_inv[r][j] = alpha_r^(q^(n+2j)) gives
+moore_packed: interpolating alpha through those rows is the basis's only
+certificate (_moore_inv), and decoding interpolates through the same rows.
+The k window rows (alpha_r^(q^(2i)))_r of the transposed Moore matrix give
+encoder_rows, through which encoding is one packed evaluation.  The matrix
+conversions read alpha itself.
 """
 
 from __future__ import annotations
@@ -74,14 +76,35 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
     return tuple(basis)
 
 
-def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt]) -> tuple:
-    """The table moore_inv[r][j] = alpha_r^(q^(n+2j)) and its packed rows
-    (ctx.pack_rows), certified: unless the packed rows interpolate the
-    identity map's values alpha back to the polynomial x, one packed
-    combination, BasisSearchFailedError.  Decoding interpolates through
-    the same rows, so the table it reads is the one certified.  The check
-    accepts exactly the orthonormal bases, and on them the table is the
-    inverse of the transposed Moore matrix M[r][j] = alpha_r^(q^(2j)):
+def _center(n: int) -> int:
+    """m, the index the message window is centred on (CodeParams.m)."""
+    return (n + 1) // 2
+
+
+def _half_width(n: int, d: int) -> int:
+    """kappa, the window's half-width (CodeParams.kappa)."""
+    return (n - d) // 2
+
+
+def _cyclic_order(n: int, d: int) -> list:
+    """The n coefficient indices in decoding order, from the first exposed
+    index m+kappa+1 (mod n): the d-1 exposed indices, then the window
+    m-kappa .. m+kappa.  The code's one index decision: the decoder reads
+    beta in this order, and the encoder rows follow its window."""
+    start = _center(n) + _half_width(n, d) + 1
+    return [(start + p) % n for p in range(n)]
+
+
+def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt], d: int) -> tuple:
+    """The packed rows (ctx.pack_rows) of the table moore_inv[r][j] =
+    alpha_r^(q^(n+2j)), certified, and the encoder rows.
+
+    Unless the packed rows interpolate the identity map's values alpha
+    back to the polynomial x, one packed combination,
+    BasisSearchFailedError.  Decoding interpolates through the same rows,
+    so the table it reads is the one certified.  The check accepts exactly
+    the orthonormal bases, and on them the table is the inverse of the
+    transposed Moore matrix M[r][j] = alpha_r^(q^(2j)):
 
     Coefficient k of the interpolation is c_k = sum_r alpha_r *
     alpha_r^(q^(n+2k)), and sum_k c_k x^(q^(2k)) = sum_r <alpha_r, x> alpha_r
@@ -94,13 +117,22 @@ def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt]) -> tuple:
     Raising c_k = [k = 0] to q^(2a) gives (M^T moore_inv)[a][b] =
     c_{b-a}^(q^(2a)) = [a = b] (b - a taken mod n), so the same check
     certifies the inverse.
+
+    Encoder row i, for i over the window in the cyclic order, packs the
+    column (M[r][i])_r = (alpha_r^(q^(2i)))_r, the conjugates
+    moore_inv[r][i]^(q^n) of the certified entries, since q^(2n) fixes K.
+    So a codeword, the evaluation sum_i g_i * M[r][i] of a polynomial g
+    supported on the window, is one packed combination of the k rows
+    (codec.encode).  The conjugation reads the one Frobenius table the
+    certificate built, so a load builds no other.
     """
     n = ctx.n
     table = tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha)
     rows = ctx.pack_rows(table)
     if lp_interpolate(ctx, rows, alpha) != (ctx.one,) + (ctx.zero,) * (n - 1):
         raise BasisSearchFailedError("basis failed its Gram identity recheck")
-    return table, rows
+    window = _cyclic_order(n, d)[d - 1 :]
+    return rows, ctx.pack_rows([[ctx.frobenius(row[i], n) for row in table] for i in window])
 
 
 def choose_eta(ctx: FieldContext) -> Felt:
@@ -118,19 +150,20 @@ class CodeParams:
     These, n and the radius are fixed by n and d, so they are derived, not
     stored.
     alpha is the orthonormal basis, eta the second basis vector of K over
-    F_{q^n}, moore_inv the inverse of the transposed Moore matrix on alpha
-    (the one derived basis table), moore_packed its packed rows, through
-    which interpolation is one packed combination and which certified
-    alpha (see _moore_inv), eta_split_inv the constant decompose_eta
-    divides by.
+    F_{q^n}, moore_packed the packed rows of the inverse of the transposed
+    Moore matrix on alpha, through which interpolation is one packed
+    combination and which certified alpha, encoder_rows the packed k
+    window rows of the transposed Moore matrix, through which encoding is
+    one packed combination (both from _moore_inv), eta_split_inv the
+    constant decompose_eta divides by.
     """
 
     ctx: FieldContext
     d: int
     alpha: tuple
     eta: Felt
-    moore_inv: tuple  # moore_inv[r][j] = alpha_r^(q^(n+2j))
-    moore_packed: tuple  # ctx.pack_rows(moore_inv)
+    moore_packed: tuple  # ctx.pack_rows of moore_inv[r][j] = alpha_r^(q^(n+2j))
+    encoder_rows: tuple  # ctx.pack_rows of (alpha_r^(q^(2i)))_r, i over the window in cyclic order
     eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
 
     @property
@@ -139,11 +172,11 @@ class CodeParams:
 
     @property
     def m(self) -> int:
-        return (self.n + 1) // 2
+        return _center(self.n)
 
     @property
     def kappa(self) -> int:
-        return (self.n - self.d) // 2
+        return _half_width(self.n, self.d)
 
     @property
     def k(self) -> int:
@@ -159,7 +192,7 @@ def build_params(q: int, n: int, d: int) -> CodeParams:
     ctx = make_context(q, n)
     _check_d(ctx, d)
     alpha = find_selfdual_basis(ctx)
-    return _assemble(ctx, d, alpha, *_moore_inv(ctx, alpha), choose_eta(ctx))
+    return _assemble(ctx, d, alpha, *_moore_inv(ctx, alpha, d), choose_eta(ctx))
 
 
 def _check_d(ctx: FieldContext, d) -> None:
@@ -169,18 +202,18 @@ def _check_d(ctx: FieldContext, d) -> None:
 
 
 def _assemble(
-    ctx: FieldContext, d: int, alpha: tuple, moore_inv: tuple, moore_packed: tuple, eta: Felt
+    ctx: FieldContext, d: int, alpha: tuple, moore_packed: tuple, encoder_rows: tuple, eta: Felt
 ) -> CodeParams:
-    """CodeParams from a basis alpha and the table and packed rows
-    _moore_inv certified it with; both callers (build_params,
-    params_from_json_obj) pass them in."""
+    """CodeParams from a basis alpha and the packed rows _moore_inv
+    certified it with and built for the encoder; both callers
+    (build_params, params_from_json_obj) pass them in."""
     return CodeParams(
         ctx=ctx,
         d=d,
         alpha=alpha,
         eta=eta,
-        moore_inv=moore_inv,
         moore_packed=moore_packed,
+        encoder_rows=encoder_rows,
         eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, ctx.n))),
     )
 
@@ -209,14 +242,14 @@ def codeword_to_matrix(params: CodeParams, c: Sequence[Felt]) -> tuple:
     """The n x n matrix over F_{q^2}, as a tuple of row tuples, whose column
     r holds the coordinates of c_r over the orthonormal basis.
 
-    Entry (i, r) is rel_trace(alpha_i^q * c_r).  Since n + 2m = 2n + 1,
-    alpha_i^q is moore_inv[i][m mod n] (column 0 at n = 1, where m = 1).
-    The map is total: any length-n vector converts, and only genuine
-    codewords are guaranteed a Hermitian result (see is_hermitian).
+    Entry (i, r) is rel_trace(alpha_i^q * c_r), with one Frobenius power
+    per basis element.  The map is total: any length-n vector converts,
+    and only genuine codewords are guaranteed a Hermitian result (see
+    is_hermitian).
     """
     ctx = params.ctx
-    col = params.m % params.n
-    return tuple(tuple(ctx.rel_trace(ctx.mul(row[col], cr)) for cr in c) for row in params.moore_inv)
+    alpha_q = [ctx.frobenius(a, 1) for a in params.alpha]
+    return tuple(tuple(ctx.rel_trace(ctx.mul(aq, cr)) for cr in c) for aq in alpha_q)
 
 
 def matrix_to_vector(params: CodeParams, rows: Sequence[Sequence[Felt]]) -> tuple:
@@ -274,9 +307,9 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     """Rebuild params from JSON, recomputing and cross-checking everything
     derivable, in this order: canonical modulus, d, alpha's shape and
     length, orthonormality (the Moore-table certificate of _moore_inv,
-    whose table and packed rows the params keep), eta basis.  Only an
-    object with integers q, n, d and lists modulus, alpha, eta is read; any
-    other shape raises BadParamsError naming the field."""
+    whose packed rows the params keep with the encoder rows), eta basis.
+    Only an object with integers q, n, d and lists modulus, alpha, eta is
+    read; any other shape raises BadParamsError naming the field."""
     ctx = context_from_json_obj(obj)
     d = json_field(obj, "d", int, "params", BadParamsError)
     _check_d(ctx, d)
@@ -284,10 +317,10 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     if len(alpha) != ctx.n:
         raise BadParamsError(f"expected {ctx.n} basis elements, got {len(alpha)}")
     try:
-        moore_inv, moore_packed = _moore_inv(ctx, alpha)
+        rows = _moore_inv(ctx, alpha, d)
     except BasisSearchFailedError as exc:
         raise BadParamsError("stored basis is not orthonormal") from exc
     eta = ctx.felt_from_json(json_field(obj, "eta", list, "params", BadParamsError))
     if ctx.in_subfield(eta, ctx.n):
         raise BadParamsError("stored eta lies in F_{q^n}")
-    return _assemble(ctx, d, alpha, moore_inv, moore_packed, eta)
+    return _assemble(ctx, d, alpha, *rows, eta)

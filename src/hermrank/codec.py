@@ -10,9 +10,10 @@ that evaluation on the orthonormal basis yields a Hermitian matrix:
     coeff[m+j] = coeff[m-j]^(q^(n+2j))              (conjugate symmetry)
 
 and zero elsewhere.  The codeword is the evaluation of that polynomial on
-the basis points; with conj(x) = x^(q^n) it is c_r = conj(sum_i
-conj(coeff[i]) * moore_inv[r][i]), the adjoint of interpolation on the
-stored Moore table.  Any nonzero polynomial supported on a width-k cyclic
+the basis points, c_r = sum_{i in window} coeff[i] * alpha_r^(q^(2i)): one
+packed combination of the k window coefficients with the k encoder rows
+(alpha_r^(q^(2i)))_r that the params keep (CodeParams.encoder_rows), cut
+into its n outputs.  Any nonzero polynomial supported on a width-k cyclic
 window has at most 2*kappa = n-d independent kernel directions, so nonzero
 codewords have rank at least d; that is the whole distance argument.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .code import CodeParams, decompose_eta
+from .code import CodeParams, _cyclic_order, decompose_eta
 from .exceptions import (
     BadRankError,
     BadShapeError,
@@ -96,27 +97,16 @@ def expand_message(params: CodeParams, msg: Message) -> tuple:
 
 
 def encode(params: CodeParams, msg: Message) -> tuple:
-    """c_r = sum_i g_i * alpha_r^(q^(2i)) for the expanded polynomial g.
+    """c_r = sum_{i in window} g_i * alpha_r^(q^(2i)) for the expanded
+    polynomial g, which is zero off the window.
 
-    With the automorphism conj(x) = x^(q^n), moore_inv[r][i] =
-    alpha_r^(q^(n+2i)) and q^(2n) fixing K give c_r = conj(sum_i conj(g_i)
-    * moore_inv[r][i]): the adjoint of interpolation on the same table.
-    g is zero off the window, so only its k indices, the last k of the
-    cyclic order, are conjugated and dotted with the matching row entries.
+    The k window coefficients, the last k of the cyclic order, are combined
+    with the k encoder rows (alpha_r^(q^(2i)))_r in that order, one packed
+    combination cut into n outputs: no conjugation, no per-point dot.
     """
-    ctx, n = params.ctx, params.n
     g = expand_message(params, msg)
-    window = _cyclic_order(params)[params.d - 1 :]
-    gw = [ctx.frobenius(g[i], n) for i in window]
-    return tuple(ctx.frobenius(ctx.dot(gw, [row[i] for i in window]), n) for row in params.moore_inv)
-
-
-def _cyclic_order(params: CodeParams) -> list:
-    """The n coefficient indices in decoding order, from the first exposed
-    index m+kappa+1 (mod n): the d-1 exposed indices, then the window
-    m-kappa .. m+kappa."""
-    start = params.m + params.kappa + 1
-    return [(start + p) % params.n for p in range(params.n)]
+    window = _cyclic_order(params.n, params.d)[params.d - 1 :]
+    return params.ctx.combine_rows([g[i] for i in window], params.encoder_rows)
 
 
 def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
@@ -135,7 +125,7 @@ def beta_split(params: CodeParams, received: Sequence[Felt]) -> tuple:
     if len(received) != params.n:
         raise BadShapeError(f"word needs exactly {params.n} components")
     beta = lp_interpolate(params.ctx, params.moore_packed, received)
-    return tuple(beta[i] for i in _cyclic_order(params))
+    return tuple(beta[i] for i in _cyclic_order(params.n, params.d))
 
 
 def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
@@ -349,7 +339,7 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
         if _register_closes(params, g, lam):
             diags["solver"] = src
             diags["equations_used"] = d - 1 - t
-            error_poly = tuple(v for _, v in sorted(zip(_cyclic_order(params), g)))
+            error_poly = tuple(v for _, v in sorted(zip(_cyclic_order(params.n, d), g)))
             return DecodeResult(ok=True, message=msg, error_poly=error_poly, error_rank=t, diagnostics=diags)
         reason = REASON_RADIUS
     diags["candidates_tried"] = 1

@@ -41,22 +41,26 @@ sum less than q, so w is the least byte count with 2^(8w) > (terms + 2) *
 2n * (q-1)^2 for terms = 2n.  XOR never carries, so q = 2 has no such
 bound, but ``dot`` keeps the same 2n-term contract at every q.
 
-A constant square table (the code's Moore inverse) is also kept as packed
-rows, so combining its rows with n scalars, sum_r v_r * table[r][j] for
-every j at once, is one packed combination.  ``pack_rows`` lays row r out
-as one int holding the lifted entry j at bit or slot ``_stride`` * j, and
+A constant table of at most 2n rows of n entries is also kept as packed
+rows, so combining its rows with one scalar each, sum_r v_r * table[r][j]
+for every j at once, is one packed combination.  The code keeps two: the
+square Moore inverse, whose n rows interpolate, and the k x n encoder
+table, whose k rows evaluate.  ``pack_rows`` lays row r out as one int
+holding the lifted entry j at bit or slot ``_stride`` * j, and
 ``combine_rows`` sums the products of each lifted scalar with its whole
-row, then cuts out each output field for its one ``_reduce``.  The stride
-is what a product of two elements fills, so the fields of a sum never
-overlap:
+row, then cuts out the n output fields, each for its one ``_reduce``.  The
+stride is what a product of two elements fills, so the fields of a sum
+never overlap:
 
 * q = 2: a carry-less product of two elements of 2n bits has at most
   4n - 1 bits, and XOR never carries, so field j of the sum is exactly
   sum_r v_r * table[r][j] before reduction.
 * odd q: a product fills the 4n - 1 slots of its field, and field j of the
-  sum adds n products, so a slot holds at most n * 2n * (q-1)^2.  That is
-  the dot bound with terms = n <= 2n, inside the slot width, so no slot
-  carries into the next and no field into the next.
+  sum adds one product per row, so a square table's n rows put at most
+  n * 2n * (q-1)^2 in a slot, and the encoder's k <= n rows at most
+  k * 2n * (q-1)^2.  Both are the dot bound with terms <= n <= 2n, inside
+  the slot width, so no slot carries into the next and no field into the
+  next.
 
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
@@ -307,21 +311,23 @@ class FieldContext:
         return tuple(map(self._lift, images))
 
     def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
-        """Packed-row form of a square table for combine_rows: each row as
-        one int holding its lifted entries at the engine's stride (module
+        """Packed-row form of a table for combine_rows: each row as one int
+        holding its lifted entries at the engine's stride (module
         docstring)."""
         stride, lift = self._stride, self._lift
         return tuple(sum(lift(e) << stride * j for j, e in enumerate(row)) for row in table)
 
     def combine_rows(self, values: Sequence[Felt], rows: Sequence[int]) -> tuple:
-        """(sum_r values[r] * table[r][j])_j for the square table packed
-        into rows by pack_rows: one packed combination of the rows, then
-        one reduction per output.  This does not go through mul or dot."""
+        """(sum_r values[r] * table[r][j])_j for the table of at most 2n
+        rows of n entries packed into rows by pack_rows: one packed
+        combination of the rows, then one reduction per output.  This does
+        not go through mul or dot."""
+        assert len(rows) <= self.deg, "more rows than the slot bound allows"
         acc = self._sum(map(self._product, map(self._lift, values), rows))
         stride = self._stride
         mask = (1 << stride) - 1
         out = []
-        for _ in rows:
+        for _ in range(self.n):
             out.append(self._reduce(acc & mask))
             acc >>= stride
         return tuple(out)

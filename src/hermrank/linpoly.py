@@ -7,10 +7,10 @@ matrix M[r][j] = points[r]^(q^(2j)) (the code supplies it in closed form
 for its orthonormal basis, see code._moore_inv), held as the packed rows of
 FieldContext.pack_rows: interpolation is one packed combination of those
 rows (FieldContext.combine_rows), and the code's rows are the ones its
-certificate interpolated through.  On the orthonormal basis the table is
-tinv[r][j] = alpha_r^(q^(n+2j)), so it evaluates as well: with conj(x) =
-x^(q^n), g(alpha_r) = conj(sum_j conj(g_j) * tinv[r][j]), which is how
-codec.encode works.  Evaluation at arbitrary points is a test oracle.
+certificate interpolated through.  Evaluation on the code's basis is the
+same packed combination, on the window rows of the transposed Moore matrix
+(CodeParams.encoder_rows, codec.encode); evaluation at arbitrary points is
+a test oracle.
 """
 
 from __future__ import annotations

@@ -1,19 +1,24 @@
 """Moore-matrix evaluation and interpolation by generic means, kept as oracles.
 
-The package interpolates through the closed-form inverse
-CodeParams.moore_inv, which is only valid on an orthonormal basis, held as
-packed rows (one FieldContext.combine_rows per interpolation), and encodes
-through the same table (codec.encode).  lp_interpolate_dots is the
-interpolation it replaced, one dot per coefficient over the tuple table,
-kept as the oracle for the packed rows.  These helpers build the
-Moore matrix on arbitrary points and invert its transpose by Gauss-Jordan
-elimination, so tests can check the closed form bit for bit and exercise
-interpolation on point sets that are not orthonormal.  lp_eval evaluates a
-linearized polynomial at any point with one Frobenius power per live
-coefficient, the way the encoder used to; the encoder is cross-checked
-against it and against the dense product with the Moore rows.  check_gram
-tests orthonormality by the n^2 unitary pairings, the oracle for the
-package's Moore-table certificate (code._moore_inv).
+The package interpolates through the closed-form inverse moore_inv[r][j] =
+alpha_r^(q^(n+2j)), which is only valid on an orthonormal basis, held only
+as packed rows (CodeParams.moore_packed, one FieldContext.combine_rows per
+interpolation).  It encodes by evaluation, one combine_rows of the window
+coefficients with the packed window rows (alpha_r^(q^(2i)))_r of the
+transposed Moore matrix (CodeParams.encoder_rows).  lp_interpolate_dots is
+the interpolation it replaced, one dot per coefficient over the tuple
+table, and encode_via_moore_dots the encoder it replaced, n dots against
+the tuple table between conjugations; both are kept as oracles for the
+packed rows, on the tuple table that moore_inv_table builds in closed
+form.  These helpers build the Moore matrix on arbitrary points and invert
+its transpose by Gauss-Jordan elimination, so tests can check the closed
+form bit for bit and exercise interpolation on point sets that are not
+orthonormal.  lp_eval evaluates a linearized polynomial at any point with
+one Frobenius power per live coefficient, the way the encoder used to; the
+encoder is cross-checked against it and against the dense product with
+the Moore rows.  check_gram tests orthonormality by the n^2 unitary
+pairings, the oracle for the package's Moore-table certificate
+(code._moore_inv).
 """
 
 from typing import Sequence
@@ -80,6 +85,29 @@ def _dot(ctx, xs, ys):
     for x, y in zip(xs, ys):
         acc = ctx.add(acc, ctx.mul(x, y))
     return acc
+
+
+def moore_inv_table(ctx, alpha):
+    """The closed-form tuple table moore_inv[r][j] = alpha_r^(q^(n+2j)),
+    the inverse of the transposed Moore matrix when alpha is orthonormal."""
+    n = len(alpha)
+    return tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha)
+
+
+def encode_via_moore_dots(params, msg, table):
+    """The codeword the way the package encoded before packed evaluation,
+    on the tuple table moore_inv_table(params.ctx, params.alpha).
+
+    With conj(x) = x^(q^n), moore_inv[r][i] = alpha_r^(q^(n+2i)) and q^(2n)
+    fixing K give c_r = conj(sum_i conj(g_i) * moore_inv[r][i]): the adjoint
+    of interpolation on the tuple table.  g is zero off the window, so only
+    its k indices are conjugated and dotted with the matching row entries.
+    """
+    ctx, n = params.ctx, params.n
+    g = expand_message(params, msg)
+    window = [i % n for i in range(params.m - params.kappa, params.m + params.kappa + 1)]
+    gw = [ctx.frobenius(g[i], n) for i in window]
+    return tuple(ctx.frobenius(ctx.dot(gw, [row[i] for i in window]), n) for row in table)
 
 
 def encode_via_matrix(params, msg):

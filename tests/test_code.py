@@ -331,7 +331,8 @@ def test_params_json_roundtrip(params_for):
     assert again.alpha == p.alpha
     assert again.eta == p.eta
     assert (again.d, again.m, again.kappa, again.k) == (p.d, p.m, p.kappa, p.k)
-    assert again.moore_inv == p.moore_inv
+    assert again.moore_packed == p.moore_packed == p.ctx.pack_rows(moore_tinv(p.ctx, p.alpha))
+    assert again.encoder_rows == p.encoder_rows
 
 
 @pytest.mark.parametrize(
@@ -396,9 +397,14 @@ def test_params_json_tamper_detection(params_for):
 def test_moore_inv_closed_form_matches_elimination(params_for, q, n, d):
     p = params_for(q, n, d)
     ctx = p.ctx
-    assert p.moore_inv == moore_tinv(ctx, p.alpha)
+    tinv = moore_tinv(ctx, p.alpha)
+    assert p.moore_packed == ctx.pack_rows(tinv)
     ident = tuple(tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n))
-    assert mat_mul(ctx, transpose(moore_rows(ctx, p.alpha)), p.moore_inv) == ident
+    moore = moore_rows(ctx, p.alpha)
+    assert mat_mul(ctx, transpose(moore), tinv) == ident
+    # the encoder rows are the window columns of the Moore matrix itself
+    window = [i % n for i in range(p.m - p.kappa, p.m + p.kappa + 1)]
+    assert p.encoder_rows == ctx.pack_rows([[row[i] for row in moore] for i in window])
 
 
 def test_params_load_inverts_once(params_for, monkeypatch):
@@ -472,7 +478,7 @@ def test_basis_certificate_matches_gram_oracle(params_for, q, n, d):
         if verdicts[name]:
             again = params_from_json_obj(obj)
             assert again.alpha == basis
-            assert again.moore_inv == moore_tinv(ctx, basis)
+            assert again.moore_packed == ctx.pack_rows(moore_tinv(ctx, basis))
         else:
             with pytest.raises(BadParamsError, match="orthonormal"):
                 params_from_json_obj(obj)
@@ -498,7 +504,7 @@ def test_params_load_makes_no_pairing(params_for, monkeypatch):
     monkeypatch.setattr(cls, "rel_trace", counting)
     again = params_from_json_obj(obj)
     assert traces == []
-    assert again.moore_inv == p.moore_inv
+    assert again.moore_packed == p.ctx.pack_rows(moore_tinv(p.ctx, p.alpha))
 
 
 def test_each_params_certified_once(monkeypatch):

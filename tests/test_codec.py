@@ -48,7 +48,7 @@ from reference_decode import beta_split as reference_beta_split
 from reference_decode import cyclic_order, known_indices, solve_key_equation
 from reference_decode import skew_bm as reference_skew_bm
 from reference_field import from_base
-from reference_moore import encode_via_matrix, lp_eval
+from reference_moore import encode_via_matrix, encode_via_moore_dots, lp_eval, moore_inv_table
 from reference_rank import map_rank, random_message_dots
 
 
@@ -165,21 +165,34 @@ def test_encode_zero_and_additivity(params_for):
         assert tuple(ctx.add(a, b) for a, b in zip(w1, w2)) == w3
 
 
-@pytest.mark.parametrize(
-    "q,n,d",
-    [(2, 5, 3), (2, 7, 5), (3, 3, 3), (3, 5, 3), (2, 31, 15), (3, 19, 9), (5, 13, 7), (2, 1, 1), (3, 1, 1), (3, 7, 7), (2, 9, 9),
-     (5, 5, 5), (2, 7, 1), (3, 5, 1)],
-)
+# every (q, n, d) the suite builds a code at, including the edge shapes
+# d = 1 (k = n, the window is every index), d = n (k = 1, a one-index
+# window) and n = 1
+ENCODE_POINTS = [
+    (2, 1, 1), (2, 3, 3), (2, 5, 1), (2, 5, 3), (2, 5, 5), (2, 7, 1), (2, 7, 3), (2, 7, 5), (2, 7, 7),
+    (2, 9, 5), (2, 9, 7), (2, 9, 9), (2, 31, 15),
+    (3, 1, 1), (3, 3, 1), (3, 3, 3), (3, 5, 1), (3, 5, 3), (3, 7, 5), (3, 7, 7), (3, 9, 5), (3, 19, 9),
+    (5, 1, 1), (5, 3, 3), (5, 5, 3), (5, 5, 5), (5, 7, 5), (5, 13, 7), (7, 3, 3), (7, 5, 3),
+    (65521, 1, 1), (1000003, 1, 1), (4294967291, 1, 1),
+]
+
+
+@pytest.mark.parametrize("q,n,d", ENCODE_POINTS)
 def test_encode_agrees_with_matrix_path(params_for, q, n, d):
-    # the benchmark points, n = 1, k = 1 (d = n, a one-index window) and
-    # k = n (d = 1, a window covering every index)
+    # the packed evaluation against the dense product with the Moore rows,
+    # against lp_eval at each basis point, and against the encoder it
+    # replaced: n dots with the tuple Moore table between conjugations
     p = params_for(q, n, d)
+    table = moore_inv_table(p.ctx, p.alpha)
+    zero = Message((p.ctx.zero,) * p.k)
+    assert encode(p, zero) == encode_via_moore_dots(p, zero, table) == (p.ctx.zero,) * n
     rng = SplitMix64(53)
     for _ in range(15):
         msg = random_message(p, rng)
         word = encode(p, msg)
         assert word == encode_via_matrix(p, msg)
         assert word == _word_from_poly(p, expand_message(p, msg))
+        assert word == encode_via_moore_dots(p, msg, table)
 
 
 def test_minimal_code_pairwise_distance(params_for):
@@ -201,8 +214,8 @@ def test_known_indices_frozen(params_for):
     for (n, d), want in [((3, 3), (0, 1)), ((5, 3), (0, 1)), ((7, 5), (6, 0, 1, 2)),
                          ((7, 7), (5, 6, 0, 1, 2, 3)), ((5, 1), ())]:
         p = params_for(2, n, d)
-        assert tuple(codec._cyclic_order(p)[: d - 1]) == known_indices(p) == want
-        assert codec._cyclic_order(p) == cyclic_order(p)
+        assert tuple(codec._cyclic_order(n, d)[: d - 1]) == known_indices(p) == want
+        assert codec._cyclic_order(n, d) == cyclic_order(p)
 
 
 def test_beta_split_on_clean_codeword(params_for):
@@ -731,28 +744,35 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
     assert all(len(rows) == ctx.deg and all(type(r) is int for r in rows) for rows in ctx._frob.values())
 
 
-@pytest.mark.parametrize("q,n,d", [(3, 9, 5), (2, 31, 15), (5, 13, 7)])
-def test_encode_reads_moore_table(params_for, monkeypatch, q, n, d):
-    # machine-independent guard: one encode is n dots with the window
-    # entries of the rows of moore_inv and at most n + 3k Frobenius powers
-    # (k subfield checks, k window twists, k conjugations in and n out), not
-    # one power per basis point and live coefficient, nor a conjugation of
-    # each of the n - k zero coefficients
+# exact products and Frobenius powers of one encode: all of them are
+# expand_message's (kappa products by eta; k subfield checks, the center's
+# twist and two per mirrored pair)
+ENCODE_WORK = {(3, 9, 5): (2, 10), (2, 31, 15): (8, 34), (5, 13, 7): (3, 14)}
+
+
+@pytest.mark.parametrize("q,n,d", sorted(ENCODE_WORK))
+def test_encode_is_one_packed_combination(params_for, monkeypatch, q, n, d):
+    # machine-independent guard: one encode is one combine_rows of the k
+    # window coefficients with the params' k encoder rows, cut into n
+    # outputs, with no dot, at most kappa products and at most 3k Frobenius
+    # powers: no conjugation in or out, and no per-point work
     p = params_for(q, n, d)
     msg = random_message(p, SplitMix64(59))
     cls = type(p.ctx)
-    counts = {"dot": 0, "frobenius": 0}
-    rows = []
+    counts = {"dot": 0, "mul": 0, "frobenius": 0, "combine_rows": 0}
+    calls = []
     for name in counts:
         def counting(self, *args, _orig=getattr(cls, name), _name=name):
             counts[_name] += 1
-            if _name == "dot":
-                rows.append(args[1])
+            if _name == "combine_rows":
+                calls.append(args)
             return _orig(self, *args)
 
         monkeypatch.setattr(cls, name, counting)
-    encode(p, msg)
-    assert counts["dot"] == p.n
-    assert counts["frobenius"] <= p.n + 3 * p.k
-    window = [i % p.n for i in range(p.m - p.kappa, p.m + p.kappa + 1)]
-    assert rows == [[row[i] for i in window] for row in p.moore_inv]
+    word = encode(p, msg)
+    assert len(word) == p.n
+    assert counts["dot"] == 0 and counts["combine_rows"] == 1
+    ((values, rows),) = calls
+    assert rows is p.encoder_rows and len(rows) == len(values) == p.k
+    assert counts["mul"] <= p.kappa and counts["frobenius"] <= 3 * p.k
+    assert (counts["mul"], counts["frobenius"]) == ENCODE_WORK[q, n, d]

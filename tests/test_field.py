@@ -395,6 +395,27 @@ def test_products_reduce_once(monkeypatch, q, n, rand_felt):
     assert len(reduced) == 2 + n
 
 
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (2, 31), (3, 9), (3, 19), (5, 13), (4294967291, 1)])
+def test_combine_rows_on_non_square_tables(q, n, rand_felt):
+    # 1 x n, k x n and n x n tables (the encoder's is k x n, the Moore
+    # inverse n x n) against one dot per column, with zero values, zero
+    # rows, and all-(q-1) entries that fill a field's slots to k * 2n * (q-1)^2
+    ctx = make_context(q, n)
+    rng = SplitMix64(17 * q + n)
+    top = ctx.from_coeffs([q - 1] * ctx.deg)
+    for height in sorted({1, (n + 1) // 2, n}):
+        table = [[rand_felt(ctx, rng) for _ in range(n)] for _ in range(height)]
+        table[-1] = [ctx.zero] * n
+        cases = [
+            (table, [rand_felt(ctx, rng) for _ in range(height)]),
+            (table, [ctx.zero] * height),
+            ([[top] * n] * height, [top] * height),
+        ]
+        for tbl, values in cases:
+            got = ctx.combine_rows(values, ctx.pack_rows(tbl))
+            assert got == tuple(ctx.dot(values, col) for col in zip(*tbl))
+
+
 @pytest.mark.parametrize("q,n", [(3, 19), (5, 13), (4294967291, 1)])
 def test_fq_combine_at_slot_bound(q, n, rand_felt):
     # 2n digits of q - 1 against 2n all-(q-1) elements fill every slot to

@@ -67,16 +67,28 @@ elements can be dict keys and set members.  The JSON form of an element is
 its coefficient list, least significant first, always of length 2n.
 
 Frobenius powers x -> x^(q^j) are F_q-linear, so each is stored once per
-context as the table of images of the monomial basis (packed rows for odd
-q) and applied as sum_i a_i * row_i; no exponentiation happens at lookup
-time.  The tables are built by composition.  T_0 holds the monomials
+context as a table made by ``_to_rows`` from the images of the monomial
+basis, and ``_apply_linear`` applies it; no exponentiation happens at
+lookup time.  For odd q the table is the packed images, applied as
+sum_i a_i * row_i.  For q = 2 it is the "Four Russians" form (Albrecht,
+Bard and Hart, ACM TOMS 2010) that ``_rtab`` uses to reduce: one nibble
+table per 4 bits of the input, ceil(2n/4) of them, where entry v of table
+k is the XOR of the images 4k .. 4k+3 over the set bits of v, built by
+doubling.  A map is then one lookup per nibble of its input, 16 at n = 31,
+instead of one XOR per set bit, and image i reads back as entry 1 << (i %
+4) of table i // 4.  The nibble tables are ``array('Q')`` rows: an entry
+has at most 64 bits, and the flat array holds it in 8 bytes, where a list
+holds a pointer to a separate int object of about 36 bytes.  A context
+keeps up to 2n of these tables, and a process may keep several contexts.
+The tables are built by composition.  T_0 holds the monomials
 themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1 products.
 For j >= 2, row i of T_j is (X^i)^(q^j) = ((X^i)^(q^(j-1)))^q, the image
 under T_1 of row i of T_(j-1), so T_j costs 2n applications of T_1 and no
 product.  The relative trace down to F_{q^2} (the sum of the even
-Frobenius powers) is precomputed the same way.  ``fq_combine`` runs that
-kernel on any F_q digits against any at most 2n elements, so a sum of
-digits times elements never embeds a digit or forms a product.
+Frobenius powers) is precomputed the same way.  ``fq_combine`` forms sums
+of F_q digits times at most 2n elements, the packed odd-q kernel on any
+digits and an XOR of the selected elements for q = 2, so a sum of digits
+times elements never embeds a digit or forms a product.
 
 Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
 nonzero coefficient of a row and clears it from the other rows, by XOR on
@@ -249,8 +261,8 @@ class FieldContext:
         raise NotImplementedError
 
     def _apply_linear(self, rows: Sequence, a: Felt) -> Felt:
-        """Apply an F_q-linear map given by its table of monomial images in
-        the form _to_rows makes."""
+        """Apply an F_q-linear map given by its table in the form _to_rows
+        makes."""
         raise NotImplementedError
 
     def _echelon(self, elems: Sequence[Felt]) -> list:
@@ -307,7 +319,8 @@ class FieldContext:
         return self._reduce(self._sum(map(self._product, map(lift, xs), map(lift, ys))))
 
     def _to_rows(self, images: Sequence[Felt]) -> tuple:
-        """Table form of a linear map's monomial images: each image lifted."""
+        """Table form of a linear map's monomial images for _apply_linear:
+        each image lifted (the q = 2 engine keeps nibble tables instead)."""
         return tuple(map(self._lift, images))
 
     def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
@@ -340,11 +353,11 @@ class FieldContext:
 
         The elements are packed once by _to_rows, and each combination is
         one pass of _apply_linear's kernel, with no product and no
-        reduction: an XOR of the selected elements for q = 2, and for odd q
-        one big-int sum of digit times packed element with one slot-wise
-        mod q.  That sum cannot carry: a packed element holds its canonical
-        coefficients, at most q - 1 per slot, so 2n terms put at most
-        2n * (q-1)^2 in a slot, below the (2n + 2) * 2n * (q-1)^2 the slot
+        reduction: one big-int sum of digit times packed element with one
+        slot-wise mod q.  The q = 2 engine instead XORs the selected
+        elements.  The odd-q sum cannot carry: a packed element holds its
+        canonical coefficients, at most q - 1 per slot, so 2n terms put at
+        most 2n * (q-1)^2 in a slot, below the (2n + 2) * 2n * (q-1)^2 the slot
         width is chosen for (module docstring).
         """
         rows = self._to_rows(elems)
@@ -354,6 +367,7 @@ class FieldContext:
     def pow_elem(self, a: Felt, e: int) -> Felt:
         """a^e for e >= 0, square-and-multiply from the top bit of e:
         bit_length(e) - 1 squarings and popcount(e) - 1 products."""
+        assert e >= 0, "negative exponent"
         if not e:
             return self.one
         r = a
@@ -382,8 +396,9 @@ class FieldContext:
         return rows
 
     def frob_images(self, j: int) -> tuple:
-        """Images (X^i)^(q^j) of the monomial basis, i = 0 .. 2n-1."""
-        return self._frob_rows(j)
+        """Images (X^i)^(q^j) of the monomial basis, i = 0 .. 2n-1, read
+        back from the table _frob_rows(j)."""
+        raise NotImplementedError
 
     def frobenius(self, a: Felt, j: int) -> Felt:
         """a^(q^j) with j taken mod 2n."""
@@ -645,13 +660,31 @@ class _Gf2Context(FieldContext):
     def to_coeffs(self, a):
         return [(a >> i) & 1 for i in range(self.deg)]
 
-    def _apply_linear(self, tbl, a):
+    def _to_rows(self, images):
+        """Nibble tables of a linear map (module docstring): table k maps a
+        nibble v to the XOR of images[4k .. 4k+3] over the set bits of v,
+        built by doubling as _rtab is; zero padding keeps every table 16
+        long."""
+        images = list(images) + [0] * (-len(images) % 4)
+        tables = []
+        for k in range(0, len(images), 4):
+            row = [0]
+            for m in images[k : k + 4]:
+                row += [r ^ m for r in row]
+            tables.append(array("Q", row))
+        return tuple(tables)
+
+    def _apply_linear(self, tables, a):
+        """One lookup per nibble of a in the tables _to_rows makes."""
         acc = 0
-        while a:
-            i = (a & -a).bit_length() - 1
-            acc ^= tbl[i]
-            a &= a - 1
+        for t in tables:
+            acc ^= t[a & 15]
+            a >>= 4
         return acc
+
+    def frob_images(self, j):
+        tables = self._frob_rows(j)
+        return tuple(tables[i >> 2][1 << (i & 3)] for i in range(self.deg))
 
     def fq_combine(self, elems, digit_rows):
         return tuple(functools.reduce(operator.xor, itertools.compress(elems, digits), 0) for digits in digit_rows)

@@ -7,7 +7,9 @@ the rows X^(2n+s) mod f, and an F_q-linear map applied from its monomial
 images.  They read only q, n and the modulus of a context, so a fault in
 the packed kernel cannot hide in them.  The product, sum and dot read and
 write elements through to_coeffs and from_coeffs, so they serve the q = 2
-engine as well.
+engine as well.  For q = 2 the linear map is also kept as the bit walk over
+a packed element that the engine's nibble tables replaced, with the
+Frobenius images by repeated squaring.
 
 The modulus scan below serves every q, q = 2 included: Rabin's test on
 coefficient lists, with its own remainder and gcd, against the package's
@@ -121,6 +123,28 @@ def rel_trace(ctx, a):
     for i in range(ctx.n):
         acc = add(ctx, acc, frobenius(ctx, a, 2 * i))
     return acc
+
+
+def gf2_apply_linear(images, a):
+    """The q = 2 linear map with images[i] = image of X^i, applied to the
+    packed element a one set bit at a time: the kernel the engine's nibble
+    tables replaced."""
+    acc = 0
+    while a:
+        i = (a & -a).bit_length() - 1
+        acc ^= images[i]
+        a &= a - 1
+    return acc
+
+
+def gf2_frob_images(ctx):
+    """(X^i)^(2^j) for i = 0 .. 2n-1, one tuple per j = 0 .. 2n-1, each
+    squaring the entries of the one before with the engine's mul, which no
+    linear map enters."""
+    images = tuple(1 << i for i in range(ctx.deg))
+    for _ in range(ctx.deg):
+        yield images
+        images = tuple(ctx.mul(x, x) for x in images)
 
 
 # -- the modulus scan ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Encoder, key-equation solvers, register synthesis, certified decoding."""
 
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -739,9 +740,16 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
     for j in range(3 * ctx.deg):
         ctx.frobenius(received[0], j)
     assert counts["mul"] == 0
-    # one table per Frobenius power, kept in packed form only
+    # one table per Frobenius power, kept in packed form only: for q = 2,
+    # ceil(2n/4) nibble tables of 16 array('Q') entries; for odd q, 2n
+    # packed ints
     assert set(ctx._frob) <= set(range(ctx.deg))
-    assert all(len(rows) == ctx.deg and all(type(r) is int for r in rows) for rows in ctx._frob.values())
+    for rows in ctx._frob.values():
+        if q == 2:
+            assert len(rows) == -(-ctx.deg // 4)
+            assert all(type(r) is array and r.typecode == "Q" and len(r) == 16 for r in rows)
+        else:
+            assert len(rows) == ctx.deg and all(type(r) is int for r in rows)
 
 
 # exact products and Frobenius powers of one encode: all of them are

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,8 @@ def test_pow_elem_squares_and_multiplies_once_per_bit(monkeypatch, q, n):
         assert factors.count(False) == bin(e).count("1") - 1, e
     factors.clear()
     assert ctx.pow_elem(ctx.gen, 0) == ctx.one and not factors
+    with pytest.raises(AssertionError):
+        ctx.pow_elem(ctx.gen, -3)
 
 
 def test_make_context_rejects_bad_parameters():
@@ -349,6 +352,43 @@ def test_packed_kernel_matches_schoolbook(q, n, rand_felt):
             assert ctx.frobenius(a, j) == reference_field.frobenius(ctx, a, j)
     for a in xs[:2]:
         assert all(type(c) is int for c in ctx.mul(a, a) + ctx.frobenius(a, 1))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 31])
+def test_gf2_nibble_tables_match_bit_walk(n, rand_felt):
+    # the q = 2 linear-map kernel, one lookup per nibble, against the bit
+    # walk it replaced, for every Frobenius power, the trace and a random
+    # map.  2n = 2 mod 4, so the last nibble table is half padding, and
+    # n = 1 has a single table; the inputs reach every bit of it.
+    ctx = make_context(2, n)
+    rng = SplitMix64(n)
+    xs = [0, 1, (1 << ctx.deg) - 1, 1 << (ctx.deg - 1)] + [rand_felt(ctx, rng) for _ in range(6)]
+    trace = [0] * ctx.deg
+    for j, images in enumerate(reference_field.gf2_frob_images(ctx)):
+        assert ctx.frob_images(j) == images, j
+        if j % 2 == 0:
+            trace = [t ^ x for t, x in zip(trace, images)]
+        for a in xs:
+            want = reference_field.gf2_apply_linear(images, a)
+            assert ctx._apply_linear(ctx._frob_rows(j), a) == ctx.frobenius(a, j) == want, (j, a)
+    images = [rand_felt(ctx, rng) for _ in range(ctx.deg)]
+    for a in xs:
+        assert ctx.rel_trace(a) == reference_field.gf2_apply_linear(trace, a), a
+        assert ctx._apply_linear(ctx._to_rows(images), a) == reference_field.gf2_apply_linear(images, a), a
+
+
+def test_gf2_frobenius_tables_stay_small():
+    # bench/library.py keeps the params of three set-ups, each context with
+    # all 2n = 62 powers built at (2,31); nibble tables as lists of Python
+    # ints read +14-16% peak_rss_mb there, against the benchmark's 10%
+    # bound.  array('Q') rows hold a power's 16 tables in under 4 KiB.
+    ctx = make_context(2, 31)
+    ctx.rel_trace(ctx.gen)
+    tables = [ctx._frob_rows(j) for j in range(ctx.deg)] + [ctx._trace_tbl]
+    assert len(ctx._frob) == ctx.deg
+    for rows in tables:
+        assert all(type(r) is array for r in rows)
+        assert sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)) <= 4096
 
 
 @pytest.mark.parametrize("q,n", ODD_POINTS + [(2, 1), (2, 5), (2, 31)])

@@ -10,38 +10,27 @@ Quick start::
     word = encode(params, msg)
     result = decode(params, word)
     assert result.ok and result.message == msg
+
+This namespace is the public API.  Construction and decoder internals
+(the basis search, the {1, eta} split, interpolation, the decoder's stages,
+the modulus scan) live in their modules, hermrank.code, hermrank.codec,
+hermrank.linpoly and hermrank.field, and may change without notice.
 """
 
 from .channel import MODE_ARBITRARY, MODE_HERMITIAN, ChannelSpec, corrupt, random_rank_error
 from .code import (
     CodeParams,
     build_params,
-    choose_eta,
     codeword_to_matrix,
-    decompose_eta,
-    find_selfdual_basis,
     is_hermitian,
     matrix_to_vector,
     params_from_json_obj,
     params_to_json_obj,
     rank_distance,
-    unitary_pairing,
 )
-from .codec import (
-    DecodeResult,
-    Message,
-    beta_split,
-    complete_g,
-    decode,
-    encode,
-    expand_message,
-    extract_message,
-    random_message,
-    skew_bm,
-)
+from .codec import DecodeResult, Message, decode, encode, random_message
 from .exceptions import HermrankError
-from .field import FieldContext, Felt, canonical_modulus, make_context
-from .linpoly import lp_interpolate
+from .field import FieldContext, Felt, make_context
 from .oracle import CodeTable, NearestResult, brute_min_distance, enumerate_code, nearest_codeword
 from .rng import SplitMix64, substream_seed
 
@@ -58,23 +47,14 @@ __all__ = [
     "Message",
     "NearestResult",
     "SplitMix64",
-    "beta_split",
     "brute_min_distance",
     "build_params",
-    "canonical_modulus",
-    "choose_eta",
     "codeword_to_matrix",
-    "complete_g",
     "corrupt",
     "decode",
-    "decompose_eta",
     "encode",
     "enumerate_code",
-    "expand_message",
-    "extract_message",
-    "find_selfdual_basis",
     "is_hermitian",
-    "lp_interpolate",
     "make_context",
     "matrix_to_vector",
     "nearest_codeword",
@@ -83,7 +63,5 @@ __all__ = [
     "random_message",
     "random_rank_error",
     "rank_distance",
-    "skew_bm",
     "substream_seed",
-    "unitary_pairing",
 ]

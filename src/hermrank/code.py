@@ -135,12 +135,6 @@ def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt], d: int) -> tuple:
     return rows, ctx.pack_rows([[ctx.frobenius(row[i], n) for row in table] for i in window])
 
 
-def choose_eta(ctx: FieldContext) -> Felt:
-    # X generates K over F_q with degree 2n, so it cannot lie in the index-2
-    # subfield F_{q^n}; {1, X} is then an F_{q^n}-basis of K.
-    return ctx.gen
-
-
 @dataclass(frozen=True)
 class CodeParams:
     """Everything fixed once (q, n, d) is chosen.
@@ -192,12 +186,15 @@ def build_params(q: int, n: int, d: int) -> CodeParams:
     ctx = make_context(q, n)
     _check_d(ctx, d)
     alpha = find_selfdual_basis(ctx)
-    return _assemble(ctx, d, alpha, *_moore_inv(ctx, alpha, d), choose_eta(ctx))
+    # eta = X: X generates K over F_q with degree 2n, so it cannot lie in the
+    # index-2 subfield F_{q^n}; {1, X} is then an F_{q^n}-basis of K.
+    return _assemble(ctx, d, alpha, *_moore_inv(ctx, alpha, d), ctx.gen)
 
 
 def _check_d(ctx: FieldContext, d) -> None:
-    """BadParamsError unless d is an odd integer with 1 <= d <= n."""
-    if not isinstance(d, int) or d % 2 == 0 or not 1 <= d <= ctx.n:
+    """BadParamsError unless d is an odd integer (not a bool, as in
+    json_field) with 1 <= d <= n."""
+    if type(d) is not int or d % 2 == 0 or not 1 <= d <= ctx.n:
         raise BadParamsError(f"d must be odd with 1 <= d <= n = {ctx.n}, got {d}")
 
 

@@ -74,12 +74,13 @@ sum_i a_i * row_i.  For q = 2 it is the "Four Russians" form (Albrecht,
 Bard and Hart, ACM TOMS 2010) that ``_rtab`` uses to reduce: one nibble
 table per 4 bits of the input, ceil(2n/4) of them, where entry v of table
 k is the XOR of the images 4k .. 4k+3 over the set bits of v, built by
-doubling.  A map is then one lookup per nibble of its input, 16 at n = 31,
-instead of one XOR per set bit, and image i reads back as entry 1 << (i %
-4) of table i // 4.  The nibble tables are ``array('Q')`` rows: an entry
-has at most 64 bits, and the flat array holds it in 8 bytes, where a list
-holds a pointer to a separate int object of about 36 bytes.  A context
-keeps up to 2n of these tables, and a process may keep several contexts.
+doubling in ``_xor_tables`` as ``_rtab`` is.  A map is then one lookup per
+nibble of its input, 16 at n = 31, instead of one XOR per set bit, and
+image i reads back as entry 1 << (i % 4) of table i // 4.  The nibble
+tables are ``array('Q')`` rows: an entry has at most 64 bits, and the flat
+array holds it in 8 bytes, where a list holds a pointer to a separate int
+object of about 36 bytes.  A context keeps up to 2n of these tables, and
+a process may keep several contexts.
 The tables are built by composition.  T_0 holds the monomials
 themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1 products.
 For j >= 2, row i of T_j is (X^i)^(q^j) = ((X^i)^(q^(j-1)))^q, the image
@@ -540,6 +541,21 @@ class FieldContext:
         return f"FieldContext(q={self.q}, n={self.n})"
 
 
+def _xor_tables(images, bits):
+    """Table k maps a bits-wide chunk v to the XOR of images[bits*k + i]
+    over the set bits i of v, built by doubling; zero padding keeps every
+    table 2^bits long.  The q = 2 engine's byte reduction tables and nibble
+    Frobenius tables."""
+    images = list(images) + [0] * (-len(images) % bits)
+    tables = []
+    for k in range(0, len(images), bits):
+        row = [0]
+        for m in images[k : k + bits]:
+            row += [r ^ m for r in row]
+        tables.append(row)
+    return tables
+
+
 class _Gf2Context(FieldContext):
     """Bit-packed engine for q = 2."""
 
@@ -562,16 +578,8 @@ class _Gf2Context(FieldContext):
             v <<= 1
             if v >> deg & 1:
                 v ^= fpacked
-        # byte table k maps a byte to the sum of mono[8k + bit] over its set
-        # bits, built by doubling; zero padding keeps every row 256 long
-        mono += [0] * (-len(mono) % 8)
-        rtab = []
-        for k in range(0, len(mono), 8):
-            row = [0]
-            for m in mono[k : k + 8]:
-                row += [r ^ m for r in row]
-            rtab.append(row)
-        self._rtab = rtab
+        # byte table k maps a byte to the sum of mono[8k + bit] over its set bits
+        self._rtab = _xor_tables(mono, 8)
 
     def add(self, a, b):
         return a ^ b
@@ -662,17 +670,8 @@ class _Gf2Context(FieldContext):
 
     def _to_rows(self, images):
         """Nibble tables of a linear map (module docstring): table k maps a
-        nibble v to the XOR of images[4k .. 4k+3] over the set bits of v,
-        built by doubling as _rtab is; zero padding keeps every table 16
-        long."""
-        images = list(images) + [0] * (-len(images) % 4)
-        tables = []
-        for k in range(0, len(images), 4):
-            row = [0]
-            for m in images[k : k + 4]:
-                row += [r ^ m for r in row]
-            tables.append(array("Q", row))
-        return tuple(tables)
+        nibble v to the XOR of images[4k .. 4k+3] over the set bits of v."""
+        return tuple(array("Q", row) for row in _xor_tables(images, 4))
 
     def _apply_linear(self, tables, a):
         """One lookup per nibble of a in the tables _to_rows makes."""
@@ -870,14 +869,15 @@ def make_context(q: int, n: int) -> FieldContext:
     Raises NotPrimeError, EvenExtensionError or TooLargeError when the
     parameters are out of range; elements must pack into 64 bits, i.e.
     q^(2n) <= 2^64.  q > 2^32 and n > 32 are rejected by plain comparisons
-    before the prime test and before q^(2n) is formed.  This is the one
-    check of q and n; build_params relies on it.
+    before the prime test and before q^(2n) is formed.  A bool n is not an
+    integer, as in json_field, so every context built can be written and
+    read back.  This is the one check of q and n; build_params relies on it.
     """
     if isinstance(q, int) and q > _MAX_Q:
         raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
     if not isinstance(q, int) or _prime_factors(q) != [q]:
         raise NotPrimeError(f"q = {q} is not a prime")
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
+    if type(n) is not int or n < 1 or n % 2 == 0:
         raise EvenExtensionError(f"n = {n} is not a positive odd integer")
     if n > _MAX_N or q ** (2 * n) > 2**_ELEMENT_BIT_BUDGET:
         raise TooLargeError(f"q^(2n) = {q}^{2 * n} exceeds the 64-bit element budget")

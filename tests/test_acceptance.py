@@ -17,7 +17,6 @@ from hermrank import (
     ChannelSpec,
     Message,
     SplitMix64,
-    beta_split,
     brute_min_distance,
     build_params,
     codeword_to_matrix,
@@ -25,16 +24,15 @@ from hermrank import (
     decode,
     encode,
     enumerate_code,
-    expand_message,
-    lp_interpolate,
     matrix_to_vector,
     nearest_codeword,
     random_message,
     random_rank_error,
     rank_distance,
-    skew_bm,
     substream_seed,
 )
+from hermrank.codec import beta_split, expand_message, skew_bm
+from hermrank.linpoly import lp_interpolate
 from reference_decode import cyclic_order, known_indices, solve_key_equation
 from reference_moore import lp_eval
 from reference_rank import dickson, matrix_rank

@@ -13,7 +13,6 @@ from hermrank import (
     codeword_to_matrix,
     corrupt,
     is_hermitian,
-    lp_interpolate,
     params_to_json_obj,
     random_rank_error,
     rank_distance,
@@ -23,6 +22,7 @@ from hermrank.channel import _draw_hermitian
 from hermrank.codec import word_from_json_obj, word_to_json_obj
 from hermrank.exceptions import BadParamsError, BadRankError, HermrankError
 from hermrank.field import FieldContext
+from hermrank.linpoly import lp_interpolate
 from reference_rank import draw_hermitian_via_matrix, map_rank, random_rank_error_listed
 
 

@@ -11,29 +11,27 @@ from hermrank import (
     Message,
     SplitMix64,
     build_params,
-    choose_eta,
     codeword_to_matrix,
-    decompose_eta,
     encode,
-    find_selfdual_basis,
     is_hermitian,
-    lp_interpolate,
     make_context,
     matrix_to_vector,
     params_from_json_obj,
     params_to_json_obj,
     random_rank_error,
     rank_distance,
-    unitary_pairing,
 )
 from hermrank import code as code_mod
+from hermrank.code import decompose_eta, find_selfdual_basis, unitary_pairing
 from hermrank.exceptions import (
     BadParamsError,
     BadShapeError,
     BasisSearchFailedError,
+    EvenExtensionError,
     HermrankError,
     TooLargeError,
 )
+from hermrank.linpoly import lp_interpolate
 from reference_field import from_base
 from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, transpose
 from reference_rank import map_rank, matrix_rank
@@ -80,6 +78,18 @@ def test_build_params_rejects_bad_triples():
         build_params(2, 3, -1)
     with pytest.raises(TooLargeError):
         build_params(2, 33, 3)
+
+
+def test_build_params_rejects_bool_n_and_d():
+    # bool is an int subclass, but params_from_json_obj refuses "n": true and
+    # "d": true, so params built from them could not be read back
+    with pytest.raises(EvenExtensionError):
+        build_params(2, True, 1)
+    with pytest.raises(BadParamsError, match="odd") as exc:
+        build_params(2, 3, True)
+    assert type(exc.value) is BadParamsError
+    with pytest.raises((EvenExtensionError, BadParamsError)):
+        build_params(3, True, True)
 
 
 @pytest.mark.parametrize("q,n", [(1000000000000000003, 1), (3, 10**7 + 1)])
@@ -182,9 +192,9 @@ def test_basis_expansion_identities_exhaustive():
 
 def test_choose_eta_outside_middle_subfield():
     for q, n in [(2, 3), (3, 3), (2, 5)]:
-        ctx = make_context(q, n)
-        eta = choose_eta(ctx)
-        assert not ctx.in_subfield(eta, n)
+        p = build_params(q, n, 1)
+        assert p.eta == p.ctx.gen
+        assert not p.ctx.in_subfield(p.eta, n)
 
 
 def test_decompose_eta_roundtrip(params_for, rand_felt):

@@ -11,20 +11,14 @@ from hermrank import (
     ChannelSpec,
     Message,
     SplitMix64,
-    beta_split,
-    complete_g,
     corrupt,
     decode,
     encode,
     enumerate_code,
-    expand_message,
-    extract_message,
-    lp_interpolate,
     nearest_codeword,
     random_message,
     random_rank_error,
     rank_distance,
-    skew_bm,
 )
 from hermrank import codec
 from hermrank.codec import (
@@ -32,12 +26,18 @@ from hermrank.codec import (
     REASON_RADIUS,
     REASON_SUBFIELD,
     REASON_SYMMETRY,
+    beta_split,
+    complete_g,
     decode_result_to_json_obj,
+    expand_message,
+    extract_message,
     message_from_json_obj,
     message_to_json_obj,
+    skew_bm,
     word_from_json_obj,
     word_to_json_obj,
 )
+from hermrank.linpoly import lp_interpolate
 from hermrank.exceptions import (
     BadRankError,
     BadShapeError,

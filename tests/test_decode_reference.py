@@ -13,8 +13,6 @@ from hermrank import (
     MODE_HERMITIAN,
     ChannelSpec,
     SplitMix64,
-    beta_split,
-    complete_g,
     corrupt,
     decode,
     encode,
@@ -22,10 +20,17 @@ from hermrank import (
     nearest_codeword,
     random_message,
     random_rank_error,
-    skew_bm,
 )
 from hermrank import codec
-from hermrank.codec import REASON_INCONSISTENT, REASON_RADIUS, REASON_SUBFIELD, REASON_SYMMETRY
+from hermrank.codec import (
+    REASON_INCONSISTENT,
+    REASON_RADIUS,
+    REASON_SUBFIELD,
+    REASON_SYMMETRY,
+    beta_split,
+    complete_g,
+    skew_bm,
+)
 from hermrank.exceptions import BadRankError
 
 import reference_decode as ref

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_field
-from hermrank import SplitMix64, canonical_modulus, field, make_context
+from hermrank import SplitMix64, field, make_context
+from hermrank.field import canonical_modulus
 from hermrank.exceptions import (
     BadParamsError,
     EvenExtensionError,

@@ -3,7 +3,8 @@ matrix-form oracles in reference_rank)."""
 
 import pytest
 
-from hermrank import SplitMix64, lp_interpolate, make_context
+from hermrank import SplitMix64, make_context
+from hermrank.linpoly import lp_interpolate
 from reference_moore import lp_eval, lp_interpolate_dots, moore_rows, moore_tinv
 from reference_rank import dickson, map_rank, matrix_rank
 

@@ -27,19 +27,43 @@ and ``_to_rows`` once on top:
 * ``_sum`` adds unreduced products: XOR for q = 2, ``sum`` for odd q.
 * ``_reduce`` gives the canonical element of an unreduced product or sum
   of them.  For q = 2 it folds the bits above X^(2n) in through byte
-  tables of X^(2n+s) mod f (``_rtab``).  For odd q it adds (h mod q) *
-  row_s for each high slot h, where row_s is the packed X^(2n+s) mod f,
-  and a single unpack with a slot-wise mod q gives the canonical tuple.
+  tables of X^(2n+s) mod f (``_rtab``).  For odd q it folds the high
+  slots in by the modulus's short tail (below), and a single unpack with a
+  slot-wise mod q gives the canonical tuple.
 * ``_stride`` is the width in bits that one unreduced product fills: 4n
   bits for q = 2, 4n slots (2 * ``_split`` bits) for odd q.
 
 ``mul`` is one product and one reduction, and ``dot`` sums up to 2n
-products before its one reduction.  For odd q a slot must never carry into
-the next: a sum of `terms` products puts at most terms * 2n * (q-1)^2 in a
-slot, the reduction rows add less than 2n * (q-1)^2 and a carried partial
-sum less than q, so w is the least byte count with 2^(8w) > (terms + 2) *
-2n * (q-1)^2 for terms = 2n.  XOR never carries, so q = 2 has no such
-bound, but ``dot`` keeps the same 2n-term contract at every q.
+products before its one reduction, so a slot of an odd-q input to
+``_reduce`` holds at most B = 2n * 2n * (q-1)^2.  XOR never carries, so
+q = 2 has no such bound, but ``dot`` keeps the same 2n-term contract at
+every q.
+
+The odd-q reduction is a fold by the modulus's tail.  Write f = X^(2n) -
+r(X), where r = sum c_i X^i with c_i = -a_i mod q has degree s.  The
+canonical modulus is the first irreducible in base-q order, so s is tiny:
+3 at (3,9), (3,19) and (5,13), 2 at (7,11).  X^(2n) = r mod f, so the
+packed high slots H (X^(2n) and up) and low slots L of a product give
+L + H * r, one big-int product with the packed tail.  Before it, each high
+slot v of b = 8w bits is brought down by a slot-wise partial mod: with
+h = b/2, v = lo + 2^h * hi, and v = lo + hi * (2^h mod q) mod q, which is
+two masks, one shift and one multiply on the whole int.  A fold moves the
+high slots to X^0 and up, so it leaves s - 1 slots at or above X^(2n)
+(none for s <= 1), and each fold after it 2n - s fewer; ``_reduce`` folds
+until none is left, F folds in all.
+
+A slot must never carry into the next.  Let B_0 = B, the most a high slot
+holds before the first fold.  Before fold k a high slot holds at most
+B_(k-1), and is below 2^b, so its hi < 2^h stays whole under the mask
+and the partial mod leaves at most V_k = (2^h - 1) + (B_(k-1) >> h) *
+(2^h mod q).  The fold then adds at most B_k = W * V_k, W = sum c_i, to
+any slot, which also bounds every high slot it leaves.  So no slot ever
+holds more than B_0 + B_1 + ... + B_F, and V_k <= B_k when W >= 1 (a zero
+tail folds in nothing).  w is the least byte count, tried in the order
+1, 2, 4, 8, 9, 10, ..., with 2^(8w) above that sum.  The width comes from
+each engine's own modulus, so the engine of every candidate the modulus
+scan tries is exact, whatever its tail.  At the canonical moduli of
+(3,9), (3,19) and (5,13) it is 2 bytes.
 
 A constant table of at most 2n rows of n entries is also kept as packed
 rows, so combining its rows with one scalar each, sum_r v_r * table[r][j]
@@ -58,9 +82,9 @@ never overlap:
 * odd q: a product fills the 4n - 1 slots of its field, and field j of the
   sum adds one product per row, so a square table's n rows put at most
   n * 2n * (q-1)^2 in a slot, and the encoder's k <= n rows at most
-  k * 2n * (q-1)^2.  Both are the dot bound with terms <= n <= 2n, inside
-  the slot width, so no slot carries into the next and no field into the
-  next.
+  k * 2n * (q-1)^2.  Both are below B, the bound of a 2n-term dot that
+  the slot width holds, so no slot carries into the next and no field into
+  the next, and each field is a valid input to ``_reduce``.
 
 Both representations are canonical, hashable and compare with ``==``, so
 elements can be dict keys and set members.  The JSON form of an element is
@@ -197,7 +221,6 @@ def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def canonical_modulus(q: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree 2n over F_q in base-q coefficient order.
 
@@ -206,7 +229,29 @@ def canonical_modulus(q: int, n: int) -> tuple[int, ...]:
     significant; the first irreducible wins.  Returns the full coefficient
     tuple (a_0, ..., a_{2n-1}, 1).  Irreducibles of every degree exist, so
     the scan always returns.
+
+    This is the one check of q and n, which make_context relies on: raises
+    NotPrimeError, EvenExtensionError or TooLargeError unless q is a prime,
+    n a positive odd integer and q^(2n) <= 2^64.  q > 2^32 and n > 32 are
+    rejected by plain comparisons before the prime test and before q^(2n)
+    is formed.  A bool n is not an integer, as in json_field, so every
+    context built can be written and read back.  The check runs before the
+    cached scan, so no input reaches the cache unchecked.
     """
+    if isinstance(q, int) and q > _MAX_Q:
+        raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
+    if not isinstance(q, int) or _prime_factors(q) != [q]:
+        raise NotPrimeError(f"q = {q} is not a prime")
+    if type(n) is not int or n < 1 or n % 2 == 0:
+        raise EvenExtensionError(f"n = {n} is not a positive odd integer")
+    if n > _MAX_N or q ** (2 * n) > 2**_ELEMENT_BIT_BUDGET:
+        raise TooLargeError(f"q^(2n) = {q}^{2 * n} exceeds the 64-bit element budget")
+    return _first_irreducible(q, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_irreducible(q: int, n: int) -> tuple[int, ...]:
+    """canonical_modulus's scan, once per checked (q, n)."""
     deg = 2 * n
     for c in range(q**deg):
         coeffs = tuple(c // q**i % q for i in range(deg)) + (1,)
@@ -308,10 +353,10 @@ class FieldContext:
         """sum_i xs[i] * ys[i] over at most 2n terms, with one reduction.
 
         The products are summed unreduced.  For odd q each of the 4n-1
-        slots then holds at most 2n * 2n * (q-1)^2; reducing adds (h mod q)
-        * row_s, under 2n * (q-1)^2 per slot.  Every slot stays below
-        (2n + 2) * 2n * (q-1)^2, the bound the slot width is chosen for, so
-        no slot carries and the slot-wise mod q of the result is exact.
+        slots then holds at most B = 2n * 2n * (q-1)^2, the input bound of
+        the tail fold, and the slot width holds B plus all that the folds
+        add (module docstring), so no slot carries and the slot-wise mod q
+        of the result is exact.
         XOR never carries, and q = 2 keeps the same bound on the terms.
         This does not go through mul.
         """
@@ -358,8 +403,8 @@ class FieldContext:
         slot-wise mod q.  The q = 2 engine instead XORs the selected
         elements.  The odd-q sum cannot carry: a packed element holds its
         canonical coefficients, at most q - 1 per slot, so 2n terms put at
-        most 2n * (q-1)^2 in a slot, below the (2n + 2) * 2n * (q-1)^2 the slot
-        width is chosen for (module docstring).
+        most 2n * (q-1)^2 in a slot, below the 2n * 2n * (q-1)^2 every slot
+        width holds (module docstring).
         """
         rows = self._to_rows(elems)
         assert len(rows) <= self.deg, "more terms than the slot bound allows"
@@ -738,24 +783,31 @@ class _OddContext(FieldContext):
         q, deg = self.q, self.deg
         self.zero = (0,) * deg
         self.one = (1,) + (0,) * (deg - 1)
-        # dot's slot bound for up to deg terms (module docstring)
-        bound = (deg + 2) * deg * (q - 1) ** 2
-        nbytes = -(-bound.bit_length() // 8)
-        width = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+        # X^(2n) = r(X) mod f for the tail r = sum c_i X^i of degree s; a
+        # fold leaves s - 1 high slots, and each fold after it 2n - s fewer
+        tail = [(-c) % q for c in self.modulus[:deg]]
+        s = max((i for i, c in enumerate(tail) if c), default=0)
+        folds, count = 1, s - 1
+        while count > 0:
+            folds, count = folds + 1, count + s - deg
+        # the least width whose slots hold every fold (module docstring)
+        top, weight = deg * deg * (q - 1) ** 2, sum(tail)
+        for width in itertools.chain((1, 2, 4, 8), itertools.count(9)):
+            half, wrap = 4 * width, pow(2, 4 * width, q)
+            bound = high = top
+            for _ in range(folds):
+                high = weight * ((1 << half) - 1 + (high >> half) * wrap)
+                bound += high
+            if bound < 1 << 8 * width:
+                break
         self._lift, self._unpack = _slot_codec(width)
-        self._split = 8 * width * deg
+        self._bits = 8 * width
+        self._split = self._bits * deg
         self._stride = 2 * self._split
         self._low = (1 << self._split) - 1
-        # images of X^(deg+s) reduced mod f, for product reduction
-        red = []
-        v = [(-c) % q for c in self.modulus[:deg]]
-        for _ in range(deg - 1):
-            red.append(v)
-            carry = v[deg - 1]
-            v = [0] + v[: deg - 1]
-            if carry:
-                v = [(x + carry * r) % q for x, r in zip(v, red[0])]
-        self._red = self._to_rows(red)
+        self._half, self._wrap = half, wrap
+        self._halves = self._lift([(1 << half) - 1] * (deg - 1))
+        self._tail = self._lift(tail[: s + 1])
 
     def add(self, a, b):
         q = self.q
@@ -773,10 +825,11 @@ class _OddContext(FieldContext):
     _sum = staticmethod(sum)
 
     def _reduce(self, p):
-        """Canonical element of a packed, unreduced product or sum of them."""
-        q = self.q
-        high = map(q.__rmod__, self._unpack(p >> self._split, self.deg - 1))
-        p = sum(map(operator.mul, high, self._red), p & self._low)
+        """Canonical element of a packed, unreduced product or sum of them:
+        the high slots folded in by the tail (module docstring)."""
+        q, split, low, half, halves = self.q, self._split, self._low, self._half, self._halves
+        while high := p >> split:
+            p = (p & low) + ((high & halves) + (high >> half & halves) * self._wrap) * self._tail
         return tuple(map(q.__rmod__, self._unpack(p, self.deg)))
 
     def inv(self, a):
@@ -839,10 +892,11 @@ class _OddContext(FieldContext):
         pivot with f = r[c] mod q, which clears slot c mod q and is left
         unreduced.  A row takes at most one such update per pivot, and
         there are at most 2n pivots, so its slots stay below
-        q + 2n * (q-1)^2, inside dot's slot bound: no slot carries.
+        q + 2n * (q-1)^2 <= 2n * 2n * (q-1)^2, the bound B on a 2n-term dot
+        that every slot width holds (module docstring): no slot carries.
         """
         q, deg, pack, unpack = self.q, self.deg, self._lift, self._unpack
-        bits = self._split // deg
+        bits = self._bits
         mask = (1 << bits) - 1
         pivots = []
         pool = [pack(e) for e in elems if e != self.zero]
@@ -868,19 +922,9 @@ def make_context(q: int, n: int) -> FieldContext:
 
     Raises NotPrimeError, EvenExtensionError or TooLargeError when the
     parameters are out of range; elements must pack into 64 bits, i.e.
-    q^(2n) <= 2^64.  q > 2^32 and n > 32 are rejected by plain comparisons
-    before the prime test and before q^(2n) is formed.  A bool n is not an
-    integer, as in json_field, so every context built can be written and
-    read back.  This is the one check of q and n; build_params relies on it.
+    q^(2n) <= 2^64.  canonical_modulus makes this one check of q and n;
+    build_params relies on it.
     """
-    if isinstance(q, int) and q > _MAX_Q:
-        raise TooLargeError(f"q = {q} exceeds 2^32, so q^(2n) exceeds the 64-bit element budget")
-    if not isinstance(q, int) or _prime_factors(q) != [q]:
-        raise NotPrimeError(f"q = {q} is not a prime")
-    if type(n) is not int or n < 1 or n % 2 == 0:
-        raise EvenExtensionError(f"n = {n} is not a positive odd integer")
-    if n > _MAX_N or q ** (2 * n) > 2**_ELEMENT_BIT_BUDGET:
-        raise TooLargeError(f"q^(2n) = {q}^{2 * n} exceeds the 64-bit element budget")
     modulus = canonical_modulus(q, n)
     cls = _Gf2Context if q == 2 else _OddContext
     return cls(q, n, modulus)

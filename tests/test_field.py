@@ -15,6 +15,7 @@ from hermrank.field import canonical_modulus
 from hermrank.exceptions import (
     BadParamsError,
     EvenExtensionError,
+    HermrankError,
     NotADivisorError,
     NotInSubfieldError,
     NotPrimeError,
@@ -24,6 +25,7 @@ from hermrank.exceptions import (
 from hermrank.field import _irreducible, context_from_json_obj
 from reference_field import from_base
 from reference_rank import matrix_rank
+from test_linpoly import PACKED_POINTS
 
 
 # -- canonical modulus ------------------------------------------------------
@@ -157,7 +159,7 @@ def test_scan_builds_engines_only_for_rootless_candidates(monkeypatch, q, n, eng
             super()._setup_engine()
 
     monkeypatch.setattr(field, engine, Counting)
-    assert canonical_modulus.__wrapped__(q, n) == expected
+    assert field._first_irreducible.__wrapped__(q, n) == expected
     assert len(built) == reached
     assert all(f[0] != 0 for f in built)
 
@@ -184,7 +186,7 @@ def test_scan_work(monkeypatch, q, n, engine, muls, gcds):
     # one gcd per step past the root filter, with no linear map and no table
     expected = canonical_modulus(q, n)
     counts = _count_calls(monkeypatch, getattr(field, engine), ("mul", "_apply_linear", "_coprime_to_modulus"))
-    assert canonical_modulus.__wrapped__(q, n) == expected
+    assert field._first_irreducible.__wrapped__(q, n) == expected
     assert counts == {"mul": muls, "_apply_linear": 0, "_coprime_to_modulus": gcds}
 
 
@@ -273,6 +275,21 @@ def test_make_context_rejects_oversized_parameters_at_once(q, n):
     with pytest.raises(TooLargeError):
         make_context(q, n)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "q,n", [(4, 1), (1, 1), (0, 1), (3, 0), (3, True), (2, True), (4, 2), (2**40, 2), (3, 21), (3.0, 1), ([3], 1)]
+)
+def test_canonical_modulus_checks_q_and_n_as_make_context(q, n):
+    # one check, in one order: the same error class as make_context, never
+    # a bare ValueError, None or BadElementError; the cached n = 1 scans
+    # must not answer for a bool n
+    canonical_modulus(2, 1), canonical_modulus(3, 1)
+    with pytest.raises(HermrankError) as want:
+        make_context(q, n)
+    with pytest.raises(HermrankError) as got:
+        canonical_modulus(q, n)
+    assert type(got.value) is type(want.value)
 
 
 # -- ring axioms ------------------------------------------------------------
@@ -406,6 +423,89 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
     with pytest.raises(AssertionError):
         ctx.dot([ctx.one] * (2 * n + 1), [ctx.one] * (2 * n + 1))
+
+
+def _schoolbook_reduce(ctx, coeffs):
+    """The polynomial with the given coefficients, of degree below 4n - 1,
+    reduced mod f through the oracle's rows X^(2n+s) mod f."""
+    q, deg = ctx.q, ctx.deg
+    acc = list(coeffs[:deg])
+    for hi, row in zip(coeffs[deg:], reference_field.reduction_rows(q, ctx.modulus)):
+        acc = [a + hi * r for a, r in zip(acc, row)]
+    return tuple(v % q for v in acc)
+
+
+def _check_fold_at_bound(ctx):
+    # every coefficient q - 1: mul, a 2n-term dot and a combination of 2n
+    # rows against the schoolbook product, and every one of the 4n - 1
+    # slots of a reduction's input at B = 2n * 2n * (q-1)^2, the most the
+    # slot width is chosen for
+    q, n, deg = ctx.q, ctx.n, ctx.deg
+    top = ctx.from_coeffs([q - 1] * deg)
+    full = reference_field.dot(ctx, [top] * deg, [top] * deg)
+    assert ctx.mul(top, top) == reference_field.mul(ctx, top, top)
+    assert ctx.dot([top] * deg, [top] * deg) == full
+    assert ctx.combine_rows([top] * deg, ctx.pack_rows([[top] * n] * deg)) == (full,) * n
+    bound = deg * deg * (q - 1) ** 2
+    assert bound < 1 << ctx._bits
+    worst = sum(bound << ctx._bits * k for k in range(2 * deg - 1))
+    assert ctx._reduce(worst) == _schoolbook_reduce(ctx, [bound] * (2 * deg - 1))
+
+
+#: Odd points of the fold oracle: every odd point of the packed-row tests,
+#: and three where 2^h mod q, the partial mod's multiplier, is above 1.
+FOLD_POINTS = sorted({(q, n) for q, n, _ in PACKED_POINTS if q > 2} | {(7, 11), (13, 7), (251, 3)})
+
+
+@pytest.mark.parametrize("q,n", FOLD_POINTS)
+def test_fold_at_slot_bound_matches_schoolbook(q, n):
+    _check_fold_at_bound(make_context(q, n))
+
+
+@pytest.mark.parametrize("q,n", [(3, 5), (5, 3)])
+def test_fold_on_scan_candidates_with_longest_tails(q, n, rand_felt):
+    # the scan builds an engine for a candidate before it knows whether it
+    # is irreducible, and the engine never divides, so it must be exact for
+    # any monic f.  Both tails have degree 2n - 1, so a reduction may fold
+    # 2n - 1 times: every a_i = q - 1 (f(1) = 0 at these points, reducible)
+    # and every c_i = -a_i = q - 1 (the largest weight sum c_i)
+    deg = 2 * n
+    for a in (q - 1, 1):
+        modulus = (a,) * deg + (1,)
+        ctx = field._OddContext(q, n, modulus)
+        assert ctx.modulus == modulus and (a == 1 or not _irreducible(q, modulus))
+        _check_fold_at_bound(ctx)
+        rng = SplitMix64(q * n + a)
+        for terms in (1, n, deg):
+            xs = [rand_felt(ctx, rng) for _ in range(terms)]
+            ys = [rand_felt(ctx, rng) for _ in range(terms)]
+            assert ctx.mul(xs[0], ys[0]) == reference_field.mul(ctx, xs[0], ys[0])
+            assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
+
+
+def test_fold_on_every_candidate_at_q3_n1_and_n3():
+    # every monic f of degree 2 and 6 over F_3, the engines the scan could
+    # build there: tails of every degree and weight, on 1- and 2-byte slots.
+    # Slots of every input at B, and at random values up to B, reduce as
+    # the schoolbook rows do.  A width chosen for the first fold alone
+    # carries on some of the moduli of degree 6
+    rng = SplitMix64(36)
+    for n in (1, 3):
+        deg = 2 * n
+        bound = deg * deg * 4
+        for c in range(3**deg):
+            ctx = field._OddContext(3, n, tuple(c // 3**i % 3 for i in range(deg)) + (1,))
+            for slots in ([bound] * (2 * deg - 1), [rng.below(bound + 1) for _ in range(2 * deg - 1)]):
+                p = sum(v << ctx._bits * k for k, v in enumerate(slots))
+                assert ctx._reduce(p) == _schoolbook_reduce(ctx, slots), ctx.modulus
+
+
+@pytest.mark.parametrize("q,n", [(3, 9), (3, 19), (5, 13)])
+def test_slot_width_stays_two_bytes(q, n):
+    # a wider slot lengthens every odd-q product, fold and unpack at the
+    # benchmark points; the width comes from the modulus, so a change to
+    # the fold's bound could widen it with every test still passing
+    assert make_context(q, n)._bits == 16
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (2, 15), (3, 5), (5, 3), (251, 3)])

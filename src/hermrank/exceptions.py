@@ -35,6 +35,11 @@ class BadElementError(HermrankError, ValueError):
     """A field element is not a list of 2n reduced integer coefficients."""
 
 
+class BadOperandError(HermrankError, ValueError):
+    """A field operation got more terms or rows than the odd-q slot bound
+    allows, or a negative exponent."""
+
+
 class BadShapeError(HermrankError, ValueError):
     """A message or word document does not have the expected JSON shape or length."""
 

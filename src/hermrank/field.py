@@ -28,8 +28,8 @@ and ``_to_rows`` once on top:
 * ``_reduce`` gives the canonical element of an unreduced product or sum
   of them.  For q = 2 it folds the bits above X^(2n) in through byte
   tables of X^(2n+s) mod f (``_rtab``).  For odd q it folds the high
-  slots in by the modulus's short tail (below), and a single unpack with a
-  slot-wise mod q gives the canonical tuple.
+  slots in by the modulus's short tail (below), and ``_canon`` takes the
+  2n low slots to the canonical tuple (below).
 * ``_stride`` is the width in bits that one unreduced product fills: 4n
   bits for q = 2, 4n slots (2 * ``_split`` bits) for odd q.
 
@@ -64,6 +64,29 @@ tail folds in nothing).  w is the least byte count, tried in the order
 each engine's own modulus, so the engine of every candidate the modulus
 scan tries is exact, whatever its tail.  At the canonical moduli of
 (3,9), (3,19) and (5,13) it is 2 bytes.
+
+``_canon`` takes 2n packed slots, each below 2^(8w), to the canonical
+tuple of their residues mod q, and every odd-q result ends in it: a
+reduction, a linear map (Frobenius, trace, ``fq_combine``), a pivot of the
+elimination and ``inv``'s final scaling.  For q < 128 it works on bytes.
+While any slot is at or above 256, each slot v = b_0 + 256 b_1 + ... +
+256^(w-1) b_(w-1) becomes b_0 + sum_k b_k * (256^k mod q), by masks,
+shifts and multiplies on the whole int.  Each round keeps the residue mod
+q, since 256^k and 256^k mod q are congruent.  A slot at or above 256 has
+some b_k >= 1 with k >= 1, and 256^k mod q < 256^k, so it strictly
+shrinks, while a slot below 256 stays as it is; so the rounds end.  A
+round never carries: it leaves at most 255 * (1 + (w-1)(q-1)) <=
+255 * w * (q-1) in a slot, below 256^w for every w >= 2 when q < 128, and
+at w = 1 no slot reaches 256.  Then every slot is one byte, read at stride
+w from the int's little-endian bytes, and one ``bytes.translate`` through
+the 256-entry table of x mod q gives the residues.  ``_lift`` spreads the
+bytes of a tuple into a zeroed buffer at stride w.  ``add``, ``sub`` and
+``neg`` work on one-byte lanes, one coefficient per byte: a + b, a + Q - b
+and Q - a, with Q holding q in every lane, are one int sum each, with at
+most 2q - 1 in a lane and no borrow, and the same translate finishes them.
+2q - 1 <= 255 needs q < 128.  From q = 131 on, the lanes are the slots
+themselves, and ``_canon`` unpacks the slots and takes each mod q; there
+q^(2n) <= 2^64 leaves at most 6 coefficients.
 
 A constant table of at most 2n rows of n entries is also kept as packed
 rows, so combining its rows with one scalar each, sum_r v_r * table[r][j]
@@ -161,6 +184,7 @@ from typing import Iterable, Sequence, Union
 
 from .exceptions import (
     BadElementError,
+    BadOperandError,
     BadParamsError,
     EvenExtensionError,
     NotADivisorError,
@@ -355,12 +379,13 @@ class FieldContext:
         The products are summed unreduced.  For odd q each of the 4n-1
         slots then holds at most B = 2n * 2n * (q-1)^2, the input bound of
         the tail fold, and the slot width holds B plus all that the folds
-        add (module docstring), so no slot carries and the slot-wise mod q
-        of the result is exact.
+        add (module docstring), so no slot carries and the _canon of the
+        result is exact.
         XOR never carries, and q = 2 keeps the same bound on the terms.
         This does not go through mul.
         """
-        assert len(xs) <= self.deg, "more terms than the slot bound allows"
+        if len(xs) > self.deg:
+            raise BadOperandError("more terms than the slot bound allows")
         lift = self._lift
         return self._reduce(self._sum(map(self._product, map(lift, xs), map(lift, ys))))
 
@@ -381,7 +406,8 @@ class FieldContext:
         rows of n entries packed into rows by pack_rows: one packed
         combination of the rows, then one reduction per output.  This does
         not go through mul or dot."""
-        assert len(rows) <= self.deg, "more rows than the slot bound allows"
+        if len(rows) > self.deg:
+            raise BadOperandError("more rows than the slot bound allows")
         acc = self._sum(map(self._product, map(self._lift, values), rows))
         stride = self._stride
         mask = (1 << stride) - 1
@@ -399,21 +425,23 @@ class FieldContext:
 
         The elements are packed once by _to_rows, and each combination is
         one pass of _apply_linear's kernel, with no product and no
-        reduction: one big-int sum of digit times packed element with one
-        slot-wise mod q.  The q = 2 engine instead XORs the selected
+        reduction: one big-int sum of digit times packed element and one
+        _canon.  The q = 2 engine instead XORs the selected
         elements.  The odd-q sum cannot carry: a packed element holds its
         canonical coefficients, at most q - 1 per slot, so 2n terms put at
         most 2n * (q-1)^2 in a slot, below the 2n * 2n * (q-1)^2 every slot
         width holds (module docstring).
         """
         rows = self._to_rows(elems)
-        assert len(rows) <= self.deg, "more terms than the slot bound allows"
+        if len(rows) > self.deg:
+            raise BadOperandError("more terms than the slot bound allows")
         return tuple(self._apply_linear(rows, digits) for digits in digit_rows)
 
     def pow_elem(self, a: Felt, e: int) -> Felt:
         """a^e for e >= 0, square-and-multiply from the top bit of e:
         bit_length(e) - 1 squarings and popcount(e) - 1 products."""
-        assert e >= 0, "negative exponent"
+        if e < 0:
+            raise BadOperandError("negative exponent")
         if not e:
             return self.one
         r = a
@@ -775,9 +803,41 @@ def _slot_codec(width: int):
     return pack, unpack
 
 
+def _byte_codec(q: int, width: int, count: int):
+    """(lift, canon) for q < 128 between tuples of count coefficients in
+    [0, q) and one int holding entry i in bytes width*i .. width*(i+1)-1.
+    lift spreads the entries' bytes at stride width; canon takes count
+    slots, each below 2^(8*width), to their residues mod q by byte folds
+    and one bytes.translate (module docstring)."""
+    table = bytes(x % q for x in range(256))
+    size = width * count
+    zeros = bytes(size)
+    low = int.from_bytes((b"\xff" + bytes(width - 1)) * count, "little")
+    high = int.from_bytes((b"\0" + b"\xff" * (width - 1)) * count, "little")
+    weights = [(8 * k, pow(256, k, q)) for k in range(1, width)]
+
+    def lift(v):
+        if width == 1:
+            return int.from_bytes(bytes(v), "little")
+        buf = bytearray(zeros)
+        buf[::width] = bytes(v)
+        return int.from_bytes(buf, "little")
+
+    def canon(p):
+        while p & high:
+            acc = p & low
+            for shift, m in weights:
+                acc += (p >> shift & low) * m
+            p = acc
+        return tuple(p.to_bytes(size, "little")[::width].translate(table))
+
+    return lift, canon
+
+
 class _OddContext(FieldContext):
     """Tuple elements with packed slot arithmetic for odd prime q; the
-    module docstring gives the layout and the slot-width bound."""
+    module docstring gives the layout, the slot-width bound and the two
+    ways to the canonical tuple."""
 
     def _setup_engine(self) -> None:
         q, deg = self.q, self.deg
@@ -800,26 +860,32 @@ class _OddContext(FieldContext):
                 bound += high
             if bound < 1 << 8 * width:
                 break
-        self._lift, self._unpack = _slot_codec(width)
+        pack, unpack = _slot_codec(width)
+        if q < 128:
+            # add, sub and neg work on one-byte lanes, which hold 2q - 1
+            self._lift, self._canon = _byte_codec(q, width, deg)
+            self._lanes, self._lanes_canon = _byte_codec(q, 1, deg)
+        else:
+            self._lift = self._lanes = pack
+            self._canon = self._lanes_canon = lambda p: tuple(map(q.__rmod__, unpack(p, deg)))
+        self._lanes_q = self._lanes((q,) * deg)
         self._bits = 8 * width
         self._split = self._bits * deg
         self._stride = 2 * self._split
         self._low = (1 << self._split) - 1
         self._half, self._wrap = half, wrap
-        self._halves = self._lift([(1 << half) - 1] * (deg - 1))
-        self._tail = self._lift(tail[: s + 1])
+        self._halves = pack([(1 << half) - 1] * (deg - 1))
+        self._tail = pack(tail[: s + 1])
 
     def add(self, a, b):
-        q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
+        return self._lanes_canon(self._lanes(a) + self._lanes(b))
 
     def sub(self, a, b):
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
+        lanes = self._lanes
+        return self._lanes_canon(lanes(a) + self._lanes_q - lanes(b))
 
     def neg(self, a):
-        q = self.q
-        return tuple((-x) % q for x in a)
+        return self._lanes_canon(self._lanes_q - self._lanes(a))
 
     _product = staticmethod(operator.mul)
     _sum = staticmethod(sum)
@@ -827,10 +893,10 @@ class _OddContext(FieldContext):
     def _reduce(self, p):
         """Canonical element of a packed, unreduced product or sum of them:
         the high slots folded in by the tail (module docstring)."""
-        q, split, low, half, halves = self.q, self._split, self._low, self._half, self._halves
+        split, low, half, halves = self._split, self._low, self._half, self._halves
         while high := p >> split:
             p = (p & low) + ((high & halves) + (high >> half & halves) * self._wrap) * self._tail
-        return tuple(map(q.__rmod__, self._unpack(p, self.deg)))
+        return self._canon(p)
 
     def inv(self, a):
         """a^-1 = a^(r-1) / N(a) for r = (q^(2n) - 1) / (q - 1) (Itoh-Tsujii).
@@ -840,7 +906,8 @@ class _OddContext(FieldContext):
         follows an addition chain on k: b_(2k) = b_k * b_k^(q^k) and
         b_(k+1) = (a * b_k)^q, starting from b_1 = a^q.  The products and
         Frobenius powers run on the packed kernel directly, so an inversion
-        makes no calls to mul or frobenius.
+        makes no calls to mul or frobenius.  The final scaling by 1/N(a)
+        puts at most (q-1)^2 < B in a slot.
         """
         if a == self.zero:
             raise ZeroInputError("inverse of zero")
@@ -851,7 +918,7 @@ class _OddContext(FieldContext):
             if bit == "1":
                 b, k = self._apply_linear(frob(1), reduce(lift(a) * lift(b))), k + 1
         scale = pow(reduce(lift(a) * lift(b))[0], -1, q)
-        return tuple(c * scale % q for c in b)
+        return self._canon(scale * lift(b))
 
     def _coprime_to_modulus(self, h):
         # Euclid on coefficient lists, least significant first; a division
@@ -881,40 +948,38 @@ class _OddContext(FieldContext):
         return list(a)
 
     def _apply_linear(self, rows, a):
-        q = self.q
-        return tuple(map(q.__rmod__, self._unpack(sum(map(operator.mul, a, rows)), self.deg)))
+        return self._canon(sum(map(operator.mul, a, rows)))
 
     def _echelon(self, elems):
         """The odd-q engine's pivot-and-clear elimination on packed rows.
 
-        A popped row is reduced slot-wise mod q and scaled so its last
+        A popped row is taken to its canonical tuple and scaled so its last
         nonzero slot c is 1; every other row r then becomes r + (q - f) *
         pivot with f = r[c] mod q, which clears slot c mod q and is left
         unreduced.  A row takes at most one such update per pivot, and
         there are at most 2n pivots, so its slots stay below
         q + 2n * (q-1)^2 <= 2n * 2n * (q-1)^2, the bound B on a 2n-term dot
         that every slot width holds (module docstring): no slot carries.
+        The scaling puts at most (q-1)^2 in a slot before its canon.
         """
-        q, deg, pack, unpack = self.q, self.deg, self._lift, self._unpack
+        q, deg, lift, canon = self.q, self.deg, self._lift, self._canon
         bits = self._bits
         mask = (1 << bits) - 1
         pivots = []
-        pool = [pack(e) for e in elems if e != self.zero]
+        pool = [lift(e) for e in elems if e != self.zero]
         while pool:
-            row = [x % q for x in unpack(pool.pop(), deg)]
+            row = canon(pool.pop())
             c = next((i for i in range(deg - 1, -1, -1) if row[i]), None)
             if c is None:
                 continue
-            scale = pow(row[c], -1, q)
-            pivot = [x * scale % q for x in row]
-            pivots.append(tuple(pivot))
-            packed, shift = pack(pivot), bits * c
+            pivot = canon(pow(row[c], -1, q) * lift(row))
+            pivots.append(pivot)
+            packed, shift = lift(pivot), bits * c
             pool = [r + (q - f) * packed if (f := (r >> shift & mask) % q) else r for r in pool]
         return pivots
 
     def frob_images(self, j):
-        deg = self.deg
-        return tuple(tuple(self._unpack(r, deg)) for r in self._frob_rows(j))
+        return tuple(map(self._canon, self._frob_rows(j)))
 
 
 def make_context(q: int, n: int) -> FieldContext:

@@ -75,6 +75,10 @@ def add(ctx, a, b):
     return ctx.from_coeffs([(x + y) % ctx.q for x, y in zip(ctx.to_coeffs(a), ctx.to_coeffs(b))])
 
 
+def neg(ctx, a):
+    return ctx.from_coeffs([(-x) % ctx.q for x in ctx.to_coeffs(a)])
+
+
 def dot(ctx, xs, ys):
     acc = ctx.zero
     for x, y in zip(xs, ys):

@@ -196,6 +196,28 @@ def test_encode_agrees_with_matrix_path(params_for, q, n, d):
         assert word == encode_via_moore_dots(p, msg, table)
 
 
+@pytest.mark.parametrize("q,n,d", [(3, 19, 9), (251, 3, 3)])
+def test_odd_q_elements_are_tuples_of_ints(params_for, q, n, d):
+    # the odd-q element contract, on both ways to the canonical tuple (byte
+    # folds below q = 128, the per-coefficient mod above): a tuple of plain
+    # ints, never bytes, an array or an int subclass, from every operation
+    # that builds one
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    rng = SplitMix64(q + n)
+    msg = random_message(p, rng)
+    a, b = msg.parts[0], ctx.from_coeffs([rng.below(q) for _ in range(ctx.deg)])
+    word = encode(p, msg)
+    err = random_rank_error(p, ChannelSpec(t=p.radius, mode=MODE_HERMITIAN, seed=5))
+    res = decode(p, corrupt(ctx, word, err))
+    assert res.ok and res.message == msg
+    elems = [ctx.mul(a, b), ctx.add(a, b), ctx.sub(a, b), ctx.neg(b), ctx.frobenius(b, 1), ctx.inv(b)]
+    elems += ctx.fq_combine([a, b], [(1, q - 1)]) + ctx.combine_rows([a, b], ctx.pack_rows([[b] * n, [a] * n]))
+    elems += msg.parts + word + err + res.message.parts + res.error_poly
+    for e in elems:
+        assert type(e) is tuple and len(e) == ctx.deg and all(type(c) is int for c in e), e
+
+
 def test_minimal_code_pairwise_distance(params_for):
     # the whole (2,3,3) code: 8 words, any two at rank distance >= 3
     p = params_for(2, 3, 3)

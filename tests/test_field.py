@@ -1,9 +1,12 @@
 """Field tower arithmetic: moduli, Frobenius, trace, subfields, norms."""
 
 import itertools
+import os
+import subprocess
 import sys
 import time
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ import reference_field
 from hermrank import SplitMix64, field, make_context
 from hermrank.field import canonical_modulus
 from hermrank.exceptions import (
+    BadOperandError,
     BadParamsError,
     EvenExtensionError,
     HermrankError,
@@ -233,7 +237,7 @@ def test_pow_elem_squares_and_multiplies_once_per_bit(monkeypatch, q, n):
         assert factors.count(False) == bin(e).count("1") - 1, e
     factors.clear()
     assert ctx.pow_elem(ctx.gen, 0) == ctx.one and not factors
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadOperandError):
         ctx.pow_elem(ctx.gen, -3)
 
 
@@ -326,12 +330,18 @@ def test_axioms_ternary(a, b, c):
         assert ctx.mul(x, ctx.inv(x)) == ctx.one
 
 
-#: Odd-q points for the packed kernel: the fixed code points, a prime past
-#: 2^8 and the largest prime below 2^32, whose slots are wider than 64 bits.
-ODD_POINTS = [(3, 3), (3, 19), (5, 13), (7, 5), (251, 3), (4294967291, 1)]
+#: Odd-q points for the packed kernel.  Below q = 128 the canonical tuple
+#: comes from byte folds and one translate, on slots of 1 byte at (3,3)
+#: and (5,1), 2 at (3,19), (5,13) and (7,5), and 4 at (31,5) and (127,3);
+#: from q = 131 on it is the per-coefficient mod, up to the largest prime
+#: below 2^32, whose slots are wider than 64 bits.
+ODD_POINTS = [
+    (3, 3), (5, 1), (3, 19), (5, 13), (7, 5), (31, 5), (127, 3),
+    (131, 3), (251, 3), (65521, 1), (4294967291, 1),
+]
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (2, 15), (2, 31), (3, 3), (5, 1)] + ODD_POINTS[1:])
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (2, 15), (2, 31)] + ODD_POINTS)
 def test_mul_matches_schoolbook_reduction(q, n, rand_felt):
     # independent oracle: convolve coefficient lists, long-divide by the modulus
     ctx = make_context(q, n)
@@ -421,8 +431,37 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         xs = [rand_felt(ctx, rng) for _ in range(terms)]
         ys = [rand_felt(ctx, rng) for _ in range(terms)]
         assert ctx.dot(xs, ys) == reference_field.dot(ctx, xs, ys)
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadOperandError):
         ctx.dot([ctx.one] * (2 * n + 1), [ctx.one] * (2 * n + 1))
+    with pytest.raises(BadOperandError):
+        ctx.combine_rows([ctx.one] * (2 * n + 1), ctx.pack_rows([[ctx.one] * n] * (2 * n + 1)))
+    if q > 2:  # the q = 2 fq_combine XORs and keeps no bound
+        with pytest.raises(BadOperandError):
+            ctx.fq_combine([ctx.one] * (2 * n + 1), [[1] * (2 * n + 1)])
+
+
+def test_operand_guards_survive_optimize():
+    # the slot bound and the exponent's sign are checked by raising, not
+    # by assert, so python -O keeps them
+    code = (
+        "from hermrank import make_context\n"
+        "from hermrank.exceptions import BadOperandError\n"
+        "ctx = make_context(3, 19)\n"
+        "many = [ctx.one] * (12 * ctx.deg)\n"
+        "calls = [lambda: ctx.dot(many, many), lambda: ctx.pow_elem(ctx.gen, -1),\n"
+        "         lambda: ctx.combine_rows(many, ctx.pack_rows([[ctx.one] * ctx.n] * len(many))),\n"
+        "         lambda: ctx.fq_combine(many, [[1] * len(many)])]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except BadOperandError:\n"
+        "        continue\n"
+        "    raise SystemExit('no BadOperandError')\n"
+    )
+    src = str(Path(field.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def _schoolbook_reduce(ctx, coeffs):
@@ -453,13 +492,40 @@ def _check_fold_at_bound(ctx):
 
 
 #: Odd points of the fold oracle: every odd point of the packed-row tests,
-#: and three where 2^h mod q, the partial mod's multiplier, is above 1.
-FOLD_POINTS = sorted({(q, n) for q, n, _ in PACKED_POINTS if q > 2} | {(7, 11), (13, 7), (251, 3)})
+#: three where 2^h mod q, the partial mod's multiplier, is above 1, the
+#: 4-byte slots at each side of q = 128 and the 4-byte slots of (31,5).
+FOLD_POINTS = sorted(
+    {(q, n) for q, n, _ in PACKED_POINTS if q > 2} | {(7, 11), (13, 7), (31, 5), (127, 3), (131, 3), (251, 3)}
+)
 
 
 @pytest.mark.parametrize("q,n", FOLD_POINTS)
 def test_fold_at_slot_bound_matches_schoolbook(q, n):
-    _check_fold_at_bound(make_context(q, n))
+    ctx = make_context(q, n)
+    _check_fold_at_bound(ctx)
+    # every other way to the canonical tuple, on zero and on the element
+    # with every coefficient q - 1: the lanes of add, sub and neg, the
+    # linear maps, inv's scaling, fq_combine's 2n digits of q - 1 and the
+    # elimination's scaled pivots
+    top = ctx.from_coeffs([q - 1] * ctx.deg)
+    for a in (top, ctx.zero):
+        assert ctx.neg(a) == reference_field.neg(ctx, a)
+        for b in (top, ctx.zero):
+            assert ctx.add(a, b) == reference_field.add(ctx, a, b)
+            assert ctx.sub(a, b) == reference_field.add(ctx, a, reference_field.neg(ctx, b))
+        for j in (1, ctx.n):
+            assert ctx.frobenius(a, j) == reference_field.frobenius(ctx, a, j)
+        assert ctx.rel_trace(a) == reference_field.rel_trace(ctx, a)
+        digits = [q - 1] * ctx.deg
+        assert ctx.fq_combine([a] * ctx.deg, [digits]) == (reference_field.apply_linear(ctx, [a] * ctx.deg, digits),)
+    assert reference_field.mul(ctx, top, ctx.inv(top)) == ctx.one
+    rows = ctx.pack_rows([[top] * n] * n)
+    assert ctx.combine_rows([top] * n, rows) == (reference_field.dot(ctx, [top] * n, [top] * n),) * n
+    assert ctx.combine_rows([ctx.zero] * n, rows) == (ctx.zero,) * n
+    half = ctx.from_coeffs([q - 1] * n + [0] * n)
+    elems = [top, half, ctx.zero, ctx.sub(top, half), ctx.neg(half)]
+    coeff_rows = [[from_base(ctx, c) for c in ctx.to_coeffs(e)] for e in elems]
+    assert ctx.fq_rank(elems) == matrix_rank(ctx, coeff_rows) == 2
 
 
 @pytest.mark.parametrize("q,n", [(3, 5), (5, 3)])
@@ -584,10 +650,12 @@ def test_subfield_elements_are_digit_combinations(q):
         assert a == ctx.add(from_base(ctx, i // q), ctx.mul(from_base(ctx, i % q), w))
 
 
-@pytest.mark.parametrize("q,n", [(3, 5), (5, 13), (3, 19)])
+@pytest.mark.parametrize("q,n", [(3, 5), (5, 13), (3, 19), (251, 3)])
 def test_packed_kernel_ignores_host_byte_order(monkeypatch, q, n, rand_felt):
     # on a big-endian host an array's items are big-endian; the slot layout
-    # must come out the same, so products match the schoolbook oracle
+    # must come out the same, so products match the schoolbook oracle.
+    # Below q = 128 the byte codec names its byte order itself; (251, 3)
+    # packs through the slot codec, here on its byte-cut path
     modulus = canonical_modulus(q, n)
     monkeypatch.setattr(sys, "byteorder", "big")
     ctx = field._OddContext(q, n, modulus)

@@ -9,7 +9,8 @@ element that happens to be fixed by the appropriate Frobenius power, and
 Element representation depends on the characteristic:
 
 * q = 2: an element is a plain ``int`` whose bits are the coefficients
-  (bit i = coefficient of X^i).  Addition is XOR.
+  (bit i = coefficient of X^i).  Addition is XOR.  A product spreads the
+  bits to one byte each (Kronecker substitution) and compacts its result.
 * odd prime q: an element is a ``tuple`` of 2n ints in [0, q), coefficient
   of X^i at position i.  Arithmetic packs a tuple into one int with a fixed
   slot of w bytes per coefficient (Kronecker substitution).
@@ -17,27 +18,32 @@ Element representation depends on the characteristic:
 Every product in the package is one kernel: form unreduced products, add
 them, reduce once.  Each engine supplies only its arithmetic for it, and
 ``FieldContext`` writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows``
-and ``_to_rows`` once on top:
+and ``_to_rows`` once on top, and the q = 2 engine keeps its own packed
+rows and linear-map tables (below):
 
-* ``_lift`` maps an element to the int it multiplies as: the element
-  itself for q = 2, its packed slots for odd q.
-* ``_product`` is the unreduced product of two lifted values: a 4-bit
-  windowed carry-less product for q = 2, the int product for odd q, whose
-  slot k holds the k-th coefficient of the convolution.
+* ``_lift`` maps an element to the int it multiplies as, its packed
+  slots.  For q = 2 a slot is one byte: bit i of the element goes to byte
+  i, by ``bin``, one ``bytes.translate`` of its digits and
+  ``int.from_bytes``.  Elements stay compact; only products are spread.
+* ``_product`` is the unreduced product of two lifted values, the int
+  product, whose slot k holds the k-th coefficient of the convolution.
 * ``_sum`` adds unreduced products: XOR for q = 2, ``sum`` for odd q.
 * ``_reduce`` gives the canonical element of an unreduced product or sum
-  of them.  For q = 2 it folds the bits above X^(2n) in through byte
-  tables of X^(2n+s) mod f (``_rtab``).  For odd q it folds the high
-  slots in by the modulus's short tail (below), and ``_canon`` takes the
-  2n low slots to the canonical tuple (below).
-* ``_stride`` is the width in bits that one unreduced product fills: 4n
-  bits for q = 2, 4n slots (2 * ``_split`` bits) for odd q.
+  of them.  It folds the high slots in by the modulus's short tail
+  (below).  Then q = 2 compacts the 2n low slots back to bits, and odd
+  q's ``_canon`` takes them to the canonical tuple (below).
+* ``_stride`` is the width in bits of one field of a packed row (below):
+  4n bits for q = 2, whose rows stay compact, and 4n slots (2 *
+  ``_split`` bits) for odd q.
 
 ``mul`` is one product and one reduction, and ``dot`` sums up to 2n
 products before its one reduction, so a slot of an odd-q input to
-``_reduce`` holds at most B = 2n * 2n * (q-1)^2.  XOR never carries, so
-q = 2 has no such bound, but ``dot`` keeps the same 2n-term contract at
-every q.
+``_reduce`` holds at most B = 2n * 2n * (q-1)^2.  At q = 2 a product's
+slot k counts the pairs i + j = k with i, j < 2n, so it holds at most
+2n <= 62 < 256 and no slot carries into the next.  ``dot`` XORs the
+products, which never carries and keeps every slot below 64, and bit 0
+of each slot is the parity of that coefficient.  So q = 2 needs no bound
+on the terms, but ``dot`` keeps the same 2n-term contract at every q.
 
 The odd-q reduction is a fold by the modulus's tail.  Write f = X^(2n) -
 r(X), where r = sum c_i X^i with c_i = -a_i mod q has degree s.  The
@@ -88,6 +94,19 @@ most 2q - 1 in a lane and no borrow, and the same translate finishes them.
 themselves, and ``_canon`` unpacks the slots and takes each mod q; there
 q^(2n) <= 2^64 leaves at most 6 coefficients.
 
+The q = 2 reduction is the same fold on 1-byte slots, each taken to its
+parity.  Over F_2, f = X^(2n) + r(X), with tail r of degree below 2n;
+write r~ for r spread.  ``_reduce`` first masks every slot to its parity
+(ONES holds 1 in each of 4n slots).  Then, while any slot is at or above
+X^(2n), the low slots L and the high slots H, shifted down, become
+(L + H * r~) & ONES, since X^(2n) = r mod f.  H and r~ hold bits, so a
+slot of the sum holds at most 1 + weight(r) <= 2n + 1 < 256, and no slot
+carries.  Each round lowers the top slot, because deg r < 2n, so the
+loop ends for every monic f the modulus scan tries.  The canonical
+(2,31) tail has degree 6, so a product takes at most two rounds.  Last,
+the 2n low slots, each 0 or 1, go through one ``bytes.translate`` to the
+digits 0 and 1, and ``int(..., 2)`` reads the compact element.
+
 A constant table of at most 2n rows of n entries is also kept as packed
 rows, so combining its rows with one scalar each, sum_r v_r * table[r][j]
 for every j at once, is one packed combination.  The code keeps two: the
@@ -95,13 +114,26 @@ square Moore inverse, whose n rows interpolate, and the k x n encoder
 table, whose k rows evaluate.  ``pack_rows`` lays row r out as one int
 holding the lifted entry j at bit or slot ``_stride`` * j, and
 ``combine_rows`` sums the products of each lifted scalar with its whole
-row, then cuts out the n output fields, each for its one ``_reduce``.  The
-stride is what a product of two elements fills, so the fields of a sum
-never overlap:
+row, then cuts out the n output fields, each for its one ``_reduce``.
+
+The q = 2 engine overrides both, and its rows stay compact: entry j's
+bits at bit 4n * j.  Spread rows would be 8 times the bytes, and at
+(2,31,15) a combination of the spread encoder rows, each a product of a
+62-byte scalar with a 3.8 KB row, took twice as long.  Its
+``combine_rows`` is a windowed carry-less product of each scalar with
+its whole row.  It builds the row's 16-entry shift table, XORs entry
+t[v] into bucket k for each nibble v at position k of the scalar (its
+hex digits, read by one ``bytes.translate``), and shifts each bucket by
+4k once after all rows.  Each of the n output fields is then spread by
+``_lift`` for its one ``_reduce``.
+
+The stride is what a product of two elements fills, so the fields of a
+sum never overlap:
 
 * q = 2: a carry-less product of two elements of 2n bits has at most
   4n - 1 bits, and XOR never carries, so field j of the sum is exactly
-  sum_r v_r * table[r][j] before reduction.
+  sum_r v_r * table[r][j] before reduction, and spread it is 4n - 1
+  slots of 0 or 1.
 * odd q: a product fills the 4n - 1 slots of its field, and field j of the
   sum adds one product per row, so a square table's n rows put at most
   n * 2n * (q-1)^2 in a slot, and the encoder's k <= n rows at most
@@ -118,10 +150,10 @@ context as a table made by ``_to_rows`` from the images of the monomial
 basis, and ``_apply_linear`` applies it; no exponentiation happens at
 lookup time.  For odd q the table is the packed images, applied as
 sum_i a_i * row_i.  For q = 2 it is the "Four Russians" form (Albrecht,
-Bard and Hart, ACM TOMS 2010) that ``_rtab`` uses to reduce: one nibble
-table per 4 bits of the input, ceil(2n/4) of them, where entry v of table
-k is the XOR of the images 4k .. 4k+3 over the set bits of v, built by
-doubling in ``_xor_tables`` as ``_rtab`` is.  A map is then one lookup per
+Bard and Hart, ACM TOMS 2010): one nibble table per 4 bits of the input,
+ceil(2n/4) of them, where entry v of table k is the XOR of the images
+4k .. 4k+3 over the set bits of v, built by doubling in
+``_xor_tables``.  A map is then one lookup per
 nibble of its input, 16 at n = 31, instead of one XOR per set bit, and
 image i reads back as entry 1 << (i % 4) of table i // 4.  The nibble
 tables are ``array('Q')`` rows: an entry has at most 64 bits, and the flat
@@ -325,6 +357,17 @@ class FieldContext:
         raise NotImplementedError
 
     def from_coeffs(self, coeffs: Sequence[int]) -> Felt:
+        """Element from its 2n coefficients, least significant first, each
+        a plain int in [0, q); anything else, bools and floats included,
+        raises BadElementError, so a non-canonical value can never pass
+        through to an output."""
+        if len(coeffs) != self.deg or any(type(c) is not int or not 0 <= c < self.q for c in coeffs):
+            raise BadElementError(f"element needs {self.deg} integer coefficients in [0, {self.q})")
+        return self._from_coeffs(coeffs)
+
+    @staticmethod
+    def _from_coeffs(coeffs: Sequence[int]) -> Felt:
+        """The element of checked coefficients."""
         raise NotImplementedError
 
     def to_coeffs(self, a: Felt) -> list[int]:
@@ -381,8 +424,9 @@ class FieldContext:
         the tail fold, and the slot width holds B plus all that the folds
         add (module docstring), so no slot carries and the _canon of the
         result is exact.
-        XOR never carries, and q = 2 keeps the same bound on the terms.
-        This does not go through mul.
+        At q = 2 a spread product's slot holds at most 2n and XOR never
+        carries, so no slot reaches 64; q = 2 keeps the same bound on the
+        terms.  This does not go through mul.
         """
         if len(xs) > self.deg:
             raise BadOperandError("more terms than the slot bound allows")
@@ -603,10 +647,8 @@ class FieldContext:
         return self.to_coeffs(a)
 
     def felt_from_json(self, obj: list) -> Felt:
-        """Element from its JSON coefficient list.  Anything but a list of
-        plain ints is rejected, bools and floats included, so a
-        non-canonical value can never pass through to an output."""
-        if not isinstance(obj, list) or any(type(c) is not int for c in obj):
+        """Element from its JSON coefficient list, checked by from_coeffs."""
+        if not isinstance(obj, list):
             raise BadElementError(f"element must be a list of {self.deg} integer coefficients")
         return self.from_coeffs(obj)
 
@@ -617,8 +659,8 @@ class FieldContext:
 def _xor_tables(images, bits):
     """Table k maps a bits-wide chunk v to the XOR of images[bits*k + i]
     over the set bits i of v, built by doubling; zero padding keeps every
-    table 2^bits long.  The q = 2 engine's byte reduction tables and nibble
-    Frobenius tables."""
+    table 2^bits long.  The q = 2 engine's nibble tables of its Frobenius
+    powers and trace."""
     images = list(images) + [0] * (-len(images) % bits)
     tables = []
     for k in range(0, len(images), bits):
@@ -629,30 +671,28 @@ def _xor_tables(images, bits):
     return tables
 
 
+#: bytes.translate tables of the q = 2 engine: a binary digit of bin() to
+#: its bit (the "0b" prefix to 0), a 0 or 1 slot to its binary digit, and
+#: a hex digit to its nibble.
+_BITS = bytes.maketrans(b"01b", b"\0\1\0")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 class _Gf2Context(FieldContext):
-    """Bit-packed engine for q = 2."""
+    """Bit-packed engine for q = 2: compact elements, products on
+    byte-spread bits (module docstring)."""
 
     def _setup_engine(self) -> None:
         deg = self.deg
         self.zero = 0
         self.one = 1
-        self._mask = (1 << deg) - 1
         self._stride = 2 * deg
-        fpacked = 0
-        for i, c in enumerate(self.modulus):
-            if c:
-                fpacked |= 1 << i
-        self._fpacked = fpacked
-        # images of X^(deg+s) reduced mod f, for the byte reduction tables
-        mono = []
-        v = fpacked ^ (1 << deg)
-        for _ in range(deg - 1):
-            mono.append(v)
-            v <<= 1
-            if v >> deg & 1:
-                v ^= fpacked
-        # byte table k maps a byte to the sum of mono[8k + bit] over its set bits
-        self._rtab = _xor_tables(mono, 8)
+        self._fpacked = self._from_coeffs(self.modulus)
+        self._split = 8 * deg
+        self._low = (1 << self._split) - 1
+        self._ones = int.from_bytes(b"\1" * 2 * deg, "little")
+        self._tail = self._lift(self._fpacked ^ 1 << deg)
 
     def add(self, a, b):
         return a ^ b
@@ -662,44 +702,52 @@ class _Gf2Context(FieldContext):
     def neg(self, a):
         return a
 
-    # an element is already the int it multiplies as
-    _lift = staticmethod(operator.index)
-
     @staticmethod
-    def _product(a, b):
-        """Carry-less product of a and b, b of any width: a 4-bit windowed
-        multiply over the nibbles of a."""
-        if a < 2 or b < 2:
-            return a * b
-        t = [0, b]
-        for i in range(1, 8):
-            d = t[i] << 1
-            t.append(d)
-            t.append(d ^ b)
-        p = 0
-        sh = 0
-        while a:
-            w = a & 15
-            if w:
-                p ^= t[w] << sh
-            a >>= 4
-            sh += 4
-        return p
+    def _lift(a):
+        """a with bit i spread to byte i."""
+        return int.from_bytes(bin(a).encode().translate(_BITS), "big")
+
+    _product = staticmethod(operator.mul)
 
     @staticmethod
     def _sum(products):
         return functools.reduce(operator.xor, products, 0)
 
     def _reduce(self, p):
-        """p mod f for p of at most 4n - 1 bits, through the byte tables."""
-        hi = p >> self.deg
-        p &= self._mask
-        k = 0
-        while hi:
-            p ^= self._rtab[k][hi & 255]
-            hi >>= 8
-            k += 1
-        return p
+        """Canonical element of a spread, unreduced product or XOR of them:
+        each slot taken to its parity, the high slots folded in by the
+        tail, the 2n low slots compacted (module docstring)."""
+        split, low, ones, tail = self._split, self._low, self._ones, self._tail
+        p &= ones
+        while high := p >> split:
+            p = ((p & low) + high * tail) & ones
+        return int(p.to_bytes(self.deg, "big").translate(_DIGITS), 2)
+
+    def pack_rows(self, table):
+        """Compact rows: entry j's bits at bit _stride * j."""
+        stride = self._stride
+        return tuple(sum(e << stride * j for j, e in enumerate(row)) for row in table)
+
+    def combine_rows(self, values, rows):
+        """The 4-bit windowed carry-less product of each value with its
+        whole row: entry t[w] of the row's 16-entry shift table XORed into
+        bucket k for the hex digit w at position k of the value, and each
+        bucket shifted once; then each output field spread for its
+        _reduce."""
+        if len(rows) > self.deg:
+            raise BadOperandError("more rows than the slot bound allows")
+        buckets = [0] * -(-self.deg // 4)
+        for v, row in zip(values, rows):
+            t = [0, row]
+            for i in range(1, 8):
+                d = t[i] << 1
+                t += (d, d ^ row)
+            for k, w in enumerate(f"{v:x}".encode()[::-1].translate(_NIBBLES)):
+                buckets[k] ^= t[w]
+        acc = functools.reduce(lambda p, b: p << 4 ^ b, reversed(buckets), 0)
+        stride = self._stride
+        mask = (1 << stride) - 1
+        return tuple(self._reduce(self._lift(acc >> stride * j & mask)) for j in range(self.n))
 
     def inv(self, a):
         if a == 0:
@@ -727,16 +775,9 @@ class _Gf2Context(FieldContext):
             a, b = b, a
         return a == 1
 
-    def from_coeffs(self, coeffs):
-        if len(coeffs) != self.deg:
-            raise BadElementError(f"element needs exactly {self.deg} coefficients")
-        v = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise BadElementError("coefficients must be reduced mod 2")
-            if c:
-                v |= 1 << i
-        return v
+    @staticmethod
+    def _from_coeffs(coeffs):
+        return sum(c << i for i, c in enumerate(coeffs))
 
     def to_coeffs(self, a):
         return [(a >> i) & 1 for i in range(self.deg)]
@@ -936,13 +977,7 @@ class _OddContext(FieldContext):
                     a[s : s + db] = [x - c * y for x, y in zip(a[s : s + db], b)]
             a, b = b, [x % q for x in a[:db]]
 
-    def from_coeffs(self, coeffs):
-        if len(coeffs) != self.deg:
-            raise BadElementError(f"element needs exactly {self.deg} coefficients")
-        for c in coeffs:
-            if not (0 <= c < self.q):
-                raise BadElementError("coefficients must be reduced mod q")
-        return tuple(coeffs)
+    _from_coeffs = staticmethod(tuple)
 
     def to_coeffs(self, a):
         return list(a)

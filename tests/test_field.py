@@ -16,6 +16,7 @@ import reference_field
 from hermrank import SplitMix64, field, make_context
 from hermrank.field import canonical_modulus
 from hermrank.exceptions import (
+    BadElementError,
     BadOperandError,
     BadParamsError,
     EvenExtensionError,
@@ -419,6 +420,27 @@ def test_gf2_frobenius_tables_stay_small():
         assert sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)) <= 4096
 
 
+@pytest.mark.parametrize("n", [1, 5, 31])
+def test_gf2_lift_spreads_bit_i_to_byte_i(n):
+    # the q = 2 product kernel works on bit i in byte i, while elements
+    # stay compact ints of 2n bits
+    ctx = make_context(2, n)
+    rng = SplitMix64(n)
+    for a in [0, 1, (1 << ctx.deg) - 1, 1 << (ctx.deg - 1)] + [rng.below(1 << ctx.deg) for _ in range(20)]:
+        assert ctx._lift(a).to_bytes(ctx.deg, "little") == bytes(ctx.to_coeffs(a)), a
+
+
+def test_gf2_packed_rows_stay_compact(params_for):
+    # machine-independent guard: bench/library.py keeps the params of three
+    # set-ups, and a row of the Moore or encoder table holds n fields of 4n
+    # bits, about 480 bytes at (2,31,15); a row of spread fields would be
+    # 8 times that
+    p = params_for(2, 31, 15)
+    rows = p.moore_packed + p.encoder_rows
+    assert len(rows) == p.n + p.k
+    assert all(type(r) is int and 0 <= r < 1 << p.n * 4 * p.n for r in rows)
+
+
 @pytest.mark.parametrize("q,n", ODD_POINTS + [(2, 1), (2, 5), (2, 31)])
 def test_dot_matches_schoolbook(q, n, rand_felt):
     # up to 2n terms share one reduction; more would overrun the odd-q slot
@@ -564,6 +586,31 @@ def test_fold_on_every_candidate_at_q3_n1_and_n3():
             for slots in ([bound] * (2 * deg - 1), [rng.below(bound + 1) for _ in range(2 * deg - 1)]):
                 p = sum(v << ctx._bits * k for k, v in enumerate(slots))
                 assert ctx._reduce(p) == _schoolbook_reduce(ctx, slots), ctx.modulus
+
+
+def test_gf2_fold_on_every_candidate_at_n1_n3_and_n5():
+    # the q = 2 sibling of the test above: every monic f of degree 2, 6 and
+    # 10 over F_2, so tails of every degree and weight up to 2n - 1.  mul
+    # on all-ones and top-bit operands, 2n-term dots, an n-row combination
+    # and spread inputs whose slots hold up to 63, the most an XOR of
+    # products leaves, reduce as the schoolbook rows do
+    rng = SplitMix64(210)
+    for n in (1, 3, 5):
+        deg = 2 * n
+        for c in range(2**deg):
+            ctx = field._Gf2Context(2, n, tuple(c >> i & 1 for i in range(deg)) + (1,))
+            ones, top = (1 << deg) - 1, 1 << (deg - 1)
+            for a, b in ((ones, ones), (top, top), (ones, top)):
+                assert ctx.mul(a, b) == reference_field.mul(ctx, a, b), ctx.modulus
+            xs = [ones] * (deg - 1) + [top]
+            full = reference_field.dot(ctx, xs, xs)
+            assert ctx.dot([ones] * deg, [ones] * deg) == ctx.zero
+            assert ctx.dot(xs, xs) == full, ctx.modulus
+            square = reference_field.dot(ctx, [ones] * n, [ones] * n)
+            assert ctx.combine_rows([ones] * n, ctx.pack_rows([[ones] * n] * n)) == (square,) * n, ctx.modulus
+            for slots in ([63] * (2 * deg - 1), [rng.below(64) for _ in range(2 * deg - 1)]):
+                p = sum(v << 8 * k for k, v in enumerate(slots))
+                assert ctx._reduce(p) == ctx.from_coeffs(_schoolbook_reduce(ctx, slots)), ctx.modulus
 
 
 @pytest.mark.parametrize("q,n", [(3, 9), (3, 19), (5, 13)])
@@ -917,6 +964,21 @@ def test_from_coeffs_validates():
     octx = make_context(3, 1)
     with pytest.raises(ValueError):
         octx.from_coeffs([3, 0])
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1"])
+def test_non_integer_coefficients_rejected(q, n, bad):
+    # one check in from_coeffs, which felt_from_json goes through, so a
+    # bool or float never becomes an element that prints as true or 1.0
+    ctx = make_context(q, n)
+    for pos in (0, ctx.deg - 1):
+        coeffs = [0] * ctx.deg
+        coeffs[pos] = bad
+        with pytest.raises(BadElementError, match="integer coefficients"):
+            ctx.from_coeffs(coeffs)
+        with pytest.raises(BadElementError, match="integer coefficients"):
+            ctx.felt_from_json(coeffs)
 
 
 def test_context_json_cross_check():

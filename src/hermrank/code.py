@@ -95,9 +95,10 @@ def _cyclic_order(n: int, d: int) -> list:
     return [(start + p) % n for p in range(n)]
 
 
-def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt], d: int) -> tuple:
-    """The packed rows (ctx.pack_rows) of the table moore_inv[r][j] =
-    alpha_r^(q^(n+2j)), certified, and the encoder rows.
+def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
+    """The CodeParams of the basis alpha: the packed rows (ctx.pack_rows)
+    of the table moore_inv[r][j] = alpha_r^(q^(n+2j)), certified, the
+    encoder rows and the constant 1 / (eta - eta^(q^n)) for eta = X.
 
     Unless the packed rows interpolate the identity map's values alpha
     back to the polynomial x, one packed combination,
@@ -124,7 +125,8 @@ def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt], d: int) -> tuple:
     So a codeword, the evaluation sum_i g_i * M[r][i] of a polynomial g
     supported on the window, is one packed combination of the k rows
     (codec.encode).  The conjugation reads the one Frobenius table the
-    certificate built, so a load builds no other.
+    certificate built, so a load builds no other.  Both callers
+    (build_params, params_from_json_obj) end in it.
     """
     n = ctx.n
     table = tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha)
@@ -132,7 +134,9 @@ def _moore_inv(ctx: FieldContext, alpha: Sequence[Felt], d: int) -> tuple:
     if lp_interpolate(ctx, rows, alpha) != (ctx.one,) + (ctx.zero,) * (n - 1):
         raise BasisSearchFailedError("basis failed its Gram identity recheck")
     window = _cyclic_order(n, d)[d - 1 :]
-    return rows, ctx.pack_rows([[ctx.frobenius(row[i], n) for row in table] for i in window])
+    encoder_rows = ctx.pack_rows([[ctx.frobenius(row[i], n) for row in table] for i in window])
+    split_inv = ctx.inv(ctx.sub(ctx.gen, ctx.frobenius(ctx.gen, n)))
+    return CodeParams(ctx, d, alpha, rows, encoder_rows, split_inv)
 
 
 @dataclass(frozen=True)
@@ -142,23 +146,27 @@ class CodeParams:
     m = (n+1)/2 and kappa = (n-d)/2 locate the width-k window of nonzero
     polynomial coefficients; k = n-d+1 is the message length over F_{q^n}.
     These, n and the radius are fixed by n and d, so they are derived, not
-    stored.
-    alpha is the orthonormal basis, eta the second basis vector of K over
-    F_{q^n}, moore_packed the packed rows of the inverse of the transposed
-    Moore matrix on alpha, through which interpolation is one packed
-    combination and which certified alpha, encoder_rows the packed k
-    window rows of the transposed Moore matrix, through which encoding is
-    one packed combination (both from _moore_inv), eta_split_inv the
-    constant decompose_eta divides by.
+    stored.  So is eta = X (ctx.gen), the second basis vector of K over
+    F_{q^n}: X generates K over F_q with degree 2n, so it cannot lie in
+    the index-2 subfield F_{q^n}, and {1, X} is an F_{q^n}-basis of K.
+    alpha is the orthonormal basis, moore_packed the packed rows of the
+    inverse of the transposed Moore matrix on alpha, through which
+    interpolation is one packed combination and which certified alpha,
+    encoder_rows the packed k window rows of the transposed Moore matrix,
+    through which encoding is one packed combination, eta_split_inv the
+    constant decompose_eta divides by (all three from _moore_inv).
     """
 
     ctx: FieldContext
     d: int
     alpha: tuple
-    eta: Felt
     moore_packed: tuple  # ctx.pack_rows of moore_inv[r][j] = alpha_r^(q^(n+2j))
     encoder_rows: tuple  # ctx.pack_rows of (alpha_r^(q^(2i)))_r, i over the window in cyclic order
     eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
+
+    @property
+    def eta(self) -> Felt:
+        return self.ctx.gen
 
     @property
     def n(self) -> int:
@@ -185,10 +193,7 @@ def build_params(q: int, n: int, d: int) -> CodeParams:
     """Validate (q, n, d) and assemble deterministic code parameters."""
     ctx = make_context(q, n)
     _check_d(ctx, d)
-    alpha = find_selfdual_basis(ctx)
-    # eta = X: X generates K over F_q with degree 2n, so it cannot lie in the
-    # index-2 subfield F_{q^n}; {1, X} is then an F_{q^n}-basis of K.
-    return _assemble(ctx, d, alpha, *_moore_inv(ctx, alpha, d), ctx.gen)
+    return _moore_inv(ctx, find_selfdual_basis(ctx), d)
 
 
 def _check_d(ctx: FieldContext, d) -> None:
@@ -196,23 +201,6 @@ def _check_d(ctx: FieldContext, d) -> None:
     json_field) with 1 <= d <= n."""
     if type(d) is not int or d % 2 == 0 or not 1 <= d <= ctx.n:
         raise BadParamsError(f"d must be odd with 1 <= d <= n = {ctx.n}, got {d}")
-
-
-def _assemble(
-    ctx: FieldContext, d: int, alpha: tuple, moore_packed: tuple, encoder_rows: tuple, eta: Felt
-) -> CodeParams:
-    """CodeParams from a basis alpha and the packed rows _moore_inv
-    certified it with and built for the encoder; both callers
-    (build_params, params_from_json_obj) pass them in."""
-    return CodeParams(
-        ctx=ctx,
-        d=d,
-        alpha=alpha,
-        eta=eta,
-        moore_packed=moore_packed,
-        encoder_rows=encoder_rows,
-        eta_split_inv=ctx.inv(ctx.sub(eta, ctx.frobenius(eta, ctx.n))),
-    )
 
 
 def decompose_eta(params: CodeParams, b: Felt) -> tuple:
@@ -304,7 +292,7 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     """Rebuild params from JSON, recomputing and cross-checking everything
     derivable, in this order: canonical modulus, d, alpha's shape and
     length, orthonormality (the Moore-table certificate of _moore_inv,
-    whose packed rows the params keep with the encoder rows), eta basis.
+    whose packed rows the params keep with the encoder rows), eta = X.
     Only an object with integers q, n, d and lists modulus, alpha, eta is
     read; any other shape raises BadParamsError naming the field."""
     ctx = context_from_json_obj(obj)
@@ -314,10 +302,9 @@ def params_from_json_obj(obj: dict) -> CodeParams:
     if len(alpha) != ctx.n:
         raise BadParamsError(f"expected {ctx.n} basis elements, got {len(alpha)}")
     try:
-        rows = _moore_inv(ctx, alpha, d)
+        params = _moore_inv(ctx, alpha, d)
     except BasisSearchFailedError as exc:
         raise BadParamsError("stored basis is not orthonormal") from exc
-    eta = ctx.felt_from_json(json_field(obj, "eta", list, "params", BadParamsError))
-    if ctx.in_subfield(eta, ctx.n):
-        raise BadParamsError("stored eta lies in F_{q^n}")
-    return _assemble(ctx, d, alpha, *rows, eta)
+    if ctx.felt_from_json(json_field(obj, "eta", list, "params", BadParamsError)) != ctx.gen:
+        raise BadParamsError("stored eta is not X")
+    return params

@@ -91,8 +91,10 @@ bytes of a tuple into a zeroed buffer at stride w.  ``add``, ``sub`` and
 and Q - a, with Q holding q in every lane, are one int sum each, with at
 most 2q - 1 in a lane and no borrow, and the same translate finishes them.
 2q - 1 <= 255 needs q < 128.  From q = 131 on, the lanes are the slots
-themselves, and ``_canon`` unpacks the slots and takes each mod q; there
-q^(2n) <= 2^64 leaves at most 6 coefficients.
+themselves, where q^(2n) <= 2^64 leaves at most 6 coefficients: ``_lift``
+packs a tuple as the sum of entry i shifted by 8w * i bits, the set-up
+packs of the tail and the partial-mod masks use the same sum at every q,
+and ``_canon`` shifts and masks each slot out and takes it mod q.
 
 The q = 2 reduction is the same fold on 1-byte slots, each taken to its
 parity.  Over F_2, f = X^(2n) + r(X), with tail r of degree below 2n;
@@ -152,10 +154,10 @@ lookup time.  For odd q the table is the packed images, applied as
 sum_i a_i * row_i.  For q = 2 it is the "Four Russians" form (Albrecht,
 Bard and Hart, ACM TOMS 2010): one nibble table per 4 bits of the input,
 ceil(2n/4) of them, where entry v of table k is the XOR of the images
-4k .. 4k+3 over the set bits of v, built by doubling in
-``_xor_tables``.  A map is then one lookup per
-nibble of its input, 16 at n = 31, instead of one XOR per set bit, and
-image i reads back as entry 1 << (i % 4) of table i // 4.  The nibble
+4k .. 4k+3 over the set bits of v, built by doubling in ``_to_rows``.
+A map is then one lookup per nibble of its input, 16 at n = 31, instead
+of one XOR per set bit, and image i reads back as entry 1 << (i % 4) of
+table i // 4.  The nibble
 tables are ``array('Q')`` rows: an entry has at most 64 bits, and the flat
 array holds it in 8 bytes, where a list holds a pointer to a separate int
 object of about 36 bytes.  A context keeps up to 2n of these tables, and
@@ -210,7 +212,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from array import array
 from typing import Iterable, Sequence, Union
 
@@ -426,10 +427,11 @@ class FieldContext:
         result is exact.
         At q = 2 a spread product's slot holds at most 2n and XOR never
         carries, so no slot reaches 64; q = 2 keeps the same bound on the
-        terms.  This does not go through mul.
+        terms.  This does not go through mul.  xs and ys must be of equal
+        length, else BadOperandError, as past the slot bound.
         """
-        if len(xs) > self.deg:
-            raise BadOperandError("more terms than the slot bound allows")
+        if len(xs) > self.deg or len(ys) != len(xs):
+            raise BadOperandError(f"need equal lengths, at most 2n terms: {len(xs)} and {len(ys)}")
         lift = self._lift
         return self._reduce(self._sum(map(self._product, map(lift, xs), map(lift, ys))))
 
@@ -449,9 +451,10 @@ class FieldContext:
         """(sum_r values[r] * table[r][j])_j for the table of at most 2n
         rows of n entries packed into rows by pack_rows: one packed
         combination of the rows, then one reduction per output.  This does
-        not go through mul or dot."""
-        if len(rows) > self.deg:
-            raise BadOperandError("more rows than the slot bound allows")
+        not go through mul or dot.  One value per row, else
+        BadOperandError, as past the slot bound."""
+        if len(rows) > self.deg or len(values) != len(rows):
+            raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
         acc = self._sum(map(self._product, map(self._lift, values), rows))
         stride = self._stride
         mask = (1 << stride) - 1
@@ -482,10 +485,11 @@ class FieldContext:
         return tuple(self._apply_linear(rows, digits) for digits in digit_rows)
 
     def pow_elem(self, a: Felt, e: int) -> Felt:
-        """a^e for e >= 0, square-and-multiply from the top bit of e:
-        bit_length(e) - 1 squarings and popcount(e) - 1 products."""
-        if e < 0:
-            raise BadOperandError("negative exponent")
+        """a^e for an int e >= 0, else BadOperandError; square-and-multiply
+        from the top bit of e: bit_length(e) - 1 squarings and popcount(e)
+        - 1 products."""
+        if type(e) is not int or e < 0:
+            raise BadOperandError(f"exponent must be a non-negative integer, got {e!r}")
         if not e:
             return self.one
         r = a
@@ -519,7 +523,10 @@ class FieldContext:
         raise NotImplementedError
 
     def frobenius(self, a: Felt, j: int) -> Felt:
-        """a^(q^j) with j taken mod 2n."""
+        """a^(q^j) with the int j taken mod 2n; any other j raises
+        BadOperandError."""
+        if type(j) is not int:
+            raise BadOperandError(f"Frobenius power must be an integer, got {j!r}")
         j %= self.deg
         if j == 0:
             return a
@@ -539,10 +546,15 @@ class FieldContext:
             self._trace_tbl = self._to_rows(self._trace_images(2))
         return self._apply_linear(self._trace_tbl, a)
 
+    def _check_degree(self, e) -> None:
+        """NotADivisorError unless e is a positive int (not a bool) that
+        divides 2n."""
+        if type(e) is not int or e <= 0 or self.deg % e:
+            raise NotADivisorError(f"subfield degree {e!r} does not divide {self.deg}")
+
     def in_subfield(self, a: Felt, e: int) -> bool:
-        """True when a lies in F_{q^e}; e must divide 2n."""
-        if e <= 0 or (2 * self.n) % e != 0:
-            raise NotADivisorError(f"subfield degree {e} does not divide {2 * self.n}")
+        """True when a lies in F_{q^e}; e must divide 2n (_check_degree)."""
+        self._check_degree(e)
         return self.frobenius(a, e) == a
 
     def subfield_basis(self, e: int) -> tuple:
@@ -556,10 +568,10 @@ class FieldContext:
         that is 0 at every lead, which is zero.  So this is also the basis
         an RREF kernel of Frobenius^e - id gives, ordered by free column:
         kernel vector v_f is 1 at its free column f, its highest nonzero
-        entry, and 0 at the other free columns.
+        entry, and 0 at the other free columns.  e must divide 2n
+        (_check_degree).
         """
-        if e <= 0 or (2 * self.n) % e != 0:
-            raise NotADivisorError(f"subfield degree {e} does not divide {2 * self.n}")
+        self._check_degree(e)
         basis = self._subfield_bases.get(e)
         if basis is None:
             basis = self._subfield_bases[e] = self._reduced_basis(self._trace_images(e))
@@ -656,21 +668,6 @@ class FieldContext:
         return f"FieldContext(q={self.q}, n={self.n})"
 
 
-def _xor_tables(images, bits):
-    """Table k maps a bits-wide chunk v to the XOR of images[bits*k + i]
-    over the set bits i of v, built by doubling; zero padding keeps every
-    table 2^bits long.  The q = 2 engine's nibble tables of its Frobenius
-    powers and trace."""
-    images = list(images) + [0] * (-len(images) % bits)
-    tables = []
-    for k in range(0, len(images), bits):
-        row = [0]
-        for m in images[k : k + bits]:
-            row += [r ^ m for r in row]
-        tables.append(row)
-    return tables
-
-
 #: bytes.translate tables of the q = 2 engine: a binary digit of bin() to
 #: its bit (the "0b" prefix to 0), a 0 or 1 slot to its binary digit, and
 #: a hex digit to its nibble.
@@ -734,8 +731,8 @@ class _Gf2Context(FieldContext):
         bucket k for the hex digit w at position k of the value, and each
         bucket shifted once; then each output field spread for its
         _reduce."""
-        if len(rows) > self.deg:
-            raise BadOperandError("more rows than the slot bound allows")
+        if len(rows) > self.deg or len(values) != len(rows):
+            raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
         buckets = [0] * -(-self.deg // 4)
         for v, row in zip(values, rows):
             t = [0, row]
@@ -784,8 +781,16 @@ class _Gf2Context(FieldContext):
 
     def _to_rows(self, images):
         """Nibble tables of a linear map (module docstring): table k maps a
-        nibble v to the XOR of images[4k .. 4k+3] over the set bits of v."""
-        return tuple(array("Q", row) for row in _xor_tables(images, 4))
+        nibble v to the XOR of images[4k .. 4k+3] over the set bits of v,
+        built by doubling; zero padding keeps every table 16 entries long."""
+        images = list(images) + [0] * (-len(images) % 4)
+        tables = []
+        for k in range(0, len(images), 4):
+            row = [0]
+            for m in images[k : k + 4]:
+                row += [r ^ m for r in row]
+            tables.append(array("Q", row))
+        return tuple(tables)
 
     def _apply_linear(self, tables, a):
         """One lookup per nibble of a in the tables _to_rows makes."""
@@ -814,34 +819,6 @@ class _Gf2Context(FieldContext):
             pool = [(r ^ pivot) if r & top else r for r in pool]
             pool = [r for r in pool if r]
         return pivots
-
-
-def _slot_codec(width: int):
-    """(pack, unpack) between vectors of non-negative ints below 2^(8*width)
-    and one int holding entry i in bytes width*i .. width*(i+1)-1.
-    unpack(x, count) reads count slots.  On a little-endian host, widths of
-    1, 2, 4 or 8 bytes go through an array of that item size, whose bytes
-    are then already in slot order; wider slots, and every width on a
-    big-endian host, are cut from the byte string one by one."""
-    tc = next((tc for tc in "BHILQ" if array(tc).itemsize == width), None)
-    if tc is not None and sys.byteorder == "little":
-
-        def pack(v):
-            return int.from_bytes(array(tc, v), "little")
-
-        def unpack(x, count):
-            return array(tc, x.to_bytes(width * count, "little"))
-
-        return pack, unpack
-
-    def pack(v):
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]), "little")
-
-    def unpack(x, count):
-        raw = x.to_bytes(width * count, "little")
-        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-    return pack, unpack
 
 
 def _byte_codec(q: int, width: int, count: int):
@@ -901,17 +878,21 @@ class _OddContext(FieldContext):
                 bound += high
             if bound < 1 << 8 * width:
                 break
-        pack, unpack = _slot_codec(width)
+        self._bits = bits = 8 * width
+
+        def pack(v):
+            return sum(c << bits * i for i, c in enumerate(v))
+
         if q < 128:
             # add, sub and neg work on one-byte lanes, which hold 2q - 1
             self._lift, self._canon = _byte_codec(q, width, deg)
             self._lanes, self._lanes_canon = _byte_codec(q, 1, deg)
         else:
+            mask = (1 << bits) - 1
             self._lift = self._lanes = pack
-            self._canon = self._lanes_canon = lambda p: tuple(map(q.__rmod__, unpack(p, deg)))
+            self._canon = self._lanes_canon = lambda p: tuple((p >> bits * i & mask) % q for i in range(deg))
         self._lanes_q = self._lanes((q,) * deg)
-        self._bits = 8 * width
-        self._split = self._bits * deg
+        self._split = bits * deg
         self._stride = 2 * self._split
         self._low = (1 << self._split) - 1
         self._half, self._wrap = half, wrap

@@ -471,6 +471,22 @@ def test_tampered_params_rejected(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 5, 3)])
+def test_params_with_other_eta_rejected(tmp_path, params_for, capsys, q, n, d):
+    p = params_for(q, n, d)
+    obj = params_to_json_obj(p)
+    obj["eta"] = p.ctx.felt_to_json(p.ctx.add(p.ctx.gen, p.ctx.one))
+    params_path = _write(tmp_path / "p.json", obj)
+    msg_path = _write(tmp_path / "msg.json", message_to_json_obj(p, random_message(p, SplitMix64(3))))
+    out = tmp_path / "out.json"
+    assert main(["encode", "--params", params_path, "--message", msg_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "eta" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("q,n,d", [(2, 3, 3), (3, 3, 3)])
 @pytest.mark.parametrize("bad", [1.0, True, "1"])
 def test_non_integer_coefficients_rejected(tmp_path, params_for, capsys, q, n, d, bad):

@@ -1,5 +1,6 @@
 """Code parameters, the unitary pairing, basis search, matrix conversions."""
 
+import dataclasses
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from hermrank import (
     rank_distance,
 )
 from hermrank import code as code_mod
-from hermrank.code import decompose_eta, find_selfdual_basis, unitary_pairing
+from hermrank.code import CodeParams, decompose_eta, find_selfdual_basis, unitary_pairing
 from hermrank.exceptions import (
     BadParamsError,
     BadShapeError,
@@ -191,10 +192,14 @@ def test_basis_expansion_identities_exhaustive():
 
 
 def test_choose_eta_outside_middle_subfield():
+    # eta = X is derived from the context, so no stored, loadable eta can differ
+    names = [f.name for f in dataclasses.fields(CodeParams)]
+    assert names == ["ctx", "d", "alpha", "moore_packed", "encoder_rows", "eta_split_inv"]
     for q, n in [(2, 3), (3, 3), (2, 5)]:
         p = build_params(q, n, 1)
         assert p.eta == p.ctx.gen
         assert not p.ctx.in_subfield(p.eta, n)
+        assert "eta=" not in repr(p)
 
 
 def test_decompose_eta_roundtrip(params_for, rand_felt):
@@ -365,6 +370,20 @@ def test_params_json_rejects_bad_shapes(params_for, key, value, named):
     else:
         obj[key] = value
     with pytest.raises(BadParamsError, match=named):
+        params_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 5, 3)])
+def test_params_json_refuses_eta_other_than_x(params_for, q, n, d):
+    # X + 1 lies outside F_{q^n} as well, but with it the same message
+    # would encode to another word; the code's eta is X alone
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    other = ctx.add(ctx.gen, ctx.one)
+    assert not ctx.in_subfield(other, n)
+    obj = params_to_json_obj(p)
+    obj["eta"] = ctx.felt_to_json(other)
+    with pytest.raises(BadParamsError, match="eta"):
         params_from_json_obj(obj)
 
 

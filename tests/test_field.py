@@ -462,6 +462,41 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
             ctx.fq_combine([ctx.one] * (2 * n + 1), [[1] * (2 * n + 1)])
 
 
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 3)])
+def test_unmatched_terms_rejected(q, n):
+    # a zip would drop the unmatched term: dot([X, 1], [X]) once read X^2
+    ctx = make_context(q, n)
+    x = ctx.gen
+    for xs, ys in [([x, ctx.one], [x]), ([x], [x, ctx.one]), ([], [x])]:
+        with pytest.raises(BadOperandError):
+            ctx.dot(xs, ys)
+    rows = ctx.pack_rows([[ctx.one] * n, [x] * n])
+    for values in ([x], [x, x, x], []):
+        with pytest.raises(BadOperandError):
+            ctx.combine_rows(values, rows)
+    assert ctx.combine_rows([x, ctx.zero], rows) == (x,) * n
+    assert ctx.dot([x, ctx.one], [x, ctx.zero]) == ctx.mul(x, x)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
+def test_non_integer_powers_and_degrees_rejected(q, n):
+    # a float Frobenius power once recursed through _frob_rows without end,
+    # and a float degree passed the divisor check into it
+    ctx = make_context(q, n)
+    x = ctx.gen
+    for bad in (1.5, 0.5, 2.0, True, "1"):
+        with pytest.raises(BadOperandError):
+            ctx.frobenius(x, bad)
+        with pytest.raises(BadOperandError):
+            ctx.pow_elem(x, bad)
+        with pytest.raises(NotADivisorError):
+            ctx.in_subfield(x, bad)
+        with pytest.raises(NotADivisorError):
+            ctx.subfield_basis(bad)
+    assert ctx.frobenius(x, ctx.deg + 1) == ctx.frobenius(x, -ctx.deg + 1) == ctx.pow_elem(x, q)
+    assert ctx.in_subfield(ctx.one, 1) and len(ctx.subfield_basis(2)) == 2
+
+
 def test_operand_guards_survive_optimize():
     # the slot bound and the exponent's sign are checked by raising, not
     # by assert, so python -O keeps them
@@ -701,8 +736,9 @@ def test_subfield_elements_are_digit_combinations(q):
 def test_packed_kernel_ignores_host_byte_order(monkeypatch, q, n, rand_felt):
     # on a big-endian host an array's items are big-endian; the slot layout
     # must come out the same, so products match the schoolbook oracle.
-    # Below q = 128 the byte codec names its byte order itself; (251, 3)
-    # packs through the slot codec, here on its byte-cut path
+    # Below q = 128 the byte codec names its byte order itself, and (251, 3)
+    # packs by shift sums, which have none; the engine never reads
+    # sys.byteorder, and this keeps a host-order branch from coming back
     modulus = canonical_modulus(q, n)
     monkeypatch.setattr(sys, "byteorder", "big")
     ctx = field._OddContext(q, n, modulus)

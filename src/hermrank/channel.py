@@ -40,13 +40,18 @@ class ChannelSpec:
 
 
 def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
-    """Error vector of rank exactly spec.t, deterministic in spec.seed."""
+    """Error vector of rank exactly spec.t, deterministic in spec.seed.
+
+    spec.t must be an int in 0..n, else BadRankError, and spec.seed an int,
+    else BadParamsError; a bool is neither, as for n and d."""
     ctx = params.ctx
     n = params.n
-    if not 0 <= spec.t <= n:
-        raise BadRankError(f"error rank {spec.t} outside 0..{n}")
+    if type(spec.t) is not int or not 0 <= spec.t <= n:
+        raise BadRankError(f"error rank {spec.t!r} outside 0..{n}")
     if spec.mode not in (MODE_ARBITRARY, MODE_HERMITIAN):
         raise BadParamsError(f"unknown error mode {spec.mode!r}")
+    if type(spec.seed) is not int:
+        raise BadParamsError(f"channel seed must be an integer, got {spec.seed!r}")
     if spec.t == 0:
         return (ctx.zero,) * n
     rng = SplitMix64(spec.seed)

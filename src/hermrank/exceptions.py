@@ -37,7 +37,9 @@ class BadElementError(HermrankError, ValueError):
 
 class BadOperandError(HermrankError, ValueError):
     """A field operation got more terms or rows than the odd-q slot bound
-    allows, or a negative exponent."""
+    allows, operands of unequal length (dot's two sides, combine_rows'
+    values and rows, an fq_combine digit row and its elements), a negative
+    exponent, or a power or exponent that is not an int."""
 
 
 class BadShapeError(HermrankError, ValueError):

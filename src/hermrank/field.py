@@ -16,17 +16,17 @@ Element representation depends on the characteristic:
   slot of w bytes per coefficient (Kronecker substitution).
 
 Every product in the package is one kernel: form unreduced products, add
-them, reduce once.  Each engine supplies only its arithmetic for it, and
-``FieldContext`` writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows``
-and ``_to_rows`` once on top, and the q = 2 engine keeps its own packed
-rows and linear-map tables (below):
+them, reduce once.  The unreduced product of two lifted values is their
+int product, whose slot k holds the k-th coefficient of the convolution.
+Each engine supplies only the rest of the kernel, and ``FieldContext``
+writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows`` and ``_to_rows``
+once on top, and the q = 2 engine keeps its own packed rows and
+linear-map tables (below):
 
 * ``_lift`` maps an element to the int it multiplies as, its packed
   slots.  For q = 2 a slot is one byte: bit i of the element goes to byte
   i, by ``bin``, one ``bytes.translate`` of its digits and
   ``int.from_bytes``.  Elements stay compact; only products are spread.
-* ``_product`` is the unreduced product of two lifted values, the int
-  product, whose slot k holds the k-th coefficient of the convolution.
 * ``_sum`` adds unreduced products: XOR for q = 2, ``sum`` for odd q.
 * ``_reduce`` gives the canonical element of an unreduced product or sum
   of them.  It folds the high slots in by the modulus's short tail
@@ -86,10 +86,11 @@ round never carries: it leaves at most 255 * (1 + (w-1)(q-1)) <=
 at w = 1 no slot reaches 256.  Then every slot is one byte, read at stride
 w from the int's little-endian bytes, and one ``bytes.translate`` through
 the 256-entry table of x mod q gives the residues.  ``_lift`` spreads the
-bytes of a tuple into a zeroed buffer at stride w.  ``add``, ``sub`` and
-``neg`` work on one-byte lanes, one coefficient per byte: a + b, a + Q - b
-and Q - a, with Q holding q in every lane, are one int sum each, with at
-most 2q - 1 in a lane and no borrow, and the same translate finishes them.
+bytes of a tuple into a zeroed buffer at stride w.  ``add`` and ``sub``
+(and so ``neg``, which is 0 - a on every engine) work on one-byte lanes,
+one coefficient per byte: a + b and a + Q - b, with Q holding q in every
+lane, are one int sum each, with at most 2q - 1 in a lane and no borrow,
+and the same translate finishes them.
 2q - 1 <= 255 needs q < 128.  From q = 131 on, the lanes are the slots
 themselves, where q^(2n) <= 2^64 leaves at most 6 coefficients: ``_lift``
 packs a tuple as the sum of entry i shifted by 8w * i bits, the set-up
@@ -269,7 +270,7 @@ def _irreducible(q: int, coeffs: Sequence[int]) -> bool:
             v = (v * a + c) % q
         if not v:
             return False
-    ring = (_Gf2Context if q == 2 else _OddContext)(q, deg // 2, tuple(coeffs))
+    ring = _engine(q)(q, deg // 2, tuple(coeffs))
     x = ring.gen
     for i in range(1, deg // 2 + 1):
         x = ring.pow_elem(x, q)
@@ -326,6 +327,24 @@ class FieldContext:
 
     Use :func:`make_context` to build one.  Two contexts built from the same
     (q, n) are interchangeable; every derived table is deterministic.
+
+    This class holds only what both engines share.  An engine supplies
+    ``_setup_engine`` (``zero``, ``one`` and the kernel's constants),
+    ``add``, ``sub``, ``inv``, ``_from_coeffs`` (the element of checked
+    coefficients), ``to_coeffs``, the kernel's ``_lift``, ``_sum``,
+    ``_reduce`` and ``_stride`` (module docstring), and:
+
+    * ``_apply_linear(rows, a)``: the F_q-linear map whose table, in the
+      form ``_to_rows`` makes, is rows, applied to a;
+    * ``frob_images(j)``: the images (X^i)^(q^j) of the monomial basis,
+      i = 0 .. 2n-1, read back from the table ``_frob_rows(j)``;
+    * ``_echelon(elems)``: the pivots of an elimination on the span of
+      elems, each read as its 2n coefficients: nonzero elements with
+      distinct leads (highest nonzero coefficient), each 1 at its lead and
+      0 at the lead of every pivot before it;
+    * ``_coprime_to_modulus(h)``: True when gcd(f, h) = 1, with h read as a
+      polynomial of degree below 2n, by Euclid's algorithm on the engine's
+      coefficient form.
     """
 
     def __init__(self, q: int, n: int, modulus: tuple[int, ...]):
@@ -336,26 +355,16 @@ class FieldContext:
         self._setup_engine()
         self.gen = self.from_coeffs([0, 1] + [0] * (self.deg - 2))
         self._frob: dict[int, tuple] = {}
-        self._trace_tbl: tuple | None = None
         self._subfield_bases: dict[int, tuple] = {}
+        # memos filled on first use; plain fields, not cached_property,
+        # whose write through __dict__ makes every later attribute load on
+        # the context slower on CPython 3.11 (about 3% of a (2,31,15) decode)
+        self._trace_tbl: tuple | None = None
         self._norm_gen: tuple | None = None
 
-    # -- primitive arithmetic supplied by subclasses ------------------------
-
-    def _setup_engine(self) -> None:
-        raise NotImplementedError
-
-    def add(self, a: Felt, b: Felt) -> Felt:
-        raise NotImplementedError
-
-    def sub(self, a: Felt, b: Felt) -> Felt:
-        raise NotImplementedError
-
     def neg(self, a: Felt) -> Felt:
-        raise NotImplementedError
-
-    def inv(self, a: Felt) -> Felt:
-        raise NotImplementedError
+        """-a as 0 - a, on the engine's sub: a itself at q = 2."""
+        return self.sub(self.zero, a)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> Felt:
         """Element from its 2n coefficients, least significant first, each
@@ -365,31 +374,6 @@ class FieldContext:
         if len(coeffs) != self.deg or any(type(c) is not int or not 0 <= c < self.q for c in coeffs):
             raise BadElementError(f"element needs {self.deg} integer coefficients in [0, {self.q})")
         return self._from_coeffs(coeffs)
-
-    @staticmethod
-    def _from_coeffs(coeffs: Sequence[int]) -> Felt:
-        """The element of checked coefficients."""
-        raise NotImplementedError
-
-    def to_coeffs(self, a: Felt) -> list[int]:
-        raise NotImplementedError
-
-    def _apply_linear(self, rows: Sequence, a: Felt) -> Felt:
-        """Apply an F_q-linear map given by its table in the form _to_rows
-        makes."""
-        raise NotImplementedError
-
-    def _echelon(self, elems: Sequence[Felt]) -> list:
-        """Pivots of an elimination on the span of elems, each read as its
-        2n coefficients: nonzero elements with distinct leads (highest
-        nonzero coefficient), each 1 at its lead and 0 at the lead of every
-        pivot before it."""
-        raise NotImplementedError
-
-    def _coprime_to_modulus(self, h: Felt) -> bool:
-        """True when gcd(f, h) = 1, with h read as a polynomial of degree
-        below 2n; Euclid's algorithm on the engine's coefficient form."""
-        raise NotImplementedError
 
     def fq_rank(self, elems: Sequence[Felt]) -> int:
         """Dimension over F_q of the span of elems; the one elimination
@@ -411,11 +395,11 @@ class FieldContext:
             basis[_lead(c)] = self.sub(p, below)
         return tuple(basis[lead] for lead in sorted(basis))
 
-    # -- one product kernel on _lift, _product, _sum, _reduce, _stride -----
+    # -- one product kernel on _lift, _sum, _reduce, _stride ---------------
 
     def mul(self, a: Felt, b: Felt) -> Felt:
         """a * b: one product of the lifted elements, one reduction."""
-        return self._reduce(self._product(self._lift(a), self._lift(b)))
+        return self._reduce(self._lift(a) * self._lift(b))
 
     def dot(self, xs: Sequence[Felt], ys: Sequence[Felt]) -> Felt:
         """sum_i xs[i] * ys[i] over at most 2n terms, with one reduction.
@@ -433,7 +417,7 @@ class FieldContext:
         if len(xs) > self.deg or len(ys) != len(xs):
             raise BadOperandError(f"need equal lengths, at most 2n terms: {len(xs)} and {len(ys)}")
         lift = self._lift
-        return self._reduce(self._sum(map(self._product, map(lift, xs), map(lift, ys))))
+        return self._reduce(self._sum(map(operator.mul, map(lift, xs), map(lift, ys))))
 
     def _to_rows(self, images: Sequence[Felt]) -> tuple:
         """Table form of a linear map's monomial images for _apply_linear:
@@ -455,7 +439,7 @@ class FieldContext:
         BadOperandError, as past the slot bound."""
         if len(rows) > self.deg or len(values) != len(rows):
             raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
-        acc = self._sum(map(self._product, map(self._lift, values), rows))
+        acc = self._sum(map(operator.mul, map(self._lift, values), rows))
         stride = self._stride
         mask = (1 << stride) - 1
         out = []
@@ -477,12 +461,22 @@ class FieldContext:
         elements.  The odd-q sum cannot carry: a packed element holds its
         canonical coefficients, at most q - 1 per slot, so 2n terms put at
         most 2n * (q-1)^2 in a slot, below the 2n * 2n * (q-1)^2 every slot
-        width holds (module docstring).
+        width holds (module docstring).  Each digit row must hold one digit
+        per element, else BadOperandError, as past the slot bound.
         """
         rows = self._to_rows(elems)
         if len(rows) > self.deg:
             raise BadOperandError("more terms than the slot bound allows")
-        return tuple(self._apply_linear(rows, digits) for digits in digit_rows)
+        return tuple(self._apply_linear(rows, digits) for digits in self._digit_rows(elems, digit_rows))
+
+    def _digit_rows(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]):
+        """The rows of digit_rows, each checked to hold one digit per
+        element, else BadOperandError: fq_combine's check on both engines,
+        so no term is dropped unmatched."""
+        for digits in digit_rows:
+            if len(digits) != len(elems):
+                raise BadOperandError(f"need one digit per element: {len(digits)} for {len(elems)}")
+            yield digits
 
     def pow_elem(self, a: Felt, e: int) -> Felt:
         """a^e for an int e >= 0, else BadOperandError; square-and-multiply
@@ -516,11 +510,6 @@ class FieldContext:
                 out = [self._apply_linear(t1, a) for a in self.frob_images(j - 1)]
             rows = self._frob[j] = self._to_rows(out)
         return rows
-
-    def frob_images(self, j: int) -> tuple:
-        """Images (X^i)^(q^j) of the monomial basis, i = 0 .. 2n-1, read
-        back from the table _frob_rows(j)."""
-        raise NotImplementedError
 
     def frobenius(self, a: Felt, j: int) -> Felt:
         """a^(q^j) with the int j taken mod 2n; any other j raises
@@ -590,9 +579,12 @@ class FieldContext:
         return self.subfield_basis(2)[1]
 
     def fq2_coords(self, a: Felt) -> tuple[int, int]:
-        """Coordinates (s, t) with a = s + t*w for a in F_{q^2}.  In the
-        reduced basis {1, w}, w is 0 at X^0 and 1 at its lead, where 1 is 0,
-        so s and t are the coefficients of a at X^0 and at that lead."""
+        """Coordinates (s, t) with a = s + t*w for a in F_{q^2}, else
+        NotInSubfieldError.  In the reduced basis {1, w}, w is 0 at X^0 and
+        1 at its lead, where 1 is 0, so s and t are the coefficients of a at
+        X^0 and at that lead."""
+        if not self.in_subfield(a, 2):
+            raise NotInSubfieldError("element does not lie in F_{q^2}")
         ac = self.to_coeffs(a)
         return ac[0], ac[_lead(self.to_coeffs(self.fq2_w()))]
 
@@ -610,7 +602,9 @@ class FieldContext:
             raise NotInSubfieldError("right-hand side of the norm equation must lie in F_q")
         q = self.q
         a_int = self.to_coeffs(a)[0]
-        g, h_int = self._norm_generator()
+        if self._norm_gen is None:
+            self._norm_gen = self._norm_generator()
+        g, h_int = self._norm_gen
         # discrete log of a_int to base h_int in F_q*
         m = math.isqrt(q - 1) + 1
         baby = {}
@@ -632,26 +626,22 @@ class FieldContext:
 
     def _norm_generator(self) -> tuple:
         """(g, N(g)) for the first g = i + j*w, in the order of idx = i*q + j,
-        whose norm g^(q+1) generates F_q*; found once per context.
+        whose norm g^(q+1) generates F_q*; solve_hermitian_norm keeps it.
         The first q - 1 candidates j*w have norms j^2 * N(w), all squares
         when N(w) is one (Euler's criterion), and a square never generates
         F_q* for odd q, so the scan then starts at idx = q: same g.  At
         q = 2, F_q* is trivial and the scan stops at its first candidate."""
-        if self._norm_gen is None:
-            q = self.q
-            factors = _prime_factors(q - 1)
-            basis = self.subfield_basis(2)
-            norm_w = self.to_coeffs(self.mul(self.frobenius(basis[1], 1), basis[1]))[0]
-            start = q if pow(norm_w, (q - 1) // 2, q) == 1 else 1
-            for idx in range(start, 64 * q):
-                (cand,) = self.fq_combine(basis, [divmod(idx, q)])
-                h_int = self.to_coeffs(self.mul(self.frobenius(cand, 1), cand))[0]
-                if all(pow(h_int, (q - 1) // p, q) != 1 for p in factors):
-                    self._norm_gen = (cand, h_int)
-                    break
-            else:  # pragma: no cover - generators are dense
-                raise RuntimeError("no norm generator found")
-        return self._norm_gen
+        q = self.q
+        factors = _prime_factors(q - 1)
+        basis = self.subfield_basis(2)
+        norm_w = self.to_coeffs(self.mul(self.frobenius(basis[1], 1), basis[1]))[0]
+        start = q if pow(norm_w, (q - 1) // 2, q) == 1 else 1
+        for idx in range(start, 64 * q):
+            (cand,) = self.fq_combine(basis, [divmod(idx, q)])
+            h_int = self.to_coeffs(self.mul(self.frobenius(cand, 1), cand))[0]
+            if all(pow(h_int, (q - 1) // p, q) != 1 for p in factors):
+                return cand, h_int
+        raise RuntimeError("no norm generator found")  # pragma: no cover - generators are dense
 
     # -- serialization ------------------------------------------------------
 
@@ -696,15 +686,10 @@ class _Gf2Context(FieldContext):
 
     sub = add
 
-    def neg(self, a):
-        return a
-
     @staticmethod
     def _lift(a):
         """a with bit i spread to byte i."""
         return int.from_bytes(bin(a).encode().translate(_BITS), "big")
-
-    _product = staticmethod(operator.mul)
 
     @staticmethod
     def _sum(products):
@@ -805,7 +790,8 @@ class _Gf2Context(FieldContext):
         return tuple(tables[i >> 2][1 << (i & 3)] for i in range(self.deg))
 
     def fq_combine(self, elems, digit_rows):
-        return tuple(functools.reduce(operator.xor, itertools.compress(elems, digits), 0) for digits in digit_rows)
+        rows = self._digit_rows(elems, digit_rows)
+        return tuple(functools.reduce(operator.xor, itertools.compress(elems, d), 0) for d in rows)
 
     def _echelon(self, elems):
         # XOR elimination on the packed coefficient bits: each pivot clears
@@ -884,7 +870,7 @@ class _OddContext(FieldContext):
             return sum(c << bits * i for i, c in enumerate(v))
 
         if q < 128:
-            # add, sub and neg work on one-byte lanes, which hold 2q - 1
+            # add and sub work on one-byte lanes, which hold 2q - 1
             self._lift, self._canon = _byte_codec(q, width, deg)
             self._lanes, self._lanes_canon = _byte_codec(q, 1, deg)
         else:
@@ -906,10 +892,6 @@ class _OddContext(FieldContext):
         lanes = self._lanes
         return self._lanes_canon(lanes(a) + self._lanes_q - lanes(b))
 
-    def neg(self, a):
-        return self._lanes_canon(self._lanes_q - self._lanes(a))
-
-    _product = staticmethod(operator.mul)
     _sum = staticmethod(sum)
 
     def _reduce(self, p):
@@ -998,6 +980,11 @@ class _OddContext(FieldContext):
         return tuple(map(self._canon, self._frob_rows(j)))
 
 
+def _engine(q: int) -> type:
+    """The engine class for prime q: bit-packed at q = 2, else tuples."""
+    return _Gf2Context if q == 2 else _OddContext
+
+
 def make_context(q: int, n: int) -> FieldContext:
     """Build the arithmetic context for F_{q^(2n)} over prime q and odd n.
 
@@ -1006,9 +993,7 @@ def make_context(q: int, n: int) -> FieldContext:
     q^(2n) <= 2^64.  canonical_modulus makes this one check of q and n;
     build_params relies on it.
     """
-    modulus = canonical_modulus(q, n)
-    cls = _Gf2Context if q == 2 else _OddContext
-    return cls(q, n, modulus)
+    return _engine(q)(q, n, canonical_modulus(q, n))
 
 
 _JSON_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number",

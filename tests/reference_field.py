@@ -231,7 +231,7 @@ def berlekamp_irreducible(q, coeffs):
     it.
     """
     deg = len(coeffs) - 1
-    ring = (field._Gf2Context if q == 2 else field._OddContext)(q, deg // 2, tuple(coeffs))
+    ring = field._engine(q)(q, deg // 2, tuple(coeffs))
     frob, x = ring._frob_rows(1), ring.gen
     for _ in range(deg):
         x = ring._apply_linear(frob, x)

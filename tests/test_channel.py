@@ -75,6 +75,21 @@ def test_error_sampling_guards(params_for):
         random_rank_error(p, ChannelSpec(t=1, mode="burst", seed=1))
 
 
+def test_non_integer_rank_and_seed_rejected(params_for):
+    # t=True once drew a rank-1 error, and t=1.0 or seed=1.5 ended in a
+    # bare TypeError; a bool is not an integer here, as for n and d
+    p = params_for(3, 5, 3)
+    for mode in (MODE_ARBITRARY, MODE_HERMITIAN):
+        for t in (True, False, 1.0, 0.0, "1", None):
+            with pytest.raises(BadRankError):
+                random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=1))
+        for seed in (1.5, 1.0, True, "1", None):
+            for t in (0, 1):
+                with pytest.raises(BadParamsError):
+                    random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=seed))
+        assert rank_distance(p, random_rank_error(p, ChannelSpec(t=1, mode=mode, seed=1)), (p.ctx.zero,) * p.n) == 1
+
+
 def test_hermitian_mode_matrices_are_hermitian(params_for):
     p = params_for(3, 5, 3)
     ctx = p.ctx

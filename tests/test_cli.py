@@ -12,6 +12,7 @@ import pytest
 
 import hermrank
 from hermrank import (
+    ChannelSpec,
     SplitMix64,
     build_params,
     corrupt,
@@ -21,6 +22,9 @@ from hermrank import (
     nearest_codeword,
     params_to_json_obj,
     random_message,
+    random_rank_error,
+    rank_distance,
+    substream_seed,
 )
 from hermrank import cli, oracle
 from hermrank.cli import main
@@ -202,6 +206,31 @@ def test_simulate_report_and_determinism(tmp_path, capsys):
         assert row["failures"] == 0
         assert row["mismatches"] == 0
         assert "mean_ms" not in row
+
+
+def test_simulate_counts_mismatches(tmp_path, params_for):
+    # past the radius a decode can certify another codeword: at (2,3,3)
+    # rank-2 errors give 190 failures and 10 mismatches in 200 trials
+    out = tmp_path / "m.json"
+    assert main(["simulate", "--q", "2", "--n", "3", "--d", "3", "--trials", "200",
+                 "--ranks", "2", "--seed", "7", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["results"]
+    assert (row["successes"], row["failures"], row["mismatches"]) == (0, 190, 10)
+    assert row["successes"] + row["failures"] + row["mismatches"] == row["trials"] == 200
+    # each mismatched message encodes to a codeword within the radius of the
+    # received word, drawn as simulate draws trial i
+    p = params_for(2, 3, 3)
+    mismatched = 0
+    for i in range(200):
+        rng = SplitMix64(substream_seed(7, (2 << 32) + i))
+        msg = random_message(p, rng)
+        err = random_rank_error(p, ChannelSpec(t=2, seed=rng.next_u64()))
+        word = corrupt(p.ctx, encode(p, msg), err)
+        result = decode(p, word)
+        if result.ok and result.message != msg:
+            mismatched += 1
+            assert rank_distance(p, encode(p, result.message), word) <= p.radius
+    assert mismatched == 10
 
 
 def test_simulate_rank_range_syntax(tmp_path):

@@ -462,9 +462,10 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
             ctx.fq_combine([ctx.one] * (2 * n + 1), [[1] * (2 * n + 1)])
 
 
-@pytest.mark.parametrize("q,n", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3)])
 def test_unmatched_terms_rejected(q, n):
-    # a zip would drop the unmatched term: dot([X, 1], [X]) once read X^2
+    # a zip would drop the unmatched term: dot([X, 1], [X]) once read X^2,
+    # and fq_combine([X, 1], [[1]]) and fq_combine([X], [[1, 1]]) both (X,)
     ctx = make_context(q, n)
     x = ctx.gen
     for xs, ys in [([x, ctx.one], [x]), ([x], [x, ctx.one]), ([], [x])]:
@@ -476,6 +477,21 @@ def test_unmatched_terms_rejected(q, n):
             ctx.combine_rows(values, rows)
     assert ctx.combine_rows([x, ctx.zero], rows) == (x,) * n
     assert ctx.dot([x, ctx.one], [x, ctx.zero]) == ctx.mul(x, x)
+    for elems, digit_rows in [([x, ctx.one], [[1]]), ([x], [[1, 1]]), ([], [[1]]), ([x], [[1], []]),
+                              ([x, ctx.one], [[1, 0], [1, 0, 0]])]:
+        with pytest.raises(BadOperandError):
+            ctx.fq_combine(elems, digit_rows)
+    assert ctx.fq_combine([x, ctx.one], [[1, 0], [0, 1]]) == (x, ctx.one)
+    assert ctx.fq_combine([], [[], []]) == (ctx.zero, ctx.zero)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (3, 3), (251, 3)])
+def test_inverse_of_zero_rejected(q, n):
+    # each engine has its own inv and its own zero check
+    ctx = make_context(q, n)
+    with pytest.raises(ZeroInputError):
+        ctx.inv(ctx.zero)
+    assert ctx.mul(ctx.inv(ctx.gen), ctx.gen) == ctx.one
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
@@ -912,7 +928,7 @@ def test_reduced_basis_is_reduced_echelon(q, n, rand_felt):
 
 
 def test_fq2_coords_roundtrip():
-    for q, n in [(2, 3), (3, 3)]:
+    for q, n in [(2, 3), (3, 3), (3, 5)]:
         ctx = make_context(q, n)
         w = ctx.fq2_w()
         assert ctx.in_subfield(w, 2) and not ctx.in_subfield(w, 1)
@@ -920,6 +936,11 @@ def test_fq2_coords_roundtrip():
             s, t = ctx.fq2_coords(a)
             rebuilt = ctx.add(from_base(ctx, s), ctx.mul(from_base(ctx, t), w))
             assert rebuilt == a
+        # outside F_{q^2} there are no coordinates: X once read (0, 0)
+        for a in (ctx.gen, ctx.add(ctx.gen, w), ctx.pow_elem(ctx.gen, q + 2)):
+            assert not ctx.in_subfield(a, 2)
+            with pytest.raises(NotInSubfieldError):
+                ctx.fq2_coords(a)
 
 
 # -- norm equation ----------------------------------------------------------

@@ -5,10 +5,30 @@ independent over F_{q^2} and a t x n coefficient matrix over F_{q^2}, so the
 error spans a t-dimensional column space; Hermitian mode draws a random
 n x t matrix B over F_{q^2} and a nonzero F_q diagonal D and returns the
 vector form of the Hermitian matrix B*D*B^*, computed without forming the
-matrix.  Either way the achieved rank is recomputed by rank_distance from
-the zero word, i.e. as the F_{q^2}-dimension of the span of the error's
-entries, and the draw is repeated until it is exactly t, so the advertised
-rank is a guarantee rather than an expectation.
+matrix.  Either way the draw is repeated until its rank is exactly t, so
+the advertised rank is a guarantee rather than an expectation.
+
+Each draw returns its error with an F_q-spanning list it has already
+formed, and the draw is kept when the list's F_q-rank is 2t: one
+elimination per draw, on a list the draw needed anyway.  The list is
+FieldContext.fq2_span(elems, v) for some v in F_{q^2} outside F_q, whose
+F_q-span is the F_{q^2}-span of elems, of F_q-dimension twice its
+F_{q^2}-dimension.
+
+* Arbitrary mode: elems is the error itself, so the check is the one
+  rank_distance makes from the zero word, less the n subtractions of zero.
+* Hermitian mode: elems is dbeta, the t elements the draw combines with
+  the conjugated rows of B (in _draw_hermitian), and v = w^q.  dbeta has
+  the F_{q^2}-rank of B: the map x -> sum_r x_r alpha_r is an
+  F_{q^2}-isomorphism F_{q^2}^n -> K, scaling column l by d_l in F_q*
+  keeps the rank, and so does raising to q^(n+1), an automorphism of K
+  that fixes F_{q^2} since n + 1 is even.  The error's rank, the
+  F_{q^2}-dimension of the span of its entries (rank_distance), is
+  rank(B*D*B^*), and that is t exactly when rank(B) = t: then B*D has
+  trivial kernel, so the rank is rank(B^*) = t, and otherwise it is at
+  most rank(B) < t.  So the check keeps exactly the draws rank_distance
+  would, and every seeded error is the same; only on a rejected draw may
+  the two ranks differ.
 
 An F_{q^2} entry s + u*w (w = fq2_w(), so {1, w} is the reduced basis) is
 drawn as its two digits, one draw below q^2 split as divmod(draw, q), and
@@ -23,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import CodeParams, rank_distance
+from .code import CodeParams
 from .exceptions import BadParamsError, BadRankError, BadShapeError
 from .field import Felt, FieldContext
 from .rng import SplitMix64
@@ -52,36 +72,37 @@ def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
         raise BadParamsError(f"unknown error mode {spec.mode!r}")
     if type(spec.seed) is not int:
         raise BadParamsError(f"channel seed must be an integer, got {spec.seed!r}")
-    if spec.t == 0:
+    if spec.t == 0:  # the arbitrary draw would have no digit rows and return ()
         return (ctx.zero,) * n
     rng = SplitMix64(spec.seed)
-    zero = (ctx.zero,) * n
+    draw = _draw_arbitrary if spec.mode == MODE_ARBITRARY else _draw_hermitian
     for _ in range(10000):
-        if spec.mode == MODE_ARBITRARY:
-            e = _draw_arbitrary(ctx, n, spec.t, rng)
-        else:
-            e = _draw_hermitian(params, n, spec.t, rng)
-        if rank_distance(params, e, zero) == spec.t:
+        e, span = draw(params, n, spec.t, rng)
+        if ctx.fq_rank(span) == 2 * spec.t:
             return e
     raise RuntimeError("rank-t sampling failed to converge")  # pragma: no cover
 
 
-def _fq2_combine(ctx: FieldContext, elems: Sequence[Felt], w: Felt, rows) -> tuple:
+def _fq2_combine(ctx: FieldContext, span: Sequence[Felt], rows) -> tuple:
     """sum_l (s_l + u_l*w) * elems[l] for each row of F_{q^2} digit pairs
-    (s_l, u_l): one F_q-combination of the s digits, then the u digits,
-    against elems and w * elems."""
-    scaled = [ctx.mul(w, x) for x in elems]
-    return ctx.fq_combine([*elems, *scaled], ([s for s, _ in row] + [u for _, u in row] for row in rows))
+    (s_l, u_l), with span = fq2_span(elems, w): one F_q-combination of the
+    s digits, then the u digits, against elems and w * elems."""
+    return ctx.fq_combine(span, ([s for s, _ in row] + [u for _, u in row] for row in rows))
 
 
-def _draw_arbitrary(ctx: FieldContext, n: int, t: int, rng: SplitMix64) -> tuple:
-    q = ctx.q
+def _draw_arbitrary(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple:
+    """(e, fq2_span(e, w)) for e = the t x n matrix of F_{q^2} digits
+    applied to t random gammas."""
+    ctx = params.ctx
+    q, w = ctx.q, ctx.fq2_w()
     gammas = [ctx.from_coeffs([rng.below(q) for _ in range(ctx.deg)]) for _ in range(t)]
     coeffs = [[divmod(rng.below(q * q), q) for _ in range(n)] for _ in range(t)]
-    return _fq2_combine(ctx, gammas, ctx.fq2_w(), zip(*coeffs))
+    e = _fq2_combine(ctx, ctx.fq2_span(gammas, w), zip(*coeffs))
+    return e, ctx.fq2_span(e, w)
 
 
 def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple:
+    """(e, fq2_span(dbeta, w^q)) for e the vector form of B*D*B^*."""
     ctx = params.ctx
     q = ctx.q
     b = [[divmod(rng.below(q * q), q) for _ in range(t)] for _ in range(n)]
@@ -93,9 +114,10 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tupl
     # F_q scalar diag[l] scales the digits of column l
     w = ctx.fq2_w()
     cols = ([(s * dl % q, u * dl % q) for s, u in col] for dl, col in zip(diag, zip(*b)))
-    dbeta = [ctx.frobenius(x, n + 1) for x in _fq2_combine(ctx, params.alpha, w, cols)]
+    dbeta = [ctx.frobenius(x, n + 1) for x in _fq2_combine(ctx, ctx.fq2_span(params.alpha, w), cols)]
     # (s + u*w)^q = s + u*w^q
-    return _fq2_combine(ctx, dbeta, ctx.frobenius(w, 1), b)
+    span = ctx.fq2_span(dbeta, ctx.frobenius(w, 1))
+    return _fq2_combine(ctx, span, b), span
 
 
 def corrupt(ctx: FieldContext, word: Sequence[Felt], error: Sequence[Felt]) -> tuple:

@@ -216,10 +216,18 @@ def decompose_eta(params: CodeParams, b: Felt) -> tuple:
     return u, v
 
 
+def _check_square(rows: Sequence[Sequence[Felt]], n: int) -> None:
+    """BadShapeError unless rows is an n x n matrix."""
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise BadShapeError(f"matrix must be {n} x {n}")
+
+
 def is_hermitian(ctx: FieldContext, rows: Sequence[Sequence[Felt]]) -> bool:
     """True when the square matrix rows over F_{q^2} equals its conjugate
-    transpose: rows[i][j] == rows[j][i]^q for all i, j."""
+    transpose: rows[i][j] == rows[j][i]^q for all i, j.  A matrix that is
+    not square raises BadShapeError."""
     n = len(rows)
+    _check_square(rows, n)
     return all(rows[i][j] == ctx.frobenius(rows[j][i], 1) for i in range(n) for j in range(n))
 
 
@@ -230,8 +238,10 @@ def codeword_to_matrix(params: CodeParams, c: Sequence[Felt]) -> tuple:
     Entry (i, r) is rel_trace(alpha_i^q * c_r), with one Frobenius power
     per basis element.  The map is total: any length-n vector converts,
     and only genuine codewords are guaranteed a Hermitian result (see
-    is_hermitian).
+    is_hermitian).  A vector of any other length raises BadShapeError.
     """
+    if len(c) != params.n:
+        raise BadShapeError(f"words need exactly {params.n} components")
     ctx = params.ctx
     alpha_q = [ctx.frobenius(a, 1) for a in params.alpha]
     return tuple(tuple(ctx.rel_trace(ctx.mul(aq, cr)) for cr in c) for aq in alpha_q)
@@ -247,8 +257,10 @@ def matrix_to_vector(params: CodeParams, rows: Sequence[Sequence[Felt]]) -> tupl
     delta_ij exactly.  Entry r is the column r of the matrix dotted with
     that basis.  The column's entries lie in F_{q^2}, which x -> x^(q^(n+1))
     fixes (n + 1 is even), so that dot is (column r dotted with
-    alpha)^(q^(n+1)): one Frobenius per column and no stored table.
+    alpha)^(q^(n+1)): one Frobenius per column and no stored table.  A
+    matrix that is not n x n raises BadShapeError.
     """
+    _check_square(rows, params.n)
     ctx = params.ctx
     return tuple(ctx.frobenius(ctx.dot(col, params.alpha), params.n + 1) for col in zip(*rows))
 
@@ -260,15 +272,16 @@ def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> i
     F_{q^2}-isomorphism K -> F_{q^2}^n, so the rank of the difference
     matrix, whose columns are the coordinates of the entries diff_r, is
     dim over F_{q^2} of span{diff_r}.  With F_{q^2} = F_q + F_q * w, that
-    span is the F_q-span of diff and w * diff, whose F_q-dimension is twice
-    the rank.  Both vectors must have n entries.
+    span is the F_q-span of diff and w * diff (FieldContext.fq2_span),
+    whose F_q-dimension is twice the rank.  Both vectors must have n
+    entries.  The channel checks its draws on the same kind of span, and
+    this stays the reference its tests compare with.
     """
     if len(a) != params.n or len(b) != params.n:
         raise BadShapeError(f"words need exactly {params.n} components")
     ctx = params.ctx
     diff = [ctx.sub(x, y) for x, y in zip(a, b)]
-    w = ctx.fq2_w()
-    full = ctx.fq_rank(diff + [ctx.mul(w, x) for x in diff])
+    full = ctx.fq_rank(ctx.fq2_span(diff, ctx.fq2_w()))
     assert full % 2 == 0  # an F_{q^2}-span has even F_q-dimension
     return full // 2
 

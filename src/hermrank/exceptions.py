@@ -38,8 +38,9 @@ class BadElementError(HermrankError, ValueError):
 class BadOperandError(HermrankError, ValueError):
     """A field operation got more terms or rows than the odd-q slot bound
     allows, operands of unequal length (dot's two sides, combine_rows'
-    values and rows, an fq_combine digit row and its elements), a negative
-    exponent, or a power or exponent that is not an int."""
+    values and rows, an fq_combine digit row and its elements), an
+    fq_combine digit outside [0, q), a negative exponent, or a power or
+    exponent that is not an int."""
 
 
 class BadShapeError(HermrankError, ValueError):

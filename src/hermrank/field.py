@@ -66,7 +66,7 @@ and the partial mod leaves at most V_k = (2^h - 1) + (B_(k-1) >> h) *
 any slot, which also bounds every high slot it leaves.  So no slot ever
 holds more than B_0 + B_1 + ... + B_F, and V_k <= B_k when W >= 1 (a zero
 tail folds in nothing).  w is the least byte count, tried in the order
-1, 2, 4, 8, 9, 10, ..., with 2^(8w) above that sum.  The width comes from
+1, 2, 3, ..., with 2^(8w) above that sum.  The width comes from
 each engine's own modulus, so the engine of every candidate the modulus
 scan tries is exact, whatever its tail.  At the canonical moduli of
 (3,9), (3,19) and (5,13) it is 2 bytes.
@@ -471,11 +471,14 @@ class FieldContext:
 
     def _digit_rows(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]):
         """The rows of digit_rows, each checked to hold one digit per
-        element, else BadOperandError: fq_combine's check on both engines,
-        so no term is dropped unmatched."""
+        element, each in [0, q), else BadOperandError: fq_combine's check
+        on both engines, so no term is dropped unmatched and no digit is
+        read mod 2 by the q = 2 XOR or carries out of an odd-q slot."""
         for digits in digit_rows:
             if len(digits) != len(elems):
                 raise BadOperandError(f"need one digit per element: {len(digits)} for {len(elems)}")
+            if digits and (min(digits) < 0 or max(digits) >= self.q):
+                raise BadOperandError(f"digits must lie in [0, {self.q})")
             yield digits
 
     def pow_elem(self, a: Felt, e: int) -> Felt:
@@ -577,6 +580,13 @@ class FieldContext:
         """Canonical element with F_{q^2} = F_q + F_q * w: the second
         element of the reduced basis of F_{q^2}, whose first is 1 (lead 0)."""
         return self.subfield_basis(2)[1]
+
+    def fq2_span(self, elems: Sequence[Felt], w: Felt) -> list:
+        """elems, then w * elems.  For w in F_{q^2} outside F_q, {1, w} is
+        an F_q-basis of F_{q^2}, so the F_q-span of this list is the
+        F_{q^2}-span of elems, and its fq_rank is twice that span's
+        F_{q^2}-dimension."""
+        return [*elems, *(self.mul(w, x) for x in elems)]
 
     def fq2_coords(self, a: Felt) -> tuple[int, int]:
         """Coordinates (s, t) with a = s + t*w for a in F_{q^2}, else
@@ -856,7 +866,7 @@ class _OddContext(FieldContext):
             folds, count = folds + 1, count + s - deg
         # the least width whose slots hold every fold (module docstring)
         top, weight = deg * deg * (q - 1) ** 2, sum(tail)
-        for width in itertools.chain((1, 2, 4, 8), itertools.count(9)):
+        for width in itertools.count(1):
             half, wrap = 4 * width, pow(2, 4 * width, q)
             bound = high = top
             for _ in range(folds):

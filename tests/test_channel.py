@@ -18,7 +18,7 @@ from hermrank import (
     rank_distance,
 )
 from hermrank import cli
-from hermrank.channel import _draw_hermitian
+from hermrank.channel import _draw_arbitrary, _draw_hermitian
 from hermrank.codec import word_from_json_obj, word_to_json_obj
 from hermrank.exceptions import BadParamsError, BadRankError, HermrankError
 from hermrank.field import FieldContext
@@ -102,14 +102,50 @@ def test_hermitian_mode_matrices_are_hermitian(params_for):
 @pytest.mark.parametrize("q,n,d", [(2, 7, 5), (3, 5, 3), (5, 5, 3)])
 def test_hermitian_draw_matches_matrix_path(params_for, q, n, d):
     # the vector-form draw gives the vector of B*D*B^* exactly, and leaves
-    # the RNG where the matrix path leaves it
+    # the RNG where the matrix path leaves it; the span it returns decides
+    # as rank_distance does (test_span_check_agrees_with_rank_distance)
     p = params_for(q, n, d)
     sub2 = p.ctx.subfield_elements(2)
+    zero = (p.ctx.zero,) * n
     for t in range(1, n + 1):
         for seed in range(4):
             fast, slow = SplitMix64(50 * t + seed), SplitMix64(50 * t + seed)
-            assert _draw_hermitian(p, n, t, fast) == draw_hermitian_via_matrix(p, n, t, slow, sub2)
+            e, span = _draw_hermitian(p, n, t, fast)
+            assert e == draw_hermitian_via_matrix(p, n, t, slow, sub2)
             assert fast.next_u64() == slow.next_u64()
+            _check_span(p, e, span, t, zero, exact=False)
+
+
+def _check_span(p, e, span, t, zero, exact):
+    """The span check decides as rank_distance from the zero word does, and
+    returns whether the draw is rejected.  In arbitrary mode (exact) the
+    span is fq2_span(e, w), of F_q-rank twice the error's rank.  In
+    Hermitian mode it is fq2_span(dbeta, w^q), of F_q-rank 2 rank(B), and
+    the error's rank rank(B*D*B^*) is at most rank(B), equal when
+    rank(B) = t; below t it can be less, e.g. 0 for B = (b, b) at q = 2."""
+    rank = rank_distance(p, e, zero)
+    full = p.ctx.fq_rank(span)
+    assert full % 2 == 0 and 2 * rank <= full <= 2 * t
+    assert not exact or full == 2 * rank
+    assert (full == 2 * t) == (rank == t)
+    return rank != t
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 3, 3), (3, 3, 3), (2, 5, 3), (5, 3, 3), (3, 5, 3)])
+def test_span_check_agrees_with_rank_distance(params_for, q, n, d):
+    # the channel keeps a draw when its span has F_q-rank 2t; draw by
+    # draw, that is the decision rank_distance makes, in both modes and at
+    # every t.  Small q makes rank-deficient draws common
+    p = params_for(q, n, d)
+    zero = (p.ctx.zero,) * n
+    for draw in (_draw_arbitrary, _draw_hermitian):
+        rng = SplitMix64(1000 * q + n)
+        rejected = 0
+        for t in range(1, n + 1):
+            for _ in range(40):
+                e, span = draw(p, n, t, rng)
+                rejected += _check_span(p, e, span, t, zero, exact=draw is _draw_arbitrary)
+        assert rejected > 0
 
 
 def test_arbitrary_mode_is_genuinely_wider(params_for):

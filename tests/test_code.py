@@ -281,6 +281,30 @@ def test_matrix_vector_roundtrip(params_for, q, n, d):
         assert matrix_to_vector(p, codeword_to_matrix(p, word)) == word
 
 
+def test_matrix_conversions_reject_wrong_shapes(params_for):
+    # matrix_to_vector once read 4 entries from a 5 x 4 matrix and 2 from a
+    # ragged one, is_hermitian raised a bare IndexError on 5 x 4 and said
+    # True on 5 x 6, and codeword_to_matrix made a 5 x 3 matrix of 3 entries
+    p = params_for(3, 5, 3)
+    ctx = p.ctx
+    word = _rand_word(p, SplitMix64(41))
+    rows = codeword_to_matrix(p, word)
+    narrow = tuple(row[:-1] for row in rows)
+    wide = tuple(row + (ctx.zero,) for row in rows)
+    ragged = rows[:2] + narrow[2:]
+    for bad in (narrow, wide, ragged, rows[:-1], rows + rows[:1]):
+        with pytest.raises(BadShapeError):
+            matrix_to_vector(p, bad)
+    for bad in (narrow, wide, ragged):
+        with pytest.raises(BadShapeError):
+            is_hermitian(ctx, bad)
+    for bad in ((), word[:3], word + word[:1]):
+        with pytest.raises(BadShapeError):
+            codeword_to_matrix(p, bad)
+    assert matrix_to_vector(p, rows) == word
+    assert is_hermitian(ctx, ()) and is_hermitian(ctx, ((ctx.one,),))
+
+
 # -- rank distance ----------------------------------------------------------
 
 

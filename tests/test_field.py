@@ -485,6 +485,21 @@ def test_unmatched_terms_rejected(q, n):
     assert ctx.fq_combine([], [[], []]) == (ctx.zero, ctx.zero)
 
 
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
+def test_fq_combine_rejects_digits_outside_fq(q, n):
+    # the q = 2 XOR once read any nonzero digit as 1, so fq_combine([X],
+    # [[2]]) and [[-1]] gave (X,), and at q = 3 a digit -1 ended in a bare
+    # OverflowError; a row is checked whole, so a bad digit anywhere fails
+    ctx = make_context(q, n)
+    x = ctx.gen
+    for row in ([q], [-1], [0, q], [q - 1, -1], [10**6, 0]):
+        with pytest.raises(BadOperandError):
+            ctx.fq_combine([x] * len(row), [row])
+        with pytest.raises(BadOperandError):
+            ctx.fq_combine([x] * len(row), [[0] * len(row), row])
+    assert ctx.fq_combine([x, ctx.one], [[q - 1, 0], [0, 0]]) == (ctx.neg(x), ctx.zero)
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (3, 3), (251, 3)])
 def test_inverse_of_zero_rejected(q, n):
     # each engine has its own inv and its own zero check
@@ -566,7 +581,8 @@ def _check_fold_at_bound(ctx):
 
 #: Odd points of the fold oracle: every odd point of the packed-row tests,
 #: three where 2^h mod q, the partial mod's multiplier, is above 1, the
-#: 4-byte slots at each side of q = 128 and the 4-byte slots of (31,5).
+#: 3-byte slots at each side of q = 128 and of (31,5), and the 4-byte slots
+#: of (251,3).
 FOLD_POINTS = sorted(
     {(q, n) for q, n, _ in PACKED_POINTS if q > 2} | {(7, 11), (13, 7), (31, 5), (127, 3), (131, 3), (251, 3)}
 )
@@ -670,6 +686,14 @@ def test_slot_width_stays_two_bytes(q, n):
     # benchmark points; the width comes from the modulus, so a change to
     # the fold's bound could widen it with every test still passing
     assert make_context(q, n)._bits == 16
+
+
+@pytest.mark.parametrize("q,n,width", [(3, 9, 2), (3, 19, 2), (5, 13, 2), (31, 5, 3), (127, 3, 3), (131, 3, 3),
+                                       (251, 3, 4), (65521, 1, 5), (4294967291, 1, 9)])
+def test_slot_width_is_least_byte_count(q, n, width):
+    # the width is the least byte count that holds every fold, tried from
+    # 1 byte up: 3, 5, 6 and 7 bytes are as good as 4 and 8
+    assert make_context(q, n)._bits == 8 * width
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (2, 15), (3, 5), (5, 3), (251, 3)])

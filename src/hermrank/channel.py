@@ -30,12 +30,17 @@ F_{q^2}-dimension.
   would, and every seeded error is the same; only on a rejected draw may
   the two ranks differ.
 
-An F_{q^2} entry s + u*w (w = fq2_w(), so {1, w} is the reduced basis) is
-drawn as its two digits, one draw below q^2 split as divmod(draw, q), and
-is never formed as an element: each error entry is an F_q-combination of
-the digits (FieldContext.fq_combine), and the conjugate of s + u*w is
-s + u*w^q.  A draw costs no memory in q, so the channel, and with it the
-CLI's corrupt and simulate, runs at every q the element budget admits.
+Every digit comes from blocks of SplitMix64.draws, in the order per-call
+draws would take.  Arbitrary mode draws t * 2n digits below q for the t
+gammas, then t * n draws below q^2 for the t x n coefficient matrix, row by
+row; Hermitian mode draws n * t below q^2 for B, row by row, then, for
+q > 2 only, t below q - 1 for the diagonal of D.  An F_{q^2} entry s + u*w
+(w = fq2_w(), so {1, w} is the reduced basis) is one draw below q^2 split
+as divmod(draw, q) into its two digits, and is never formed as an element:
+each error entry is an F_q-combination of the digits
+(FieldContext.fq_combine), and the conjugate of s + u*w is s + u*w^q.  A
+draw costs no memory in q, so the channel, and with it the CLI's corrupt
+and simulate, runs at every q the element budget admits.
 """
 
 from __future__ import annotations
@@ -94,10 +99,12 @@ def _draw_arbitrary(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tupl
     """(e, fq2_span(e, w)) for e = the t x n matrix of F_{q^2} digits
     applied to t random gammas."""
     ctx = params.ctx
-    q, w = ctx.q, ctx.fq2_w()
-    gammas = [ctx.from_coeffs([rng.below(q) for _ in range(ctx.deg)]) for _ in range(t)]
-    coeffs = [[divmod(rng.below(q * q), q) for _ in range(n)] for _ in range(t)]
-    e = _fq2_combine(ctx, ctx.fq2_span(gammas, w), zip(*coeffs))
+    q, w, deg = ctx.q, ctx.fq2_w(), ctx.deg
+    digits = rng.draws(q, t * deg)
+    gammas = [ctx.from_coeffs(digits[i : i + deg]) for i in range(0, t * deg, deg)]
+    coeffs = [divmod(x, q) for x in rng.draws(q * q, t * n)]
+    # coeffs holds t rows of n; column r is coeffs[r], coeffs[r + n], ...
+    e = _fq2_combine(ctx, ctx.fq2_span(gammas, w), (coeffs[r::n] for r in range(n)))
     return e, ctx.fq2_span(e, w)
 
 
@@ -105,8 +112,9 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tupl
     """(e, fq2_span(dbeta, w^q)) for e the vector form of B*D*B^*."""
     ctx = params.ctx
     q = ctx.q
-    b = [[divmod(rng.below(q * q), q) for _ in range(t)] for _ in range(n)]
-    diag = [1 + rng.below(q - 1) if q > 2 else 1 for _ in range(t)]
+    pairs = [divmod(x, q) for x in rng.draws(q * q, n * t)]
+    b = [pairs[i : i + t] for i in range(0, n * t, t)]
+    diag = [1 + x for x in rng.draws(q - 1, t)] if q > 2 else [1] * t
     # B*D*B^* has entry (i, r) = sum_l b[i][l] * diag[l] * b[r][l]^q, and
     # matrix_to_vector maps column r to (column r dotted with alpha)^(q^(n+1)),
     # so entry r of the vector is sum_l b[r][l]^q * dbeta[l] with

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exceptions import BadParamsError, BadShapeError, BasisSearchFailedError
+from .exceptions import BadParamsError, BadShapeError, BasisSearchFailedError, NotInSubfieldError
 from .field import Felt, FieldContext, context_from_json_obj, json_field, make_context
 from .linpoly import lp_interpolate
 from .rng import GOLDEN, SplitMix64
@@ -49,10 +49,11 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
     """Orthonormal basis of K for the unitary pairing, by Gram-Schmidt.
 
     Random candidate vectors come from a SplitMix64 stream seeded from
-    (q, n) only, so the result is deterministic.  Each step projects the
-    candidate against the prefix, rejects it while its self-pairing is zero
-    (the isotropic cone misses most vectors), and scales by a solution of
-    the norm equation so the self-pairing becomes exactly 1.  The result is
+    (q, n) only, so the result is deterministic; a candidate's 2n digits
+    are one block of draws.  Each step projects the candidate against the
+    prefix, rejects it while its self-pairing is zero (the isotropic cone
+    misses most vectors), and scales by a solution of the norm equation so
+    the self-pairing becomes exactly 1.  The result is
     certified once, by build_params (see _moore_inv).
     """
     q, deg = ctx.q, ctx.deg
@@ -61,7 +62,7 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
     budget = 64 * q
     while len(basis) < ctx.n:
         for _ in range(budget):
-            v = ctx.from_coeffs([rng.below(q) for _ in range(deg)])
+            v = ctx.from_coeffs(rng.draws(q, deg))
             for a in basis:
                 v = ctx.sub(v, ctx.mul(unitary_pairing(ctx, a, v), a))
             sp = unitary_pairing(ctx, v, v)
@@ -258,10 +259,13 @@ def matrix_to_vector(params: CodeParams, rows: Sequence[Sequence[Felt]]) -> tupl
     that basis.  The column's entries lie in F_{q^2}, which x -> x^(q^(n+1))
     fixes (n + 1 is even), so that dot is (column r dotted with
     alpha)^(q^(n+1)): one Frobenius per column and no stored table.  A
-    matrix that is not n x n raises BadShapeError.
+    matrix that is not n x n raises BadShapeError, and one with an entry
+    outside F_{q^2}, for which that identity fails, NotInSubfieldError.
     """
     _check_square(rows, params.n)
     ctx = params.ctx
+    if not all(ctx.in_subfield(x, 2) for row in rows for x in row):
+        raise NotInSubfieldError("matrix entries must lie in F_{q^2}")
     return tuple(ctx.frobenius(ctx.dot(col, params.alpha), params.n + 1) for col in zip(*rows))
 
 

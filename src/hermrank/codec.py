@@ -71,9 +71,10 @@ def random_message(params: CodeParams, rng: SplitMix64) -> Message:
     ctx = params.ctx
     basis = ctx.subfield_basis(ctx.n)
     # each part is an F_q-combination of the basis, one digit drawn per
-    # basis element in order
-    digits = [[rng.below(ctx.q) for _ in basis] for _ in range(params.k)]
-    return Message(ctx.fq_combine(basis, digits))
+    # basis element in order, all k * n digits in one block
+    n = len(basis)
+    digits = rng.draws(ctx.q, params.k * n)
+    return Message(ctx.fq_combine(basis, (digits[i : i + n] for i in range(0, len(digits), n))))
 
 
 def expand_message(params: CodeParams, msg: Message) -> tuple:

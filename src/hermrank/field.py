@@ -817,12 +817,14 @@ class _Gf2Context(FieldContext):
         return pivots
 
 
+@functools.lru_cache(maxsize=None)
 def _byte_codec(q: int, width: int, count: int):
     """(lift, canon) for q < 128 between tuples of count coefficients in
     [0, q) and one int holding entry i in bytes width*i .. width*(i+1)-1.
     lift spreads the entries' bytes at stride width; canon takes count
     slots, each below 2^(8*width), to their residues mod q by byte folds
-    and one bytes.translate (module docstring)."""
+    and one bytes.translate (module docstring).  Built once per shape: the
+    modulus scan builds an engine for every candidate it tries."""
     table = bytes(x % q for x in range(256))
     size = width * count
     zeros = bytes(size)

@@ -30,6 +30,7 @@ from hermrank.exceptions import (
     BasisSearchFailedError,
     EvenExtensionError,
     HermrankError,
+    NotInSubfieldError,
     TooLargeError,
 )
 from hermrank.linpoly import lp_interpolate
@@ -303,6 +304,19 @@ def test_matrix_conversions_reject_wrong_shapes(params_for):
             codeword_to_matrix(p, bad)
     assert matrix_to_vector(p, rows) == word
     assert is_hermitian(ctx, ()) and is_hermitian(ctx, ((ctx.one,),))
+
+
+def test_matrix_to_vector_rejects_entries_outside_fq2(params_for):
+    # X lies outside F_{q^2}; matrix_to_vector once converted this matrix
+    # to a word whose codeword_to_matrix was another matrix
+    p = params_for(3, 5, 3)
+    ctx = p.ctx
+    rows = [[ctx.zero] * 5 for _ in range(5)]
+    rows[0][0] = ctx.gen
+    with pytest.raises(NotInSubfieldError):
+        matrix_to_vector(p, rows)
+    rows[0][0] = ctx.fq2_w()
+    assert codeword_to_matrix(p, matrix_to_vector(p, rows)) == tuple(map(tuple, rows))
 
 
 # -- rank distance ----------------------------------------------------------

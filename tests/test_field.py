@@ -617,6 +617,24 @@ def test_fold_at_slot_bound_matches_schoolbook(q, n):
     assert ctx.fq_rank(elems) == matrix_rank(ctx, coeff_rows) == 2
 
 
+def test_byte_codec_is_built_once_and_agrees_with_a_fresh_one():
+    # the modulus scan at (5,13) builds 57 engines; they share two codecs
+    ctx = make_context(5, 13)
+    width = ctx._bits // 8
+    lift, canon = field._byte_codec(5, width, ctx.deg)
+    assert (ctx._lift, ctx._canon) == (lift, canon)
+    assert ctx._lanes is field._byte_codec(5, 1, ctx.deg)[0]
+    fresh_lift, fresh_canon = field._byte_codec.__wrapped__(5, width, ctx.deg)
+    assert fresh_lift is not lift
+    rng = SplitMix64(513)
+    for _ in range(20):
+        v = tuple(rng.draws(5, ctx.deg))
+        assert lift(v) == fresh_lift(v) and canon(lift(v)) == fresh_canon(fresh_lift(v)) == v
+        slots = rng.draws(256**width, ctx.deg)
+        packed = sum(s << 8 * width * i for i, s in enumerate(slots))
+        assert canon(packed) == fresh_canon(packed) == tuple(s % 5 for s in slots)
+
+
 @pytest.mark.parametrize("q,n", [(3, 5), (5, 3)])
 def test_fold_on_scan_candidates_with_longest_tails(q, n, rand_felt):
     # the scan builds an engine for a candidate before it knows whether it

@@ -46,3 +46,32 @@ def test_below_range_and_coverage():
     assert seen == set(range(7))
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 9, 25, 4294967291**2])
+@pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 527])
+def test_draws_match_calls_of_below(bound, count):
+    block, loop = SplitMix64(0xD1CE + count), SplitMix64(0xD1CE + count)
+    assert block.draws(bound, count) == [loop.below(bound) for _ in range(count)]
+    assert block.next_u64() == loop.next_u64()
+
+
+def test_draws_interleave_with_single_draws():
+    # one stream mixing the three kinds of call stays in step with a
+    # stream making only next_u64 calls
+    rng, ref = SplitMix64(2024), SplitMix64(2024)
+    for count in (5, 0, 64, 1, 17):
+        assert rng.next_u64() == ref.next_u64()
+        assert rng.draws(11, count) == [ref.next_u64() % 11 for _ in range(count)]
+        assert rng.below(13) == ref.next_u64() % 13
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_draws_reject_nonpositive_bound_or_negative_count(bound):
+    rng = SplitMix64(5)
+    for count in (0, 3):
+        with pytest.raises(ValueError):
+            rng.draws(bound, count)
+    with pytest.raises(ValueError):
+        rng.draws(2, -1)
+    assert rng.next_u64() == SplitMix64(5).next_u64()

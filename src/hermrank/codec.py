@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 
 from .code import CodeParams, _cyclic_order, decompose_eta
 from .exceptions import (
+    BadOperandError,
     BadRankError,
     BadShapeError,
     NotInSubfieldError,
@@ -141,30 +142,51 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     bookkeeping is unchanged.  The divisor's inverse is inv(delta_prev)
     twisted by q^(2s), as Frobenius is a field automorphism, so delta_prev
     is inverted once, when it is set: one inversion per length change.
+
+    It runs on the field's kernel (hermrank.field): C and B are monic, so a
+    discrepancy's l = 0 term is seq[j] itself and an update's gap term is
+    coef itself, plain adds.  C[1:] is lifted once per connection
+    polynomial and the tables T_2l are fetched once, so a discrepancy is
+    seq[j] lifted plus one unreduced product per other nonzero term, and
+    each other update is one fused reduction of lift(a) + lift(-coef) *
+    lift(b^(q^(2s))).  A discrepancy puts at most (q-1) + (2n-1) * 2n *
+    (q-1)^2 <= B = 4n^2 (q-1)^2 in an odd-q slot, as seq holds at most 2n
+    terms (else BadOperandError; decode's d-1 < n do), and an update at
+    most (q-1) + 2n * (q-1)^2.  At q = 2 a slot of either holds at most
+    2n + 1 < 256, and _reduce takes its parity.
     """
     ctx = params.ctx
-    conn = [ctx.one]
+    if len(seq) > ctx.deg:
+        raise BadOperandError(f"need at most 2n terms, got {len(seq)}")
+    lift, apply, reduce, zero = ctx._lift, ctx._apply_linear, ctx._reduce, ctx.zero
+    tables = [ctx._frob_rows(2 * l) for l in range(1, len(seq) + 1)]
+    conn, lifted = [ctx.one], []  # lifted is conn[1:] lifted
     prev = [ctx.one]
     length = 0
     gap = 1
     prev_inv = ctx.one  # inv(delta_prev)
-    for j, _ in enumerate(seq):
-        live = [l for l, cl in enumerate(conn[: j + 1]) if cl != ctx.zero]
-        delta = ctx.dot([conn[l] for l in live], [ctx.frobenius(seq[j - l], 2 * l) for l in live])
-        if delta == ctx.zero:
+    for j, s in enumerate(seq):
+        terms = [c * lift(apply(tab, x)) for c, tab, x in zip(lifted, tables, reversed(seq[:j])) if x != zero]
+        terms.append(lift(s))
+        delta = reduce(ctx._sum(terms))
+        if delta == zero:
             gap += 1
             continue
-        coef = ctx.mul(delta, ctx.frobenius(prev_inv, 2 * gap))
-        updated = conn + [ctx.zero] * max(0, len(prev) + gap - len(conn))
-        for l, bl in enumerate(prev):
-            if bl != ctx.zero:
-                updated[l + gap] = ctx.sub(updated[l + gap], ctx.mul(coef, ctx.frobenius(bl, 2 * gap)))
+        tab = tables[gap - 1]
+        coef = delta if prev_inv == ctx.one else reduce(lift(delta) * lift(apply(tab, prev_inv)))
+        minus = lift(ctx.neg(coef))
+        updated = conn + [zero] * max(0, len(prev) + gap - len(conn))
+        updated[gap] = ctx.sub(updated[gap], coef)
+        for l, b in enumerate(prev[1:], gap + 1):
+            if b != zero:
+                updated[l] = reduce(lift(updated[l]) + minus * lift(apply(tab, b)))
         if 2 * length <= j:
             prev, prev_inv, length = conn, ctx.inv(delta), j + 1 - length
             gap = 1
         else:
             gap += 1
         conn = updated
+        lifted = [lift(c) for c in conn[1:]]
     lam = [ctx.neg(c) for c in conn[1:]]
     lam += [ctx.zero] * (length - len(lam))
     return length, tuple(lam[:length])
@@ -176,33 +198,49 @@ def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt])
 
     Position p consumes p-1 .. p-t, which are exposed or already produced
     because the register length t never exceeds d-1.  exposed must hold
-    exactly d-1 coefficients (BadShapeError).
+    exactly d-1 coefficients (BadShapeError).  lam is lifted once, and each
+    position is one _feedback.
     """
     if len(exposed) != params.d - 1:
         raise BadShapeError(f"exposed needs exactly {params.d - 1} coefficients, got {len(exposed)}")
     t = len(lam)
     if not 1 <= t <= params.d - 1:
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
+    ctx = params.ctx
+    lifted, tables = _register(ctx, lam)
     g = list(exposed)
     for p in range(params.d - 1, params.n):
-        g.append(_feedback(params.ctx, g, lam, p))
+        g.append(_feedback(ctx, g, lifted, tables, p))
     return tuple(g)
 
 
-def _feedback(ctx, g: Sequence[Felt], lam: Sequence[Felt], p: int) -> Felt:
-    """The register's output at position p: sum_l lam[l-1] * g[p-l]^(q^(2l))."""
-    live = [l for l in range(1, len(lam) + 1) if g[p - l] != ctx.zero]
-    images = [ctx.frobenius(g[p - l], 2 * l) for l in live]
-    return ctx.dot([lam[l - 1] for l in live], images)
+def _register(ctx, lam: Sequence[Felt]) -> tuple:
+    """The register lam for _feedback: its coefficients lifted, and the
+    tables T_2l of x -> x^(q^(2l)), l = 1 .. t."""
+    return [ctx._lift(c) for c in lam], [ctx._frob_rows(2 * l) for l in range(1, len(lam) + 1)]
+
+
+def _feedback(ctx, run: Sequence[Felt], lifted: list, tables: list, p: int) -> Felt:
+    """The register's output at position p >= t of run: sum_l lam_l *
+    run[p-l]^(q^(2l)), one unreduced product of lifted lam_l with each
+    nonzero image lifted, and one _reduce.  t <= d-1 < 2n terms put at most
+    2n * 2n * (q-1)^2 = B in an odd-q slot; at q = 2 the XOR holds at most
+    2n in a slot."""
+    lift, apply, zero = ctx._lift, ctx._apply_linear, ctx.zero
+    terms = [c * lift(apply(tab, x)) for c, tab, x in zip(lifted, tables, reversed(run[p - len(lifted) : p])) if x != zero]
+    return ctx._reduce(ctx._sum(terms))
 
 
 def _register_closes(params: CodeParams, g: tuple, lam: Sequence[Felt]) -> bool:
     """True when the register lam generates g, in the cyclic order and
     completed from lam, all the way round: running it on over positions
     n .. n+t-1 of g + g[:t] gives back g[:t].  Every other position holds
-    by construction (see decode)."""
+    by construction (see decode).  Each position is one _feedback, as in
+    complete_g."""
+    ctx = params.ctx
+    lifted, tables = _register(ctx, lam)
     run = g + g[: len(lam)]
-    return all(run[p] == _feedback(params.ctx, run, lam, p) for p in range(params.n, len(run)))
+    return all(run[p] == _feedback(ctx, run, lifted, tables, p) for p in range(params.n, len(run)))
 
 
 def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:

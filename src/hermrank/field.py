@@ -21,7 +21,8 @@ int product, whose slot k holds the k-th coefficient of the convolution.
 Each engine supplies only the rest of the kernel, and ``FieldContext``
 writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows`` and ``_to_rows``
 once on top, and the q = 2 engine keeps its own packed rows and
-linear-map tables (below):
+linear-map tables (below).  The decoder's skew register
+(``hermrank.codec``) runs on the same hooks, under the same bounds:
 
 * ``_lift`` maps an element to the int it multiplies as, its packed
   slots.  For q = 2 a slot is one byte: bit i of the element goes to byte
@@ -127,16 +128,19 @@ bits at bit 4n * j.  Spread rows would be 8 times the bytes, and at
 its whole row.  It builds the row's 16-entry shift table, XORs entry
 t[v] into bucket k for each nibble v at position k of the scalar (its
 hex digits, read by one ``bytes.translate``), and shifts each bucket by
-4k once after all rows.  Each of the n output fields is then spread by
-``_lift`` for its one ``_reduce``.
+4k once after all rows.  Then one fold takes all n output fields at once:
+while any field has bits at or above 2n, its high part h, shifted down,
+is XORed back in shifted by each set bit b of the tail r.  deg h <= 2n - 2
+and b < 2n, so no term leaves its field, and each round lowers the top
+degree, as deg r < 2n.  The fields are then cut out as compact elements,
+with no ``_lift`` and no ``_reduce``.
 
 The stride is what a product of two elements fills, so the fields of a
 sum never overlap:
 
 * q = 2: a carry-less product of two elements of 2n bits has at most
   4n - 1 bits, and XOR never carries, so field j of the sum is exactly
-  sum_r v_r * table[r][j] before reduction, and spread it is 4n - 1
-  slots of 0 or 1.
+  sum_r v_r * table[r][j] before reduction.
 * odd q: a product fills the 4n - 1 slots of its field, and field j of the
   sum adds one product per row, so a square table's n rows put at most
   n * 2n * (q-1)^2 in a slot, and the encoder's k <= n rows at most
@@ -690,6 +694,10 @@ class _Gf2Context(FieldContext):
         self._low = (1 << self._split) - 1
         self._ones = int.from_bytes(b"\1" * 2 * deg, "little")
         self._tail = self._lift(self._fpacked ^ 1 << deg)
+        # combine_rows' fold: the low 2n bits of each of its n fields, and
+        # the set bits of the tail
+        self._lows = ((1 << self._stride * self.n) - 1) // ((1 << self._stride) - 1) * ((1 << deg) - 1)
+        self._shifts = [b for b in range(deg) if self.modulus[b]]
 
     def add(self, a, b):
         return a ^ b
@@ -724,8 +732,8 @@ class _Gf2Context(FieldContext):
         """The 4-bit windowed carry-less product of each value with its
         whole row: entry t[w] of the row's 16-entry shift table XORed into
         bucket k for the hex digit w at position k of the value, and each
-        bucket shifted once; then each output field spread for its
-        _reduce."""
+        bucket shifted once; then one fold of all n output fields by the
+        tail (module docstring)."""
         if len(rows) > self.deg or len(values) != len(rows):
             raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
         buckets = [0] * -(-self.deg // 4)
@@ -737,9 +745,11 @@ class _Gf2Context(FieldContext):
             for k, w in enumerate(f"{v:x}".encode()[::-1].translate(_NIBBLES)):
                 buckets[k] ^= t[w]
         acc = functools.reduce(lambda p, b: p << 4 ^ b, reversed(buckets), 0)
-        stride = self._stride
-        mask = (1 << stride) - 1
-        return tuple(self._reduce(self._lift(acc >> stride * j & mask)) for j in range(self.n))
+        deg, stride, lows = self.deg, self._stride, self._lows
+        while high := acc >> deg & lows:
+            acc = functools.reduce(operator.xor, (high << b for b in self._shifts), acc & lows)
+        mask = (1 << deg) - 1
+        return tuple(acc >> stride * j & mask for j in range(self.n))
 
     def inv(self, a):
         if a == 0:
@@ -928,13 +938,14 @@ class _OddContext(FieldContext):
         if a == self.zero:
             raise ZeroInputError("inverse of zero")
         q, lift, reduce, frob = self.q, self._lift, self._reduce, self._frob_rows
+        a_lift = lift(a)
         b, k = self._apply_linear(frob(1), a), 1
         for bit in bin(self.deg - 1)[3:]:
             b, k = reduce(lift(b) * lift(self._apply_linear(frob(k), b))), 2 * k
             if bit == "1":
-                b, k = self._apply_linear(frob(1), reduce(lift(a) * lift(b))), k + 1
-        scale = pow(reduce(lift(a) * lift(b))[0], -1, q)
-        return self._canon(scale * lift(b))
+                b, k = self._apply_linear(frob(1), reduce(a_lift * lift(b))), k + 1
+        b_lift = lift(b)
+        return self._canon(pow(reduce(a_lift * b_lift)[0], -1, q) * b_lift)
 
     def _coprime_to_modulus(self, h):
         # Euclid on coefficient lists, least significant first; a division

@@ -39,6 +39,7 @@ from hermrank.codec import (
 )
 from hermrank.linpoly import lp_interpolate
 from hermrank.exceptions import (
+    BadOperandError,
     BadRankError,
     BadShapeError,
     NotInSubfieldError,
@@ -333,6 +334,20 @@ def test_solve_key_equation_overestimated_rank(params_for):
 def test_skew_bm_zero_sequence(params_for):
     p = params_for(2, 5, 3)
     assert skew_bm(p, [p.ctx.zero] * 4) == (0, ())
+
+
+def test_skew_bm_takes_at_most_2n_terms(params_for, rand_felt):
+    # the register runs on unreduced sums whose odd-q slot bound holds for
+    # at most 2n terms: 2n random terms give the reference's register, and
+    # one more is refused
+    p = params_for(3, 3, 3)
+    ctx = p.ctx
+    rng = SplitMix64(2027)
+    for _ in range(20):
+        seq = [rand_felt(ctx, rng) for _ in range(ctx.deg)]
+        assert skew_bm(p, seq) == reference_skew_bm(p, seq)
+    with pytest.raises(BadOperandError):
+        skew_bm(p, seq + [ctx.one])
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -772,6 +787,37 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
             assert all(type(r) is array and r.typecode == "Q" and len(r) == 16 for r in rows)
         else:
             assert len(rows) == ctx.deg and all(type(r) is int for r in rows)
+
+
+# kernel primitives of one decode at the benchmark's first and third
+# points, within the radius: (_lift, _reduce, _apply_linear)
+DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (445, 103, 292), (3, 19, 9, 4, MODE_HERMITIAN): (247, 100, 141)}
+
+
+@pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))
+def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
+    # machine-independent guard of the register on lifted operands: each
+    # register coefficient is lifted once per register, not once per
+    # product, and q = 2 interpolation and encoding fold all n outputs at
+    # once, with no _lift or _reduce
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    msg, _, received = _noisy(p, 61, t, mode)
+    assert decode(p, received).message == msg  # every table decode reads is built
+    counts = dict.fromkeys(("_lift", "_reduce", "_apply_linear"), 0)
+    for name in counts:
+        def counting(*args, _orig=getattr(ctx, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setitem(vars(ctx), name, counting)
+    res = decode(p, received)
+    assert res.ok and res.message == msg and res.error_rank == t
+    assert tuple(counts.values()) == DECODE_PRIMITIVES[q, n, d, t, mode]
+    if q == 2:
+        counts.update(dict.fromkeys(counts, 0))
+        encode(p, msg)
+        assert (counts["_lift"], counts["_reduce"]) == (16, 8)
 
 
 # exact products and Frobenius powers of one encode: all of them are

@@ -718,7 +718,8 @@ def test_slot_width_is_least_byte_count(q, n, width):
 def test_products_reduce_once(monkeypatch, q, n, rand_felt):
     # machine-independent guard of the one product kernel on each engine:
     # mul and dot sum unreduced products and reduce once, and combine_rows
-    # reduces once per output
+    # reduces once per output at odd q; at q = 2 it folds all n outputs at
+    # once and makes no _reduce
     ctx = make_context(q, n)
     rng = SplitMix64(11 * q + n)
     xs = [rand_felt(ctx, rng) for _ in range(2 * n)]
@@ -739,7 +740,7 @@ def test_products_reduce_once(monkeypatch, q, n, rand_felt):
     values = xs[:n]
     expected = tuple(reference_field.dot(ctx, values, col) for col in zip(*table))
     assert ctx.combine_rows(values, rows) == expected
-    assert len(reduced) == 2 + n
+    assert len(reduced) == 2 + (0 if q == 2 else n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (2, 31), (3, 9), (3, 19), (5, 13), (4294967291, 1)])
@@ -761,6 +762,30 @@ def test_combine_rows_on_non_square_tables(q, n, rand_felt):
         for tbl, values in cases:
             got = ctx.combine_rows(values, ctx.pack_rows(tbl))
             assert got == tuple(ctx.dot(values, col) for col in zip(*tbl))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 31])
+def test_gf2_combine_rows_fold_matches_schoolbook(n, rand_felt):
+    # q = 2 combine_rows folds all n output fields at once by the tail.
+    # Tails of degree 2n - 1 take the most rounds (X^(2n-1) alone lowers the
+    # top degree by one per round), on engines the modulus scan may build;
+    # (2,31) runs on its canonical modulus.  Random, all-ones and zero
+    # values on tables with a zero row, against a schoolbook dot per column
+    deg = 2 * n
+    if n == 31:
+        engines, heights = [make_context(2, n)], (1, 2)
+    else:
+        tails = [(0,) * (deg - 1) + (1,), (1,) * deg, (1,) + (0,) * (deg - 2) + (1,)]
+        engines, heights = [field._Gf2Context(2, n, tail + (1,)) for tail in tails], (1, n, deg)
+    rng = SplitMix64(2 * n + 1)
+    for ctx in engines:
+        for height in heights:
+            table = [[rand_felt(ctx, rng) for _ in range(n)] for _ in range(height)]
+            table[-1] = [ctx.zero] * n
+            for values in ([rand_felt(ctx, rng) for _ in range(height)], [(1 << deg) - 1] * height,
+                           [ctx.zero] * height):
+                expected = tuple(reference_field.dot(ctx, values, col) for col in zip(*table))
+                assert ctx.combine_rows(values, ctx.pack_rows(table)) == expected, ctx.modulus
 
 
 @pytest.mark.parametrize("q,n", [(3, 19), (5, 13), (4294967291, 1)])

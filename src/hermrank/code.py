@@ -77,23 +77,13 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
     return tuple(basis)
 
 
-def _center(n: int) -> int:
-    """m, the index the message window is centred on (CodeParams.m)."""
-    return (n + 1) // 2
-
-
-def _half_width(n: int, d: int) -> int:
-    """kappa, the window's half-width (CodeParams.kappa)."""
-    return (n - d) // 2
-
-
 def _cyclic_order(n: int, d: int) -> list:
     """The n coefficient indices in decoding order, from the first exposed
-    index m+kappa+1 (mod n): the d-1 exposed indices, then the window
-    m-kappa .. m+kappa.  The code's one index decision: the decoder reads
-    beta in this order, and the encoder rows follow its window."""
-    start = _center(n) + _half_width(n, d) + 1
-    return [(start + p) % n for p in range(n)]
+    index m+kappa+1 = n+1-radius, that is 1-radius (mod n): the d-1
+    exposed indices, then the window m-kappa .. m+kappa.  The code's one
+    index decision: the decoder reads beta in this order, and the encoder
+    rows follow its window."""
+    return [(p + 1 - (d - 1) // 2) % n for p in range(n)]
 
 
 def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
@@ -175,11 +165,11 @@ class CodeParams:
 
     @property
     def m(self) -> int:
-        return _center(self.n)
+        return (self.n + 1) // 2
 
     @property
     def kappa(self) -> int:
-        return _half_width(self.n, self.d)
+        return (self.n - self.d) // 2
 
     @property
     def k(self) -> int:

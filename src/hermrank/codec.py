@@ -20,21 +20,26 @@ codewords have rank at least d; that is the whole distance argument.
 Decoding interpolates the received word to beta = coeff + error_coeffs,
 one packed combination of the certified Moore rows (CodeParams.moore_packed),
 and reads it once, in the cyclic order from the first exposed index
-m+kappa+1 (mod n): positions 0 .. d-2 lie outside the window, so they hold
-error coefficients directly, and positions d-1 .. n-1 are the window
-m-kappa .. m+kappa.  It synthesizes the shortest skew feedback register
-generating the exposed positions (the recurrence g_p = sum_l lambda_l *
-g_{p-l}^(q^(2l)) holds all the way round the cycle for a rank-t error),
-runs it forward over the window to complete the error coefficients,
-subtracts, and extracts the message.  The register is unique (Massey's
-theorem), so it is the one candidate, and it is certified by register
-closure: run on over positions n .. n+t-1, where the cycle comes back to
-its start, it must give back the first t positions.  Completion makes it
-generate every other position, so only those t are checked.  Once
-extraction succeeds, g is exactly the interpolation polynomial of received
-- encode(message), and closure holds exactly when its rank is within the
-unique-decoding radius (see decode), so a wrong message can never be
-returned.
+m+kappa+1, which is 1-radius (mod n): positions 0 .. d-2 lie outside the
+window, so they hold error coefficients directly, and positions d-1 .. n-1
+are the window m-kappa .. m+kappa.  It synthesizes the shortest skew
+feedback register generating the exposed positions (the recurrence g_p =
+sum_l lambda_l * g_{p-l}^(q^(2l)) holds all the way round the cycle for a
+rank-t error), runs it forward over the window to complete the error
+coefficients, subtracts, and extracts the message.  The register is
+unique (Massey's theorem), so it is the one candidate, and it is certified
+by register closure: run on over positions n .. n+t-1, where the cycle
+comes back to its start, it must give back the first t positions.
+Completion makes it generate every other position, so only those t are
+checked.  Once extraction succeeds, g is exactly the interpolation
+polynomial of received - encode(message), and closure holds exactly when
+its rank is within the unique-decoding radius (see decode), so a wrong
+message can never be returned.
+
+The register sum head + sum_l c_l * x_{p-l}^(q^(2l)) is formed in one
+place, _feedback: a Berlekamp-Massey discrepancy is that sum with the
+sequence's own term as head, and window completion and closure are one
+_run of the register, one _feedback per position.
 """
 
 from __future__ import annotations
@@ -143,17 +148,14 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     twisted by q^(2s), as Frobenius is a field automorphism, so delta_prev
     is inverted once, when it is set: one inversion per length change.
 
-    It runs on the field's kernel (hermrank.field): C and B are monic, so a
-    discrepancy's l = 0 term is seq[j] itself and an update's gap term is
-    coef itself, plain adds.  C[1:] is lifted once per connection
-    polynomial and the tables T_2l are fetched once, so a discrepancy is
-    seq[j] lifted plus one unreduced product per other nonzero term, and
-    each other update is one fused reduction of lift(a) + lift(-coef) *
-    lift(b^(q^(2s))).  A discrepancy puts at most (q-1) + (2n-1) * 2n *
-    (q-1)^2 <= B = 4n^2 (q-1)^2 in an odd-q slot, as seq holds at most 2n
-    terms (else BadOperandError; decode's d-1 < n do), and an update at
-    most (q-1) + 2n * (q-1)^2.  At q = 2 a slot of either holds at most
-    2n + 1 < 256, and _reduce takes its parity.
+    It runs on the field's kernel (hermrank.field).  C and B are monic, so
+    a discrepancy is the register sum with head seq[j], the l = 0 term,
+    one _feedback on C[1:], which is lifted once per connection
+    polynomial; the tables T_2l are fetched once.  An update's gap term is
+    coef itself, a plain sub, and each other update is one fused reduction
+    of lift(a) + lift(-coef) * lift(b^(q^(2s))), at most (q-1) + 2n *
+    (q-1)^2 in an odd-q slot.  seq holds at most 2n terms, else
+    BadOperandError, as past _feedback's slot bound; decode's d-1 < n do.
     """
     ctx = params.ctx
     if len(seq) > ctx.deg:
@@ -166,9 +168,7 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     gap = 1
     prev_inv = ctx.one  # inv(delta_prev)
     for j, s in enumerate(seq):
-        terms = [c * lift(apply(tab, x)) for c, tab, x in zip(lifted, tables, reversed(seq[:j])) if x != zero]
-        terms.append(lift(s))
-        delta = reduce(ctx._sum(terms))
+        delta = _feedback(ctx, seq, lifted, tables, j, s)
         if delta == zero:
             gap += 1
             continue
@@ -198,49 +198,65 @@ def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt])
 
     Position p consumes p-1 .. p-t, which are exposed or already produced
     because the register length t never exceeds d-1.  exposed must hold
-    exactly d-1 coefficients (BadShapeError).  lam is lifted once, and each
-    position is one _feedback.
+    exactly d-1 coefficients (BadShapeError).  This is _run to n: one
+    _feedback per position.
     """
     if len(exposed) != params.d - 1:
         raise BadShapeError(f"exposed needs exactly {params.d - 1} coefficients, got {len(exposed)}")
     t = len(lam)
     if not 1 <= t <= params.d - 1:
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
-    ctx = params.ctx
-    lifted, tables = _register(ctx, lam)
-    g = list(exposed)
-    for p in range(params.d - 1, params.n):
-        g.append(_feedback(ctx, g, lifted, tables, p))
-    return tuple(g)
+    return _run(params.ctx, exposed, lam, params.n)
 
 
-def _register(ctx, lam: Sequence[Felt]) -> tuple:
-    """The register lam for _feedback: its coefficients lifted, and the
-    tables T_2l of x -> x^(q^(2l)), l = 1 .. t."""
-    return [ctx._lift(c) for c in lam], [ctx._frob_rows(2 * l) for l in range(1, len(lam) + 1)]
+def _run(ctx, start: Sequence[Felt], lam: Sequence[Felt], stop: int) -> tuple:
+    """start extended by the register lam to length stop: each position p
+    >= len(start) is the _feedback of the t positions before it.  lam is
+    lifted once and the tables T_2l of x -> x^(q^(2l)), l = 1 .. t, are
+    fetched once."""
+    lifted = [ctx._lift(c) for c in lam]
+    tables = [ctx._frob_rows(2 * l) for l in range(1, len(lam) + 1)]
+    run = list(start)
+    for p in range(len(start), stop):
+        run.append(_feedback(ctx, run, lifted, tables, p))
+    return tuple(run)
 
 
-def _feedback(ctx, run: Sequence[Felt], lifted: list, tables: list, p: int) -> Felt:
-    """The register's output at position p >= t of run: sum_l lam_l *
-    run[p-l]^(q^(2l)), one unreduced product of lifted lam_l with each
-    nonzero image lifted, and one _reduce.  t <= d-1 < 2n terms put at most
-    2n * 2n * (q-1)^2 = B in an odd-q slot; at q = 2 the XOR holds at most
-    2n in a slot."""
+def _feedback(ctx, run: Sequence[Felt], lifted: list, tables: list, p: int, head: Optional[Felt] = None) -> Felt:
+    """The register sum at position p of run, with t = len(lifted) <= p:
+    head + sum_{l=1..t} c_l * run[p-l]^(q^(2l)) for the lifted c_l, one
+    unreduced product of lifted c_l with each nonzero image lifted, head
+    lifted when given, and one _reduce.  It is the one place the sum is
+    formed: BM's discrepancy (head seq[j], c = C[1:]) and each position of
+    _run (no head, c = lam).
+
+    Slot bound: a product of two lifted canonical elements puts at most 2n
+    * (q-1)^2 in an odd-q slot, and BM's t <= j < 2n (run's t <= d-1 < n)
+    products and a head at most q-1, so the sum holds at most (q-1) +
+    (2n-1) * 2n * (q-1)^2 <= B = 4n^2 (q-1)^2, the input bound of
+    _reduce.  At q = 2 a product's slot holds at most 2n, the XOR keeps
+    each slot below 64 < 256, and _reduce takes its parity.
+    """
     lift, apply, zero = ctx._lift, ctx._apply_linear, ctx.zero
     terms = [c * lift(apply(tab, x)) for c, tab, x in zip(lifted, tables, reversed(run[p - len(lifted) : p])) if x != zero]
+    if head is not None:
+        terms.append(lift(head))
     return ctx._reduce(ctx._sum(terms))
 
 
 def _register_closes(params: CodeParams, g: tuple, lam: Sequence[Felt]) -> bool:
     """True when the register lam generates g, in the cyclic order and
-    completed from lam, all the way round: running it on over positions
-    n .. n+t-1 of g + g[:t] gives back g[:t].  Every other position holds
-    by construction (see decode).  Each position is one _feedback, as in
-    complete_g."""
-    ctx = params.ctx
-    lifted, tables = _register(ctx, lam)
-    run = g + g[: len(lam)]
-    return all(run[p] == _feedback(ctx, run, lifted, tables, p) for p in range(params.n, len(run)))
+    completed from lam, all the way round: _run on over positions n ..
+    n+t-1, where the cycle comes back to its start, gives back g[:t].
+    Every other position holds by construction (see decode).
+
+    decode calls it only after extraction succeeds.  Beyond the radius,
+    BM's candidate nearly always fails extraction (at (2,31,15) with
+    rank-8 errors every decode does), so closing first would add t sums to
+    each of those decodes.
+    """
+    t = len(lam)
+    return _run(params.ctx, g, lam, params.n + t)[params.n :] == g[:t]
 
 
 def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
@@ -332,11 +348,11 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     - Exactness: a rank-r map's coefficients are generated cyclically by
       the subspace polynomial of its image, normalised to constant term 1,
       a register of length r.  So L <= r, and with closure r = t = L.
-    - Only positions n .. n+t-1 of the run g + g[:t], where the first t
-      positions come round again, are checked.  complete_g produced every
-      window position d-1 .. n-1 with this same feedback sum, and BM's
-      register generates every exposed position t .. d-2, so the register
-      generates g at every other position by construction.
+    - Only positions n .. n+t-1 of g run on by the register, where the
+      first t positions come round again, are checked.  complete_g
+      produced every window position d-1 .. n-1 with this same feedback
+      sum, and BM's register generates every exposed position t .. d-2, so
+      the register generates g at every other position by construction.
     - Converse: complete_g makes the register generate g from position t
       through n-1, so if rank(g) = r <= radius and closure failed first at
       position n+j (j < t), the skew Massey lemma would give r >= n+j+1-t

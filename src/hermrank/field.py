@@ -22,7 +22,9 @@ Each engine supplies only the rest of the kernel, and ``FieldContext``
 writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows`` and ``_to_rows``
 once on top, and the q = 2 engine keeps its own packed rows and
 linear-map tables (below).  The decoder's skew register
-(``hermrank.codec``) runs on the same hooks, under the same bounds:
+(``hermrank.codec``) forms its one feedback sum, for Berlekamp-Massey's
+discrepancies and for every step of its run, on the same hooks, under
+the same bounds:
 
 * ``_lift`` maps an element to the int it multiplies as, its packed
   slots.  For q = 2 a slot is one byte: bit i of the element goes to byte
@@ -44,7 +46,8 @@ slot k counts the pairs i + j = k with i, j < 2n, so it holds at most
 2n <= 62 < 256 and no slot carries into the next.  ``dot`` XORs the
 products, which never carries and keeps every slot below 64, and bit 0
 of each slot is the parity of that coefficient.  So q = 2 needs no bound
-on the terms, but ``dot`` keeps the same 2n-term contract at every q.
+on the terms, but ``dot``, ``combine_rows`` and ``fq_combine`` keep the
+same 2n-term contract at every q.
 
 The odd-q reduction is a fold by the modulus's tail.  Write f = X^(2n) -
 r(X), where r = sum c_i X^i with c_i = -a_i mod q has degree s.  The
@@ -469,15 +472,17 @@ class FieldContext:
         per element, else BadOperandError, as past the slot bound.
         """
         rows = self._to_rows(elems)
-        if len(rows) > self.deg:
-            raise BadOperandError("more terms than the slot bound allows")
         return tuple(self._apply_linear(rows, digits) for digits in self._digit_rows(elems, digit_rows))
 
     def _digit_rows(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]):
         """The rows of digit_rows, each checked to hold one digit per
         element, each in [0, q), else BadOperandError: fq_combine's check
         on both engines, so no term is dropped unmatched and no digit is
-        read mod 2 by the q = 2 XOR or carries out of an odd-q slot."""
+        read mod 2 by the q = 2 XOR or carries out of an odd-q slot.  More
+        than 2n elements raise BadOperandError at the first row taken, with
+        or without rows, as past the slot bound, at every q."""
+        if len(elems) > self.deg:
+            raise BadOperandError(f"need at most 2n elements, got {len(elems)}")
         for digits in digit_rows:
             if len(digits) != len(elems):
                 raise BadOperandError(f"need one digit per element: {len(digits)} for {len(elems)}")

@@ -242,6 +242,19 @@ def test_known_indices_frozen(params_for):
         assert codec._cyclic_order(n, d) == cyclic_order(p)
 
 
+def test_cyclic_order_closed_form():
+    # the order is the d-1 indices from m+kappa+1 on, then the window
+    # m-kappa .. m+kappa, and it starts at 1 - radius (mod n)
+    for n in range(1, 64, 2):
+        for d in range(1, n + 1, 2):
+            m, kappa = (n + 1) // 2, (n - d) // 2
+            start = m + kappa + 1
+            built = [(start + j) % n for j in range(d - 1)] + [i % n for i in range(m - kappa, m + kappa + 1)]
+            order = codec._cyclic_order(n, d)
+            assert order == built, (n, d)
+            assert order[0] == (1 - (d - 1) // 2) % n, (n, d)
+
+
 def test_beta_split_on_clean_codeword(params_for):
     p = params_for(2, 7, 5)
     ctx = p.ctx

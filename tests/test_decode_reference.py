@@ -138,9 +138,9 @@ def test_odd_q_verdicts_match_exhaustive_scan(params_for):
 
 def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     # one interpolation (the received word), no encode, and one feedback sum
-    # per window index and per wrap index: k + t when the candidate reaches
-    # closure, k when extraction fails, none when BM's register is longer
-    # than the radius
+    # per BM discrepancy, per window index and per wrap index: (d-1) + k + t
+    # when the candidate reaches closure, (d-1) + k when extraction fails,
+    # d-1 when BM's register is longer than the radius
     p = params_for(2, 7, 5)
     ctx = p.ctx
     msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
@@ -160,13 +160,13 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     monkeypatch.setattr(codec, "encode", forbidden)
     res = decode(p, rec)
     assert res.ok and res.message == msg and res.diagnostics["solver"] == "bm"
-    assert calls == {"interpolate": 1, "feedback": p.k + p.radius}
+    assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.k + p.radius}
 
     # one beyond the radius: BM's register fails extraction
     calls.update(interpolate=0, feedback=0)
     res = decode(p, _noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[1])
     assert res.reason == REASON_SUBFIELD and res.diagnostics["bm_t"] <= p.radius
-    assert calls == {"interpolate": 1, "feedback": p.k}
+    assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.k}
 
     # exposed coefficients 1, 0, 0, 1 need a register of length 3
     calls.update(interpolate=0, feedback=0)
@@ -176,7 +176,7 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     err = tuple(lp_eval(ctx, tuple(coeffs), a) for a in p.alpha)
     res = decode(p, corrupt(ctx, encode(p, msg), err))
     assert res.reason == REASON_INCONSISTENT and res.diagnostics["bm_t"] == 3 > p.radius
-    assert calls == {"interpolate": 1, "feedback": 0}
+    assert calls == {"interpolate": 1, "feedback": p.d - 1}
 
 
 @pytest.mark.parametrize(

@@ -457,9 +457,20 @@ def test_dot_matches_schoolbook(q, n, rand_felt):
         ctx.dot([ctx.one] * (2 * n + 1), [ctx.one] * (2 * n + 1))
     with pytest.raises(BadOperandError):
         ctx.combine_rows([ctx.one] * (2 * n + 1), ctx.pack_rows([[ctx.one] * n] * (2 * n + 1)))
-    if q > 2:  # the q = 2 fq_combine XORs and keeps no bound
+    with pytest.raises(BadOperandError):
+        ctx.fq_combine([ctx.one] * (2 * n + 1), [[1] * (2 * n + 1)])
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
+def test_fq_combine_bounds_terms_at_every_q(q, n):
+    # the q = 2 XOR once kept no bound, so fq_combine([X] * 7, [[1] * 7])
+    # returned (X,) at (2,3) where (3,3) raised; the 2n check now runs
+    # before any digit row, so both refuse with a row and with none
+    ctx = make_context(q, n)
+    for digit_rows in ([[1] * 7], []):
         with pytest.raises(BadOperandError):
-            ctx.fq_combine([ctx.one] * (2 * n + 1), [[1] * (2 * n + 1)])
+            ctx.fq_combine([ctx.gen] * 7, digit_rows)
+    assert ctx.fq_combine([ctx.gen] * 6, []) == ()
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 3)])

@@ -50,25 +50,34 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
 
     Random candidate vectors come from a SplitMix64 stream seeded from
     (q, n) only, so the result is deterministic; a candidate's 2n digits
-    are one block of draws.  Each step projects the candidate against the
-    prefix, rejects it while its self-pairing is zero (the isotropic cone
-    misses most vectors), and scales by a solution of the norm equation so
-    the self-pairing becomes exactly 1.  The result is
+    are one block of draws.  Each step projects the candidate v against the
+    prefix a_0 .. a_(i-1), rejects it while its self-pairing is zero (the
+    isotropic cone misses most vectors), and scales by a solution of the
+    norm equation so the self-pairing becomes exactly 1.  The result is
     certified once, by build_params (see _moore_inv).
+
+    The conjugate a_j^(q^n) of each accepted a_j is kept, so the pairings
+    <a_j, v> = rel_trace(a_j^(q^n) * v) are one product and one trace each,
+    and the projection is one dot of at most n - 1 terms:
+    v - sum_j <a_j, v> a_j.  That is the vector one-at-a-time Gram-Schmidt
+    reaches, which pairs a_j with v_(j-1) = v - sum_(l<j) <a_l, v> a_l
+    instead of v: the pairing is linear in its second argument and
+    <a_j, a_l> = 0 for l != j, so <a_j, v_(j-1)> = <a_j, v>.
     """
-    q, deg = ctx.q, ctx.deg
-    rng = SplitMix64(q * GOLDEN + ctx.n)
+    q, deg, n = ctx.q, ctx.deg, ctx.n
+    rng = SplitMix64(q * GOLDEN + n)
     basis: list[Felt] = []
+    conjugates: list[Felt] = []
     budget = 64 * q
-    while len(basis) < ctx.n:
+    while len(basis) < n:
         for _ in range(budget):
             v = ctx.from_coeffs(rng.draws(q, deg))
-            for a in basis:
-                v = ctx.sub(v, ctx.mul(unitary_pairing(ctx, a, v), a))
+            v = ctx.sub(v, ctx.dot([ctx.rel_trace(ctx.mul(c, v)) for c in conjugates], basis))
             sp = unitary_pairing(ctx, v, v)
             if sp != ctx.zero:
                 scale = ctx.solve_hermitian_norm(ctx.inv(sp))
                 basis.append(ctx.mul(scale, v))
+                conjugates.append(ctx.frobenius(basis[-1], n))
                 break
         else:
             raise BasisSearchFailedError(
@@ -115,12 +124,20 @@ def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
     moore_inv[r][i]^(q^n) of the certified entries, since q^(2n) fixes K.
     So a codeword, the evaluation sum_i g_i * M[r][i] of a polynomial g
     supported on the window, is one packed combination of the k rows
-    (codec.encode).  The conjugation reads the one Frobenius table the
-    certificate built, so a load builds no other.  Both callers
-    (build_params, params_from_json_obj) end in it.
+    (codec.encode).  Row r of the table is alpha_r^(q^n), then T_2
+    applied again and again, n^2 applications in all on T_n and T_2 alone,
+    and the conjugation reads T_n again; so a load builds those two tables,
+    the ones their compositions need and, for odd q, the inversion's
+    (hermrank.field), and no other.  Both callers (build_params,
+    params_from_json_obj) end in it.
     """
-    n = ctx.n
-    table = tuple(tuple(ctx.frobenius(a, n + 2 * j) for j in range(n)) for a in alpha)
+    n, apply, t2 = ctx.n, ctx._apply_linear, ctx._frob_rows(2)
+    table = []
+    for a in alpha:
+        row = [ctx.frobenius(a, n)]
+        for _ in range(n - 1):
+            row.append(apply(t2, row[-1]))
+        table.append(row)
     rows = ctx.pack_rows(table)
     if lp_interpolate(ctx, rows, alpha) != (ctx.one,) + (ctx.zero,) * (n - 1):
         raise BasisSearchFailedError("basis failed its Gram identity recheck")
@@ -276,7 +293,8 @@ def rank_distance(params: CodeParams, a: Sequence[Felt], b: Sequence[Felt]) -> i
     ctx = params.ctx
     diff = [ctx.sub(x, y) for x, y in zip(a, b)]
     full = ctx.fq_rank(ctx.fq2_span(diff, ctx.fq2_w()))
-    assert full % 2 == 0  # an F_{q^2}-span has even F_q-dimension
+    if full % 2:
+        raise RuntimeError("an F_{q^2}-span has odd F_q-dimension")
     return full // 2
 
 

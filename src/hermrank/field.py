@@ -165,20 +165,39 @@ ceil(2n/4) of them, where entry v of table k is the XOR of the images
 4k .. 4k+3 over the set bits of v, built by doubling in ``_to_rows``.
 A map is then one lookup per nibble of its input, 16 at n = 31, instead
 of one XOR per set bit, and image i reads back as entry 1 << (i % 4) of
-table i // 4.  The nibble
-tables are ``array('Q')`` rows: an entry has at most 64 bits, and the flat
-array holds it in 8 bytes, where a list holds a pointer to a separate int
-object of about 36 bytes.  A context keeps up to 2n of these tables, and
-a process may keep several contexts.
-The tables are built by composition.  T_0 holds the monomials
-themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1 products.
-For j >= 2, row i of T_j is (X^i)^(q^j) = ((X^i)^(q^(j-1)))^q, the image
-under T_1 of row i of T_(j-1), so T_j costs 2n applications of T_1 and no
-product.  The relative trace down to F_{q^2} (the sum of the even
-Frobenius powers) is precomputed the same way.  ``fq_combine`` forms sums
-of F_q digits times at most 2n elements, the packed odd-q kernel on any
-digits and an XOR of the selected elements for q = 2, so a sum of digits
-times elements never embeds a digit or forms a product.
+table i // 4.  The nibble tables are ``array('Q')`` rows: an entry has
+at most 64 bits, and the flat array holds it in 8 bytes, where a list
+holds a pointer to a separate int object of about 36 bytes.  A context
+keeps only the tables of the powers it applies, and a process may keep
+several contexts.
+
+The tables are built by composition, each on first use.  T_0 holds the
+monomials themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1
+products.  For j >= 2, row i of T_j is (X^i)^(q^j) =
+((X^i)^(q^(j-a)))^(q^a), the image under T_a of row i of T_(j-a), powers
+taken mod 2n, so T_j costs 2n applications of T_a and no product.  a is
+the first power whose table is built while T_(j-a) is built too, so a
+power next to built ones takes no other table (T_33 = T_2 o T_31 at
+(2,31)).  When no two built tables make up j, a is the largest power of
+two below j, and a missing T_a or T_(j-a) is built first the same way.
+So asking for T_j builds at most the tables of the powers of two below j
+and of the low parts j mod 2^k (T_31 takes T_1, T_2, T_4, T_8, T_16, T_3,
+T_7 and T_15), not every power below j: at (2,31,15) a ``build_params``
+builds 12 of the 62 tables, and the first trial 18 more.
+
+The trace Tr_{K/F_{q^e}} = sum_{i<2n/e} T_(e*i) is formed by doubling on
+the images of the monomials.  S_m = sum_{i<m} T_(e*i) starts at S_1 = I,
+and S_2m = S_m + T_(e*m) o S_m and S_(m+1) = I + T_e o S_m, taken over
+the bits of 2n/e below its top one, reach S_(2n/e); each step is 2n
+applications of T_(e*m) or of T_e, so it reads at most 2 log2(2n/e)
+tables, not one per multiple of e.  The images are kept once per context
+and e, so the relative trace down to F_{q^2}, kept as one table of them,
+and the reduced basis of F_{q^2} share one doubling.
+
+``fq_combine`` forms sums of F_q digits times at most 2n elements, the
+packed odd-q kernel on any digits and an XOR of the selected elements for
+q = 2, so a sum of digits times elements never embeds a digit or forms a
+product.
 
 Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
 nonzero coefficient of a row and clears it from the other rows, by XOR on
@@ -363,6 +382,7 @@ class FieldContext:
         self.gen = self.from_coeffs([0, 1] + [0] * (self.deg - 2))
         self._frob: dict[int, tuple] = {}
         self._subfield_bases: dict[int, tuple] = {}
+        self._traces: dict[int, tuple] = {}
         # memos filled on first use; plain fields, not cached_property,
         # whose write through __dict__ makes every later attribute load on
         # the context slower on CPython 3.11 (about 3% of a (2,31,15) decode)
@@ -507,21 +527,30 @@ class FieldContext:
 
     def _frob_rows(self, j: int) -> tuple:
         """Table T_j of x -> x^(q^j), built once per context and power j
-        mod 2n, by composition (module docstring)."""
+        mod 2n: T_0 and T_1 directly, any other T_j as T_a o T_(j-a), 2n
+        applications of T_a, for the first built a with T_(j-a) built too,
+        else for a the largest power of two below j, with either built
+        first if missing (module docstring)."""
         j %= self.deg
         rows = self._frob.get(j)
         if rows is None:
-            deg = self.deg
             if j == 0:
-                out = [self.from_coeffs([int(k == i) for k in range(deg)]) for i in range(deg)]
+                out = self._monomials()
             elif j == 1:
                 y = self.pow_elem(self.gen, self.q)
-                out = list(itertools.accumulate(itertools.repeat(y, deg - 1), self.mul, initial=self.one))
+                out = list(itertools.accumulate(itertools.repeat(y, self.deg - 1), self.mul, initial=self.one))
             else:
-                t1 = self._frob_rows(1)
-                out = [self._apply_linear(t1, a) for a in self.frob_images(j - 1)]
+                built = self._frob
+                a = next((a for a in built if (j - a) % self.deg in built), 1 << (j - 1).bit_length() - 1)
+                ta = self._frob_rows(a)
+                out = [self._apply_linear(ta, x) for x in self.frob_images(j - a)]
             rows = self._frob[j] = self._to_rows(out)
         return rows
+
+    def _monomials(self) -> list:
+        """X^0 .. X^(2n-1), the images of the identity map."""
+        deg = self.deg
+        return [self.from_coeffs([int(k == i) for k in range(deg)]) for i in range(deg)]
 
     def frobenius(self, a: Felt, j: int) -> Felt:
         """a^(q^j) with the int j taken mod 2n; any other j raises
@@ -533,13 +562,25 @@ class FieldContext:
             return a
         return self._apply_linear(self._frob_rows(j), a)
 
-    def _trace_images(self, e: int) -> list:
-        """Tr_{K/F_{q^e}}(X^i) for i = 0 .. 2n-1: the sums of the Frobenius
-        images for the powers q^(e*j), j = 0 .. 2n/e - 1."""
-        acc = list(self.frob_images(0))
-        for j in range(e, self.deg, e):
-            acc = list(map(self.add, acc, self.frob_images(j)))
-        return acc
+    def _trace_images(self, e: int) -> tuple:
+        """Tr_{K/F_{q^e}}(X^i) for i = 0 .. 2n-1, once per context and e:
+        the images of the monomials under S_(2n/e), where S_m = sum_{i<m}
+        T_(e*i), by doubling over the bits of 2n/e from S_1 = I (module
+        docstring)."""
+        images = self._traces.get(e)
+        if images is None:
+            ones = images = self._monomials()
+            m = 1
+            for bit in bin(self.deg // e)[3:]:
+                t = self._frob_rows(e * m)
+                images = [self.add(s, self._apply_linear(t, s)) for s in images]
+                m *= 2
+                if bit == "1":
+                    t = self._frob_rows(e)
+                    images = [self.add(x, self._apply_linear(t, s)) for x, s in zip(ones, images)]
+                    m += 1
+            images = self._traces[e] = tuple(images)
+        return images
 
     def rel_trace(self, a: Felt) -> Felt:
         """Trace down to F_{q^2}: the sum of a^(q^(2i)) for i = 0 .. n-1."""
@@ -575,8 +616,10 @@ class FieldContext:
         self._check_degree(e)
         basis = self._subfield_bases.get(e)
         if basis is None:
-            basis = self._subfield_bases[e] = self._reduced_basis(self._trace_images(e))
-            assert len(basis) == e, "trace image has the wrong dimension"
+            basis = self._reduced_basis(self._trace_images(e))
+            if len(basis) != e:
+                raise RuntimeError("trace image has the wrong dimension")
+            self._subfield_bases[e] = basis
         return basis
 
     def subfield_elements(self, e: int) -> tuple:
@@ -640,7 +683,8 @@ class FieldContext:
         else:  # pragma: no cover - dlog always exists for a generator
             raise RuntimeError("discrete log failed")
         c = self.pow_elem(g, ii * m + baby[v])
-        assert self.mul(self.frobenius(c, 1), c) == a
+        if self.mul(self.frobenius(c, 1), c) != a:
+            raise RuntimeError("norm equation solution fails its check")
         return c
 
     def _norm_generator(self) -> tuple:

@@ -22,6 +22,10 @@ kernel basis ordered by free column, against the package's reduced echelon
 basis of the trace images from the engines' own elimination.  It works on
 coefficient lists, so it serves q = 2 as well.
 
+The trace oracle is the sum the package once formed for the trace
+images: the engine's Frobenius images over every multiple of e, against
+the package's doubling.
+
 The norm-equation oracle is the solver the package once used: it scans the
 candidates i + j*w from idx = 1 for every right-hand side, with no skip of
 the candidates j*w whose norms are all squares.
@@ -127,6 +131,16 @@ def rel_trace(ctx, a):
     for i in range(ctx.n):
         acc = add(ctx, acc, frobenius(ctx, a, 2 * i))
     return acc
+
+
+def trace_images_by_sum(ctx, e):
+    """Tr_{K/F_{q^e}}(X^i) for i = 0 .. 2n-1 as the package once formed
+    them: the sum of the engine's Frobenius images over every multiple j of
+    e below 2n, each table built."""
+    acc = list(ctx.frob_images(0))
+    for j in range(e, ctx.deg, e):
+        acc = list(map(ctx.add, acc, ctx.frob_images(j)))
+    return tuple(acc)
 
 
 def gf2_apply_linear(images, a):

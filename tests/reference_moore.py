@@ -18,7 +18,9 @@ one Frobenius power per live coefficient, the way the encoder used to; the
 encoder is cross-checked against it and against the dense product with
 the Moore rows.  check_gram tests orthonormality by the n^2 unitary
 pairings, the oracle for the package's Moore-table certificate
-(code._moore_inv).
+(code._moore_inv).  selfdual_basis_one_at_a_time is the Gram-Schmidt the
+package's basis search replaced, one projection at a time with a fresh
+conjugate in every pairing, on the same draws.
 """
 
 from typing import Sequence
@@ -27,6 +29,7 @@ from hermrank.code import unitary_pairing
 from hermrank.codec import expand_message
 from hermrank.exceptions import BasisSearchFailedError
 from hermrank.field import Felt, FieldContext
+from hermrank.rng import GOLDEN, SplitMix64
 
 
 def lp_eval(ctx, poly, x):
@@ -124,3 +127,24 @@ def check_gram(ctx: FieldContext, basis: Sequence[Felt]) -> None:
             want = ctx.one if i == j else ctx.zero
             if unitary_pairing(ctx, a, b) != want:
                 raise BasisSearchFailedError("basis failed its Gram identity recheck")
+
+
+def selfdual_basis_one_at_a_time(ctx: FieldContext) -> tuple:
+    """Orthonormal basis by Gram-Schmidt from the same seeded draws as
+    code.find_selfdual_basis: v_j = v_(j-1) - <a_j, v_(j-1)> a_j over the
+    prefix, each pairing from scratch, then the norm-equation scaling."""
+    q, deg = ctx.q, ctx.deg
+    rng = SplitMix64(q * GOLDEN + ctx.n)
+    basis: list = []
+    while len(basis) < ctx.n:
+        for _ in range(64 * q):
+            v = ctx.from_coeffs(rng.draws(q, deg))
+            for a in basis:
+                v = ctx.sub(v, ctx.mul(unitary_pairing(ctx, a, v), a))
+            sp = unitary_pairing(ctx, v, v)
+            if sp != ctx.zero:
+                basis.append(ctx.mul(ctx.solve_hermitian_norm(ctx.inv(sp)), v))
+                break
+        else:
+            raise BasisSearchFailedError("no anisotropic extension found")
+    return tuple(basis)

@@ -36,7 +36,10 @@ def map_rank(ctx, poly):
     """
     monomials = [ctx.from_coeffs([int(i == k) for i in range(ctx.deg)]) for k in range(ctx.deg)]
     full = ctx.fq_rank([lp_eval(ctx, poly, x) for x in monomials])
-    assert full % 2 == 0  # F_{q^2}-linearity forces an even F_q-rank
+    if full % 2:
+        # F_{q^2}-linearity forces an even F_q-rank; a raise, unlike an
+        # assert outside a test module, also runs under python -O
+        raise RuntimeError("map has odd F_q-rank")
     return full // 2
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -493,7 +494,7 @@ def test_missing_and_malformed_files(workspace, capsys):
 
 def test_tampered_params_rejected(workspace, capsys):
     p, _, params_path, msg_path, tmp = workspace
-    obj = json.loads(open(params_path).read())
+    obj = json.loads(Path(params_path).read_text())
     obj["alpha"][0] = [0] * p.ctx.deg
     tampered = _write(tmp / "tampered.json", obj)
     assert main(["encode", "--params", tampered, "--message", msg_path]) == 2

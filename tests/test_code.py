@@ -35,7 +35,7 @@ from hermrank.exceptions import (
 )
 from hermrank.linpoly import lp_interpolate
 from reference_field import from_base
-from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, transpose
+from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, selfdual_basis_one_at_a_time, transpose
 from reference_rank import map_rank, matrix_rank
 
 
@@ -165,6 +165,43 @@ def test_selfdual_basis_is_deterministic():
     assert find_selfdual_basis(ctx) == find_selfdual_basis(ctx)
     ctx2 = make_context(2, 5)
     assert find_selfdual_basis(ctx2) == find_selfdual_basis(ctx)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (7, 11), (131, 3), (2, 31), (3, 19), (5, 13)])
+def test_selfdual_basis_matches_one_at_a_time_gram_schmidt(q, n):
+    # one dot against the cached conjugates reaches the vector that
+    # projecting against each a_j in turn reaches, so the bases agree
+    assert find_selfdual_basis(make_context(q, n)) == selfdual_basis_one_at_a_time(make_context(q, n))
+
+
+#: Frobenius tables and linear maps of one build_params at the benchmark's
+#: points: fewer than 2n tables, each one composition of two.
+SETUP_WORK = {
+    (2, 31, 15): ({1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 30, 31}, 3767),
+    (3, 19, 9): ({1, 2, 3, 4, 8, 9, 16, 18, 19}, 1599),
+    (5, 13, 7): ({1, 2, 3, 4, 5, 6, 8, 12, 13}, 880),
+}
+
+
+@pytest.mark.parametrize("q,n,d", sorted(SETUP_WORK))
+def test_setup_work(monkeypatch, q, n, d):
+    # machine-independent guard on set-up: tables only for the powers
+    # applied (the trace's doubling, the Moore table from T_n and T_2,
+    # the inversions' chains and what their compositions need) and the
+    # _apply_linear calls of the whole build
+    cls = type(make_context(q, n))
+    calls = []
+    orig = cls._apply_linear
+
+    def counting(self, rows, a):
+        calls.append(None)
+        return orig(self, rows, a)
+
+    monkeypatch.setattr(cls, "_apply_linear", counting)
+    p = build_params(q, n, d)
+    tables, applications = SETUP_WORK[q, n, d]
+    assert set(p.ctx._frob) == tables and len(tables) < p.ctx.deg
+    assert len(calls) == applications
 
 
 def test_basis_expansion_identities_exhaustive():
@@ -572,6 +609,19 @@ def test_params_load_makes_no_pairing(params_for, monkeypatch):
     again = params_from_json_obj(obj)
     assert traces == []
     assert again.moore_packed == p.ctx.pack_rows(moore_tinv(p.ctx, p.alpha))
+
+
+def test_rank_parity_check_raises(params_for, monkeypatch):
+    # rank_distance's parity check and the map_rank oracle's raise, not
+    # assert, so python -O keeps them; an odd F_q-rank is forced here
+    p = params_for(3, 5, 3)
+    word = encode(p, Message((p.ctx.one,) * p.k))
+    zeros = (p.ctx.zero,) * p.n
+    monkeypatch.setattr(p.ctx, "fq_rank", lambda elems: 3)
+    with pytest.raises(RuntimeError, match="odd"):
+        rank_distance(p, word, zeros)
+    with pytest.raises(RuntimeError, match="odd"):
+        map_rank(p.ctx, lp_interpolate(p.ctx, p.moore_packed, word))
 
 
 def test_each_params_certified_once(monkeypatch):

@@ -198,7 +198,7 @@ def test_scan_work(monkeypatch, q, n, engine, muls, gcds):
 def test_frobenius_table_work(monkeypatch):
     # all 2n tables at (5,13): T_0 takes nothing, T_1 takes pow_elem's 3
     # products and 25 more, and each of the other 24 takes 26 applications
-    # of T_1 and no product
+    # of one other table and no product
     ctx = make_context(5, 13)
     counts = _count_calls(monkeypatch, type(ctx), ("mul", "_apply_linear"))
     for j in range(ctx.deg):
@@ -208,9 +208,10 @@ def test_frobenius_table_work(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(2, 31), (3, 19), (5, 13), (3, 9)])
 def test_composed_tables_are_powers_of_frobenius_of_x(q, n):
-    # T_j is composed from T_1 and T_(j-1); its rows must be the powers of
-    # X^(q^j), here formed by products alone.  The last table is asked for
-    # first, so it builds every table before it.
+    # T_j is composed as T_a o T_(j-a), a the largest power of two below
+    # j; its rows must be the powers of X^(q^j), here formed by products
+    # alone.  The last table is asked for first, so its composition builds
+    # some of the others before them, out of order.
     ctx = make_context(q, n)
     ys = list(itertools.accumulate(itertools.repeat(q, ctx.deg - 1), ctx.pow_elem, initial=ctx.gen))
     for j in reversed(range(ctx.deg)):
@@ -408,7 +409,7 @@ def test_gf2_nibble_tables_match_bit_walk(n, rand_felt):
 
 def test_gf2_frobenius_tables_stay_small():
     # bench/library.py keeps the params of three set-ups, each context with
-    # all 2n = 62 powers built at (2,31); nibble tables as lists of Python
+    # up to 2n = 62 powers built at (2,31); nibble tables as lists of Python
     # ints read +14-16% peak_rss_mb there, against the benchmark's 10%
     # bound.  array('Q') rows hold a power's 16 tables in under 4 KiB.
     ctx = make_context(2, 31)
@@ -905,6 +906,32 @@ def test_frobenius_is_additive_and_multiplicative(rand_felt):
         assert ctx.frobenius(ctx.mul(a, b), 3) == ctx.mul(ctx.frobenius(a, 3), ctx.frobenius(b, 3))
 
 
+#: A lone nibble table at (2,1), small points, the benchmark's three and a
+#: prime from 131 up.
+TRACE_POINTS = [(2, 1), (3, 3), (2, 31), (3, 19), (5, 13), (131, 3)]
+
+
+@pytest.mark.parametrize("q,n", TRACE_POINTS)
+def test_trace_by_doubling_matches_sum_of_powers(q, n):
+    # every divisor e of 2n, e = 2n (the identity, 2n/e = 1) included: the
+    # doubling, run first on a fresh context, against the sum of the
+    # Frobenius images over every multiple of e that it replaced
+    ctx = make_context(q, n)
+    divisors = [e for e in range(1, ctx.deg + 1) if ctx.deg % e == 0]
+    got = {e: ctx._trace_images(e) for e in divisors}
+    for e in divisors:
+        assert got[e] == reference_field.trace_images_by_sum(ctx, e), e
+
+
+def test_trace_images_once_per_degree(monkeypatch):
+    # rel_trace's table and subfield_basis(2) share one doubling
+    ctx = make_context(2, 31)
+    ctx.rel_trace(ctx.gen)
+    calls = _count_calls(monkeypatch, type(ctx), ("_apply_linear",))
+    assert len(ctx.subfield_basis(2)) == 2
+    assert calls == {"_apply_linear": 0}
+
+
 def test_rel_trace_exhaustive_small():
     ctx = make_context(2, 3)
     everything = ctx.subfield_elements(ctx.deg)
@@ -1066,6 +1093,21 @@ def test_solve_hermitian_norm_binary(n):
     # at q = 2 the discrete-log path has the trivial group F_2* and returns 1
     ctx = make_context(2, n)
     assert ctx.solve_hermitian_norm(ctx.one) == ctx.one
+
+
+def test_invariant_checks_raise(monkeypatch):
+    # the self-checks of subfield_basis and solve_hermitian_norm raise, not
+    # assert, so python -O keeps them; each is forced to fail here
+    ctx = make_context(3, 3)
+    monkeypatch.setattr(ctx, "_reduced_basis", lambda elems: ())
+    with pytest.raises(RuntimeError, match="wrong dimension"):
+        ctx.subfield_basis(2)
+    monkeypatch.undo()
+    assert len(ctx.subfield_basis(2)) == 2  # the failed basis was not kept
+    ctx.solve_hermitian_norm(from_base(ctx, 2))  # T_1 built on the true pow_elem
+    monkeypatch.setattr(ctx, "pow_elem", lambda a, e: ctx.zero)
+    with pytest.raises(RuntimeError, match="norm equation"):
+        ctx.solve_hermitian_norm(from_base(ctx, 2))
 
 
 def test_solve_hermitian_norm_rejects_bad_input():

@@ -21,7 +21,23 @@ from hermrank import params_to_json_obj, random_message, random_rank_error
 from hermrank.cli import main
 from hermrank.codec import decode_result_to_json_obj, message_to_json_obj, word_to_json_obj
 
+# (2,31,15) is the benchmark's q = 2 point, the register at t = 7 on 62-bit
+# elements; at (2,5,3) 2n = 10 leaves a table group of linear maps partly
+# padding
 PINNED = {
+    (2, 5, 3): {
+        "corrupt/arbitrary": "0789b8cf59011b3b0acef57c999a413f63c45c1652b7e93950bd1a29ec2ee32d",
+        "corrupt/hermitian": "85f15dfae7b0b7182c7f043ffc10a7c1d7489f7f1080ee3ae8d51c29ca38da5d",
+        "decode/arbitrary": "80f058b1bf2648564e546a02b7a0c2e55bbe925eb1c949f8ec436faf06ba7bbe",
+        "decode/hermitian": "d2039431f0c56dc2d8d3a25d7c3396dcd3c45f9236a3b601fdc84bcc7a800b97",
+        "decode/uniform": "7d16d702a129ea3118d7de1d7b8556c164628cd8036528e53aeea7b3cb3d5283",
+        "params": "36b82e79380272873f1c7120f9e2d88947cca4365904a6fe3f2a62e1aaa1c401",
+        "random_message": "e5e84232b3913cc4c2b4fd0e9e2866bc987805d8f7f4e9d4b1c4ed40d85b9d58",
+        "random_rank_error/arbitrary": "d40c687c75f24b1f86894c44d123a8d1d3971a7bd1eed859f23b92e5437210b9",
+        "random_rank_error/hermitian": "5280277287f39a2a875e5a528967633f901dae881d24b72c1b49cffff7506125",
+        "simulate/arbitrary": "a32bfbc585229cd955ac1326e64f645c53c2a3cbe814e3d1370f3a3d337bc028",
+        "simulate/hermitian": "c48595159c92de048f7414989b82899b79f4726f93b3fda772723257a1a18bf6",
+    },
     (2, 7, 5): {
         "corrupt/arbitrary": "f43a7b87b91a25572f6f00e2a3c494f4256d2962152c977402498aa82b967e1c",
         "corrupt/hermitian": "eaedad3611d56c161ae1e4d881989116b210e99b8a5e1819326e7e6ee35b5782",
@@ -34,6 +50,19 @@ PINNED = {
         "random_rank_error/hermitian": "e9484f4009f00892879e5c567f5994e4973c904e2bf2b0b1870f2028f840c63f",
         "simulate/arbitrary": "e6904dc08ebc34fed29717ecce1c697e6534bed6d311b21662c92248759d1c09",
         "simulate/hermitian": "1659b9764b0ff41afd5111712a065bcf721fb1208711ebd048d35ce4317eaf7e",
+    },
+    (2, 31, 15): {
+        "corrupt/arbitrary": "099533dc7145497e0cdb1a4d8d905398e63a190947af0c72d7b82e83b00ccff2",
+        "corrupt/hermitian": "217ac3af879f1478d0f8a9430571fc235156856eb5f0bd55815552c0340e287a",
+        "decode/arbitrary": "cf098f256f45d3ccf7c1f546b1f7d4b9f8ee98b867ec6f026d85d95e52425307",
+        "decode/hermitian": "cf098f256f45d3ccf7c1f546b1f7d4b9f8ee98b867ec6f026d85d95e52425307",
+        "decode/uniform": "8d203e169bef2a820d76607869a5bae2b90ada2831c0e4cf5082d20a6e50da79",
+        "params": "d12587cf10206dcdf6c18bf123b9bf3289ec4f00b08d042f16e176a3d5948a11",
+        "random_message": "fbc98b730fa37873be7023ce99f2f949fad1eb5ded61841095310f10c9aa8c15",
+        "random_rank_error/arbitrary": "cbad2a7516ad0e4bc51e9d017c4962360cee05ff284537bf7b1a1ae1d60c3004",
+        "random_rank_error/hermitian": "0dde225910883b75f835d139eca6891ebb303b17254ac1c08825c6cd7750584f",
+        "simulate/arbitrary": "b2008250de7f26e2e396ea66e055d9a4c2d41f071b8a1f99785638cec51ddc3e",
+        "simulate/hermitian": "4233722c94d533022ff405b39c05db663821adcc8953e7f768d4be511051d2f1",
     },
     (3, 5, 3): {
         "corrupt/arbitrary": "172f9a613a39be5ea76f77c8be94de378ba5c4b1852fdfb66aaf679fd823fded",

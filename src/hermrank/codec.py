@@ -37,15 +37,21 @@ its rank is within the unique-decoding radius (see decode), so a wrong
 message can never be returned.
 
 The register sum head + sum_l c_l * x_{p-l}^(q^(2l)) is formed in one
-place, _feedback: a Berlekamp-Massey discrepancy is that sum with the
-sequence's own term as head, and window completion and closure are one
-_run of the register, one _feedback per position.
+place, _feedback, from the lifted images of the x_{p-l}: a
+Berlekamp-Massey discrepancy is that sum with the sequence's own term as
+head, each image one map and one lift, and window completion and closure
+are one _run of the register, one _feedback per position.  A run reads
+each element under T_2, .., T_2t, once each at the t positions after it,
+so _run forms an element's images once, when it is appended, by one call
+of the field's _frob_lifts (at q = 2 one pass of a stacked table, at odd
+q one map and one lift per image), and _feedback reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import getitem
+from typing import Iterable, Optional, Sequence
 
 from .code import CodeParams, _cyclic_order, decompose_eta
 from .exceptions import (
@@ -151,7 +157,8 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     It runs on the field's kernel (hermrank.field).  C and B are monic, so
     a discrepancy is the register sum with head seq[j], the l = 0 term,
     one _feedback on C[1:], which is lifted once per connection
-    polynomial; the tables T_2l are fetched once.  An update's gap term is
+    polynomial, each image one map and one lift; the tables T_2l are
+    fetched once.  An update's gap term is
     coef itself, a plain sub, and each other update is one fused reduction
     of lift(a) + lift(-coef) * lift(b^(q^(2s))), at most (q-1) + 2n *
     (q-1)^2 in an odd-q slot.  seq holds at most 2n terms, else
@@ -168,7 +175,8 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     gap = 1
     prev_inv = ctx.one  # inv(delta_prev)
     for j, s in enumerate(seq):
-        delta = _feedback(ctx, seq, lifted, tables, j, s)
+        back = reversed(seq[j - len(lifted) : j])
+        delta = _feedback(ctx, lifted, [lift(apply(tab, x)) if x != zero else 0 for tab, x in zip(tables, back)], s)
         if delta == zero:
             gap += 1
             continue
@@ -212,23 +220,52 @@ def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt])
 def _run(ctx, start: Sequence[Felt], lam: Sequence[Felt], stop: int) -> tuple:
     """start extended by the register lam to length stop: each position p
     >= len(start) is the _feedback of the t positions before it.  lam is
-    lifted once and the tables T_2l of x -> x^(q^(2l)), l = 1 .. t, are
-    fetched once."""
+    lifted once, and the field's stacked table of T_2 .. T_2t fetched once.
+
+    Position i + l reads element i under T_2l, once for each l = 1 .. t,
+    so each nonzero element's lifted images are formed once, by one
+    _frob_lifts call: those under T_2l for the l with len(start) <= i + l
+    < stop, before the run for the last t elements of start, and as it is
+    appended for each produced element.  _feedback reads them.
+    """
+    t, first, zero, images_of = len(lam), len(start), ctx.zero, ctx._frob_lifts
     lifted = [ctx._lift(c) for c in lam]
-    tables = [ctx._frob_rows(2 * l) for l in range(1, len(lam) + 1)]
+    stack = ctx._frob_stack(t)
     run = list(start)
-    for p in range(len(start), stop):
-        run.append(_feedback(ctx, run, lifted, tables, p))
+    # images[i][l - 1] is lift(run[i]^(q^(2l))), 0 where it is never read
+    blank, index = [0] * t, range(t)
+    images = [blank] * (first - t)
+    for i in range(first - t, first):
+        x = run[i]
+        powers = range(first - i, min(t, stop - 1 - i) + 1)
+        images.append([0] * (first - i - 1) + images_of(stack, x, powers) if x != zero else blank)
+    full = range(1, t + 1)
+    for i in range(first, stop):
+        x = _feedback(ctx, lifted, map(getitem, reversed(images[i - t : i]), index))
+        run.append(x)
+        powers = full if i + t < stop else range(1, stop - i)
+        images.append(images_of(stack, x, powers) if powers and x != zero else blank)
     return tuple(run)
 
 
-def _feedback(ctx, run: Sequence[Felt], lifted: list, tables: list, p: int, head: Optional[Felt] = None) -> Felt:
-    """The register sum at position p of run, with t = len(lifted) <= p:
-    head + sum_{l=1..t} c_l * run[p-l]^(q^(2l)) for the lifted c_l, one
-    unreduced product of lifted c_l with each nonzero image lifted, head
+def _feedback(ctx, lifted: list, images: Iterable[int], head: Optional[Felt] = None) -> Felt:
+    """The register sum head + sum_{l=1..t} c_l * x_{p-l}^(q^(2l)) for the
+    lifted c_l and images[l - 1] = lift(x_{p-l}^(q^(2l))), 0 for a zero
+    x: one unreduced product of lifted c_l with each nonzero image, head
     lifted when given, and one _reduce.  It is the one place the sum is
-    formed: BM's discrepancy (head seq[j], c = C[1:]) and each position of
-    _run (no head, c = lam).
+    formed: BM's discrepancy (head seq[j], c = C[1:], each image one map
+    and one lift) and each position of _run (no head, c = lam, the images
+    _run took from _frob_lifts).
+
+    Exactness of the stacked images: at q = 2 _frob_lifts reads all of an
+    element's images from one pass of one table per 4 input bits, the
+    matrix [T_2 ... T_2t] in the same group form with each image lifted.
+    lift is F_2-linear (bit i to byte i), so the XOR over the input's
+    groups is the stacked lifted image, and a lifted image is below
+    2^(16n), so no field of 16n bits overlaps the next.  Each field is
+    then exactly lift(apply(T_2l, x)), each product c_l * image is the
+    one formed with a map per image, and the XOR and the _reduce are
+    unchanged.  At odd q _frob_lifts is one map and one lift per image.
 
     Slot bound: a product of two lifted canonical elements puts at most 2n
     * (q-1)^2 in an odd-q slot, and BM's t <= j < 2n (run's t <= d-1 < n)
@@ -237,10 +274,9 @@ def _feedback(ctx, run: Sequence[Felt], lifted: list, tables: list, p: int, head
     _reduce.  At q = 2 a product's slot holds at most 2n, the XOR keeps
     each slot below 64 < 256, and _reduce takes its parity.
     """
-    lift, apply, zero = ctx._lift, ctx._apply_linear, ctx.zero
-    terms = [c * lift(apply(tab, x)) for c, tab, x in zip(lifted, tables, reversed(run[p - len(lifted) : p])) if x != zero]
+    terms = [c * x for c, x in zip(lifted, images) if x]
     if head is not None:
-        terms.append(lift(head))
+        terms.append(ctx._lift(head))
     return ctx._reduce(ctx._sum(terms))
 
 

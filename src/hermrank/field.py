@@ -160,16 +160,31 @@ context as a table made by ``_to_rows`` from the images of the monomial
 basis, and ``_apply_linear`` applies it; no exponentiation happens at
 lookup time.  For odd q the table is the packed images, applied as
 sum_i a_i * row_i.  For q = 2 it is the "Four Russians" form (Albrecht,
-Bard and Hart, ACM TOMS 2010): one nibble table per 4 bits of the input,
-ceil(2n/4) of them, where entry v of table k is the XOR of the images
-4k .. 4k+3 over the set bits of v, built by doubling in ``_to_rows``.
-A map is then one lookup per nibble of its input, 16 at n = 31, instead
-of one XOR per set bit, and image i reads back as entry 1 << (i % 4) of
-table i // 4.  The nibble tables are ``array('Q')`` rows: an entry has
-at most 64 bits, and the flat array holds it in 8 bytes, where a list
-holds a pointer to a separate int object of about 36 bytes.  A context
-keeps only the tables of the powers it applies, and a process may keep
-several contexts.
+Bard and Hart, ACM TOMS 2010): one byte table per 8 bits of the input,
+ceil(2n/8) of them, where entry v of table k is the XOR of the images
+8k .. 8k+7 over the set bits of v, built by doubling in ``_to_rows``.
+A map is then one lookup per byte of its input, 8 at n = 31, instead of
+one XOR per set bit, and image i reads back as entry 1 << (i % 8) of
+table i // 8.  The byte tables are ``array('Q')`` rows of 256 entries,
+about 17 KB a power at n = 31: an entry has at most 64 bits, and the flat
+array holds it in 8 bytes, where a list holds a pointer to a separate int
+object of about 36 bytes.  A context keeps only the tables of the powers
+it applies, and a process may keep several contexts.
+
+The decoder's register run reads each element x under T_2, T_4, ..,
+T_2t, lifted (``hermrank.codec``).  ``_frob_stack(t)`` gives a stacked
+table of those t powers, once per context, and ``_frob_lifts`` applies it
+to x for the powers asked.  For odd q the stack is the tables T_2l
+themselves, and each image one map and one lift.  For q = 2 the map
+x -> (lift(T_2 x), .., lift(T_2t x)) is F_2-linear too, as ``_lift`` is
+(bit i to byte i), so the stack is one table, built from ``frob_images``,
+that holds for each monomial its t lifted images side by side in fields
+of 16n bits, and one pass of lookups gives all t images, each a shift and
+a mask.  A lifted image is below 2^(16n), so no field overlaps the next.
+The q = 2 stack keeps one nibble table per 4 input bits, whose entries
+are ints of 16nt bits (about 120 KB at (2,31) and t = 7; byte tables
+would be 8 times that).  A context keeps one stack, rebuilt when a run
+asks for more powers than it holds.
 
 The tables are built by composition, each on first use.  T_0 holds the
 monomials themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1
@@ -388,6 +403,7 @@ class FieldContext:
         # the context slower on CPython 3.11 (about 3% of a (2,31,15) decode)
         self._trace_tbl: tuple | None = None
         self._norm_gen: tuple | None = None
+        self._stack_top, self._stack = 0, ()
 
     def neg(self, a: Felt) -> Felt:
         """-a as 0 - a, on the engine's sub: a itself at q = 2."""
@@ -448,8 +464,29 @@ class FieldContext:
 
     def _to_rows(self, images: Sequence[Felt]) -> tuple:
         """Table form of a linear map's monomial images for _apply_linear:
-        each image lifted (the q = 2 engine keeps nibble tables instead)."""
+        each image lifted (the q = 2 engine keeps byte tables instead)."""
         return tuple(map(self._lift, images))
+
+    def _frob_stack(self, top: int) -> tuple:
+        """The stacked table of T_2, T_4, .., T_(2*top) that _frob_lifts
+        applies, covering at least top powers: built once per context and
+        rebuilt when a caller asks past it."""
+        if top > self._stack_top:
+            self._stack_top, self._stack = top, self._stacked(top)
+        return self._stack
+
+    def _stacked(self, top: int) -> tuple:
+        """The tables T_2 .. T_(2*top) themselves (the q = 2 engine stacks
+        their lifted images into one table instead)."""
+        return tuple(self._frob_rows(2 * l) for l in range(1, top + 1))
+
+    def _frob_lifts(self, stack: tuple, a: Felt, powers: range) -> list:
+        """The lifted images lift(a^(q^(2l))) for l in powers, a range
+        within 1 .. top of the stack _frob_stack(top) gave: one map and
+        one lift each (the q = 2 engine reads them all from one stacked
+        pass instead)."""
+        lift, apply = self._lift, self._apply_linear
+        return [lift(apply(stack[l - 1], a)) for l in powers]
 
     def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
         """Packed-row form of a table for combine_rows: each row as one int
@@ -834,29 +871,41 @@ class _Gf2Context(FieldContext):
         return [(a >> i) & 1 for i in range(self.deg)]
 
     def _to_rows(self, images):
-        """Nibble tables of a linear map (module docstring): table k maps a
-        nibble v to the XOR of images[4k .. 4k+3] over the set bits of v,
-        built by doubling; zero padding keeps every table 16 entries long."""
-        images = list(images) + [0] * (-len(images) % 4)
-        tables = []
-        for k in range(0, len(images), 4):
-            row = [0]
-            for m in images[k : k + 4]:
-                row += [r ^ m for r in row]
-            tables.append(array("Q", row))
-        return tuple(tables)
+        """Byte tables of a linear map (module docstring): table k maps a
+        byte v of the input to the XOR of images[8k .. 8k+7] over the set
+        bits of v, ceil(2n/8) ``array('Q')`` tables of 256 entries."""
+        return tuple(array("Q", row) for row in _doubling_tables(images, 8))
 
     def _apply_linear(self, tables, a):
-        """One lookup per nibble of a in the tables _to_rows makes."""
+        """One lookup per byte of a in the tables _to_rows makes."""
         acc = 0
         for t in tables:
-            acc ^= t[a & 15]
-            a >>= 4
+            acc ^= t[a & 255]
+            a >>= 8
         return acc
 
     def frob_images(self, j):
         tables = self._frob_rows(j)
-        return tuple(tables[i >> 2][1 << (i & 3)] for i in range(self.deg))
+        return tuple(tables[i >> 3][1 << (i & 7)] for i in range(self.deg))
+
+    def _stacked(self, top):
+        """Nibble tables of the stacked map x -> (lift(T_2 x), ..,
+        lift(T_2top x)), the images of each monomial lifted from
+        frob_images and laid out in fields of 16n bits (module
+        docstring)."""
+        split, lift = self._split, self._lift
+        images = zip(*(self.frob_images(2 * l) for l in range(1, top + 1)))
+        return tuple(_doubling_tables([sum(lift(x) << split * k for k, x in enumerate(xs)) for xs in images], 4))
+
+    def _frob_lifts(self, stack, a, powers):
+        """One lookup per nibble of a in the stacked tables: field l - 1 of
+        the sum, 16n bits wide, is lift(a^(2^(2l)))."""
+        acc = 0
+        for t in stack:
+            acc ^= t[a & 15]
+            a >>= 4
+        split, low = self._split, self._low
+        return [acc >> split * (l - 1) & low for l in powers]
 
     def fq_combine(self, elems, digit_rows):
         rows = self._digit_rows(elems, digit_rows)
@@ -874,6 +923,21 @@ class _Gf2Context(FieldContext):
             pool = [(r ^ pivot) if r & top else r for r in pool]
             pool = [r for r in pool if r]
         return pivots
+
+
+def _doubling_tables(images, width: int) -> list:
+    """The Four Russians tables of the F_2-linear map with monomial images
+    images (module docstring): table k maps a group v of width input bits
+    to the XOR of images[width*k ..] over the set bits of v, built by
+    doubling; zero padding keeps every table 2^width entries long."""
+    images = list(images) + [0] * (-len(images) % width)
+    tables = []
+    for k in range(0, len(images), width):
+        row = [0]
+        for m in images[k : k + width]:
+            row += [r ^ m for r in row]
+        tables.append(row)
+    return tables
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from hermrank import (
     decode,
     encode,
     enumerate_code,
+    make_context,
     nearest_codeword,
     random_message,
     random_rank_error,
@@ -791,28 +792,31 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
         ctx.frobenius(received[0], j)
     assert counts["mul"] == 0
     # one table per Frobenius power, kept in packed form only: for q = 2,
-    # ceil(2n/4) nibble tables of 16 array('Q') entries; for odd q, 2n
+    # ceil(2n/8) byte tables of 256 array('Q') entries; for odd q, 2n
     # packed ints
     assert set(ctx._frob) <= set(range(ctx.deg))
     for rows in ctx._frob.values():
         if q == 2:
-            assert len(rows) == -(-ctx.deg // 4)
-            assert all(type(r) is array and r.typecode == "Q" and len(r) == 16 for r in rows)
+            assert len(rows) == -(-ctx.deg // 8)
+            assert all(type(r) is array and r.typecode == "Q" and len(r) == 256 for r in rows)
         else:
             assert len(rows) == ctx.deg and all(type(r) is int for r in rows)
 
 
 # kernel primitives of one decode at the benchmark's first and third
-# points, within the radius: (_lift, _reduce, _apply_linear)
-DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (445, 103, 292), (3, 19, 9, 4, MODE_HERMITIAN): (247, 100, 141)}
+# points, within the radius: (_lift, _reduce, _apply_linear).  At q = 2
+# the register's run takes each element's images from one stacked pass,
+# with no map and no lift of its own
+DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (277, 103, 124), (3, 19, 9, 4, MODE_HERMITIAN): (247, 100, 141)}
 
 
 @pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))
 def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
     # machine-independent guard of the register on lifted operands: each
     # register coefficient is lifted once per register, not once per
-    # product, and q = 2 interpolation and encoding fold all n outputs at
-    # once, with no _lift or _reduce
+    # product, each run element's images are formed once, and q = 2
+    # interpolation and encoding fold all n outputs at once, with no _lift
+    # or _reduce
     p = params_for(q, n, d)
     ctx = p.ctx
     msg, _, received = _noisy(p, 61, t, mode)
@@ -831,6 +835,26 @@ def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
         counts.update(dict.fromkeys(counts, 0))
         encode(p, msg)
         assert (counts["_lift"], counts["_reduce"]) == (16, 8)
+
+
+@pytest.mark.parametrize("q,n,d", ENCODE_POINTS)
+def test_frob_lifts_match_lifted_frobenius(q, n, d, rand_felt):
+    # the register run's images, from one stacked pass at q = 2 and one map
+    # and one lift each at odd q, against _lift(frobenius(x, 2l)) for every
+    # l up to d - 1, the longest register _run takes (l = 1 alone at
+    # d = 1), over every subrange _run can ask for.  A fresh context, so
+    # the q = 2 stack is built for one power first and rebuilt as the
+    # ranges grow.
+    ctx = make_context(q, n)
+    top = max(d - 1, 1)
+    rng = SplitMix64(q + n + d)
+    edges = [ctx.zero, ctx.one, ctx.from_coeffs([q - 1] * ctx.deg), ctx.from_coeffs([0] * (ctx.deg - 1) + [1])]
+    for x in edges + [rand_felt(ctx, rng) for _ in range(4)]:
+        want = [ctx._lift(ctx.frobenius(x, 2 * l)) for l in range(1, top + 1)]
+        for hi in range(1, top + 1):
+            stack = ctx._frob_stack(hi)
+            for lo in range(1, hi + 1):
+                assert ctx._frob_lifts(stack, x, range(lo, hi + 1)) == want[lo - 1 : hi], (x, lo, hi)
 
 
 # exact products and Frobenius powers of one encode: all of them are

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_field
-from hermrank import SplitMix64, field, make_context
+from hermrank import MODE_ARBITRARY, ChannelSpec, SplitMix64, build_params, corrupt, decode, encode, field
+from hermrank import make_context, random_message, random_rank_error
 from hermrank.field import canonical_modulus
 from hermrank.exceptions import (
     BadElementError,
@@ -385,11 +386,13 @@ def test_packed_kernel_matches_schoolbook(q, n, rand_felt):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 31])
-def test_gf2_nibble_tables_match_bit_walk(n, rand_felt):
-    # the q = 2 linear-map kernel, one lookup per nibble, against the bit
+def test_gf2_byte_tables_match_bit_walk(n, rand_felt):
+    # the q = 2 linear-map kernel, one lookup per byte, against the bit
     # walk it replaced, for every Frobenius power, the trace and a random
-    # map.  2n = 2 mod 4, so the last nibble table is half padding, and
-    # n = 1 has a single table; the inputs reach every bit of it.
+    # map.  2n mod 8 is 2 at n = 1 and n = 5 and 6 at n = 3 and n = 31, so
+    # the last byte table is mostly padding at the first two and partly at
+    # the others, and n = 1 has a single table; the inputs reach every bit
+    # of it.
     ctx = make_context(2, n)
     rng = SplitMix64(n)
     xs = [0, 1, (1 << ctx.deg) - 1, 1 << (ctx.deg - 1)] + [rand_felt(ctx, rng) for _ in range(6)]
@@ -407,18 +410,38 @@ def test_gf2_nibble_tables_match_bit_walk(n, rand_felt):
         assert ctx._apply_linear(ctx._to_rows(images), a) == reference_field.gf2_apply_linear(images, a), a
 
 
+def _held_bytes(obj, seen: set) -> int:
+    """Bytes of obj and of every tuple, list and item reachable from it,
+    each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list)):
+        size += sum(_held_bytes(x, seen) for x in obj)
+    return size
+
+
 def test_gf2_frobenius_tables_stay_small():
-    # bench/library.py keeps the params of three set-ups, each context with
-    # up to 2n = 62 powers built at (2,31); nibble tables as lists of Python
-    # ints read +14-16% peak_rss_mb there, against the benchmark's 10%
-    # bound.  array('Q') rows hold a power's 16 tables in under 4 KiB.
-    ctx = make_context(2, 31)
-    ctx.rel_trace(ctx.gen)
-    tables = [ctx._frob_rows(j) for j in range(ctx.deg)] + [ctx._trace_tbl]
-    assert len(ctx._frob) == ctx.deg
-    for rows in tables:
-        assert all(type(r) is array for r in rows)
-        assert sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)) <= 4096
+    # bench/library.py keeps the params of three set-ups, so the tables a
+    # (2,31,15) context holds count against the benchmark's 10% bound on
+    # peak_rss_mb: its byte tables (ceil(2n/8) = 8 array('Q') tables of 256
+    # entries, about 17 KB a power), the trace table and _run's stacked
+    # nibble tables, after one decode at the radius and one beyond it.
+    # They measured 650,796 bytes (30 powers, stack of 7 fields, CPython
+    # 3.11); the bound leaves about 10% headroom.  Lists of Python ints
+    # for the map tables would be several times that.
+    p = build_params(2, 31, 15)
+    ctx = p.ctx
+    for t, seed in ((p.radius, 1), (p.radius + 1, 2)):
+        msg = random_message(p, SplitMix64(seed))
+        err = random_rank_error(p, ChannelSpec(t=t, mode=MODE_ARBITRARY, seed=seed))
+        assert decode(p, corrupt(ctx, encode(p, msg), err)).ok == (t <= p.radius)
+    assert all(type(r) is array for rows in ctx._frob.values() for r in rows)
+    assert ctx._stack_top == p.radius
+    seen = set()
+    held = _held_bytes(tuple(ctx._frob.values()), seen) + _held_bytes((ctx._trace_tbl, ctx._stack), seen)
+    assert held <= 720_000, held
 
 
 @pytest.mark.parametrize("n", [1, 5, 31])
@@ -906,7 +929,7 @@ def test_frobenius_is_additive_and_multiplicative(rand_felt):
         assert ctx.frobenius(ctx.mul(a, b), 3) == ctx.mul(ctx.frobenius(a, 3), ctx.frobenius(b, 3))
 
 
-#: A lone nibble table at (2,1), small points, the benchmark's three and a
+#: A lone byte table at (2,1), small points, the benchmark's three and a
 #: prime from 131 up.
 TRACE_POINTS = [(2, 1), (3, 3), (2, 31), (3, 19), (5, 13), (131, 3)]
 

@@ -37,20 +37,23 @@ its rank is within the unique-decoding radius (see decode), so a wrong
 message can never be returned.
 
 The register sum head + sum_l c_l * x_{p-l}^(q^(2l)) is formed in one
-place, _feedback, from the lifted images of the x_{p-l}: a
+place, _feedback, unreduced, from the lifted images of the x_{p-l}: a
 Berlekamp-Massey discrepancy is that sum with the sequence's own term as
-head, each image one map and one lift, and window completion and closure
-are one _run of the register, one _feedback per position.  A run reads
-each element under T_2, .., T_2t, once each at the t positions after it,
-so _run forms an element's images once, when it is appended, by one call
-of the field's _frob_lifts (at q = 2 one pass of a stacked table, at odd
-q one map and one lift per image), and _feedback reads them.
+head, and window completion and closure are one _run of the register,
+one _feedback per position.  Every image the register reads comes from
+the field's stacked table of T_2, T_4, ..: each element gets one
+_frob_pass, when it enters the sequence, the run or BM's previous
+register, and _frob_read takes each image from that pass (at q = 2 a
+shift and a mask, at odd q one map and one lift).  BM keeps its
+connection polynomial lifted and reduces each discrepancy and each
+update straight to the lifted canonical form, _reduce_lifted; its
+entries are taken back to elements only when it becomes the previous
+register and for the returned lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .code import CodeParams, _cyclic_order, decompose_eta
@@ -154,48 +157,53 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     twisted by q^(2s), as Frobenius is a field automorphism, so delta_prev
     is inverted once, when it is set: one inversion per length change.
 
-    It runs on the field's kernel (hermrank.field).  C and B are monic, so
-    a discrepancy is the register sum with head seq[j], the l = 0 term,
-    one _feedback on C[1:], which is lifted once per connection
-    polynomial, each image one map and one lift; the tables T_2l are
-    fetched once.  An update's gap term is
-    coef itself, a plain sub, and each other update is one fused reduction
-    of lift(a) + lift(-coef) * lift(b^(q^(2s))), at most (q-1) + 2n *
-    (q-1)^2 in an odd-q slot.  seq holds at most 2n terms, else
-    BadOperandError, as past _feedback's slot bound; decode's d-1 < n do.
+    It runs on the field's kernel (hermrank.field), and does each piece of
+    work once.  C and B are monic.  C[1:] is kept only lifted, in canonical
+    form: each discrepancy is one _feedback on it with head seq[j], the
+    l = 0 term, and each update one fused reduction, both by
+    _reduce_lifted.  Every image under T_2s comes from the field's stack of
+    T_2 .. T_2w, w = len(seq), as the gap s can reach len(seq): each
+    sequence term, each entry of B[1:] when it becomes B, and
+    -inv(delta_prev) get one _frob_pass, and each image is one _frob_read
+    of it.  Folding the sign into the inverse makes the update's scale
+    coef = -delta/delta_prev^(q^(2s)) lifted, so the gap term is
+    C[s] + coef and every other update C[s+l] + coef * B[l]^(q^(2s)).
+
+    Slot bound: an update adds one product of two lifted canonical
+    elements, at most 2n * (q-1)^2 in an odd-q slot, to a lifted canonical
+    entry, at most q-1, well within the input bound B of _reduce_lifted; a
+    discrepancy is within it by _feedback's bound.  A read is exact, as a field of a
+    stacked pass is the lifted image itself (hermrank.field).  seq holds at
+    most 2n terms, else BadOperandError, as past _feedback's slot bound;
+    decode's d-1 < n do.
     """
     ctx = params.ctx
     if len(seq) > ctx.deg:
         raise BadOperandError(f"need at most 2n terms, got {len(seq)}")
-    lift, apply, reduce, zero = ctx._lift, ctx._apply_linear, ctx._reduce, ctx.zero
-    tables = [ctx._frob_rows(2 * l) for l in range(1, len(seq) + 1)]
-    conn, lifted = [ctx.one], []  # lifted is conn[1:] lifted
-    prev = [ctx.one]
-    length = 0
-    gap = 1
-    prev_inv = ctx.one  # inv(delta_prev)
+    fpass, read, reduce, unlift = ctx._frob_pass, ctx._frob_read, ctx._reduce_lifted, ctx._unlift
+    stack = ctx._frob_stack(len(seq))
+    seen = [fpass(stack, x) for x in seq[:-1]]  # the last term is never read
+    conn, prev = [], []  # C[1:] lifted, and the passes of B[1:]
+    length, gap = 0, 1
+    scale = fpass(stack, ctx.neg(ctx.one))  # the pass of -inv(delta_prev)
     for j, s in enumerate(seq):
-        back = reversed(seq[j - len(lifted) : j])
-        delta = _feedback(ctx, lifted, [lift(apply(tab, x)) if x != zero else 0 for tab, x in zip(tables, back)], s)
-        if delta == zero:
+        delta = reduce(_feedback(ctx, conn, stack, reversed(seen[j - len(conn) : j]), s))
+        if not delta:
             gap += 1
             continue
-        tab = tables[gap - 1]
-        coef = delta if prev_inv == ctx.one else reduce(lift(delta) * lift(apply(tab, prev_inv)))
-        minus = lift(ctx.neg(coef))
-        updated = conn + [zero] * max(0, len(prev) + gap - len(conn))
-        updated[gap] = ctx.sub(updated[gap], coef)
-        for l, b in enumerate(prev[1:], gap + 1):
-            if b != zero:
-                updated[l] = reduce(lift(updated[l]) + minus * lift(apply(tab, b)))
+        coef = reduce(delta * read(stack, scale, gap))
+        updated = conn + [0] * max(0, len(prev) + gap - len(conn))
+        updated[gap - 1] = reduce(updated[gap - 1] + coef)
+        for l, b in enumerate(prev, gap):
+            if b:
+                updated[l] = reduce(updated[l] + coef * read(stack, b, gap))
         if 2 * length <= j:
-            prev, prev_inv, length = conn, ctx.inv(delta), j + 1 - length
-            gap = 1
+            prev = [fpass(stack, unlift(c)) for c in conn]
+            scale, length, gap = fpass(stack, ctx.neg(ctx.inv(unlift(delta)))), j + 1 - length, 1
         else:
             gap += 1
         conn = updated
-        lifted = [lift(c) for c in conn[1:]]
-    lam = [ctx.neg(c) for c in conn[1:]]
+    lam = [ctx.neg(unlift(c)) for c in conn]
     lam += [ctx.zero] * (length - len(lam))
     return length, tuple(lam[:length])
 
@@ -219,65 +227,62 @@ def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt])
 
 def _run(ctx, start: Sequence[Felt], lam: Sequence[Felt], stop: int) -> tuple:
     """start extended by the register lam to length stop: each position p
-    >= len(start) is the _feedback of the t positions before it.  lam is
-    lifted once, and the field's stacked table of T_2 .. T_2t fetched once.
+    >= len(start) is the reduced _feedback of the t positions before it.
+    lam is lifted once, and the field's stacked table fetched once; the
+    widest stack the context holds serves, of which the run reads the
+    first t fields.
 
-    Position i + l reads element i under T_2l, once for each l = 1 .. t,
-    so each nonzero element's lifted images are formed once, by one
-    _frob_lifts call: those under T_2l for the l with len(start) <= i + l
-    < stop, before the run for the last t elements of start, and as it is
-    appended for each produced element.  _feedback reads them.
+    Position p reads element p - l under T_2l, for l = 1 .. t, so each
+    element gets one _frob_pass before the first position that reads it,
+    the last t elements of start and each produced element but the last,
+    and _feedback reads its images from that pass.  Only positions below
+    stop read, so at odd q, where a read is one map and one lift, no image
+    is formed that the run does not use.
     """
-    t, first, zero, images_of = len(lam), len(start), ctx.zero, ctx._frob_lifts
+    t, first, fpass = len(lam), len(start), ctx._frob_pass
     lifted = [ctx._lift(c) for c in lam]
     stack = ctx._frob_stack(t)
     run = list(start)
-    # images[i][l - 1] is lift(run[i]^(q^(2l))), 0 where it is never read
-    blank, index = [0] * t, range(t)
-    images = [blank] * (first - t)
-    for i in range(first - t, first):
-        x = run[i]
-        powers = range(first - i, min(t, stop - 1 - i) + 1)
-        images.append([0] * (first - i - 1) + images_of(stack, x, powers) if x != zero else blank)
-    full = range(1, t + 1)
-    for i in range(first, stop):
-        x = _feedback(ctx, lifted, map(getitem, reversed(images[i - t : i]), index))
-        run.append(x)
-        powers = full if i + t < stop else range(1, stop - i)
-        images.append(images_of(stack, x, powers) if powers and x != zero else blank)
+    passes = [fpass(stack, x) for x in run[first - t : -1]]
+    for _ in range(first, stop):
+        passes.append(fpass(stack, run[-1]))
+        run.append(ctx._reduce(_feedback(ctx, lifted, stack, reversed(passes[-t:]))))
     return tuple(run)
 
 
-def _feedback(ctx, lifted: list, images: Iterable[int], head: Optional[Felt] = None) -> Felt:
-    """The register sum head + sum_{l=1..t} c_l * x_{p-l}^(q^(2l)) for the
-    lifted c_l and images[l - 1] = lift(x_{p-l}^(q^(2l))), 0 for a zero
-    x: one unreduced product of lifted c_l with each nonzero image, head
-    lifted when given, and one _reduce.  It is the one place the sum is
-    formed: BM's discrepancy (head seq[j], c = C[1:], each image one map
-    and one lift) and each position of _run (no head, c = lam, the images
-    _run took from _frob_lifts).
+def _feedback(ctx, lifted: list, stack: tuple, back: Iterable, head: Optional[Felt] = None) -> int:
+    """The unreduced register sum head + sum_{l=1..t} c_l * x_{p-l}^(q^(2l))
+    for the lifted c_l and back[l - 1], the _frob_pass of x_{p-l} on the
+    field's stack: one unreduced product of lifted c_l with the image
+    lift(x_{p-l}^(q^(2l))) read from each pass of a nonzero x, and head
+    lifted when given.  It is the one place the sum is formed: BM's
+    discrepancy (head seq[j], c = C[1:]) and each position of _run (no
+    head, c = lam).  The caller reduces it, _run by _reduce to the element
+    and BM by _reduce_lifted to its lifted canonical form.
 
-    Exactness of the stacked images: at q = 2 _frob_lifts reads all of an
-    element's images from one pass of one table per 4 input bits, the
-    matrix [T_2 ... T_2t] in the same group form with each image lifted.
-    lift is F_2-linear (bit i to byte i), so the XOR over the input's
-    groups is the stacked lifted image, and a lifted image is below
-    2^(16n), so no field of 16n bits overlaps the next.  Each field is
-    then exactly lift(apply(T_2l, x)), each product c_l * image is the
-    one formed with a map per image, and the XOR and the _reduce are
-    unchanged.  At odd q _frob_lifts is one map and one lift per image.
+    Exactness of the reads: at q = 2 a pass is one lookup per 4 input bits
+    in the stacked table, the matrix [T_2 ... T_2w] in the same group form
+    with each image lifted.  lift is F_2-linear (bit i to byte i), so the
+    XOR over the input's groups is the stacked lifted image, and a lifted
+    image is below 2^(16n), so no field of 16n bits overlaps the next.
+    Each field read is then exactly lift(apply(T_2l, x)), so each product
+    c_l * image is the one formed with a map and a lift per image, and the
+    sum is unchanged.  At odd q a read is that map and that lift.
 
-    Slot bound: a product of two lifted canonical elements puts at most 2n
-    * (q-1)^2 in an odd-q slot, and BM's t <= j < 2n (run's t <= d-1 < n)
-    products and a head at most q-1, so the sum holds at most (q-1) +
-    (2n-1) * 2n * (q-1)^2 <= B = 4n^2 (q-1)^2, the input bound of
-    _reduce.  At q = 2 a product's slot holds at most 2n, the XOR keeps
-    each slot below 64 < 256, and _reduce takes its parity.
+    Slot bound: each operand is a lifted canonical element, whether lifted
+    from an element or kept lifted by _reduce_lifted, so a product puts at
+    most 2n * (q-1)^2 in an odd-q slot, and BM's t <= j < 2n (run's t <=
+    d-1 < n) products and a head at most q-1, so the sum holds at most
+    (q-1) + (2n-1) * 2n * (q-1)^2 <= B = 4n^2 (q-1)^2, the input bound of
+    _reduce and _reduce_lifted.  At q = 2 a product's slot holds at most
+    2n, the XOR keeps each slot below 64 < 256, and the reduction takes
+    its parity.
     """
-    terms = [c * x for c, x in zip(lifted, images) if x]
+    read = ctx._frob_read
+    terms = [c * read(stack, v, l) for l, (c, v) in enumerate(zip(lifted, back), 1) if v]
     if head is not None:
         terms.append(ctx._lift(head))
-    return ctx._reduce(ctx._sum(terms))
+    return ctx._sum(terms)
 
 
 def _register_closes(params: CodeParams, g: tuple, lam: Sequence[Felt]) -> bool:

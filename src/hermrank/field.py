@@ -35,6 +35,11 @@ the same bounds:
   of them.  It folds the high slots in by the modulus's short tail
   (below).  Then q = 2 compacts the 2n low slots back to bits, and odd
   q's ``_canon`` takes them to the canonical tuple (below).
+* ``_reduce_lifted`` gives the same element lifted, ``_lift(_reduce(p))``,
+  without forming it: q = 2 stops before the compaction, and odd q
+  follows the folds by one ``bytes.translate`` of the whole packed
+  buffer (below).  ``_unlift`` inverts ``_lift`` on such canonical lifted
+  values: the compaction at q = 2, ``_canon`` at odd q.
 * ``_stride`` is the width in bits of one field of a packed row (below):
   4n bits for q = 2, whose rows stay compact, and 4n slots (2 *
   ``_split`` bits) for odd q.
@@ -89,7 +94,10 @@ round never carries: it leaves at most 255 * (1 + (w-1)(q-1)) <=
 255 * w * (q-1) in a slot, below 256^w for every w >= 2 when q < 128, and
 at w = 1 no slot reaches 256.  Then every slot is one byte, read at stride
 w from the int's little-endian bytes, and one ``bytes.translate`` through
-the 256-entry table of x mod q gives the residues.  ``_lift`` spreads the
+the 256-entry table of x mod q gives the residues.  The same translate of
+every byte of the buffer, not only the slots' low bytes, leaves each slot
+its residue and each high byte 0, which is the lifted canonical element
+(``_reduce_lifted``).  ``_lift`` spreads the
 bytes of a tuple into a zeroed buffer at stride w.  ``add`` and ``sub``
 (and so ``neg``, which is 0 - a on every engine) work on one-byte lanes,
 one coefficient per byte: a + b and a + Q - b, with Q holding q in every
@@ -110,9 +118,10 @@ X^(2n), the low slots L and the high slots H, shifted down, become
 slot of the sum holds at most 1 + weight(r) <= 2n + 1 < 256, and no slot
 carries.  Each round lowers the top slot, because deg r < 2n, so the
 loop ends for every monic f the modulus scan tries.  The canonical
-(2,31) tail has degree 6, so a product takes at most two rounds.  Last,
-the 2n low slots, each 0 or 1, go through one ``bytes.translate`` to the
-digits 0 and 1, and ``int(..., 2)`` reads the compact element.
+(2,31) tail has degree 6, so a product takes at most two rounds.  That
+is the lifted canonical element (``_reduce_lifted``).  Last, the 2n low
+slots, each 0 or 1, go through one ``bytes.translate`` to the digits 0
+and 1, and ``int(..., 2)`` reads the compact element (``_unlift``).
 
 A constant table of at most 2n rows of n entries is also kept as packed
 rows, so combining its rows with one scalar each, sum_r v_r * table[r][j]
@@ -171,20 +180,27 @@ array holds it in 8 bytes, where a list holds a pointer to a separate int
 object of about 36 bytes.  A context keeps only the tables of the powers
 it applies, and a process may keep several contexts.
 
-The decoder's register run reads each element x under T_2, T_4, ..,
-T_2t, lifted (``hermrank.codec``).  ``_frob_stack(t)`` gives a stacked
-table of those t powers, once per context, and ``_frob_lifts`` applies it
-to x for the powers asked.  For odd q the stack is the tables T_2l
-themselves, and each image one map and one lift.  For q = 2 the map
-x -> (lift(T_2 x), .., lift(T_2t x)) is F_2-linear too, as ``_lift`` is
-(bit i to byte i), so the stack is one table, built from ``frob_images``,
-that holds for each monomial its t lifted images side by side in fields
-of 16n bits, and one pass of lookups gives all t images, each a shift and
-a mask.  A lifted image is below 2^(16n), so no field overlaps the next.
-The q = 2 stack keeps one nibble table per 4 input bits, whose entries
-are ints of 16nt bits (about 120 KB at (2,31) and t = 7; byte tables
-would be 8 times that).  A context keeps one stack, rebuilt when a run
-asks for more powers than it holds.
+The decoder's skew register reads elements x under T_2, T_4, .., T_2w,
+lifted (``hermrank.codec``): Berlekamp-Massey up to the length w of its
+sequence, d - 1 from a decode, as the gap of its updates can reach it,
+and the register's run up to its length t <= d - 1.  ``_frob_stack(w)``
+gives a stacked table of those w powers, once per context;
+``_frob_pass`` makes one pass of it over x, false exactly when x is zero,
+and ``_frob_read`` reads lift(x^(q^(2l))) for any l <= w from that pass.
+For odd q the stack is the tables T_2l themselves, the pass keeps x, and
+each read is one map and one lift.  For q = 2 the map x -> (lift(T_2 x),
+.., lift(T_2w x)) is F_2-linear too, as ``_lift`` is (bit i to byte i),
+so the stack is one table that holds for each monomial its w lifted
+images side by side in fields of 16n bits.  Each monomial's images are
+built by applying T_2 to its image before, so the stack builds no table
+T_2l for l > 1.  The pass is one lookup per 4 input bits, and a read is
+a shift and a mask.  A lifted image is below 2^(16n), so no field
+overlaps the next, and each field is exactly lift(T_2l x).  The q = 2
+stack keeps one nibble table per 4 input bits, whose entries are ints of
+16nw bits (about 230 KB at (2,31) and w = 14; byte tables would be 8
+times that).  A context keeps one stack, rebuilt when a caller asks for
+more powers than it holds; a decode asks for d - 1 first, and the run
+reads the first t fields of that stack.
 
 The tables are built by composition, each on first use.  T_0 holds the
 monomials themselves, and T_1 the powers of X^q: ``pow_elem`` and 2n - 1
@@ -198,7 +214,7 @@ two below j, and a missing T_a or T_(j-a) is built first the same way.
 So asking for T_j builds at most the tables of the powers of two below j
 and of the low parts j mod 2^k (T_31 takes T_1, T_2, T_4, T_8, T_16, T_3,
 T_7 and T_15), not every power below j: at (2,31,15) a ``build_params``
-builds 12 of the 62 tables, and the first trial 18 more.
+builds 12 of the 62 tables, and the first trials 10 more.
 
 The trace Tr_{K/F_{q^e}} = sum_{i<2n/e} T_(e*i) is formed by doubling on
 the images of the monomials.  S_m = sum_{i<m} T_(e*i) starts at S_1 = I,
@@ -373,7 +389,8 @@ class FieldContext:
     ``_setup_engine`` (``zero``, ``one`` and the kernel's constants),
     ``add``, ``sub``, ``inv``, ``_from_coeffs`` (the element of checked
     coefficients), ``to_coeffs``, the kernel's ``_lift``, ``_sum``,
-    ``_reduce`` and ``_stride`` (module docstring), and:
+    ``_reduce``, ``_reduce_lifted``, ``_unlift`` and ``_stride`` (module
+    docstring), and:
 
     * ``_apply_linear(rows, a)``: the F_q-linear map whose table, in the
       form ``_to_rows`` makes, is rows, applied to a;
@@ -468,9 +485,9 @@ class FieldContext:
         return tuple(map(self._lift, images))
 
     def _frob_stack(self, top: int) -> tuple:
-        """The stacked table of T_2, T_4, .., T_(2*top) that _frob_lifts
-        applies, covering at least top powers: built once per context and
-        rebuilt when a caller asks past it."""
+        """The stacked table of T_2, T_4, .., T_(2*top) that _frob_pass and
+        _frob_read use, covering at least top powers: built once per
+        context and rebuilt when a caller asks past it."""
         if top > self._stack_top:
             self._stack_top, self._stack = top, self._stacked(top)
         return self._stack
@@ -480,13 +497,17 @@ class FieldContext:
         their lifted images into one table instead)."""
         return tuple(self._frob_rows(2 * l) for l in range(1, top + 1))
 
-    def _frob_lifts(self, stack: tuple, a: Felt, powers: range) -> list:
-        """The lifted images lift(a^(q^(2l))) for l in powers, a range
-        within 1 .. top of the stack _frob_stack(top) gave: one map and
-        one lift each (the q = 2 engine reads them all from one stacked
-        pass instead)."""
-        lift, apply = self._lift, self._apply_linear
-        return [lift(apply(stack[l - 1], a)) for l in powers]
+    def _frob_pass(self, stack: tuple, a: Felt):
+        """The pass of the stack over a that _frob_read reads, false
+        exactly when a is zero: here a itself, or 0 for zero (the q = 2
+        engine makes one pass of lookups instead)."""
+        return a if a != self.zero else 0
+
+    def _frob_read(self, stack: tuple, v, l: int) -> int:
+        """lift(a^(q^(2l))) from the pass v of a nonzero a, for 1 <= l <=
+        top of the stack _frob_stack(top) gave: here one map and one lift
+        (the q = 2 engine shifts and masks one field of the pass)."""
+        return self._lift(self._apply_linear(stack[l - 1], v))
 
     def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
         """Packed-row form of a table for combine_rows: each row as one int
@@ -801,13 +822,21 @@ class _Gf2Context(FieldContext):
 
     def _reduce(self, p):
         """Canonical element of a spread, unreduced product or XOR of them:
-        each slot taken to its parity, the high slots folded in by the
-        tail, the 2n low slots compacted (module docstring)."""
+        _reduce_lifted, then the 2n low slots compacted."""
+        return self._unlift(self._reduce_lifted(p))
+
+    def _reduce_lifted(self, p):
+        """_lift(_reduce(p)): each slot taken to its parity and the high
+        slots folded in by the tail (module docstring)."""
         split, low, ones, tail = self._split, self._low, self._ones, self._tail
         p &= ones
         while high := p >> split:
             p = ((p & low) + high * tail) & ones
-        return int(p.to_bytes(self.deg, "big").translate(_DIGITS), 2)
+        return p
+
+    def _unlift(self, v):
+        """The element whose lift is v, each of its 2n slots 0 or 1."""
+        return int(v.to_bytes(self.deg, "big").translate(_DIGITS), 2)
 
     def pack_rows(self, table):
         """Compact rows: entry j's bits at bit _stride * j."""
@@ -890,22 +919,28 @@ class _Gf2Context(FieldContext):
 
     def _stacked(self, top):
         """Nibble tables of the stacked map x -> (lift(T_2 x), ..,
-        lift(T_2top x)), the images of each monomial lifted from
-        frob_images and laid out in fields of 16n bits (module
-        docstring)."""
-        split, lift = self._split, self._lift
-        images = zip(*(self.frob_images(2 * l) for l in range(1, top + 1)))
-        return tuple(_doubling_tables([sum(lift(x) << split * k for k, x in enumerate(xs)) for xs in images], 4))
+        lift(T_2top x)) (module docstring): each monomial's images formed
+        by applying T_2 to the one before and laid out at 2n bits apart,
+        then lifted at once, as lift sends bit i to byte i, so image k
+        lands in field k of 16n bits."""
+        t2, deg = self._frob_rows(2), self.deg
+        powers = [[1 << i for i in range(deg)]]
+        for _ in range(top):
+            powers.append([self._apply_linear(t2, x) for x in powers[-1]])
+        images = [self._lift(sum(x << deg * k for k, x in enumerate(xs))) for xs in zip(*powers[1:])]
+        return tuple(_doubling_tables(images, 4))
 
-    def _frob_lifts(self, stack, a, powers):
-        """One lookup per nibble of a in the stacked tables: field l - 1 of
-        the sum, 16n bits wide, is lift(a^(2^(2l)))."""
+    def _frob_pass(self, stack, a):
+        """One lookup per nibble of a in the stacked tables: the XOR holds
+        lift(a^(2^(2l))) in field l - 1, 16n bits wide."""
         acc = 0
         for t in stack:
             acc ^= t[a & 15]
             a >>= 4
-        split, low = self._split, self._low
-        return [acc >> split * (l - 1) & low for l in powers]
+        return acc
+
+    def _frob_read(self, stack, v, l):
+        return v >> self._split * (l - 1) & self._low
 
     def fq_combine(self, elems, digit_rows):
         rows = self._digit_rows(elems, digit_rows)
@@ -942,12 +977,14 @@ def _doubling_tables(images, width: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _byte_codec(q: int, width: int, count: int):
-    """(lift, canon) for q < 128 between tuples of count coefficients in
-    [0, q) and one int holding entry i in bytes width*i .. width*(i+1)-1.
-    lift spreads the entries' bytes at stride width; canon takes count
-    slots, each below 2^(8*width), to their residues mod q by byte folds
-    and one bytes.translate (module docstring).  Built once per shape: the
-    modulus scan builds an engine for every candidate it tries."""
+    """(lift, canon, canon_lifted) for q < 128 between tuples of count
+    coefficients in [0, q) and one int holding entry i in bytes width*i ..
+    width*(i+1)-1.  lift spreads the entries' bytes at stride width; canon
+    takes count slots, each below 2^(8*width), to their residues mod q by
+    byte folds and one bytes.translate of the slots' low bytes (module
+    docstring), and canon_lifted to lift(canon(p)) by one translate of
+    every byte.  Built once per shape: the modulus scan builds an engine
+    for every candidate it tries."""
     table = bytes(x % q for x in range(256))
     size = width * count
     zeros = bytes(size)
@@ -962,15 +999,22 @@ def _byte_codec(q: int, width: int, count: int):
         buf[::width] = bytes(v)
         return int.from_bytes(buf, "little")
 
-    def canon(p):
+    def settle(p):
+        # the bytes of p once every slot is below 256
         while p & high:
             acc = p & low
             for shift, m in weights:
                 acc += (p >> shift & low) * m
             p = acc
-        return tuple(p.to_bytes(size, "little")[::width].translate(table))
+        return p.to_bytes(size, "little")
 
-    return lift, canon
+    def canon(p):
+        return tuple(settle(p)[::width].translate(table))
+
+    def canon_lifted(p):
+        return int.from_bytes(settle(p).translate(table), "little")
+
+    return lift, canon, canon_lifted
 
 
 class _OddContext(FieldContext):
@@ -1006,12 +1050,14 @@ class _OddContext(FieldContext):
 
         if q < 128:
             # add and sub work on one-byte lanes, which hold 2q - 1
-            self._lift, self._canon = _byte_codec(q, width, deg)
-            self._lanes, self._lanes_canon = _byte_codec(q, 1, deg)
+            self._lift, self._canon, self._canon_lifted = _byte_codec(q, width, deg)
+            self._lanes, self._lanes_canon, _ = _byte_codec(q, 1, deg)
         else:
             mask = (1 << bits) - 1
             self._lift = self._lanes = pack
             self._canon = self._lanes_canon = lambda p: tuple((p >> bits * i & mask) % q for i in range(deg))
+            self._canon_lifted = lambda p: sum((p >> bits * i & mask) % q << bits * i for i in range(deg))
+        self._unlift = self._canon
         self._lanes_q = self._lanes((q,) * deg)
         self._split = bits * deg
         self._stride = 2 * self._split
@@ -1032,10 +1078,20 @@ class _OddContext(FieldContext):
     def _reduce(self, p):
         """Canonical element of a packed, unreduced product or sum of them:
         the high slots folded in by the tail (module docstring)."""
+        return self._canon(self._fold(p))
+
+    def _reduce_lifted(self, p):
+        """_lift(_reduce(p)): the same folds, then every slot taken mod q
+        in place (module docstring)."""
+        return self._canon_lifted(self._fold(p))
+
+    def _fold(self, p):
+        """p with its high slots folded in by the tail, until only the 2n
+        low slots are left."""
         split, low, half, halves = self._split, self._low, self._half, self._halves
         while high := p >> split:
             p = (p & low) + ((high & halves) + (high >> half & halves) * self._wrap) * self._tail
-        return self._canon(p)
+        return p
 
     def inv(self, a):
         """a^-1 = a^(r-1) / N(a) for r = (q^(2n) - 1) / (q - 1) (Itoh-Tsujii).

@@ -457,6 +457,51 @@ def test_skew_bm_matches_reference(params_for, rand_felt, q, n, d, mode):
         assert skew_bm(p, seq) == reference_skew_bm(p, seq)
 
 
+# (q, n, d, length): d - 1 terms, what decode passes, at four points, and
+# full 2n-term sequences, the most skew_bm takes, at three small ones
+BM_EDGE_POINTS = [(2, 7, 5, 4), (2, 31, 15, 14), (3, 19, 9, 8), (5, 13, 7, 6), (2, 3, 3, 6), (2, 5, 3, 10), (3, 3, 3, 6)]
+
+
+@pytest.mark.parametrize("q,n,d,size", BM_EDGE_POINTS)
+def test_skew_bm_edges_match_reference(params_for, rand_felt, q, n, d, size):
+    # the gap of BM's updates reaches the length of the sequence, the
+    # widest field of the stack it asks for: k leading zero terms for every
+    # k < size put the first update's gap at k + 1 (a read of -1, which
+    # every power fixes).  A random head of every length followed by the
+    # terms its shortest register predicts (zero discrepancies) and one
+    # random last term puts the last update's gap at up to size - 1, read
+    # from a nontrivial -inv(delta_prev) and B.  A zero term right after
+    # each length change makes the next update read a fresh B at a gap
+    # above 1
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    rng = SplitMix64(1700 + 10 * q + n)
+
+    def nonzero():
+        while (x := rand_felt(ctx, rng)) == ctx.zero:
+            pass
+        return x
+
+    def predicted(seq):
+        length, lam = reference_skew_bm(p, seq)
+        return ctx.dot(lam, [ctx.frobenius(seq[-l], 2 * l) for l in range(1, length + 1)])
+
+    seqs = [[ctx.zero] * k + [nonzero()] + [rand_felt(ctx, rng) for _ in range(size - k - 1)] for k in range(size)]
+    for head in range(1, size):
+        seq = [nonzero()] + [rand_felt(ctx, rng) for _ in range(head - 1)]
+        while len(seq) < size - 1:
+            seq.append(predicted(seq))
+        seqs.append(seq + [nonzero()])
+    for _ in range(3):
+        seq = [rand_felt(ctx, rng) for _ in range(size)]
+        for j in range(size - 1):
+            if reference_skew_bm(p, seq[: j + 1])[0] != reference_skew_bm(p, seq[:j])[0]:
+                seq[j + 1] = ctx.zero
+        seqs.append(seq)
+    for seq in seqs:
+        assert skew_bm(p, seq) == reference_skew_bm(p, seq), seq
+
+
 @pytest.mark.parametrize("q,n,d,mode", BENCH_POINTS)
 def test_decode_inverts_once_per_length_change(params_for, monkeypatch, q, n, d, mode):
     # machine-independent guard: a decode makes at most one inversion per
@@ -804,24 +849,26 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
 
 
 # kernel primitives of one decode at the benchmark's first and third
-# points, within the radius: (_lift, _reduce, _apply_linear).  At q = 2
-# the register's run takes each element's images from one stacked pass,
-# with no map and no lift of its own
-DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (277, 103, 124), (3, 19, 9, 4, MODE_HERMITIAN): (247, 100, 141)}
+# points, within the radius: (_lift, _reduce, _apply_linear, _frob_pass).
+# Berlekamp-Massey and the register's run take every image from one
+# stacked pass per element, at q = 2 with no map and no lift of their
+# own, and BM reduces to lifted form (_reduce_lifted, not counted) with no
+# re-lift of its connection polynomial
+DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (60, 40, 26, 78), (3, 19, 9, 4, MODE_HERMITIAN): (204, 76, 142, 39)}
 
 
 @pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))
 def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
     # machine-independent guard of the register on lifted operands: each
     # register coefficient is lifted once per register, not once per
-    # product, each run element's images are formed once, and q = 2
-    # interpolation and encoding fold all n outputs at once, with no _lift
-    # or _reduce
+    # product or update, each element the register reads gets one stacked
+    # pass, and q = 2 interpolation and encoding fold all n outputs at
+    # once, with no _lift or _reduce
     p = params_for(q, n, d)
     ctx = p.ctx
     msg, _, received = _noisy(p, 61, t, mode)
     assert decode(p, received).message == msg  # every table decode reads is built
-    counts = dict.fromkeys(("_lift", "_reduce", "_apply_linear"), 0)
+    counts = dict.fromkeys(("_lift", "_reduce", "_apply_linear", "_frob_pass"), 0)
     for name in counts:
         def counting(*args, _orig=getattr(ctx, name), _name=name):
             counts[_name] += 1
@@ -839,22 +886,26 @@ def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
 
 @pytest.mark.parametrize("q,n,d", ENCODE_POINTS)
 def test_frob_lifts_match_lifted_frobenius(q, n, d, rand_felt):
-    # the register run's images, from one stacked pass at q = 2 and one map
-    # and one lift each at odd q, against _lift(frobenius(x, 2l)) for every
-    # l up to d - 1, the longest register _run takes (l = 1 alone at
-    # d = 1), over every subrange _run can ask for.  A fresh context, so
-    # the q = 2 stack is built for one power first and rebuilt as the
-    # ranges grow.
+    # every image the register reads from a stacked pass (at q = 2 a shift
+    # and a mask of one lookup pass, at odd q one map and one lift) against
+    # _lift(frobenius(x, 2l)) for every l up to the stack's width: d - 1,
+    # the width decode asks for (l = 1 alone at d = 1), and at q = 2 also
+    # 2n, the widest a direct skew_bm call asks for.  A pass is false
+    # exactly for zero.  A fresh context, so the stack is built narrow
+    # first and rebuilt wider.
     ctx = make_context(q, n)
-    top = max(d - 1, 1)
     rng = SplitMix64(q + n + d)
     edges = [ctx.zero, ctx.one, ctx.from_coeffs([q - 1] * ctx.deg), ctx.from_coeffs([0] * (ctx.deg - 1) + [1])]
-    for x in edges + [rand_felt(ctx, rng) for _ in range(4)]:
-        want = [ctx._lift(ctx.frobenius(x, 2 * l)) for l in range(1, top + 1)]
-        for hi in range(1, top + 1):
-            stack = ctx._frob_stack(hi)
-            for lo in range(1, hi + 1):
-                assert ctx._frob_lifts(stack, x, range(lo, hi + 1)) == want[lo - 1 : hi], (x, lo, hi)
+    xs = edges + [rand_felt(ctx, rng) for _ in range(4)]
+    for width in [max(d - 1, 1)] + [ctx.deg] * (q == 2):
+        stack = ctx._frob_stack(width)
+        assert ctx._stack_top == width
+        for x in xs:
+            v = ctx._frob_pass(stack, x)
+            assert bool(v) == (x != ctx.zero)
+            if v:
+                want = [ctx._lift(ctx.frobenius(x, 2 * l)) for l in range(1, width + 1)]
+                assert [ctx._frob_read(stack, v, l) for l in range(1, width + 1)] == want, (x, width)
 
 
 # exact products and Frobenius powers of one encode: all of them are

@@ -31,6 +31,7 @@ from hermrank.exceptions import (
 from hermrank.field import _irreducible, context_from_json_obj
 from reference_field import from_base
 from reference_rank import matrix_rank
+from test_codec import ENCODE_POINTS
 from test_linpoly import PACKED_POINTS
 
 
@@ -426,11 +427,16 @@ def test_gf2_frobenius_tables_stay_small():
     # bench/library.py keeps the params of three set-ups, so the tables a
     # (2,31,15) context holds count against the benchmark's 10% bound on
     # peak_rss_mb: its byte tables (ceil(2n/8) = 8 array('Q') tables of 256
-    # entries, about 17 KB a power), the trace table and _run's stacked
-    # nibble tables, after one decode at the radius and one beyond it.
-    # They measured 650,796 bytes (30 powers, stack of 7 fields, CPython
-    # 3.11); the bound leaves about 10% headroom.  Lists of Python ints
-    # for the map tables would be several times that.
+    # entries, about 17 KB a power), the trace table and the register's
+    # stacked nibble tables, after one decode at the radius and one beyond
+    # it.  They measured 623,380 bytes (22 powers, 377,032 bytes; trace
+    # 17,128; stack of d - 1 = 14 fields, 229,220; CPython 3.11), where a
+    # stack of radius fields built from frob_images with BM mapping by
+    # T_2 .. T_28 measured 650,740 (30 powers); the bound leaves about 15%
+    # headroom.  Lists of Python ints for the map tables would be several
+    # times that.  The stack is built by iterating T_2, so a decode builds
+    # no T_2l beyond the powers set-up, encoding and extraction apply:
+    # the pinned set has no T_10, T_12 or T_18 .. T_28.
     p = build_params(2, 31, 15)
     ctx = p.ctx
     for t, seed in ((p.radius, 1), (p.radius + 1, 2)):
@@ -438,10 +444,33 @@ def test_gf2_frobenius_tables_stay_small():
         err = random_rank_error(p, ChannelSpec(t=t, mode=MODE_ARBITRARY, seed=seed))
         assert decode(p, corrupt(ctx, encode(p, msg), err)).ok == (t <= p.radius)
     assert all(type(r) is array for rows in ctx._frob.values() for r in rows)
-    assert ctx._stack_top == p.radius
+    assert ctx._stack_top == p.d - 1
+    assert sorted(ctx._frob) == [1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 30, 31, 32, 33, 35, 37, 39, 41, 43, 45, 47, 61]
     seen = set()
     held = _held_bytes(tuple(ctx._frob.values()), seen) + _held_bytes((ctx._trace_tbl, ctx._stack), seen)
     assert held <= 720_000, held
+
+
+@pytest.mark.parametrize("q,n", sorted({(q, n) for q, n, _ in ENCODE_POINTS}))
+def test_reduce_lifted_and_unlift_match_the_kernel(q, n, rand_felt):
+    # the skew register keeps its connection polynomial lifted: on both
+    # engines _reduce_lifted(p) is _lift(_reduce(p)) for single products
+    # and for 2n-term sums at the slot bound B (2n products of the
+    # all-(q - 1) element put 2n * 2n * (q-1)^2 in the middle slot), and
+    # _unlift inverts _lift on canonical lifted values
+    ctx = make_context(q, n)
+    lift = ctx._lift
+    rng = SplitMix64(q + n)
+    top = ctx.from_coeffs([q - 1] * ctx.deg)
+    xs = [ctx.zero, ctx.one, top, ctx.from_coeffs([0] * (ctx.deg - 1) + [1])]
+    xs += [rand_felt(ctx, rng) for _ in range(6)]
+    bound = ctx._sum([lift(top) * lift(top)] * ctx.deg)
+    sums = [bound] + [lift(x) * lift(y) for x in xs for y in xs]
+    sums += [ctx._sum(lift(rand_felt(ctx, rng)) * lift(rand_felt(ctx, rng)) for _ in range(ctx.deg)) for _ in range(4)]
+    for p in sums:
+        assert ctx._reduce_lifted(p) == lift(ctx._reduce(p)), p
+    for x in xs:
+        assert ctx._unlift(lift(x)) == x
 
 
 @pytest.mark.parametrize("n", [1, 5, 31])
@@ -656,10 +685,10 @@ def test_byte_codec_is_built_once_and_agrees_with_a_fresh_one():
     # the modulus scan at (5,13) builds 57 engines; they share two codecs
     ctx = make_context(5, 13)
     width = ctx._bits // 8
-    lift, canon = field._byte_codec(5, width, ctx.deg)
-    assert (ctx._lift, ctx._canon) == (lift, canon)
+    lift, canon, canon_lifted = field._byte_codec(5, width, ctx.deg)
+    assert (ctx._lift, ctx._canon, ctx._canon_lifted) == (lift, canon, canon_lifted)
     assert ctx._lanes is field._byte_codec(5, 1, ctx.deg)[0]
-    fresh_lift, fresh_canon = field._byte_codec.__wrapped__(5, width, ctx.deg)
+    fresh_lift, fresh_canon, fresh_canon_lifted = field._byte_codec.__wrapped__(5, width, ctx.deg)
     assert fresh_lift is not lift
     rng = SplitMix64(513)
     for _ in range(20):
@@ -668,6 +697,7 @@ def test_byte_codec_is_built_once_and_agrees_with_a_fresh_one():
         slots = rng.draws(256**width, ctx.deg)
         packed = sum(s << 8 * width * i for i, s in enumerate(slots))
         assert canon(packed) == fresh_canon(packed) == tuple(s % 5 for s in slots)
+        assert canon_lifted(packed) == fresh_canon_lifted(packed) == lift(canon(packed))
 
 
 @pytest.mark.parametrize("q,n", [(3, 5), (5, 3)])

@@ -8,39 +8,57 @@ vector form of the Hermitian matrix B*D*B^*, computed without forming the
 matrix.  Either way the draw is repeated until its rank is exactly t, so
 the advertised rank is a guarantee rather than an expectation.
 
-Each draw returns its error with an F_q-spanning list it has already
-formed, and the draw is kept when the list's F_q-rank is 2t: one
-elimination per draw, on a list the draw needed anyway.  The list is
-FieldContext.fq2_span(elems, v) for some v in F_{q^2} outside F_q, whose
-F_q-span is the F_{q^2}-span of elems, of F_q-dimension twice its
-F_{q^2}-dimension.
+A draw is kept when its error's F_{q^2}-rank, the rank rank_distance
+takes from the zero word, is t, and each mode decides that from t-element
+lists it forms anyway or from the drawn digits, never from the n entries
+of the error.  The F_{q^2}-rank of t elements is half the fq_rank of their
+fq2_span(elems, v) for a v in F_{q^2} outside F_q, whose F_q-span is their
+F_{q^2}-span.
 
-* Arbitrary mode: elems is the error itself, so the check is the one
-  rank_distance makes from the zero word, less the n subtractions of zero.
-* Hermitian mode: elems is dbeta, the t elements the draw combines with
-  the conjugated rows of B (in _draw_hermitian), and v = w^q.  dbeta has
-  the F_{q^2}-rank of B: the map x -> sum_r x_r alpha_r is an
-  F_{q^2}-isomorphism F_{q^2}^n -> K, scaling column l by d_l in F_q*
-  keeps the rank, and so does raising to q^(n+1), an automorphism of K
-  that fixes F_{q^2} since n + 1 is even.  The error's rank, the
-  F_{q^2}-dimension of the span of its entries (rank_distance), is
-  rank(B*D*B^*), and that is t exactly when rank(B) = t: then B*D has
-  trivial kernel, so the rank is rank(B^*) = t, and otherwise it is at
-  most rank(B) < t.  So the check keeps exactly the draws rank_distance
-  would, and every seeded error is the same; only on a rejected draw may
-  the two ranks differ.
+* Arbitrary mode: e = C^T gamma, entry r the sum over l of C[l][r] *
+  gamma_l.  With phi(x) = sum_l x_l gamma_l, an F_{q^2}-linear map
+  F_{q^2}^t -> K, the span of the entries of e is phi(colspace C).  If
+  the gammas are F_{q^2}-independent, phi is injective and rank(e) =
+  rank C; if they are not, rank(e) <= dim phi(F_{q^2}^t) < t; and rank(e)
+  <= rank C always.  So rank(e) = t exactly when the gammas are
+  independent and rank C = t.  The first is fq_rank(fq2_span(gammas, w))
+  = 2t, on the span the combination builds anyway.  For the second, a row
+  of C, entries s_r + u_r*w, is read as the element of 2n coefficients
+  (s_1 .. s_n, u_1 .. u_n), an F_q-isomorphism F_{q^2}^n -> K, and w times
+  the row, entries u_r*c0 + (s_r + u_r*c1)*w for w^2 = c0 + c1*w, as
+  another; the t rows and their w-multiples span F_q-dimension twice
+  rank C.  So both checks are eliminations on 2t elements, with no
+  product and no combination, and the error is formed only when both pass.
+* Hermitian mode: the list is fq2_span(dbeta, w^q), where dbeta holds the
+  t elements the draw combines with the conjugated rows of B (in
+  _draw_hermitian).  dbeta has the F_{q^2}-rank of B: the map x -> sum_r
+  x_r alpha_r is an F_{q^2}-isomorphism F_{q^2}^n -> K, scaling column l
+  by d_l in F_q* keeps the rank, and so does raising to q^(n+1), an
+  automorphism of K that fixes F_{q^2} since n + 1 is even.  The error's
+  rank is rank(B*D*B^*), and that is t exactly when rank(B) = t: then B*D
+  has trivial kernel, so the rank is rank(B^*) = t, and otherwise it is
+  at most rank(B) < t.
+
+So each check keeps exactly the draws rank_distance would, and every
+seeded error is the same as when the draw checked the rank of e itself.
+What a draw uses that depends only on the code, the alpha-span
+fq2_span(alpha, w), w^q and w^2's coordinates, is prepared once per code
+(CodeParams._alpha_span and _draw_forms).
 
 Every digit comes from blocks of SplitMix64.draws, in the order per-call
-draws would take.  Arbitrary mode draws t * 2n digits below q for the t
-gammas, then t * n draws below q^2 for the t x n coefficient matrix, row by
-row; Hermitian mode draws n * t below q^2 for B, row by row, then, for
-q > 2 only, t below q - 1 for the diagonal of D.  An F_{q^2} entry s + u*w
-(w = fq2_w(), so {1, w} is the reduced basis) is one draw below q^2 split
-as divmod(draw, q) into its two digits, and is never formed as an element:
-each error entry is an F_q-combination of the digits
-(FieldContext.fq_combine), and the conjugate of s + u*w is s + u*w^q.  A
-draw costs no memory in q, so the channel, and with it the CLI's corrupt
-and simulate, runs at every q the element budget admits.
+draws would take, and a draw takes all its blocks before any check, so a
+rejected draw leaves the stream where a kept one would.  Arbitrary mode
+draws t * 2n digits below q for the t gammas, then t * n draws below q^2
+for the t x n coefficient matrix, row by row; Hermitian mode draws n * t
+below q^2 for B, row by row, then, for q > 2 only, t below q - 1 for the
+diagonal of D.  An F_{q^2} entry s + u*w (w = fq2_w(), so {1, w} is the
+reduced basis) is one draw below q^2 split as divmod(draw, q) into its two
+digits, and is never formed as an element: each error entry is an
+F_q-combination of the digits (FieldContext._combine, fq_combine without
+the check on its digits, which are in range by construction), and the
+conjugate of s + u*w is s + u*w^q.  A draw costs no memory in q, so the
+channel, and with it the CLI's corrupt and simulate, runs at every q the
+element budget admits.
 """
 
 from __future__ import annotations
@@ -77,55 +95,59 @@ def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
         raise BadParamsError(f"unknown error mode {spec.mode!r}")
     if type(spec.seed) is not int:
         raise BadParamsError(f"channel seed must be an integer, got {spec.seed!r}")
-    if spec.t == 0:  # the arbitrary draw would have no digit rows and return ()
+    if spec.t == 0:  # the zero word; the draws take t >= 1 digit blocks
         return (ctx.zero,) * n
     rng = SplitMix64(spec.seed)
     draw = _draw_arbitrary if spec.mode == MODE_ARBITRARY else _draw_hermitian
     for _ in range(10000):
-        e, span = draw(params, n, spec.t, rng)
-        if ctx.fq_rank(span) == 2 * spec.t:
+        e = draw(params, n, spec.t, rng)
+        if e is not None:
             return e
     raise RuntimeError("rank-t sampling failed to converge")  # pragma: no cover
 
 
-def _fq2_combine(ctx: FieldContext, span: Sequence[Felt], rows) -> tuple:
-    """sum_l (s_l + u_l*w) * elems[l] for each row of F_{q^2} digit pairs
-    (s_l, u_l), with span = fq2_span(elems, w): one F_q-combination of the
-    s digits, then the u digits, against elems and w * elems."""
-    return ctx.fq_combine(span, ([s for s, _ in row] + [u for _, u in row] for row in rows))
-
-
-def _draw_arbitrary(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple:
-    """(e, fq2_span(e, w)) for e = the t x n matrix of F_{q^2} digits
-    applied to t random gammas."""
-    ctx = params.ctx
-    q, w, deg = ctx.q, ctx.fq2_w(), ctx.deg
-    digits = rng.draws(q, t * deg)
-    gammas = [ctx.from_coeffs(digits[i : i + deg]) for i in range(0, t * deg, deg)]
-    coeffs = [divmod(x, q) for x in rng.draws(q * q, t * n)]
-    # coeffs holds t rows of n; column r is coeffs[r], coeffs[r + n], ...
-    e = _fq2_combine(ctx, ctx.fq2_span(gammas, w), (coeffs[r::n] for r in range(n)))
-    return e, ctx.fq2_span(e, w)
-
-
-def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple:
-    """(e, fq2_span(dbeta, w^q)) for e the vector form of B*D*B^*."""
+def _draw_arbitrary(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple | None:
+    """e = C^T gamma for t random gammas and a random t x n matrix C of
+    F_{q^2} digits, or None when rank(e) < t: when the gammas are
+    F_{q^2}-dependent or rank C < t (module docstring)."""
     ctx = params.ctx
     q = ctx.q
-    pairs = [divmod(x, q) for x in rng.draws(q * q, n * t)]
-    b = [pairs[i : i + t] for i in range(0, n * t, t)]
+    gammas = ctx._from_digits(rng.draws(q, t * ctx.deg))
+    # C holds t rows of n entries s + u*w; column r is s[r::n], u[r::n]
+    xs = rng.draws(q * q, t * n)
+    s, u = [x // q for x in xs], [x % q for x in xs]
+    c0, c1 = params._draw_forms[2]
+    ws, wu = [y * c0 % q for y in u], [(x + y * c1) % q for x, y in zip(s, u)]
+    # the digits of the t rows of C, then of their w-multiples, 2n a row
+    rows = sum((a[i : i + n] + b[i : i + n] for a, b in ((s, u), (ws, wu)) for i in range(0, t * n, n)), [])
+    span = ctx.fq2_span(gammas, ctx.fq2_w())
+    if ctx.fq_rank(span) < 2 * t or ctx.fq_rank(ctx._from_digits(rows)) < 2 * t:
+        return None
+    # sum_l (s_l + u_l*w) * gamma_l is one F_q-combination of span
+    return ctx._combine(ctx._packed(span), (s[r::n] + u[r::n] for r in range(n)))
+
+
+def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple | None:
+    """The vector form of B*D*B^*, or None when rank(B) < t (module
+    docstring)."""
+    ctx = params.ctx
+    q = ctx.q
+    # B holds n rows of t entries s + u*w; column l is s[l::t], u[l::t]
+    xs = rng.draws(q * q, n * t)
+    s, u = [x // q for x in xs], [x % q for x in xs]
     diag = [1 + x for x in rng.draws(q - 1, t)] if q > 2 else [1] * t
     # B*D*B^* has entry (i, r) = sum_l b[i][l] * diag[l] * b[r][l]^q, and
     # matrix_to_vector maps column r to (column r dotted with alpha)^(q^(n+1)),
     # so entry r of the vector is sum_l b[r][l]^q * dbeta[l] with
     # dbeta[l] = (diag[l] * column l of B dotted with alpha)^(q^(n+1)); the
     # F_q scalar diag[l] scales the digits of column l
-    w = ctx.fq2_w()
-    cols = ([(s * dl % q, u * dl % q) for s, u in col] for dl, col in zip(diag, zip(*b)))
-    dbeta = [ctx.frobenius(x, n + 1) for x in _fq2_combine(ctx, ctx.fq2_span(params.alpha, w), cols)]
+    cols = ([x * dl % q for x in s[l::t] + u[l::t]] for l, dl in enumerate(diag))
+    dbeta = [ctx.frobenius(x, n + 1) for x in ctx._combine(params._alpha_span, cols)]
     # (s + u*w)^q = s + u*w^q
-    span = ctx.fq2_span(dbeta, ctx.frobenius(w, 1))
-    return _fq2_combine(ctx, span, b), span
+    span = ctx.fq2_span(dbeta, params._draw_forms[1])
+    if ctx.fq_rank(span) < 2 * t:
+        return None
+    return ctx._combine(ctx._packed(span), (s[i : i + t] + u[i : i + t] for i in range(0, n * t, t)))
 
 
 def corrupt(ctx: FieldContext, word: Sequence[Felt], error: Sequence[Felt]) -> tuple:

@@ -31,6 +31,7 @@ conversions read alpha itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +72,7 @@ def find_selfdual_basis(ctx: FieldContext) -> tuple:
     budget = 64 * q
     while len(basis) < n:
         for _ in range(budget):
-            v = ctx.from_coeffs(rng.draws(q, deg))
+            (v,) = ctx._from_digits(rng.draws(q, deg))
             v = ctx.sub(v, ctx.dot([ctx.rel_trace(ctx.mul(c, v)) for c in conjugates], basis))
             sp = unitary_pairing(ctx, v, v)
             if sp != ctx.zero:
@@ -195,6 +196,26 @@ class CodeParams:
     @property
     def radius(self) -> int:
         return (self.d - 1) // 2
+
+    # what the draws use that depends only on the code, prepared on first
+    # use, once per code; cached_propertys, not fields, so ==, repr and the
+    # params JSON do not see them
+
+    @functools.cached_property
+    def _draw_forms(self) -> tuple:
+        """The F_{q^n} basis packed by ctx._packed, which random_message
+        combines with by ctx._combine, then w^q and the F_q coordinates
+        (c0, c1) of w^2 = c0 + c1*w, which the channel draws use."""
+        ctx = self.ctx
+        w = ctx.fq2_w()
+        return ctx._packed(ctx.subfield_basis(ctx.n)), ctx.frobenius(w, 1), ctx.fq2_coords(ctx.mul(w, w))
+
+    @functools.cached_property
+    def _alpha_span(self) -> tuple:
+        """fq2_span(alpha, w) packed by ctx._packed, which the Hermitian
+        draw combines the columns of B with; the arbitrary draw does not
+        need it, so it costs the n products only where it is used."""
+        return self.ctx._packed(self.ctx.fq2_span(self.alpha, self.ctx.fq2_w()))
 
 
 def build_params(q: int, n: int, d: int) -> CodeParams:

@@ -83,13 +83,12 @@ class Message:
 
 
 def random_message(params: CodeParams, rng: SplitMix64) -> Message:
-    ctx = params.ctx
-    basis = ctx.subfield_basis(ctx.n)
-    # each part is an F_q-combination of the basis, one digit drawn per
-    # basis element in order, all k * n digits in one block
-    n = len(basis)
+    ctx, n = params.ctx, params.n
+    # each part is an F_q-combination of the F_{q^n} basis, packed once per
+    # code, one digit drawn per basis element in order, all k * n digits in
+    # one block
     digits = rng.draws(ctx.q, params.k * n)
-    return Message(ctx.fq_combine(basis, (digits[i : i + n] for i in range(0, len(digits), n))))
+    return Message(ctx._combine(params._draw_forms[0], (digits[i : i + n] for i in range(0, len(digits), n))))
 
 
 def expand_message(params: CodeParams, msg: Message) -> tuple:

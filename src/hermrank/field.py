@@ -228,7 +228,11 @@ and the reduced basis of F_{q^2} share one doubling.
 ``fq_combine`` forms sums of F_q digits times at most 2n elements, the
 packed odd-q kernel on any digits and an XOR of the selected elements for
 q = 2, so a sum of digits times elements never embeds a digit or forms a
-product.
+product.  It checks its digits, as every public entry point does; the
+seeded draws, whose digits are SplitMix64.draws residues and so in range
+by construction, take the unchecked path beneath it instead: elements
+packed once by ``_packed``, combined by ``_combine``, and elements made
+straight from drawn digits by ``_from_digits``.
 
 Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
 nonzero coefficient of a row and clears it from the other rows, by XOR on
@@ -484,6 +488,8 @@ class FieldContext:
         each image lifted (the q = 2 engine keeps byte tables instead)."""
         return tuple(map(self._lift, images))
 
+    _packed = _to_rows
+
     def _frob_stack(self, top: int) -> tuple:
         """The stacked table of T_2, T_4, .., T_(2*top) that _frob_pass and
         _frob_read use, covering at least top powers: built once per
@@ -539,9 +545,9 @@ class FieldContext:
         """(sum_i digits[i] * elems[i] for digits in digit_rows): F_q-combinations
         of at most 2n elements with digits in [0, q).
 
-        The elements are packed once by _to_rows, and each combination is
-        one pass of _apply_linear's kernel, with no product and no
-        reduction: one big-int sum of digit times packed element and one
+        The elements are packed once by _packed, and each combination is
+        one pass of _apply_linear's kernel (_combine), with no product and
+        no reduction: one big-int sum of digit times packed element and one
         _canon.  The q = 2 engine instead XORs the selected
         elements.  The odd-q sum cannot carry: a packed element holds its
         canonical coefficients, at most q - 1 per slot, so 2n terms put at
@@ -549,8 +555,21 @@ class FieldContext:
         width holds (module docstring).  Each digit row must hold one digit
         per element, else BadOperandError, as past the slot bound.
         """
-        rows = self._to_rows(elems)
-        return tuple(self._apply_linear(rows, digits) for digits in self._digit_rows(elems, digit_rows))
+        return self._combine(self._packed(elems), self._digit_rows(elems, digit_rows))
+
+    def _combine(self, packed: tuple, digit_rows: Iterable[Sequence[int]]) -> tuple:
+        """fq_combine on elements packed by _packed, with no check: for
+        digits in range by construction, as drawn ones are.  Here one pass
+        of _apply_linear's kernel per row (the q = 2 engine XORs the
+        selected elements instead)."""
+        return tuple(self._apply_linear(packed, digits) for digits in digit_rows)
+
+    def _from_digits(self, digits: Sequence[int]) -> list:
+        """The elements of consecutive 2n-digit blocks of digits, each block
+        a from_coeffs list, with no check: for digits in [0, q) by
+        construction, as drawn ones are (the q = 2 engine reads all the
+        blocks at once)."""
+        return [self._from_coeffs(digits[i : i + self.deg]) for i in range(0, len(digits), self.deg)]
 
     def _digit_rows(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]):
         """The rows of digit_rows, each checked to hold one digit per
@@ -942,9 +961,17 @@ class _Gf2Context(FieldContext):
     def _frob_read(self, stack, v, l):
         return v >> self._split * (l - 1) & self._low
 
-    def fq_combine(self, elems, digit_rows):
-        rows = self._digit_rows(elems, digit_rows)
-        return tuple(functools.reduce(operator.xor, itertools.compress(elems, d), 0) for d in rows)
+    _packed = staticmethod(tuple)
+
+    @staticmethod
+    def _combine(packed, digit_rows):
+        return tuple(functools.reduce(operator.xor, itertools.compress(packed, d), 0) for d in digit_rows)
+
+    def _from_digits(self, digits):
+        """One int of all the digits, by one translate of their bytes, cut
+        into 2n-bit elements."""
+        v, deg = int(bytes(digits[::-1]).translate(_DIGITS), 2), self.deg
+        return [v >> i & (1 << deg) - 1 for i in range(0, len(digits), deg)]
 
     def _echelon(self, elems):
         # XOR elimination on the packed coefficient bits: each pivot clears

@@ -10,7 +10,7 @@ and the Hermitian channel draw that forms B*D*B^* entry by entry before
 converting it to vector form.
 
 The channel draws each F_{q^2} entry as two F_q digits and combines them
-with FieldContext.fq_combine.  The draws it replaced index the list of all
+with FieldContext._combine, fq_combine without the digit check.  The draws it replaced index the list of all
 q^2 elements, sub2 = subfield_elements(2), and multiply elements with dot;
 random_message_dots is the message draw that embedded its digits and
 dotted them with the basis.  They make the same RNG calls in the same

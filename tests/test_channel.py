@@ -1,5 +1,6 @@
 """Seeded error sampling and corruption."""
 
+import copy
 import json
 
 import pytest
@@ -23,7 +24,14 @@ from hermrank.codec import word_from_json_obj, word_to_json_obj
 from hermrank.exceptions import BadParamsError, BadRankError, HermrankError
 from hermrank.field import FieldContext
 from hermrank.linpoly import lp_interpolate
-from reference_rank import draw_hermitian_via_matrix, map_rank, random_rank_error_listed
+from reference_rank import (
+    draw_arbitrary_listed,
+    draw_hermitian_listed,
+    draw_hermitian_via_matrix,
+    map_rank,
+    matrix_rank,
+    random_rank_error_listed,
+)
 
 
 def test_rank_zero_error_is_zero(params_for):
@@ -101,51 +109,60 @@ def test_hermitian_mode_matrices_are_hermitian(params_for):
 
 @pytest.mark.parametrize("q,n,d", [(2, 7, 5), (3, 5, 3), (5, 5, 3)])
 def test_hermitian_draw_matches_matrix_path(params_for, q, n, d):
-    # the vector-form draw gives the vector of B*D*B^* exactly, and leaves
-    # the RNG where the matrix path leaves it; the span it returns decides
-    # as rank_distance does (test_span_check_agrees_with_rank_distance)
+    # a kept vector-form draw is the vector of B*D*B^* exactly, a draw is
+    # kept exactly when that vector has rank t, and either way the draw
+    # leaves the RNG where the matrix path leaves it
     p = params_for(q, n, d)
     sub2 = p.ctx.subfield_elements(2)
     zero = (p.ctx.zero,) * n
     for t in range(1, n + 1):
         for seed in range(4):
             fast, slow = SplitMix64(50 * t + seed), SplitMix64(50 * t + seed)
-            e, span = _draw_hermitian(p, n, t, fast)
-            assert e == draw_hermitian_via_matrix(p, n, t, slow, sub2)
+            e = _draw_hermitian(p, n, t, fast)
+            full = draw_hermitian_via_matrix(p, n, t, slow, sub2)
+            assert e == (full if rank_distance(p, full, zero) == t else None)
             assert fast.next_u64() == slow.next_u64()
-            _check_span(p, e, span, t, zero, exact=False)
-
-
-def _check_span(p, e, span, t, zero, exact):
-    """The span check decides as rank_distance from the zero word does, and
-    returns whether the draw is rejected.  In arbitrary mode (exact) the
-    span is fq2_span(e, w), of F_q-rank twice the error's rank.  In
-    Hermitian mode it is fq2_span(dbeta, w^q), of F_q-rank 2 rank(B), and
-    the error's rank rank(B*D*B^*) is at most rank(B), equal when
-    rank(B) = t; below t it can be less, e.g. 0 for B = (b, b) at q = 2."""
-    rank = rank_distance(p, e, zero)
-    full = p.ctx.fq_rank(span)
-    assert full % 2 == 0 and 2 * rank <= full <= 2 * t
-    assert not exact or full == 2 * rank
-    assert (full == 2 * t) == (rank == t)
-    return rank != t
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 3, 3), (3, 3, 3), (2, 5, 3), (5, 3, 3), (3, 5, 3)])
 def test_span_check_agrees_with_rank_distance(params_for, q, n, d):
-    # the channel keeps a draw when its span has F_q-rank 2t; draw by
-    # draw, that is the decision rank_distance makes, in both modes and at
-    # every t.  Small q makes rank-deficient draws common
+    # draw by draw, in both modes and at every t, a draw keeps exactly the
+    # listed draw's error when rank_distance from the zero word gives it
+    # rank t, rejects it otherwise, and leaves the RNG where the listed draw
+    # leaves it, kept or not.  Small q makes rejections common; in
+    # arbitrary mode both causes occur: F_{q^2}-dependent gammas, and a
+    # coefficient matrix C of rank below t
     p = params_for(q, n, d)
-    zero = (p.ctx.zero,) * n
-    for draw in (_draw_arbitrary, _draw_hermitian):
-        rng = SplitMix64(1000 * q + n)
-        rejected = 0
+    ctx = p.ctx
+    sub2 = ctx.subfield_elements(2)
+    zero = (ctx.zero,) * n
+    listed = {
+        _draw_arbitrary: lambda rng, t: draw_arbitrary_listed(ctx, n, t, rng, sub2),
+        _draw_hermitian: lambda rng, t: draw_hermitian_listed(p, n, t, rng, sub2),
+    }
+    for draw, listed_draw in listed.items():
+        fast, slow = SplitMix64(1000 * q + n), SplitMix64(1000 * q + n)
+        rejected = dependent = deficient = 0
         for t in range(1, n + 1):
             for _ in range(40):
-                e, span = draw(p, n, t, rng)
-                rejected += _check_span(p, e, span, t, zero, exact=draw is _draw_arbitrary)
+                probe = copy.copy(fast)
+                e = draw(p, n, t, fast)
+                full = listed_draw(slow, t)
+                kept = rank_distance(p, full, zero) == t
+                assert e == (full if kept else None)
+                assert fast.next_u64() == slow.next_u64()
+                rejected += not kept
+                if draw is _draw_arbitrary:
+                    # the draw's own digits, read again: t gammas, then C
+                    gammas = [ctx.from_coeffs(probe.draws(q, ctx.deg)) for _ in range(t)]
+                    c = [[sub2[x] for x in probe.draws(q * q, n)] for _ in range(t)]
+                    independent = rank_distance(p, tuple(gammas) + zero[t:], zero) == t
+                    full_rank = matrix_rank(ctx, c) == t
+                    assert kept == (independent and full_rank)
+                    dependent += not independent
+                    deficient += not full_rank
         assert rejected > 0
+        assert draw is _draw_hermitian or (dependent > 0 and deficient > 0)
 
 
 def test_arbitrary_mode_is_genuinely_wider(params_for):

@@ -549,6 +549,39 @@ def test_unmatched_terms_rejected(q, n):
     assert ctx.fq_combine([], [[], []]) == (ctx.zero, ctx.zero)
 
 
+@pytest.mark.parametrize(
+    "q,n,d", [(2, 1, 1), (2, 5, 3), (2, 31, 15), (3, 1, 1), (3, 19, 9), (5, 13, 7), (131, 1, 1), (131, 3, 3)]
+)
+def test_unchecked_draw_paths_match_checked_ones(params_for, q, n, d):
+    # the message and channel draws skip the digit checks, since
+    # SplitMix64.draws residues lie in [0, q) by construction: on the same
+    # digits, _from_digits is from_coeffs block by block and _combine on
+    # _packed elements is fq_combine, and the per-code forms the draws use
+    # are the packed F_{q^n} basis and alpha-span, w^q and w^2's
+    # coordinates; on both engines, at odd q below 128 (byte slots) and at
+    # 131 (shift-and-mask slots), and at n = 1
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    deg = ctx.deg
+    rng = SplitMix64(q + n)
+    drawn = rng.draws(q, 3 * deg)
+    for digits in (drawn, [0] * deg, [q - 1] * deg, [1] + [0] * (deg - 1), [0] * (deg - 1) + [1]):
+        assert ctx._from_digits(digits) == [ctx.from_coeffs(digits[i : i + deg]) for i in range(0, len(digits), deg)]
+    w = ctx.fq2_w()
+    basis, span = ctx.subfield_basis(n), ctx.fq2_span(p.alpha, w)
+    packed_basis, wq, (c0, c1) = p._draw_forms
+    assert packed_basis == ctx._packed(basis) and p._alpha_span == ctx._packed(span)
+    assert wq == ctx.frobenius(w, 1)
+    assert ctx.mul(w, w) == ctx.add(from_base(ctx, c0), ctx.mul(from_base(ctx, c1), w))
+    for elems in (basis, span, ctx._from_digits(drawn)[:deg]):
+        m = len(elems)
+        rows = [rng.draws(q, m) for _ in range(4)] + [[0] * m, [q - 1] * m]
+        assert ctx._combine(ctx._packed(elems), rows) == ctx.fq_combine(elems, rows)
+    digits = SplitMix64(5).draws(q, p.k * n)
+    parts = ctx.fq_combine(basis, [digits[i : i + n] for i in range(0, p.k * n, n)])
+    assert random_message(p, SplitMix64(5)).parts == parts
+
+
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
 def test_fq_combine_rejects_digits_outside_fq(q, n):
     # the q = 2 XOR once read any nonzero digit as 1, so fq_combine([X],

@@ -109,19 +109,23 @@ def random_rank_error(params: CodeParams, spec: ChannelSpec) -> tuple:
 def _draw_arbitrary(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tuple | None:
     """e = C^T gamma for t random gammas and a random t x n matrix C of
     F_{q^2} digits, or None when rank(e) < t: when the gammas are
-    F_{q^2}-dependent or rank C < t (module docstring)."""
+    F_{q^2}-dependent or rank C < t (module docstring).  Both digit
+    blocks are drawn first, and C's rows are built only for independent
+    gammas."""
     ctx = params.ctx
     q = ctx.q
     gammas = ctx._from_digits(rng.draws(q, t * ctx.deg))
-    # C holds t rows of n entries s + u*w; column r is s[r::n], u[r::n]
     xs = rng.draws(q * q, t * n)
+    span = ctx.fq2_span(gammas, ctx.fq2_w())
+    if ctx.fq_rank(span) < 2 * t:
+        return None
+    # C holds t rows of n entries s + u*w; column r is s[r::n], u[r::n]
     s, u = [x // q for x in xs], [x % q for x in xs]
     c0, c1 = params._draw_forms[2]
     ws, wu = [y * c0 % q for y in u], [(x + y * c1) % q for x, y in zip(s, u)]
     # the digits of the t rows of C, then of their w-multiples, 2n a row
     rows = sum((a[i : i + n] + b[i : i + n] for a, b in ((s, u), (ws, wu)) for i in range(0, t * n, n)), [])
-    span = ctx.fq2_span(gammas, ctx.fq2_w())
-    if ctx.fq_rank(span) < 2 * t or ctx.fq_rank(ctx._from_digits(rows)) < 2 * t:
+    if ctx.fq_rank(ctx._from_digits(rows)) < 2 * t:
         return None
     # sum_l (s_l + u_l*w) * gamma_l is one F_q-combination of span
     return ctx._combine(ctx._packed(span), (s[r::n] + u[r::n] for r in range(n)))

@@ -44,9 +44,9 @@ one _feedback per position.  Every image the register reads comes from
 the field's stacked table of T_2, T_4, ..: each element gets one
 _frob_pass, when it enters the sequence, the run or BM's previous
 register, and _frob_read takes each image from that pass (at q = 2 a
-shift and a mask, at odd q one map and one lift).  BM keeps its
-connection polynomial lifted and reduces each discrepancy and each
-update straight to the lifted canonical form, _reduce_lifted; its
+shift and a mask, at odd q one packed sum finished in lifted form).  BM
+keeps its connection polynomial lifted and reduces each discrepancy and
+each update straight to the lifted canonical form, _reduce_lifted; its
 entries are taken back to elements only when it becomes the previous
 register and for the returned lambda.
 """
@@ -235,8 +235,8 @@ def _run(ctx, start: Sequence[Felt], lam: Sequence[Felt], stop: int) -> tuple:
     element gets one _frob_pass before the first position that reads it,
     the last t elements of start and each produced element but the last,
     and _feedback reads its images from that pass.  Only positions below
-    stop read, so at odd q, where a read is one map and one lift, no image
-    is formed that the run does not use.
+    stop read, so at odd q, where a read is one packed sum, no image is
+    formed that the run does not use.
     """
     t, first, fpass = len(lam), len(start), ctx._frob_pass
     lifted = [ctx._lift(c) for c in lam]
@@ -266,7 +266,9 @@ def _feedback(ctx, lifted: list, stack: tuple, back: Iterable, head: Optional[Fe
     image is below 2^(16n), so no field of 16n bits overlaps the next.
     Each field read is then exactly lift(apply(T_2l, x)), so each product
     c_l * image is the one formed with a map and a lift per image, and the
-    sum is unchanged.  At odd q a read is that map and that lift.
+    sum is unchanged.  At odd q a read is that map's packed sum of digits
+    times lifted rows, taken by _canon_lifted to lift(canon(sum)), the
+    same lifted image.
 
     Slot bound: each operand is a lifted canonical element, whether lifted
     from an element or kept lifted by _reduce_lifted, so a product puts at

@@ -19,9 +19,8 @@ Every product in the package is one kernel: form unreduced products, add
 them, reduce once.  The unreduced product of two lifted values is their
 int product, whose slot k holds the k-th coefficient of the convolution.
 Each engine supplies only the rest of the kernel, and ``FieldContext``
-writes ``mul``, ``dot``, ``pack_rows``, ``combine_rows`` and ``_to_rows``
-once on top, and the q = 2 engine keeps its own packed rows and
-linear-map tables (below).  The decoder's skew register
+writes ``mul`` and ``dot`` once on top; each engine keeps its own packed
+rows and linear-map tables (below).  The decoder's skew register
 (``hermrank.codec``) forms its one feedback sum, for Berlekamp-Massey's
 discrepancies and for every step of its run, on the same hooks, under
 the same bounds:
@@ -127,15 +126,15 @@ A constant table of at most 2n rows of n entries is also kept as packed
 rows, so combining its rows with one scalar each, sum_r v_r * table[r][j]
 for every j at once, is one packed combination.  The code keeps two: the
 square Moore inverse, whose n rows interpolate, and the k x n encoder
-table, whose k rows evaluate.  ``pack_rows`` lays row r out as one int
-holding the lifted entry j at bit or slot ``_stride`` * j, and
+table, whose k rows evaluate.  At odd q ``pack_rows`` lays row r out as
+one int holding the lifted entry j at slot ``_stride`` * j, and
 ``combine_rows`` sums the products of each lifted scalar with its whole
 row, then cuts out the n output fields, each for its one ``_reduce``.
 
-The q = 2 engine overrides both, and its rows stay compact: entry j's
-bits at bit 4n * j.  Spread rows would be 8 times the bytes, and at
-(2,31,15) a combination of the spread encoder rows, each a product of a
-62-byte scalar with a 3.8 KB row, took twice as long.  Its
+The q = 2 rows stay compact: entry j's bits at bit 4n * j.  Spread rows
+would be 8 times the bytes, and at (2,31,15) a combination of the spread
+encoder rows, each a product of a 62-byte scalar with a 3.8 KB row, took
+twice as long.  Its
 ``combine_rows`` is a windowed carry-less product of each scalar with
 its whole row.  It builds the row's 16-entry shift table, XORs entry
 t[v] into bucket k for each nibble v at position k of the scalar (its
@@ -174,11 +173,14 @@ ceil(2n/8) of them, where entry v of table k is the XOR of the images
 8k .. 8k+7 over the set bits of v, built by doubling in ``_to_rows``.
 A map is then one lookup per byte of its input, 8 at n = 31, instead of
 one XOR per set bit, and image i reads back as entry 1 << (i % 8) of
-table i // 8.  The byte tables are ``array('Q')`` rows of 256 entries,
-about 17 KB a power at n = 31: an entry has at most 64 bits, and the flat
-array holds it in 8 bytes, where a list holds a pointer to a separate int
-object of about 36 bytes.  A context keeps only the tables of the powers
-it applies, and a process may keep several contexts.
+table i // 8.  ``_apply_linear`` reads the width of its input groups
+from the length of its tables, a byte for 256 entries and a nibble for
+16, so the same walk also makes the stacked pass below.  The byte tables
+are ``array('Q')`` rows of 256 entries, about 17 KB a power at n = 31:
+an entry has at most 64 bits, and the flat array holds it in 8 bytes,
+where a list holds a pointer to a separate int object of about 36 bytes.
+A context keeps only the tables of the powers it applies, and a process
+may keep several contexts.
 
 The decoder's skew register reads elements x under T_2, T_4, .., T_2w,
 lifted (``hermrank.codec``): Berlekamp-Massey up to the length w of its
@@ -188,17 +190,21 @@ gives a stacked table of those w powers, once per context;
 ``_frob_pass`` makes one pass of it over x, false exactly when x is zero,
 and ``_frob_read`` reads lift(x^(q^(2l))) for any l <= w from that pass.
 For odd q the stack is the tables T_2l themselves, the pass keeps x, and
-each read is one map and one lift.  For q = 2 the map x -> (lift(T_2 x),
+each read is one packed sum of x's digits times the lifted rows of T_2l,
+finished by ``_canon_lifted``, the finisher of ``_reduce_lifted``: 2n
+products of a digit and a canonical lifted row put at most 2n * (q-1)^2
+in a slot, below B, so the image is formed once, lifted, with no
+canonical tuple between.  For q = 2 the map x -> (lift(T_2 x),
 .., lift(T_2w x)) is F_2-linear too, as ``_lift`` is (bit i to byte i),
 so the stack is one table that holds for each monomial its w lifted
 images side by side in fields of 16n bits.  Each monomial's images are
 built by applying T_2 to its image before, so the stack builds no table
-T_2l for l > 1.  The pass is one lookup per 4 input bits, and a read is
-a shift and a mask.  A lifted image is below 2^(16n), so no field
-overlaps the next, and each field is exactly lift(T_2l x).  The q = 2
-stack keeps one nibble table per 4 input bits, whose entries are ints of
-16nw bits (about 230 KB at (2,31) and w = 14; byte tables would be 8
-times that).  A context keeps one stack, rebuilt when a caller asks for
+T_2l for l > 1.  The pass is ``_apply_linear`` on its nibble tables, one
+lookup per 4 input bits, and a read is a shift and a mask.  A lifted
+image is below 2^(16n), so no field overlaps the next, and each field is
+exactly lift(T_2l x).  The q = 2 stack keeps one nibble table per 4
+input bits, whose entries are ints of 16nw bits (about 230 KB at (2,31)
+and w = 14; byte tables would be 8 times that).  A context keeps one stack, rebuilt when a caller asks for
 more powers than it holds; a decode asks for d - 1 first, and the run
 reads the first t fields of that stack.
 
@@ -231,8 +237,12 @@ q = 2, so a sum of digits times elements never embeds a digit or forms a
 product.  It checks its digits, as every public entry point does; the
 seeded draws, whose digits are SplitMix64.draws residues and so in range
 by construction, take the unchecked path beneath it instead: elements
-packed once by ``_packed``, combined by ``_combine``, and elements made
-straight from drawn digits by ``_from_digits``.
+packed once by ``_packed`` and combined by ``_combine``.  Each engine has
+one element constructor, ``_from_digits``, which reads consecutive blocks
+of 2n digits with no check: the drawn elements are made by it, and so is
+the element of ``from_coeffs``, after its check, and the packed q = 2
+modulus.  At q = 2 it reads all the blocks at once, by one
+``bytes.translate`` of the digits and ``int(..., 2)``.
 
 Each engine has one F_q elimination, ``_echelon``: it pivots on the highest
 nonzero coefficient of a row and clears it from the other rows, by XOR on
@@ -389,15 +399,30 @@ class FieldContext:
     Use :func:`make_context` to build one.  Two contexts built from the same
     (q, n) are interchangeable; every derived table is deterministic.
 
-    This class holds only what both engines share.  An engine supplies
-    ``_setup_engine`` (``zero``, ``one`` and the kernel's constants),
-    ``add``, ``sub``, ``inv``, ``_from_coeffs`` (the element of checked
-    coefficients), ``to_coeffs``, the kernel's ``_lift``, ``_sum``,
-    ``_reduce``, ``_reduce_lifted``, ``_unlift`` and ``_stride`` (module
-    docstring), and:
+    This class holds only what both engines share, and each engine
+    supplies every hook below once:
 
-    * ``_apply_linear(rows, a)``: the F_q-linear map whose table, in the
-      form ``_to_rows`` makes, is rows, applied to a;
+    * ``_setup_engine``: ``zero``, ``one`` and the kernel's constants;
+    * ``add``, ``sub``, ``inv`` and ``to_coeffs``;
+    * ``_from_digits(digits)``: the elements of consecutive blocks of 2n
+      digits, with no check, for digits in [0, q) by construction, as
+      drawn ones and from_coeffs' checked ones are;
+    * the kernel's ``_lift``, ``_sum``, ``_reduce``, ``_reduce_lifted``,
+      ``_unlift`` and ``_stride`` (module docstring);
+    * ``pack_rows(table)`` and ``combine_rows(values, rows)``: a table of
+      at most 2n rows of n entries as packed rows, and
+      (sum_r values[r] * table[r][j])_j from them, one value per row, else
+      BadOperandError, as past the slot bound (module docstring);
+    * ``_to_rows(images)``: the table of the F_q-linear map with the given
+      monomial images, and ``_apply_linear(rows, a)``, that map applied
+      to a;
+    * ``_packed(elems)`` and ``_combine(packed, digit_rows)``: fq_combine
+      in two steps and with no check, the elements packed once and each
+      row of digits combined with them;
+    * ``_stacked(top)``: the stacked table of T_2, T_4, .., T_(2*top) that
+      ``_frob_stack`` keeps; ``_frob_pass(stack, a)``: one pass of it over
+      a, false exactly when a is zero; ``_frob_read(stack, v, l)``:
+      lift(a^(q^(2l))) from the pass v of a nonzero a, for 1 <= l <= top;
     * ``frob_images(j)``: the images (X^i)^(q^j) of the monomial basis,
       i = 0 .. 2n-1, read back from the table ``_frob_rows(j)``;
     * ``_echelon(elems)``: the pivots of an elimination on the span of
@@ -437,7 +462,7 @@ class FieldContext:
         through to an output."""
         if len(coeffs) != self.deg or any(type(c) is not int or not 0 <= c < self.q for c in coeffs):
             raise BadElementError(f"element needs {self.deg} integer coefficients in [0, {self.q})")
-        return self._from_coeffs(coeffs)
+        return self._from_digits(coeffs)[0]
 
     def fq_rank(self, elems: Sequence[Felt]) -> int:
         """Dimension over F_q of the span of elems; the one elimination
@@ -483,13 +508,6 @@ class FieldContext:
         lift = self._lift
         return self._reduce(self._sum(map(operator.mul, map(lift, xs), map(lift, ys))))
 
-    def _to_rows(self, images: Sequence[Felt]) -> tuple:
-        """Table form of a linear map's monomial images for _apply_linear:
-        each image lifted (the q = 2 engine keeps byte tables instead)."""
-        return tuple(map(self._lift, images))
-
-    _packed = _to_rows
-
     def _frob_stack(self, top: int) -> tuple:
         """The stacked table of T_2, T_4, .., T_(2*top) that _frob_pass and
         _frob_read use, covering at least top powers: built once per
@@ -498,78 +516,23 @@ class FieldContext:
             self._stack_top, self._stack = top, self._stacked(top)
         return self._stack
 
-    def _stacked(self, top: int) -> tuple:
-        """The tables T_2 .. T_(2*top) themselves (the q = 2 engine stacks
-        their lifted images into one table instead)."""
-        return tuple(self._frob_rows(2 * l) for l in range(1, top + 1))
-
-    def _frob_pass(self, stack: tuple, a: Felt):
-        """The pass of the stack over a that _frob_read reads, false
-        exactly when a is zero: here a itself, or 0 for zero (the q = 2
-        engine makes one pass of lookups instead)."""
-        return a if a != self.zero else 0
-
-    def _frob_read(self, stack: tuple, v, l: int) -> int:
-        """lift(a^(q^(2l))) from the pass v of a nonzero a, for 1 <= l <=
-        top of the stack _frob_stack(top) gave: here one map and one lift
-        (the q = 2 engine shifts and masks one field of the pass)."""
-        return self._lift(self._apply_linear(stack[l - 1], v))
-
-    def pack_rows(self, table: Sequence[Sequence[Felt]]) -> tuple:
-        """Packed-row form of a table for combine_rows: each row as one int
-        holding its lifted entries at the engine's stride (module
-        docstring)."""
-        stride, lift = self._stride, self._lift
-        return tuple(sum(lift(e) << stride * j for j, e in enumerate(row)) for row in table)
-
-    def combine_rows(self, values: Sequence[Felt], rows: Sequence[int]) -> tuple:
-        """(sum_r values[r] * table[r][j])_j for the table of at most 2n
-        rows of n entries packed into rows by pack_rows: one packed
-        combination of the rows, then one reduction per output.  This does
-        not go through mul or dot.  One value per row, else
-        BadOperandError, as past the slot bound."""
-        if len(rows) > self.deg or len(values) != len(rows):
-            raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
-        acc = self._sum(map(operator.mul, map(self._lift, values), rows))
-        stride = self._stride
-        mask = (1 << stride) - 1
-        out = []
-        for _ in range(self.n):
-            out.append(self._reduce(acc & mask))
-            acc >>= stride
-        return tuple(out)
-
     # -- shared operations --------------------------------------------------
 
     def fq_combine(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]) -> tuple:
         """(sum_i digits[i] * elems[i] for digits in digit_rows): F_q-combinations
         of at most 2n elements with digits in [0, q).
 
-        The elements are packed once by _packed, and each combination is
-        one pass of _apply_linear's kernel (_combine), with no product and
-        no reduction: one big-int sum of digit times packed element and one
-        _canon.  The q = 2 engine instead XORs the selected
-        elements.  The odd-q sum cannot carry: a packed element holds its
+        The elements are packed once by _packed, and _combine makes each
+        combination with no product and no reduction: at odd q one pass of
+        _apply_linear's kernel, a big-int sum of digit times packed element
+        and one _canon, and at q = 2 an XOR of the selected elements.  The
+        odd-q sum cannot carry: a packed element holds its
         canonical coefficients, at most q - 1 per slot, so 2n terms put at
         most 2n * (q-1)^2 in a slot, below the 2n * 2n * (q-1)^2 every slot
         width holds (module docstring).  Each digit row must hold one digit
         per element, else BadOperandError, as past the slot bound.
         """
         return self._combine(self._packed(elems), self._digit_rows(elems, digit_rows))
-
-    def _combine(self, packed: tuple, digit_rows: Iterable[Sequence[int]]) -> tuple:
-        """fq_combine on elements packed by _packed, with no check: for
-        digits in range by construction, as drawn ones are.  Here one pass
-        of _apply_linear's kernel per row (the q = 2 engine XORs the
-        selected elements instead)."""
-        return tuple(self._apply_linear(packed, digits) for digits in digit_rows)
-
-    def _from_digits(self, digits: Sequence[int]) -> list:
-        """The elements of consecutive 2n-digit blocks of digits, each block
-        a from_coeffs list, with no check: for digits in [0, q) by
-        construction, as drawn ones are (the q = 2 engine reads all the
-        blocks at once)."""
-        return [self._from_coeffs(digits[i : i + self.deg]) for i in range(0, len(digits), self.deg)]
 
     def _digit_rows(self, elems: Sequence[Felt], digit_rows: Iterable[Sequence[int]]):
         """The rows of digit_rows, each checked to hold one digit per
@@ -815,11 +778,12 @@ class _Gf2Context(FieldContext):
         self.zero = 0
         self.one = 1
         self._stride = 2 * deg
-        self._fpacked = self._from_coeffs(self.modulus)
+        (tail,) = self._from_digits(self.modulus[:deg])
+        self._fpacked = tail | 1 << deg
         self._split = 8 * deg
         self._low = (1 << self._split) - 1
         self._ones = int.from_bytes(b"\1" * 2 * deg, "little")
-        self._tail = self._lift(self._fpacked ^ 1 << deg)
+        self._tail = self._lift(tail)
         # combine_rows' fold: the low 2n bits of each of its n fields, and
         # the set bits of the tail
         self._lows = ((1 << self._stride * self.n) - 1) // ((1 << self._stride) - 1) * ((1 << deg) - 1)
@@ -911,10 +875,6 @@ class _Gf2Context(FieldContext):
             a, b = b, a
         return a == 1
 
-    @staticmethod
-    def _from_coeffs(coeffs):
-        return sum(c << i for i, c in enumerate(coeffs))
-
     def to_coeffs(self, a):
         return [(a >> i) & 1 for i in range(self.deg)]
 
@@ -925,11 +885,15 @@ class _Gf2Context(FieldContext):
         return tuple(array("Q", row) for row in _doubling_tables(images, 8))
 
     def _apply_linear(self, tables, a):
-        """One lookup per byte of a in the tables _to_rows makes."""
+        """One lookup per group of a's bits in Four Russians tables, the
+        group as wide as the tables are long: a byte for the 256 entries
+        _to_rows makes, a nibble for the 16 of _stacked."""
+        mask = len(tables[0]) - 1
+        width = mask.bit_length()
         acc = 0
         for t in tables:
-            acc ^= t[a & 255]
-            a >>= 8
+            acc ^= t[a & mask]
+            a >>= width
         return acc
 
     def frob_images(self, j):
@@ -949,14 +913,9 @@ class _Gf2Context(FieldContext):
         images = [self._lift(sum(x << deg * k for k, x in enumerate(xs))) for xs in zip(*powers[1:])]
         return tuple(_doubling_tables(images, 4))
 
-    def _frob_pass(self, stack, a):
-        """One lookup per nibble of a in the stacked tables: the XOR holds
-        lift(a^(2^(2l))) in field l - 1, 16n bits wide."""
-        acc = 0
-        for t in stack:
-            acc ^= t[a & 15]
-            a >>= 4
-        return acc
+    # one lookup per nibble of a in the stacked tables, whose XOR holds
+    # lift(a^(2^(2l))) in field l - 1, 16n bits wide
+    _frob_pass = _apply_linear
 
     def _frob_read(self, stack, v, l):
         return v >> self._split * (l - 1) & self._low
@@ -1159,13 +1118,57 @@ class _OddContext(FieldContext):
                     a[s : s + db] = [x - c * y for x, y in zip(a[s : s + db], b)]
             a, b = b, [x % q for x in a[:db]]
 
-    _from_coeffs = staticmethod(tuple)
+    def _from_digits(self, digits):
+        deg = self.deg
+        return [tuple(digits[i : i + deg]) for i in range(0, len(digits), deg)]
 
     def to_coeffs(self, a):
         return list(a)
 
+    def pack_rows(self, table):
+        """Each row as one int holding its lifted entries at slot _stride * j
+        (module docstring)."""
+        stride, lift = self._stride, self._lift
+        return tuple(sum(lift(e) << stride * j for j, e in enumerate(row)) for row in table)
+
+    def combine_rows(self, values, rows):
+        """One packed combination of the rows, sum_r lift(values[r]) *
+        rows[r], then one reduction per output field."""
+        if len(rows) > self.deg or len(values) != len(rows):
+            raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
+        acc = sum(map(operator.mul, map(self._lift, values), rows))
+        stride = self._stride
+        mask = (1 << stride) - 1
+        return tuple(self._reduce(acc >> stride * j & mask) for j in range(self.n))
+
+    def _to_rows(self, images):
+        """Each image lifted: a map is then sum_i a_i * row_i, one _canon."""
+        return tuple(map(self._lift, images))
+
+    _packed = _to_rows
+
     def _apply_linear(self, rows, a):
         return self._canon(sum(map(operator.mul, a, rows)))
+
+    def _combine(self, packed, digit_rows):
+        """One pass of _apply_linear's kernel per row of digits."""
+        return tuple(self._apply_linear(packed, digits) for digits in digit_rows)
+
+    def _stacked(self, top):
+        """The tables T_2 .. T_(2*top) themselves."""
+        return tuple(self._frob_rows(2 * l) for l in range(1, top + 1))
+
+    def _frob_pass(self, stack, a):
+        """a itself, or 0 for zero: each read forms its one image from a's
+        digits."""
+        return a if a != self.zero else 0
+
+    def _frob_read(self, stack, v, l):
+        """One packed sum of v's digits times the lifted rows of T_2l,
+        taken to lifted canonical form by _canon_lifted, as in
+        _reduce_lifted: 2n products of a digit and a canonical lifted row
+        put at most 2n * (q-1)^2 in a slot."""
+        return self._canon_lifted(sum(map(operator.mul, v, stack[l - 1])))
 
     def _echelon(self, elems):
         """The odd-q engine's pivot-and-clear elimination on packed rows.

@@ -851,10 +851,11 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
 # kernel primitives of one decode at the benchmark's first and third
 # points, within the radius: (_lift, _reduce, _apply_linear, _frob_pass).
 # Berlekamp-Massey and the register's run take every image from one
-# stacked pass per element, at q = 2 with no map and no lift of their
-# own, and BM reduces to lifted form (_reduce_lifted, not counted) with no
-# re-lift of its connection polynomial
-DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (60, 40, 26, 78), (3, 19, 9, 4, MODE_HERMITIAN): (204, 76, 142, 39)}
+# stacked pass per element with no map and no lift of their own (at odd q
+# a read is one packed sum and _canon_lifted, not counted), and BM
+# reduces to lifted form (_reduce_lifted, not counted) with no re-lift of
+# its connection polynomial
+DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (60, 40, 26, 78), (3, 19, 9, 4, MODE_HERMITIAN): (111, 76, 49, 39)}
 
 
 @pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))
@@ -884,10 +885,11 @@ def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
         assert (counts["_lift"], counts["_reduce"]) == (16, 8)
 
 
-@pytest.mark.parametrize("q,n,d", ENCODE_POINTS)
+@pytest.mark.parametrize("q,n,d", ENCODE_POINTS + [(131, 3, 3)])
 def test_frob_lifts_match_lifted_frobenius(q, n, d, rand_felt):
     # every image the register reads from a stacked pass (at q = 2 a shift
-    # and a mask of one lookup pass, at odd q one map and one lift) against
+    # and a mask of one lookup pass, at odd q one packed sum finished by
+    # _canon_lifted, at q = 131 on shift-and-mask slots) against
     # _lift(frobenius(x, 2l)) for every l up to the stack's width: d - 1,
     # the width decode asks for (l = 1 alone at d = 1), and at q = 2 also
     # 2n, the widest a direct skew_bm call asks for.  A pass is false

@@ -555,8 +555,10 @@ def test_unmatched_terms_rejected(q, n):
 def test_unchecked_draw_paths_match_checked_ones(params_for, q, n, d):
     # the message and channel draws skip the digit checks, since
     # SplitMix64.draws residues lie in [0, q) by construction: on the same
-    # digits, _from_digits is from_coeffs block by block and _combine on
-    # _packed elements is fq_combine, and the per-code forms the draws use
+    # digits, _from_digits is each block's element built independently
+    # (the sum of its bits at q = 2, the tuple of its digits at odd q) and
+    # what from_coeffs takes, _combine on _packed elements is fq_combine,
+    # and the per-code forms the draws use
     # are the packed F_{q^n} basis and alpha-span, w^q and w^2's
     # coordinates; on both engines, at odd q below 128 (byte slots) and at
     # 131 (shift-and-mask slots), and at n = 1
@@ -566,7 +568,9 @@ def test_unchecked_draw_paths_match_checked_ones(params_for, q, n, d):
     rng = SplitMix64(q + n)
     drawn = rng.draws(q, 3 * deg)
     for digits in (drawn, [0] * deg, [q - 1] * deg, [1] + [0] * (deg - 1), [0] * (deg - 1) + [1]):
-        assert ctx._from_digits(digits) == [ctx.from_coeffs(digits[i : i + deg]) for i in range(0, len(digits), deg)]
+        blocks = [digits[i : i + deg] for i in range(0, len(digits), deg)]
+        want = [sum(c << i for i, c in enumerate(b)) if q == 2 else tuple(b) for b in blocks]
+        assert ctx._from_digits(digits) == want == [ctx.from_coeffs(b) for b in blocks]
     w = ctx.fq2_w()
     basis, span = ctx.subfield_basis(n), ctx.fq2_span(p.alpha, w)
     packed_basis, wq, (c0, c1) = p._draw_forms
@@ -580,6 +584,34 @@ def test_unchecked_draw_paths_match_checked_ones(params_for, q, n, d):
     digits = SplitMix64(5).draws(q, p.k * n)
     parts = ctx.fq_combine(basis, [digits[i : i + n] for i in range(0, p.k * n, n)])
     assert random_message(p, SplitMix64(5)).parts == parts
+
+
+# the engine hooks FieldContext's docstring lists, each supplied once by
+# every engine
+ENGINE_HOOKS = (
+    "_setup_engine", "zero", "one", "add", "sub", "inv", "to_coeffs", "_from_digits",
+    "_lift", "_sum", "_reduce", "_reduce_lifted", "_unlift", "_stride", "pack_rows", "combine_rows",
+    "_to_rows", "_apply_linear", "_packed", "_combine", "_stacked", "_frob_pass", "_frob_read",
+    "frob_images", "_echelon", "_coprime_to_modulus",
+)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (131, 1)])
+def test_base_class_holds_no_engine_hook(q, n):
+    # FieldContext holds only what both engines share: it defines none of
+    # the hooks its docstring lists, and the engine of a context defines
+    # every one, on its class or, for set-up constants, on the context.
+    # Each engine has one element constructor, _from_digits, and the q = 2
+    # stacked pass is the q = 2 linear map, one table walk
+    base = vars(field.FieldContext)
+    ctx = make_context(q, n)
+    for name in ENGINE_HOOKS:
+        assert f"``{name}" in field.FieldContext.__doc__, name
+        assert name not in base, name
+        assert name in vars(type(ctx)) or name in vars(ctx), name
+    assert not any("_from_coeffs" in vars(c) for c in (field.FieldContext, field._Gf2Context, field._OddContext))
+    gf2 = vars(field._Gf2Context)
+    assert gf2["_frob_pass"] is gf2["_apply_linear"]
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])

@@ -22,18 +22,20 @@ F_{q^2}-span.
   rank C; if they are not, rank(e) <= dim phi(F_{q^2}^t) < t; and rank(e)
   <= rank C always.  So rank(e) = t exactly when the gammas are
   independent and rank C = t.  The first is fq_rank(fq2_span(gammas, w))
-  = 2t, on the span the combination builds anyway.  For the second, a row
-  of C, entries s_r + u_r*w, is read as the element of 2n coefficients
-  (s_1 .. s_n, u_1 .. u_n), an F_q-isomorphism F_{q^2}^n -> K, and w times
-  the row, entries u_r*c0 + (s_r + u_r*c1)*w for w^2 = c0 + c1*w, as
-  another; the t rows and their w-multiples span F_q-dimension twice
-  rank C.  So both checks are eliminations on 2t elements, with no
-  product and no combination, and the error is formed only when both pass.
+  = 2t, on the span the combination builds anyway.  For the second, row
+  l of C, entries s_r + u_r*w, maps to rho_l = sum_r (s_r + u_r*w) *
+  alpha_r, one F_q-combination of the alpha-span fq2_span(alpha, w) with
+  the digits (s_1 .. s_n, u_1 .. u_n).  The map x -> sum_r x_r alpha_r
+  is an F_{q^2}-isomorphism F_{q^2}^n -> K, so the rho have the
+  F_{q^2}-rank of C's rows, and rank C = t exactly when
+  fq_rank(fq2_span(rho, w)) = 2t, with no coordinates of w^2.  So both
+  checks are eliminations on 2t elements, and the error is formed only
+  when both pass.
 * Hermitian mode: the list is fq2_span(dbeta, w^q), where dbeta holds the
   t elements the draw combines with the conjugated rows of B (in
-  _draw_hermitian).  dbeta has the F_{q^2}-rank of B: the map x -> sum_r
-  x_r alpha_r is an F_{q^2}-isomorphism F_{q^2}^n -> K, scaling column l
-  by d_l in F_q* keeps the rank, and so does raising to q^(n+1), an
+  _draw_hermitian).  dbeta has the F_{q^2}-rank of B: the same
+  isomorphism x -> sum_r x_r alpha_r maps B's columns into K, scaling
+  column l by d_l in F_q* keeps the rank, and so does raising to q^(n+1), an
   automorphism of K that fixes F_{q^2} since n + 1 is even.  The error's
   rank is rank(B*D*B^*), and that is t exactly when rank(B) = t: then B*D
   has trivial kernel, so the rank is rank(B^*) = t, and otherwise it is
@@ -41,9 +43,9 @@ F_{q^2}-span.
 
 So each check keeps exactly the draws rank_distance would, and every
 seeded error is the same as when the draw checked the rank of e itself.
-What a draw uses that depends only on the code, the alpha-span
-fq2_span(alpha, w), w^q and w^2's coordinates, is prepared once per code
-(CodeParams._alpha_span and _draw_forms).
+What a draw uses that depends only on the code, the packed alpha-span
+and w^q, is prepared once per code, in the one memo
+CodeParams._draw_forms.
 
 Every digit comes from blocks of SplitMix64.draws, in the order per-call
 draws would take, and a draw takes all its blocks before any check, so a
@@ -110,22 +112,21 @@ def _draw_arbitrary(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tupl
     """e = C^T gamma for t random gammas and a random t x n matrix C of
     F_{q^2} digits, or None when rank(e) < t: when the gammas are
     F_{q^2}-dependent or rank C < t (module docstring).  Both digit
-    blocks are drawn first, and C's rows are built only for independent
+    blocks are drawn first, and C's rows are mapped only for independent
     gammas."""
     ctx = params.ctx
     q = ctx.q
+    w = ctx.fq2_w()
     gammas = ctx._from_digits(rng.draws(q, t * ctx.deg))
     xs = rng.draws(q * q, t * n)
-    span = ctx.fq2_span(gammas, ctx.fq2_w())
+    span = ctx.fq2_span(gammas, w)
     if ctx.fq_rank(span) < 2 * t:
         return None
-    # C holds t rows of n entries s + u*w; column r is s[r::n], u[r::n]
+    # C holds t rows of n entries s + u*w, row by row; column r is
+    # s[r::n], u[r::n]
     s, u = [x // q for x in xs], [x % q for x in xs]
-    c0, c1 = params._draw_forms[2]
-    ws, wu = [y * c0 % q for y in u], [(x + y * c1) % q for x, y in zip(s, u)]
-    # the digits of the t rows of C, then of their w-multiples, 2n a row
-    rows = sum((a[i : i + n] + b[i : i + n] for a, b in ((s, u), (ws, wu)) for i in range(0, t * n, n)), [])
-    if ctx.fq_rank(ctx._from_digits(rows)) < 2 * t:
+    rho = ctx._combine(params._draw_forms[2], (s[i : i + n] + u[i : i + n] for i in range(0, t * n, n)))
+    if ctx.fq_rank(ctx.fq2_span(rho, w)) < 2 * t:
         return None
     # sum_l (s_l + u_l*w) * gamma_l is one F_q-combination of span
     return ctx._combine(ctx._packed(span), (s[r::n] + u[r::n] for r in range(n)))
@@ -146,9 +147,10 @@ def _draw_hermitian(params: CodeParams, n: int, t: int, rng: SplitMix64) -> tupl
     # dbeta[l] = (diag[l] * column l of B dotted with alpha)^(q^(n+1)); the
     # F_q scalar diag[l] scales the digits of column l
     cols = ([x * dl % q for x in s[l::t] + u[l::t]] for l, dl in enumerate(diag))
-    dbeta = [ctx.frobenius(x, n + 1) for x in ctx._combine(params._alpha_span, cols)]
+    _, wq, alpha_span = params._draw_forms
+    dbeta = [ctx.frobenius(x, n + 1) for x in ctx._combine(alpha_span, cols)]
     # (s + u*w)^q = s + u*w^q
-    span = ctx.fq2_span(dbeta, params._draw_forms[1])
+    span = ctx.fq2_span(dbeta, wq)
     if ctx.fq_rank(span) < 2 * t:
         return None
     return ctx._combine(ctx._packed(span), (s[i : i + t] + u[i : i + t] for i in range(0, n * t, t)))

@@ -250,7 +250,7 @@ def cmd_matrix(args) -> int:
         ctx = params.ctx
         _emit(
             {
-                "entries": [[ctx.felt_to_json(v) for v in row] for row in rows],
+                "entries": [[ctx.to_coeffs(v) for v in row] for row in rows],
                 "hermitian": hermitian,
             },
             args.out,

@@ -198,24 +198,18 @@ class CodeParams:
         return (self.d - 1) // 2
 
     # what the draws use that depends only on the code, prepared on first
-    # use, once per code; cached_propertys, not fields, so ==, repr and the
-    # params JSON do not see them
+    # use, once per code; a cached_property, not a field, so ==, repr and
+    # the params JSON do not see it
 
     @functools.cached_property
     def _draw_forms(self) -> tuple:
         """The F_{q^n} basis packed by ctx._packed, which random_message
-        combines with by ctx._combine, then w^q and the F_q coordinates
-        (c0, c1) of w^2 = c0 + c1*w, which the channel draws use."""
+        combines with by ctx._combine; w^q, which the Hermitian draw
+        uses; and fq2_span(alpha, w) packed, which both channel draws
+        combine rows of F_{q^2} digits with."""
         ctx = self.ctx
         w = ctx.fq2_w()
-        return ctx._packed(ctx.subfield_basis(ctx.n)), ctx.frobenius(w, 1), ctx.fq2_coords(ctx.mul(w, w))
-
-    @functools.cached_property
-    def _alpha_span(self) -> tuple:
-        """fq2_span(alpha, w) packed by ctx._packed, which the Hermitian
-        draw combines the columns of B with; the arbitrary draw does not
-        need it, so it costs the n products only where it is used."""
-        return self.ctx._packed(self.ctx.fq2_span(self.alpha, self.ctx.fq2_w()))
+        return ctx._packed(ctx.subfield_basis(ctx.n)), ctx.frobenius(w, 1), ctx._packed(ctx.fq2_span(self.alpha, w))
 
 
 def build_params(q: int, n: int, d: int) -> CodeParams:
@@ -329,8 +323,8 @@ def params_to_json_obj(params: CodeParams) -> dict:
         "n": ctx.n,
         "d": params.d,
         "modulus": list(ctx.modulus),
-        "alpha": [ctx.felt_to_json(a) for a in params.alpha],
-        "eta": ctx.felt_to_json(params.eta),
+        "alpha": [ctx.to_coeffs(a) for a in params.alpha],
+        "eta": ctx.to_coeffs(params.eta),
     }
 
 

@@ -447,7 +447,7 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
 
 
 def message_to_json_obj(params: CodeParams, msg: Message) -> dict:
-    return {"f": [params.ctx.felt_to_json(p) for p in msg.parts]}
+    return {"f": [params.ctx.to_coeffs(p) for p in msg.parts]}
 
 
 def message_from_json_obj(params: CodeParams, obj: dict) -> Message:
@@ -459,7 +459,7 @@ def message_from_json_obj(params: CodeParams, obj: dict) -> Message:
 
 
 def word_to_json_obj(params: CodeParams, vec: Sequence[Felt]) -> dict:
-    return {"v": [params.ctx.felt_to_json(v) for v in vec]}
+    return {"v": [params.ctx.to_coeffs(v) for v in vec]}
 
 
 def word_from_json_obj(params: CodeParams, obj: dict) -> tuple:

@@ -96,17 +96,17 @@ w from the int's little-endian bytes, and one ``bytes.translate`` through
 the 256-entry table of x mod q gives the residues.  The same translate of
 every byte of the buffer, not only the slots' low bytes, leaves each slot
 its residue and each high byte 0, which is the lifted canonical element
-(``_reduce_lifted``).  ``_lift`` spreads the
-bytes of a tuple into a zeroed buffer at stride w.  ``add`` and ``sub``
-(and so ``neg``, which is 0 - a on every engine) work on one-byte lanes,
-one coefficient per byte: a + b and a + Q - b, with Q holding q in every
-lane, are one int sum each, with at most 2q - 1 in a lane and no borrow,
-and the same translate finishes them.
-2q - 1 <= 255 needs q < 128.  From q = 131 on, the lanes are the slots
-themselves, where q^(2n) <= 2^64 leaves at most 6 coefficients: ``_lift``
-packs a tuple as the sum of entry i shifted by 8w * i bits, the set-up
-packs of the tail and the partial-mod masks use the same sum at every q,
-and ``_canon`` shifts and masks each slot out and takes it mod q.
+(``_reduce_lifted``).  ``_lift`` spreads the bytes of a tuple into a
+zeroed buffer at stride w.  The byte folds are exact only while a round
+cannot carry, and that bound is what needs q < 128.  From q = 131 on,
+where q^(2n) <= 2^64 leaves at most 6 coefficients, ``_lift`` packs a
+tuple as the sum of entry i shifted by 8w * i bits, the set-up packs of
+the tail and the partial-mod masks use the same sum at every q, and
+``_canon`` shifts and masks each slot out and takes it mod q.
+
+``add`` and ``sub`` (and so ``neg``, which is 0 - a on every engine) pack
+nothing: at every odd q they are per-coefficient sums and differences of
+the two tuples, each taken mod q.
 
 The q = 2 reduction is the same fold on 1-byte slots, each taken to its
 parity.  Over F_2, f = X^(2n) + r(X), with tail r of degree below 2n;
@@ -748,9 +748,6 @@ class FieldContext:
 
     # -- serialization ------------------------------------------------------
 
-    def felt_to_json(self, a: Felt) -> list[int]:
-        return self.to_coeffs(a)
-
     def felt_from_json(self, obj: list) -> Felt:
         """Element from its JSON coefficient list, checked by from_coeffs."""
         if not isinstance(obj, list):
@@ -1035,16 +1032,15 @@ class _OddContext(FieldContext):
             return sum(c << bits * i for i, c in enumerate(v))
 
         if q < 128:
-            # add and sub work on one-byte lanes, which hold 2q - 1
+            # _canon's byte folds never carry below q = 128
             self._lift, self._canon, self._canon_lifted = _byte_codec(q, width, deg)
-            self._lanes, self._lanes_canon, _ = _byte_codec(q, 1, deg)
         else:
             mask = (1 << bits) - 1
-            self._lift = self._lanes = pack
-            self._canon = self._lanes_canon = lambda p: tuple((p >> bits * i & mask) % q for i in range(deg))
+            self._lift = pack
+            self._canon = lambda p: tuple((p >> bits * i & mask) % q for i in range(deg))
             self._canon_lifted = lambda p: sum((p >> bits * i & mask) % q << bits * i for i in range(deg))
         self._unlift = self._canon
-        self._lanes_q = self._lanes((q,) * deg)
+        self._qs = (q,) * deg
         self._split = bits * deg
         self._stride = 2 * self._split
         self._low = (1 << self._split) - 1
@@ -1053,11 +1049,10 @@ class _OddContext(FieldContext):
         self._tail = pack(tail[: s + 1])
 
     def add(self, a, b):
-        return self._lanes_canon(self._lanes(a) + self._lanes(b))
+        return tuple(map(operator.mod, map(operator.add, a, b), self._qs))
 
     def sub(self, a, b):
-        lanes = self._lanes
-        return self._lanes_canon(lanes(a) + self._lanes_q - lanes(b))
+        return tuple(map(operator.mod, map(operator.sub, a, b), self._qs))
 
     _sum = staticmethod(sum)
 

@@ -505,7 +505,7 @@ def test_tampered_params_rejected(workspace, capsys):
 def test_params_with_other_eta_rejected(tmp_path, params_for, capsys, q, n, d):
     p = params_for(q, n, d)
     obj = params_to_json_obj(p)
-    obj["eta"] = p.ctx.felt_to_json(p.ctx.add(p.ctx.gen, p.ctx.one))
+    obj["eta"] = p.ctx.to_coeffs(p.ctx.add(p.ctx.gen, p.ctx.one))
     params_path = _write(tmp_path / "p.json", obj)
     msg_path = _write(tmp_path / "msg.json", message_to_json_obj(p, random_message(p, SplitMix64(3))))
     out = tmp_path / "out.json"

@@ -457,7 +457,7 @@ def test_params_json_refuses_eta_other_than_x(params_for, q, n, d):
     other = ctx.add(ctx.gen, ctx.one)
     assert not ctx.in_subfield(other, n)
     obj = params_to_json_obj(p)
-    obj["eta"] = ctx.felt_to_json(other)
+    obj["eta"] = ctx.to_coeffs(other)
     with pytest.raises(BadParamsError, match="eta"):
         params_from_json_obj(obj)
 
@@ -467,7 +467,7 @@ def test_params_json_tamper_detection(params_for):
     ctx = p.ctx
 
     obj = params_to_json_obj(p)
-    obj["alpha"][0] = ctx.felt_to_json(ctx.zero)
+    obj["alpha"][0] = ctx.to_coeffs(ctx.zero)
     with pytest.raises(BadParamsError, match="orthonormal"):
         params_from_json_obj(obj)
 
@@ -482,7 +482,7 @@ def test_params_json_tamper_detection(params_for):
         params_from_json_obj(obj)
 
     obj = params_to_json_obj(p)
-    obj["eta"] = ctx.felt_to_json(ctx.one)  # lies inside F_{q^n}
+    obj["eta"] = ctx.to_coeffs(ctx.one)  # lies inside F_{q^n}
     with pytest.raises(BadParamsError, match="eta"):
         params_from_json_obj(obj)
 
@@ -577,7 +577,7 @@ def test_basis_certificate_matches_gram_oracle(params_for, q, n, d):
     verdicts = {}
     for name, basis in _tampered_bases(ctx, p.alpha).items():
         obj = params_to_json_obj(p)
-        obj["alpha"] = [ctx.felt_to_json(a) for a in basis]
+        obj["alpha"] = [ctx.to_coeffs(a) for a in basis]
         verdicts[name] = _gram_ok(ctx, basis)
         if verdicts[name]:
             again = params_from_json_obj(obj)

@@ -770,7 +770,7 @@ def test_message_and_word_json_roundtrip(params_for):
     with pytest.raises(NotInSubfieldError):
         message_from_json_obj(p, {"f": []})
     with pytest.raises(ValueError):
-        word_from_json_obj(p, {"v": [p.ctx.felt_to_json(p.ctx.zero)]})
+        word_from_json_obj(p, {"v": [p.ctx.to_coeffs(p.ctx.zero)]})
 
 
 def test_decode_result_json_shapes(params_for):

@@ -558,10 +558,9 @@ def test_unchecked_draw_paths_match_checked_ones(params_for, q, n, d):
     # digits, _from_digits is each block's element built independently
     # (the sum of its bits at q = 2, the tuple of its digits at odd q) and
     # what from_coeffs takes, _combine on _packed elements is fq_combine,
-    # and the per-code forms the draws use
-    # are the packed F_{q^n} basis and alpha-span, w^q and w^2's
-    # coordinates; on both engines, at odd q below 128 (byte slots) and at
-    # 131 (shift-and-mask slots), and at n = 1
+    # and the per-code forms the draws use are the packed F_{q^n} basis,
+    # w^q and the packed alpha-span; on both engines, at odd q below 128
+    # (byte slots) and at 131 (shift-and-mask slots), and at n = 1
     p = params_for(q, n, d)
     ctx = p.ctx
     deg = ctx.deg
@@ -573,10 +572,9 @@ def test_unchecked_draw_paths_match_checked_ones(params_for, q, n, d):
         assert ctx._from_digits(digits) == want == [ctx.from_coeffs(b) for b in blocks]
     w = ctx.fq2_w()
     basis, span = ctx.subfield_basis(n), ctx.fq2_span(p.alpha, w)
-    packed_basis, wq, (c0, c1) = p._draw_forms
-    assert packed_basis == ctx._packed(basis) and p._alpha_span == ctx._packed(span)
+    packed_basis, wq, alpha_span = p._draw_forms
+    assert packed_basis == ctx._packed(basis) and alpha_span == ctx._packed(span)
     assert wq == ctx.frobenius(w, 1)
-    assert ctx.mul(w, w) == ctx.add(from_base(ctx, c0), ctx.mul(from_base(ctx, c1), w))
     for elems in (basis, span, ctx._from_digits(drawn)[:deg]):
         m = len(elems)
         rows = [rng.draws(q, m) for _ in range(4)] + [[0] * m, [q - 1] * m]
@@ -612,6 +610,18 @@ def test_base_class_holds_no_engine_hook(q, n):
     assert not any("_from_coeffs" in vars(c) for c in (field.FieldContext, field._Gf2Context, field._OddContext))
     gf2 = vars(field._Gf2Context)
     assert gf2["_frob_pass"] is gf2["_apply_linear"]
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (127, 3), (131, 1)])
+def test_retired_digit_paths_stay_gone(params_for, q, n):
+    # odd-q add and sub keep no one-byte lanes codec of their own, at byte
+    # slots (q < 128) and at shift-and-mask slots (q = 131); elements are
+    # written to JSON by to_coeffs; and the draws keep one per-code memo
+    ctx = make_context(q, n)
+    for name in ("_lanes", "_lanes_canon", "_lanes_q"):
+        assert not hasattr(ctx, name), name
+    assert not hasattr(field.FieldContext, "felt_to_json")
+    assert not hasattr(params_for(q, n, 1), "_alpha_span")
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])
@@ -722,9 +732,9 @@ def test_fold_at_slot_bound_matches_schoolbook(q, n):
     ctx = make_context(q, n)
     _check_fold_at_bound(ctx)
     # every other way to the canonical tuple, on zero and on the element
-    # with every coefficient q - 1: the lanes of add, sub and neg, the
-    # linear maps, inv's scaling, fq_combine's 2n digits of q - 1 and the
-    # elimination's scaled pivots
+    # with every coefficient q - 1: add, sub and neg, the linear maps,
+    # inv's scaling, fq_combine's 2n digits of q - 1 and the elimination's
+    # scaled pivots
     top = ctx.from_coeffs([q - 1] * ctx.deg)
     for a in (top, ctx.zero):
         assert ctx.neg(a) == reference_field.neg(ctx, a)
@@ -747,12 +757,11 @@ def test_fold_at_slot_bound_matches_schoolbook(q, n):
 
 
 def test_byte_codec_is_built_once_and_agrees_with_a_fresh_one():
-    # the modulus scan at (5,13) builds 57 engines; they share two codecs
+    # the modulus scan at (5,13) builds 57 engines; they share one codec
     ctx = make_context(5, 13)
     width = ctx._bits // 8
     lift, canon, canon_lifted = field._byte_codec(5, width, ctx.deg)
     assert (ctx._lift, ctx._canon, ctx._canon_lifted) == (lift, canon, canon_lifted)
-    assert ctx._lanes is field._byte_codec(5, 1, ctx.deg)[0]
     fresh_lift, fresh_canon, fresh_canon_lifted = field._byte_codec.__wrapped__(5, width, ctx.deg)
     assert fresh_lift is not lift
     rng = SplitMix64(513)
@@ -1245,7 +1254,7 @@ def test_felt_json_roundtrip(rand_felt):
         rng = SplitMix64(3)
         for _ in range(50):
             a = rand_felt(ctx, rng)
-            assert ctx.felt_from_json(ctx.felt_to_json(a)) == a
+            assert ctx.felt_from_json(ctx.to_coeffs(a)) == a
         with pytest.raises(ValueError):
             ctx.felt_from_json([0] * (ctx.deg + 1))
 

@@ -21,9 +21,12 @@ is computed as the F_{q^2}-dimension of the span of the difference's
 entries, with no matrix built.
 
 The basis's derived tables are kept only as the field engine's packed
-rows.  The inverse Moore matrix moore_inv[r][j] = alpha_r^(q^(n+2j)) gives
-moore_packed: interpolating alpha through those rows is the basis's only
-certificate (_moore_inv), and decoding interpolates through the same rows.
+rows (FieldContext.pack_rows: one int a row at odd q, one shift table a
+row at q = 2), built once per code.  The inverse Moore matrix
+moore_inv[r][j] = alpha_r^(q^(n+2j)) gives moore_packed: interpolating
+alpha through those rows is the basis's only certificate (_moore_inv),
+and decoding interpolates through the same rows, so the tables decode
+reads are the very objects the certificate checked.
 The k window rows (alpha_r^(q^(2i)))_r of the transposed Moore matrix give
 encoder_rows, through which encoding is one packed evaluation.  The matrix
 conversions read alpha itself.
@@ -104,6 +107,7 @@ def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
     Unless the packed rows interpolate the identity map's values alpha
     back to the polynomial x, one packed combination,
     BasisSearchFailedError.  Decoding interpolates through the same rows,
+    the same objects (at q = 2 the same shift tables, built here once),
     so the table it reads is the one certified.  The check accepts exactly
     the orthonormal bases, and on them the table is the inverse of the
     transposed Moore matrix M[r][j] = alpha_r^(q^(2j)):
@@ -169,8 +173,12 @@ class CodeParams:
     ctx: FieldContext
     d: int
     alpha: tuple
-    moore_packed: tuple  # ctx.pack_rows of moore_inv[r][j] = alpha_r^(q^(n+2j))
-    encoder_rows: tuple  # ctx.pack_rows of (alpha_r^(q^(2i)))_r, i over the window in cyclic order
+    # ctx.pack_rows of moore_inv[r][j] = alpha_r^(q^(n+2j)): the rows (at
+    # q = 2 the shift tables) the certificate interpolated through, and the
+    # ones decode reads
+    moore_packed: tuple
+    # ctx.pack_rows of (alpha_r^(q^(2i)))_r, i over the window in cyclic order
+    encoder_rows: tuple
     eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
 
     @property

@@ -40,7 +40,7 @@ the same bounds:
   buffer (below).  ``_unlift`` inverts ``_lift`` on such canonical lifted
   values: the compaction at q = 2, ``_canon`` at odd q.
 * ``_stride`` is the width in bits of one field of a packed row (below):
-  4n bits for q = 2, whose rows stay compact, and 4n slots (2 *
+  4n bits for q = 2, whose row entries stay compact, and 4n slots (2 *
   ``_split`` bits) for odd q.
 
 ``mul`` is one product and one reduction, and ``dot`` sums up to 2n
@@ -131,15 +131,20 @@ one int holding the lifted entry j at slot ``_stride`` * j, and
 ``combine_rows`` sums the products of each lifted scalar with its whole
 row, then cuts out the n output fields, each for its one ``_reduce``.
 
-The q = 2 rows stay compact: entry j's bits at bit 4n * j.  Spread rows
-would be 8 times the bytes, and at (2,31,15) a combination of the spread
-encoder rows, each a product of a 62-byte scalar with a 3.8 KB row, took
-twice as long.  Its
-``combine_rows`` is a windowed carry-less product of each scalar with
-its whole row.  It builds the row's 16-entry shift table, XORs entry
-t[v] into bucket k for each nibble v at position k of the scalar (its
-hex digits, read by one ``bytes.translate``), and shifts each bucket by
-4k once after all rows.  Then one fold takes all n output fields at once:
+A q = 2 row is its 16-entry shift table (``_shift_table``), built once
+by ``pack_rows``: entry 1 is the compact row, entry j's bits at bit
+4n * j, and entry w the carry-less product w * row, so no entry is
+spread.  Spread rows would be 8 times the bytes, and at (2,31,15) a
+combination of the spread encoder rows, each a product of a 62-byte
+scalar with a 3.8 KB row, took twice as long.  The tables hold about
+390 KB for a (2,31,15) code's n + k rows, where the compact rows alone
+hold 25 KB; building a table costs about as much as the lookups of one
+combination through it, so each is built once per code, not per call.
+``combine_rows`` is a windowed carry-less product of each
+scalar with its whole row.  It XORs entry t[v] of the row's table into
+bucket k for each nibble v at position k of the scalar (its hex digits,
+read by one ``bytes.translate``), and shifts each bucket by 4k once
+after all rows.  Then one fold takes all n output fields at once:
 while any field has bits at or above 2n, its high part h, shifted down,
 is XORed back in shifted by each set bit b of the tail r.  deg h <= 2n - 2
 and b < 2n, so no term leaves its field, and each round lowers the top
@@ -410,7 +415,8 @@ class FieldContext:
     * the kernel's ``_lift``, ``_sum``, ``_reduce``, ``_reduce_lifted``,
       ``_unlift`` and ``_stride`` (module docstring);
     * ``pack_rows(table)`` and ``combine_rows(values, rows)``: a table of
-      at most 2n rows of n entries as packed rows, and
+      at most 2n rows of n entries as packed rows, one int a row at odd q
+      and one shift table a row at q = 2, and
       (sum_r values[r] * table[r][j])_j from them, one value per row, else
       BadOperandError, as past the slot bound (module docstring);
     * ``_to_rows(images)``: the table of the F_q-linear map with the given
@@ -819,24 +825,21 @@ class _Gf2Context(FieldContext):
         return int(v.to_bytes(self.deg, "big").translate(_DIGITS), 2)
 
     def pack_rows(self, table):
-        """Compact rows: entry j's bits at bit _stride * j."""
+        """Each row as its shift table (_shift_table) of the compact row,
+        entry j's bits at bit _stride * j (module docstring)."""
         stride = self._stride
-        return tuple(sum(e << stride * j for j, e in enumerate(row)) for row in table)
+        return tuple(_shift_table(sum(e << stride * j for j, e in enumerate(row))) for row in table)
 
     def combine_rows(self, values, rows):
         """The 4-bit windowed carry-less product of each value with its
-        whole row: entry t[w] of the row's 16-entry shift table XORed into
-        bucket k for the hex digit w at position k of the value, and each
-        bucket shifted once; then one fold of all n output fields by the
-        tail (module docstring)."""
+        whole row: entry t[w] of the row's shift table t XORed into bucket
+        k for the hex digit w at position k of the value, and each bucket
+        shifted once; then one fold of all n output fields by the tail
+        (module docstring)."""
         if len(rows) > self.deg or len(values) != len(rows):
             raise BadOperandError(f"need one value per row, at most 2n rows: {len(values)} for {len(rows)}")
         buckets = [0] * -(-self.deg // 4)
-        for v, row in zip(values, rows):
-            t = [0, row]
-            for i in range(1, 8):
-                d = t[i] << 1
-                t += (d, d ^ row)
+        for v, t in zip(values, rows):
             for k, w in enumerate(f"{v:x}".encode()[::-1].translate(_NIBBLES)):
                 buckets[k] ^= t[w]
         acc = functools.reduce(lambda p, b: p << 4 ^ b, reversed(buckets), 0)
@@ -941,6 +944,13 @@ class _Gf2Context(FieldContext):
             pool = [(r ^ pivot) if r & top else r for r in pool]
             pool = [r for r in pool if r]
         return pivots
+
+
+def _shift_table(row: int) -> tuple:
+    """The 16-entry shift table of a compact q = 2 row: entry w is the
+    carry-less product w * row, the Four Russians table of the nibble map
+    w -> w * row."""
+    return tuple(_doubling_tables([row << i for i in range(4)], 4)[0])
 
 
 def _doubling_tables(images, width: int) -> list:

@@ -20,9 +20,10 @@ from typing import Sequence
 from .field import Felt, FieldContext
 
 
-def lp_interpolate(ctx: FieldContext, rows: Sequence[int], values: Sequence[Felt]) -> tuple:
+def lp_interpolate(ctx: FieldContext, rows: Sequence[int | tuple[int, ...]], values: Sequence[Felt]) -> tuple:
     """The coefficient tuple of the unique polynomial taking values[r] at the
-    points whose transposed Moore matrix has inverse tinv, given as its
-    packed rows ctx.pack_rows(tinv): coefficient j is sum_r values[r] *
+    points whose transposed Moore matrix has inverse tinv, given as the
+    engine's packed rows ctx.pack_rows(tinv), one int a row at odd q and
+    one shift table a row at q = 2: coefficient j is sum_r values[r] *
     tinv[r][j], all n of them from one packed combination."""
     return ctx.combine_rows(values, rows)

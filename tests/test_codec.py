@@ -11,17 +11,20 @@ from hermrank import (
     ChannelSpec,
     Message,
     SplitMix64,
+    build_params,
     corrupt,
     decode,
     encode,
     enumerate_code,
     make_context,
     nearest_codeword,
+    params_from_json_obj,
+    params_to_json_obj,
     random_message,
     random_rank_error,
     rank_distance,
 )
-from hermrank import codec
+from hermrank import codec, field
 from hermrank.codec import (
     REASON_INCONSISTENT,
     REASON_RADIUS,
@@ -908,6 +911,34 @@ def test_frob_lifts_match_lifted_frobenius(q, n, d, rand_felt):
             if v:
                 want = [ctx._lift(ctx.frobenius(x, 2 * l)) for l in range(1, width + 1)]
                 assert [ctx._frob_read(stack, v, l) for l in range(1, width + 1)] == want, (x, width)
+
+
+def test_gf2_row_tables_are_built_once_per_code(monkeypatch):
+    # machine-independent guard: at q = 2 each packed row is its shift
+    # table, built once per code by pack_rows.  build_params(2,31,15) builds
+    # n + k = 48, the Moore rows whose interpolation certifies alpha and
+    # then the encoder rows; an encode, and a decode at the radius and one
+    # beyond it, build none; a reload from JSON builds the 48 again
+    built = []
+
+    def counting(row, _orig=field._shift_table):
+        built.append(row)
+        return _orig(row)
+
+    monkeypatch.setattr(field, "_shift_table", counting)
+    p = build_params(2, 31, 15)
+    rows = p.moore_packed + p.encoder_rows
+    assert len(built) == p.n + p.k == 48
+    assert built == [t[1] for t in rows]
+    built.clear()
+    word = encode(p, random_message(p, SplitMix64(41)))
+    for t in (p.radius, p.radius + 1):
+        err = random_rank_error(p, ChannelSpec(t=t, mode=MODE_ARBITRARY, seed=t))
+        assert decode(p, corrupt(p.ctx, word, err)).ok == (t <= p.radius)
+    assert built == []
+    again = params_from_json_obj(params_to_json_obj(p))
+    assert len(built) == 48
+    assert again.moore_packed + again.encoder_rows == rows
 
 
 # exact products and Frobenius powers of one encode: all of them are

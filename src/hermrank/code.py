@@ -29,7 +29,10 @@ and decoding interpolates through the same rows, so the tables decode
 reads are the very objects the certificate checked.
 The k window rows (alpha_r^(q^(2i)))_r of the transposed Moore matrix give
 encoder_rows, through which encoding is one packed evaluation.  The matrix
-conversions read alpha itself.
+conversions read alpha itself.  Extraction splits each mirrored pair over
+{1, eta} with two F_q-linear maps, tables like the Frobenius powers' kept
+in a per-code memo (CodeParams._eta_split) built when extraction first
+splits a pair, never by a load.
 """
 
 from __future__ import annotations
@@ -101,8 +104,9 @@ def _cyclic_order(n: int, d: int) -> list:
 
 def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
     """The CodeParams of the basis alpha: the packed rows (ctx.pack_rows)
-    of the table moore_inv[r][j] = alpha_r^(q^(n+2j)), certified, the
-    encoder rows and the constant 1 / (eta - eta^(q^n)) for eta = X.
+    of the table moore_inv[r][j] = alpha_r^(q^(n+2j)), certified, and the
+    encoder rows.  It makes no inversion; extraction's split over {1, eta}
+    is built on first use (CodeParams._eta_split).
 
     Unless the packed rows interpolate the identity map's values alpha
     back to the polynomial x, one packed combination,
@@ -131,10 +135,9 @@ def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
     supported on the window, is one packed combination of the k rows
     (codec.encode).  Row r of the table is alpha_r^(q^n), then T_2
     applied again and again, n^2 applications in all on T_n and T_2 alone,
-    and the conjugation reads T_n again; so a load builds those two tables,
-    the ones their compositions need and, for odd q, the inversion's
-    (hermrank.field), and no other.  Both callers (build_params,
-    params_from_json_obj) end in it.
+    and the conjugation reads T_n again; so it builds those two tables and
+    the ones their compositions need, and no other.  Both callers
+    (build_params, params_from_json_obj) end in it.
     """
     n, apply, t2 = ctx.n, ctx._apply_linear, ctx._frob_rows(2)
     table = []
@@ -148,8 +151,7 @@ def _moore_inv(ctx: FieldContext, alpha: tuple, d: int) -> CodeParams:
         raise BasisSearchFailedError("basis failed its Gram identity recheck")
     window = _cyclic_order(n, d)[d - 1 :]
     encoder_rows = ctx.pack_rows([[ctx.frobenius(row[i], n) for row in table] for i in window])
-    split_inv = ctx.inv(ctx.sub(ctx.gen, ctx.frobenius(ctx.gen, n)))
-    return CodeParams(ctx, d, alpha, rows, encoder_rows, split_inv)
+    return CodeParams(ctx, d, alpha, rows, encoder_rows)
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,12 @@ class CodeParams:
     the index-2 subfield F_{q^n}, and {1, X} is an F_{q^n}-basis of K.
     alpha is the orthonormal basis, moore_packed the packed rows of the
     inverse of the transposed Moore matrix on alpha, through which
-    interpolation is one packed combination and which certified alpha,
+    interpolation is one packed combination and which certified alpha, and
     encoder_rows the packed k window rows of the transposed Moore matrix,
-    through which encoding is one packed combination, eta_split_inv the
-    constant decompose_eta divides by (all three from _moore_inv).
+    through which encoding is one packed combination (all three from
+    _moore_inv).  Two per-code memos sit beside the fields: _draw_forms,
+    which the draws combine with, and _eta_split, the maps extraction
+    splits each mirrored pair with over {1, eta}.
     """
 
     ctx: FieldContext
@@ -179,7 +183,6 @@ class CodeParams:
     moore_packed: tuple
     # ctx.pack_rows of (alpha_r^(q^(2i)))_r, i over the window in cyclic order
     encoder_rows: tuple
-    eta_split_inv: Felt  # 1 / (eta - eta^(q^n))
 
     @property
     def eta(self) -> Felt:
@@ -219,6 +222,26 @@ class CodeParams:
         w = ctx.fq2_w()
         return ctx._packed(ctx.subfield_basis(ctx.n)), ctx.frobenius(w, 1), ctx._packed(ctx.fq2_span(self.alpha, w))
 
+    @functools.cached_property
+    def _eta_split(self) -> tuple:
+        """The tables (ctx._to_rows) U and V of the F_q-linear maps lo -> u
+        and lo -> v with lo^(q^(2n-1)) = u + eta*v over F_{q^n}, which
+        extraction applies to each mirrored pair (codec.extract_message).
+
+        With s = 1/(eta - eta^(q^n)) and b_i = (X^i)^(q^(2n-1)): applying
+        x -> x^(q^n) fixes u and v and sends eta to eta^(q^n), so v = s*(b -
+        b^(q^n)), and b^(q^n) = lo^(q^(3n-1)) = lo^(q^(n-1)) as q^(2n) fixes
+        K; so v_i = s*(b_i - (X^i)^(q^(n-1))) and u_i = b_i - eta*v_i.  One
+        inversion and 4n products on the monomials' images under T_(2n-1)
+        and T_(n-1); built when extraction first splits a pair, so never
+        for a code with kappa = 0.
+        """
+        ctx, n, eta = self.ctx, self.n, self.eta
+        s = ctx.inv(ctx.sub(eta, ctx.frobenius(eta, n)))
+        bs = ctx.frob_images(2 * n - 1)
+        vs = [ctx.mul(s, ctx.sub(b, c)) for b, c in zip(bs, ctx.frob_images(n - 1))]
+        return ctx._to_rows([ctx.sub(b, ctx.mul(eta, v)) for b, v in zip(bs, vs)]), ctx._to_rows(vs)
+
 
 def build_params(q: int, n: int, d: int) -> CodeParams:
     """Validate (q, n, d) and assemble deterministic code parameters."""
@@ -232,19 +255,6 @@ def _check_d(ctx: FieldContext, d) -> None:
     json_field) with 1 <= d <= n."""
     if type(d) is not int or d % 2 == 0 or not 1 <= d <= ctx.n:
         raise BadParamsError(f"d must be odd with 1 <= d <= n = {ctx.n}, got {d}")
-
-
-def decompose_eta(params: CodeParams, b: Felt) -> tuple:
-    """Split b = u + eta*v into its F_{q^n} coordinates (u, v).
-
-    Applying x -> x^(q^n) fixes u and v and swaps nothing else, so v falls
-    out of the difference b - b^(q^n); both outputs land in F_{q^n} for
-    every b because {1, eta} is a basis of K over F_{q^n}.
-    """
-    ctx = params.ctx
-    v = ctx.mul(ctx.sub(b, ctx.frobenius(b, ctx.n)), params.eta_split_inv)
-    u = ctx.sub(b, ctx.mul(params.eta, v))
-    return u, v
 
 
 def _check_square(rows: Sequence[Sequence[Felt]], n: int) -> None:

@@ -26,10 +26,12 @@ are the window m-kappa .. m+kappa.  It synthesizes the shortest skew
 feedback register generating the exposed positions (the recurrence g_p =
 sum_l lambda_l * g_{p-l}^(q^(2l)) holds all the way round the cycle for a
 rank-t error), runs it forward over the window to complete the error
-coefficients, subtracts, and extracts the message.  The register is
-unique (Massey's theorem), so it is the one candidate, and it is certified
-by register closure: run on over positions n .. n+t-1, where the cycle
-comes back to its start, it must give back the first t positions.
+coefficients, subtracts, and extracts the message: each mirrored pair is
+split over {1, eta} by two per-code F_q-linear maps (CodeParams._eta_split),
+so a decode makes no call to mul.  The register is unique (Massey's
+theorem), so it is the one candidate, and it is certified by register
+closure: run on over positions n .. n+t-1, where the cycle comes back to
+its start, it must give back the first t positions.
 Completion makes it generate every other position, so only those t are
 checked.  Once extraction succeeds, g is exactly the interpolation
 polynomial of received - encode(message), and closure holds exactly when
@@ -56,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .code import CodeParams, _cyclic_order, decompose_eta
+from .code import CodeParams, _cyclic_order
 from .exceptions import (
     BadOperandError,
     BadRankError,
@@ -306,7 +308,20 @@ def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
 
     Checks before trusting anything: the center must lie in F_{q^n} and the
     mirrored pairs must satisfy the conjugate symmetry, since a decoding
-    candidate that fails either cannot come from a valid message.
+    candidate that fails either cannot come from a valid message.  The
+    center gives f_0 = center^(q^(n-1)), and each pair's lower coefficient
+    lo gives (f_j, f_{kappa+j}) = (u, v) with lo^(q^(2n-1)) = u + eta*v,
+    one application each of the per-code tables U and V
+    (CodeParams._eta_split), after the pair's symmetry check.
+
+    Exactness of the split: Frobenius powers are additive and fix F_q, and
+    multiplying by the constants 1/(eta - eta^(q^n)) and eta is F_q-linear,
+    so lo -> u and lo -> v are F_q-linear maps of K, fixed by their values
+    on X^0 .. X^(2n-1).  _apply_linear on the _to_rows of those values
+    computes exactly those maps, on the kernel every Frobenius table runs
+    on.  Both land in F_{q^n} for every lo, as {1, eta} is a basis of K
+    over F_{q^n}.  The checks run before any map, so the failure raised,
+    and which one first, is decided by the checks alone.
     """
     ctx = params.ctx
     kappa = params.kappa
@@ -320,8 +335,7 @@ def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
         lo, hi = window[kappa - j], window[kappa + j]
         if hi != ctx.frobenius(lo, ctx.n + 2 * j):
             raise SymmetryCheckError(f"window pair at offset {j} breaks conjugate symmetry")
-        b = ctx.frobenius(lo, 2 * ctx.n - 1)
-        parts[j], parts[kappa + j] = decompose_eta(params, b)
+        parts[j], parts[kappa + j] = (ctx._apply_linear(rows, lo) for rows in params._eta_split)
     return Message(tuple(parts))
 
 

@@ -490,7 +490,7 @@ class FieldContext:
             basis[_lead(c)] = self.sub(p, below)
         return tuple(basis[lead] for lead in sorted(basis))
 
-    # -- one product kernel on _lift, _sum, _reduce, _stride ---------------
+    # -- one product kernel on _lift, _sum, _reduce -------------------------
 
     def mul(self, a: Felt, b: Felt) -> Felt:
         """a * b: one product of the lifted elements, one reduction."""

@@ -16,6 +16,11 @@ with modular index arithmetic (known_indices, beta_split, complete_g), and
 closure checked at the wrap indices m+kappa+1+j (register_closes).  They,
 and cyclic_order built from the same formulas, are the oracle for the
 cyclic order the package reads beta in.
+
+Extraction is kept as it was before each mirrored pair was split by two
+per-code linear maps: extract_message raises lo to q^(2n-1) and splits the
+result with decompose_eta, two products and two subtractions, the oracle
+for the maps CodeParams._eta_split holds.
 """
 
 from typing import Optional, Sequence
@@ -27,12 +32,47 @@ from hermrank.codec import (
     REASON_SUBFIELD,
     REASON_SYMMETRY,
     DecodeResult,
+    Message,
     encode,
-    extract_message,
 )
 from hermrank.exceptions import BadRankError, BadShapeError, SubfieldCheckError, SymmetryCheckError
 from hermrank.field import Felt
 from hermrank.linpoly import lp_interpolate
+
+
+def decompose_eta(params: CodeParams, b: Felt) -> tuple:
+    """Split b = u + eta*v into its F_{q^n} coordinates (u, v).
+
+    Applying x -> x^(q^n) fixes u and v and swaps nothing else, so v falls
+    out of the difference b - b^(q^n); both outputs land in F_{q^n} for
+    every b because {1, eta} is a basis of K over F_{q^n}.
+    """
+    ctx = params.ctx
+    split_inv = ctx.inv(ctx.sub(params.eta, ctx.frobenius(params.eta, ctx.n)))
+    v = ctx.mul(ctx.sub(b, ctx.frobenius(b, ctx.n)), split_inv)
+    u = ctx.sub(b, ctx.mul(params.eta, v))
+    return u, v
+
+
+def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
+    """Invert the window construction; window[j] holds coeff[m-kappa+j].
+    The center must lie in F_{q^n} (SubfieldCheckError) and each mirrored
+    pair satisfy the conjugate symmetry (SymmetryCheckError), checked in
+    that order; each pair is split by decompose_eta of lo^(q^(2n-1))."""
+    ctx = params.ctx
+    kappa = params.kappa
+    if len(window) != params.k:
+        raise SymmetryCheckError(f"window needs exactly {params.k} coefficients")
+    center = window[kappa]
+    if not ctx.in_subfield(center, ctx.n):
+        raise SubfieldCheckError("window center does not lie in F_{q^n}")
+    parts = [ctx.frobenius(center, ctx.n - 1)] + [ctx.zero] * (params.k - 1)
+    for j in range(1, kappa + 1):
+        lo, hi = window[kappa - j], window[kappa + j]
+        if hi != ctx.frobenius(lo, ctx.n + 2 * j):
+            raise SymmetryCheckError(f"window pair at offset {j} breaks conjugate symmetry")
+        parts[j], parts[kappa + j] = decompose_eta(params, ctx.frobenius(lo, 2 * ctx.n - 1))
+    return Message(tuple(parts))
 
 
 def known_indices(params: CodeParams) -> tuple:

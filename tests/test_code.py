@@ -13,17 +13,20 @@ from hermrank import (
     SplitMix64,
     build_params,
     codeword_to_matrix,
+    corrupt,
+    decode,
     encode,
     is_hermitian,
     make_context,
     matrix_to_vector,
     params_from_json_obj,
     params_to_json_obj,
+    random_message,
     random_rank_error,
     rank_distance,
 )
 from hermrank import code as code_mod
-from hermrank.code import CodeParams, decompose_eta, find_selfdual_basis, unitary_pairing
+from hermrank.code import CodeParams, find_selfdual_basis, unitary_pairing
 from hermrank.exceptions import (
     BadParamsError,
     BadShapeError,
@@ -34,6 +37,7 @@ from hermrank.exceptions import (
     TooLargeError,
 )
 from hermrank.linpoly import lp_interpolate
+from reference_decode import decompose_eta
 from reference_field import from_base
 from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, selfdual_basis_one_at_a_time, transpose
 from reference_rank import map_rank, matrix_rank
@@ -177,9 +181,9 @@ def test_selfdual_basis_matches_one_at_a_time_gram_schmidt(q, n):
 #: Frobenius tables and linear maps of one build_params at the benchmark's
 #: points: fewer than 2n tables, each one composition of two.
 SETUP_WORK = {
-    (2, 31, 15): ({1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 30, 31}, 3767),
-    (3, 19, 9): ({1, 2, 3, 4, 8, 9, 16, 18, 19}, 1599),
-    (5, 13, 7): ({1, 2, 3, 4, 5, 6, 8, 12, 13}, 880),
+    (2, 31, 15): ({1, 2, 3, 4, 6, 7, 8, 14, 15, 16, 30, 31}, 3766),
+    (3, 19, 9): ({1, 2, 3, 4, 8, 9, 16, 18, 19}, 1590),
+    (5, 13, 7): ({1, 2, 3, 4, 5, 6, 8, 12, 13}, 872),
 }
 
 
@@ -232,7 +236,7 @@ def test_basis_expansion_identities_exhaustive():
 def test_choose_eta_outside_middle_subfield():
     # eta = X is derived from the context, so no stored, loadable eta can differ
     names = [f.name for f in dataclasses.fields(CodeParams)]
-    assert names == ["ctx", "d", "alpha", "moore_packed", "encoder_rows", "eta_split_inv"]
+    assert names == ["ctx", "d", "alpha", "moore_packed", "encoder_rows"]
     for q, n in [(2, 3), (3, 3), (2, 5)]:
         p = build_params(q, n, 1)
         assert p.eta == p.ctx.gen
@@ -254,6 +258,79 @@ def test_decompose_eta_roundtrip(params_for, rand_felt):
     assert decompose_eta(p, p.eta) == (ctx.zero, ctx.one)
     inside = ctx.subfield_elements(ctx.n)[3]
     assert decompose_eta(p, inside) == (inside, ctx.zero)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (2, 31, 15), (2, 31, 1), (3, 9, 5), (3, 19, 9), (5, 13, 7), (131, 3, 1)])
+def test_eta_split_maps_match_oracle(params_for, rand_felt, q, n, d):
+    # the maps U and V extraction applies to a pair's lo give decompose_eta
+    # of b = lo^(q^(2n-1)): on every monomial, on the all-(q-1) element and
+    # on seeded elements; at (2,31,1) kappa = 15, the most pairs, and at
+    # (131,3,1) on shift-and-mask slots ((131,3,3) has no pair)
+    p = params_for(q, n, d)
+    ctx = p.ctx
+    us, vs = p._eta_split
+    rng = SplitMix64(q * 1000 + n)
+    los = list(ctx._monomials()) + [ctx.from_coeffs([q - 1] * ctx.deg)] + [rand_felt(ctx, rng) for _ in range(20)]
+    for lo in los:
+        b = ctx.frobenius(lo, 2 * n - 1)
+        u, v = ctx._apply_linear(us, lo), ctx._apply_linear(vs, lo)
+        assert (u, v) == decompose_eta(p, b)
+        assert ctx.in_subfield(u, n) and ctx.in_subfield(v, n)
+        assert ctx.add(u, ctx.mul(p.eta, v)) == b
+
+
+def _split_words(p, seed):
+    """A message, and a word at the radius and one beyond it: the
+    codeword plus a rank-radius and a rank-(radius+1) error."""
+    rng = SplitMix64(seed)
+    msg = random_message(p, rng)
+    c = encode(p, msg)
+    spec = [ChannelSpec(t=t, mode=MODE_ARBITRARY, seed=rng.next_u64()) for t in (p.radius, p.radius + 1)]
+    return msg, c, [corrupt(p.ctx, c, random_rank_error(p, s)) for s in spec]
+
+
+def test_eta_split_built_once_per_code():
+    # a load, an encode and a corrupt build no memo; the first extraction
+    # does, and every later decode, at the radius or beyond it, reads that
+    # same object; a params_from_json_obj reload builds its own
+    p = build_params(2, 7, 3)
+    msg, _, (near, far) = _split_words(p, 3)
+    assert "_eta_split" not in vars(p)
+    res = decode(p, near)
+    assert res.ok and res.message == msg
+    memo = vars(p)["_eta_split"]
+    assert not decode(p, far).ok
+    assert decode(p, near).ok
+    assert p._eta_split is memo
+    again = params_from_json_obj(params_to_json_obj(p))
+    assert "_eta_split" not in vars(again)
+    assert decode(again, near).message == msg
+    assert again._eta_split is not memo and again._eta_split == memo
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 5), (131, 1, 1)])
+def test_eta_split_never_built_without_a_pair(q, n, d):
+    # kappa = 0: extraction reads only the center, so neither an encode nor
+    # a decode that succeeds or fails builds the split
+    p = build_params(q, n, d)
+    assert p.kappa == 0
+    msg, _, (near, far) = _split_words(p, 5)
+    res = decode(p, near)
+    assert res.ok and res.message == msg
+    assert not decode(p, far).ok
+    assert "_eta_split" not in vars(p)
+
+
+def test_eta_split_unseen_by_eq_repr_and_json():
+    # a cached_property, not a field: ==, repr and the params JSON of a
+    # code with its memo built are those of one without
+    p = build_params(3, 5, 3)
+    fresh = dataclasses.replace(p)
+    before = (repr(p), params_to_json_obj(p))
+    p._eta_split
+    assert "_eta_split" in vars(p) and "_eta_split" not in vars(fresh)
+    assert p == fresh
+    assert (repr(p), params_to_json_obj(p)) == before == (repr(fresh), params_to_json_obj(fresh))
 
 
 # -- matrix conversions -----------------------------------------------------
@@ -511,10 +588,12 @@ def test_moore_inv_closed_form_matches_elimination(params_for, q, n, d):
     assert p.encoder_rows == ctx.pack_rows([[row[i] for row in moore] for i in window])
 
 
-def test_params_load_inverts_once(params_for, monkeypatch):
-    # the only inversion is eta_split_inv; inverting the Moore matrix by
-    # elimination took n more
+def test_params_load_makes_no_inversion(params_for, monkeypatch):
+    # the Moore table is certified, not inverted (elimination took n
+    # inversions), and the {1, eta} split's one inversion waits for the
+    # first extraction (CodeParams._eta_split)
     p = params_for(3, 9, 5)
+    want = p._eta_split
     obj = params_to_json_obj(p)
     cls = type(p.ctx)
     calls = []
@@ -526,8 +605,9 @@ def test_params_load_inverts_once(params_for, monkeypatch):
 
     monkeypatch.setattr(cls, "inv", counting)
     again = params_from_json_obj(obj)
+    assert len(calls) == 0
+    assert again._eta_split == want
     assert len(calls) == 1
-    assert again.eta_split_inv == p.eta_split_inv
 
 
 # -- basis certificate ------------------------------------------------------

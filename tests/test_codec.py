@@ -510,8 +510,10 @@ def test_decode_inverts_once_per_length_change(params_for, monkeypatch, q, n, d,
     # machine-independent guard: a decode makes at most one inversion per
     # change of the register length, read off the length profile of the
     # exposed sequence (the shortest register of each prefix), not one per
-    # nonzero discrepancy
+    # nonzero discrepancy.  The {1, eta} split's one inversion is per code,
+    # made by the first extraction, so it is made before counting
     p = params_for(q, n, d)
+    p._eta_split
     cls = type(p.ctx)
     count = [0]
 
@@ -857,8 +859,10 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
 # stacked pass per element with no map and no lift of their own (at odd q
 # a read is one packed sum and _canon_lifted, not counted), and BM
 # reduces to lifted form (_reduce_lifted, not counted) with no re-lift of
-# its connection polynomial
-DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (60, 40, 26, 78), (3, 19, 9, 4, MODE_HERMITIAN): (111, 76, 49, 39)}
+# its connection polynomial.  Extraction lifts and reduces nothing: each
+# mirrored pair is three maps, its symmetry check and the per-code U and
+# V (CodeParams._eta_split), with no product
+DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (28, 24, 26, 78), (3, 19, 9, 4, MODE_HERMITIAN): (91, 66, 49, 39)}
 
 
 @pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))
@@ -867,12 +871,13 @@ def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
     # register coefficient is lifted once per register, not once per
     # product or update, each element the register reads gets one stacked
     # pass, and q = 2 interpolation and encoding fold all n outputs at
-    # once, with no _lift or _reduce
+    # once, with no _lift or _reduce.  Extraction splits each pair by two
+    # maps, so a decode at the radius, and one beyond it, calls mul not once
     p = params_for(q, n, d)
     ctx = p.ctx
     msg, _, received = _noisy(p, 61, t, mode)
     assert decode(p, received).message == msg  # every table decode reads is built
-    counts = dict.fromkeys(("_lift", "_reduce", "_apply_linear", "_frob_pass"), 0)
+    counts = dict.fromkeys(("_lift", "_reduce", "_apply_linear", "_frob_pass", "mul"), 0)
     for name in counts:
         def counting(*args, _orig=getattr(ctx, name), _name=name):
             counts[_name] += 1
@@ -881,7 +886,11 @@ def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
         monkeypatch.setitem(vars(ctx), name, counting)
     res = decode(p, received)
     assert res.ok and res.message == msg and res.error_rank == t
-    assert tuple(counts.values()) == DECODE_PRIMITIVES[q, n, d, t, mode]
+    *primitives, muls = counts.values()
+    assert tuple(primitives) == DECODE_PRIMITIVES[q, n, d, t, mode] and muls == 0
+    _, _, beyond = _noisy(p, 61, t + 1, mode)
+    counts["mul"] = 0
+    assert not decode(p, beyond).ok and counts["mul"] == 0
     if q == 2:
         counts.update(dict.fromkeys(counts, 0))
         encode(p, msg)

@@ -32,7 +32,7 @@ PUBLIC = {
 INTERNAL = {
     "beta_split": "codec", "complete_g": "codec", "skew_bm": "codec", "expand_message": "codec",
     "extract_message": "codec", "lp_interpolate": "linpoly", "unitary_pairing": "code",
-    "find_selfdual_basis": "code", "decompose_eta": "code", "canonical_modulus": "field",
+    "find_selfdual_basis": "code", "canonical_modulus": "field",
 }
 
 

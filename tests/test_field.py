@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_field
-from hermrank import MODE_ARBITRARY, ChannelSpec, SplitMix64, build_params, corrupt, decode, encode, field
+from hermrank import MODE_ARBITRARY, ChannelSpec, SplitMix64, build_params, code, corrupt, decode, encode, field
 from hermrank import make_context, random_message, random_rank_error
 from hermrank.field import canonical_modulus
 from hermrank.exceptions import (
@@ -660,6 +660,15 @@ def test_retired_digit_paths_stay_gone(params_for, q, n):
         assert not hasattr(ctx, name), name
     assert not hasattr(field.FieldContext, "felt_to_json")
     assert not hasattr(params_for(q, n, 1), "_alpha_span")
+
+
+def test_retired_eta_split_stays_gone():
+    # extraction splits each mirrored pair by the per-code maps of
+    # CodeParams._eta_split; the routine that split it by two products and
+    # the constant it scaled by are gone
+    assert not hasattr(code, "decompose_eta")
+    assert "eta_split_inv" not in code.CodeParams.__dataclass_fields__
+    assert not hasattr(code.CodeParams, "eta_split_inv")
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 3)])

@@ -25,25 +25,30 @@ window, so they hold error coefficients directly, and positions d-1 .. n-1
 are the window m-kappa .. m+kappa.  It synthesizes the shortest skew
 feedback register generating the exposed positions (the recurrence g_p =
 sum_l lambda_l * g_{p-l}^(q^(2l)) holds all the way round the cycle for a
-rank-t error), runs it forward over the window to complete the error
-coefficients, subtracts, and extracts the message: each mirrored pair is
-split over {1, eta} by two per-code F_q-linear maps (CodeParams._eta_split),
-so a decode makes no call to mul.  The register is unique (Massey's
-theorem), so it is the one candidate, and it is certified by register
-closure: run on over positions n .. n+t-1, where the cycle comes back to
-its start, it must give back the first t positions.
-Completion makes it generate every other position, so only those t are
-checked.  Once extraction succeeds, g is exactly the interpolation
-polynomial of received - encode(message), and closure holds exactly when
-its rank is within the unique-decoding radius (see decode), so a wrong
-message can never be returned.
+rank-t error), and reads the register's run as it is made: one lazy run
+per candidate, which makes a position only when it is read.  Extraction
+reads the window, each beta coefficient at d-1 .. n-1 minus the run's
+position there, and makes each check as soon as the coefficients it
+checks are read: the center after kappa+1, each mirrored pair after its
+upper coefficient.  Each pair is split over {1, eta} by two per-code
+F_q-linear maps (CodeParams._eta_split), so a decode makes no call to mul.
+A candidate that fails a check stops there; beyond the radius that is
+nearly always the center, kappa+1 positions into the window.  The register
+is unique (Massey's theorem), so it is the one candidate, and it is
+certified by register closure: the same run continued over positions n ..
+n+t-1, where the cycle comes back to its start, must give back the first t
+positions.  The run makes the register generate every other position, so
+only those t are checked.  Once extraction succeeds, g is exactly the
+interpolation polynomial of received - encode(message), and closure holds
+exactly when its rank is within the unique-decoding radius (see decode),
+so a wrong message can never be returned.
 
 The register sum head + sum_l c_l * x_{p-l}^(q^(2l)) is formed in one
 place, _feedback, unreduced, from the lifted images of the x_{p-l}: a
 Berlekamp-Massey discrepancy is that sum with the sequence's own term as
-head, and window completion and closure are one _run of the register,
-one _feedback per position.  Every image the register reads comes from
-the field's stacked table of T_2, T_4, ..: each element gets one
+head, and window completion and closure read one _run of the register,
+one _feedback per position made.  Every image the register reads comes
+from the field's stacked table of T_2, T_4, ..: each element gets one
 _frob_pass, when it enters the sequence, the run or BM's previous
 register, and _frob_read takes each image from that pass (at q = 2 a
 shift and a mask, at odd q one packed sum finished in lifted form).  BM
@@ -56,7 +61,8 @@ register and for the returned lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .code import CodeParams, _cyclic_order
 from .exceptions import (
@@ -209,46 +215,47 @@ def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:
     return length, tuple(lam[:length])
 
 
-def complete_g(params: CodeParams, exposed: Sequence[Felt], lam: Sequence[Felt]) -> tuple:
-    """Run the register forward from the d-1 exposed coefficients over the
-    window, positions d-1 .. n-1 of the cyclic order; returns all n.
+def complete_g(params: CodeParams, g: list, lam: Sequence[Felt]) -> Iterator[Felt]:
+    """The register's run over the window and on: an iterator over
+    positions d-1, d, .. of the cyclic order, with no end, each appended to
+    the list g of the d-1 exposed coefficients as it is read.
 
     Position p consumes p-1 .. p-t, which are exposed or already produced
-    because the register length t never exceeds d-1.  exposed must hold
-    exactly d-1 coefficients (BadShapeError).  This is _run to n: one
-    _feedback per position.
+    because the register length t never exceeds d-1.  g must hold exactly
+    d-1 coefficients (BadShapeError) and lam 1 .. d-1 (BadRankError); both
+    are checked when complete_g is called, not when the run is first read.
+    This is _run: one _feedback per position read.
     """
-    if len(exposed) != params.d - 1:
-        raise BadShapeError(f"exposed needs exactly {params.d - 1} coefficients, got {len(exposed)}")
+    if len(g) != params.d - 1:
+        raise BadShapeError(f"exposed needs exactly {params.d - 1} coefficients, got {len(g)}")
     t = len(lam)
     if not 1 <= t <= params.d - 1:
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
-    return _run(params.ctx, exposed, lam, params.n)
+    return _run(params.ctx, g, lam)
 
 
-def _run(ctx, start: Sequence[Felt], lam: Sequence[Felt], stop: int) -> tuple:
-    """start extended by the register lam to length stop: each position p
-    >= len(start) is the reduced _feedback of the t positions before it.
-    lam is lifted once, and the field's stacked table fetched once; the
-    widest stack the context holds serves, of which the run reads the
-    first t fields.
+def _run(ctx, g: list, lam: Sequence[Felt]) -> Iterator[Felt]:
+    """Extend g by the register lam, one position per read, and yield each:
+    position p >= len(g) is the reduced _feedback of the t positions before
+    it.  lam is lifted once, and the field's stacked table fetched once, at
+    the first read; the widest stack the context holds serves, of which the
+    run reads the first t fields.
 
     Position p reads element p - l under T_2l, for l = 1 .. t, so each
-    element gets one _frob_pass before the first position that reads it,
-    the last t elements of start and each produced element but the last,
-    and _feedback reads its images from that pass.  Only positions below
-    stop read, so at odd q, where a read is one packed sum, no image is
+    element gets one _frob_pass before the first position that reads it:
+    the last t elements of g before the first position, and each produced
+    element when the next position is read, so the last position read is
+    never passed.  At odd q, where a read is one packed sum, no image is
     formed that the run does not use.
     """
-    t, first, fpass = len(lam), len(start), ctx._frob_pass
+    t, fpass = len(lam), ctx._frob_pass
     lifted = [ctx._lift(c) for c in lam]
     stack = ctx._frob_stack(t)
-    run = list(start)
-    passes = [fpass(stack, x) for x in run[first - t : -1]]
-    for _ in range(first, stop):
-        passes.append(fpass(stack, run[-1]))
-        run.append(ctx._reduce(_feedback(ctx, lifted, stack, reversed(passes[-t:]))))
-    return tuple(run)
+    passes = [fpass(stack, x) for x in g[-t:]]
+    while True:
+        g.append(ctx._reduce(_feedback(ctx, lifted, stack, reversed(passes[-t:]))))
+        yield g[-1]
+        passes.append(fpass(stack, g[-1]))
 
 
 def _feedback(ctx, lifted: list, stack: tuple, back: Iterable, head: Optional[Felt] = None) -> int:
@@ -288,30 +295,22 @@ def _feedback(ctx, lifted: list, stack: tuple, back: Iterable, head: Optional[Fe
     return ctx._sum(terms)
 
 
-def _register_closes(params: CodeParams, g: tuple, lam: Sequence[Felt]) -> bool:
-    """True when the register lam generates g, in the cyclic order and
-    completed from lam, all the way round: _run on over positions n ..
-    n+t-1, where the cycle comes back to its start, gives back g[:t].
-    Every other position holds by construction (see decode).
-
-    decode calls it only after extraction succeeds.  Beyond the radius,
-    BM's candidate nearly always fails extraction (at (2,31,15) with
-    rank-8 errors every decode does), so closing first would add t sums to
-    each of those decodes.
-    """
-    t = len(lam)
-    return _run(params.ctx, g, lam, params.n + t)[params.n :] == g[:t]
-
-
-def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
-    """Invert the window construction; window[j] holds coeff[m-kappa+j].
+def extract_message(params: CodeParams, window: Iterable[Felt]) -> Message:
+    """Invert the window construction; the j-th coefficient of window holds
+    coeff[m-kappa+j].
 
     Checks before trusting anything: the center must lie in F_{q^n} and the
     mirrored pairs must satisfy the conjugate symmetry, since a decoding
-    candidate that fails either cannot come from a valid message.  The
-    center gives f_0 = center^(q^(n-1)), and each pair's lower coefficient
-    lo gives (f_j, f_{kappa+j}) = (u, v) with lo^(q^(2n-1)) = u + eta*v,
-    one application each of the per-code tables U and V
+    candidate that fails either cannot come from a valid message.  window
+    may be any iterable, and is read in order and only as far as the checks
+    pass: the center is checked once kappa+1 coefficients are read, and
+    pair j right after coefficient kappa+1+j.  A check never reads past the
+    position it checks, so the first failure does not depend on how far
+    window is read.  A window that is not k long raises SymmetryCheckError
+    when it is read through, unless a check fails first.  The center gives
+    f_0 = center^(q^(n-1)), and each pair's lower coefficient lo gives
+    (f_j, f_{kappa+j}) = (u, v) with lo^(q^(2n-1)) = u + eta*v, one
+    application each of the per-code tables U and V
     (CodeParams._eta_split), after the pair's symmetry check.
 
     Exactness of the split: Frobenius powers are additive and fix F_q, and
@@ -320,22 +319,25 @@ def extract_message(params: CodeParams, window: Sequence[Felt]) -> Message:
     on X^0 .. X^(2n-1).  _apply_linear on the _to_rows of those values
     computes exactly those maps, on the kernel every Frobenius table runs
     on.  Both land in F_{q^n} for every lo, as {1, eta} is a basis of K
-    over F_{q^n}.  The checks run before any map, so the failure raised,
-    and which one first, is decided by the checks alone.
+    over F_{q^n}.  Each pair's check runs before its maps, so the failure
+    raised, and which one first, is decided by the checks alone.
     """
-    ctx = params.ctx
-    kappa = params.kappa
-    if len(window) != params.k:
+    ctx, n, kappa = params.ctx, params.ctx.n, params.kappa
+    window = iter(window)
+    read = list(islice(window, kappa + 1))  # the lower half, center last
+    parts = [ctx.zero] * params.k
+    if len(read) == kappa + 1:
+        if not ctx.in_subfield(read[kappa], n):
+            raise SubfieldCheckError("window center does not lie in F_{q^n}")
+        parts[0] = ctx.frobenius(read[kappa], n - 1)
+        for j, hi in enumerate(islice(window, kappa), 1):
+            lo = read[kappa - j]
+            if hi != ctx.frobenius(lo, n + 2 * j):
+                raise SymmetryCheckError(f"window pair at offset {j} breaks conjugate symmetry")
+            parts[j], parts[kappa + j] = (ctx._apply_linear(rows, lo) for rows in params._eta_split)
+            read.append(hi)
+    if len(read) != params.k or list(islice(window, 1)):
         raise SymmetryCheckError(f"window needs exactly {params.k} coefficients")
-    center = window[kappa]
-    if not ctx.in_subfield(center, ctx.n):
-        raise SubfieldCheckError("window center does not lie in F_{q^n}")
-    parts = [ctx.frobenius(center, ctx.n - 1)] + [ctx.zero] * (params.k - 1)
-    for j in range(1, kappa + 1):
-        lo, hi = window[kappa - j], window[kappa + j]
-        if hi != ctx.frobenius(lo, ctx.n + 2 * j):
-            raise SymmetryCheckError(f"window pair at offset {j} breaks conjugate symmetry")
-        parts[j], parts[kappa + j] = (ctx._apply_linear(rows, lo) for rows in params._eta_split)
     return Message(tuple(parts))
 
 
@@ -404,12 +406,13 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     - Exactness: a rank-r map's coefficients are generated cyclically by
       the subspace polynomial of its image, normalised to constant term 1,
       a register of length r.  So L <= r, and with closure r = t = L.
-    - Only positions n .. n+t-1 of g run on by the register, where the
-      first t positions come round again, are checked.  complete_g
-      produced every window position d-1 .. n-1 with this same feedback
-      sum, and BM's register generates every exposed position t .. d-2, so
-      the register generates g at every other position by construction.
-    - Converse: complete_g makes the register generate g from position t
+    - Only positions n .. n+t-1 of g, where the first t positions come
+      round again, are checked.  They are the one run of the register
+      continued: it made every window position d-1 .. n-1 with this same
+      feedback sum, and BM's register generates every exposed position
+      t .. d-2, so the register generates g at every other position by
+      construction.
+    - Converse: the run makes the register generate g from position t
       through n-1, so if rank(g) = r <= radius and closure failed first at
       position n+j (j < t), the skew Massey lemma would give r >= n+j+1-t
       >= n+1-radius > radius, since n >= d > 2*radius; a contradiction.
@@ -419,6 +422,25 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     the re-encoding test, and a wrong message can never be returned.  See
     Gabidulin, Probl. Inf. Transm. 1985, and Sidorenko, Richter and
     Bossert, IEEE Trans. IT 2011, for the register facts.
+
+    The run is lazy, and each stage reads it in order: extraction the k
+    window positions, as far as its checks pass, and closure the next t.
+    This decides exactly what running the whole window first and closing
+    by a second run from g would decide:
+
+    - The run makes the same positions in the same order, each by the same
+      _feedback and _reduce on the same passes; only how many positions
+      are made, and how many passes, changes.
+    - Extraction makes the same checks in the same order, and none reads a
+      window position past the one it checks: the center reads position
+      kappa, pair j positions kappa-j and kappa+j.  So the first check that
+      fails, and the reason, are those of the whole window; a candidate
+      that fails the center stops after kappa+1 positions.
+    - A candidate that passes every check has read all k positions, and
+      map stops at the end of the window without drawing from the run, so
+      closure reads exactly positions n .. n+t-1 from the same register
+      state.  bm_t, bm_gaussian_agree, candidates_tried, solver and
+      equations_used do not depend on how far the run went.
     """
     ctx, d = params.ctx, params.d
     seq = beta_split(params, received)
@@ -428,8 +450,8 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
     if all(v == ctx.zero for v in exposed):
         # a zero exposed window within the radius forces a zero error: any
         # nonzero polynomial confined to the message window has rank >= d
-        t, lam, src = 0, (), "zero-window"
-        g = (ctx.zero,) * params.n
+        t, src = 0, "zero-window"
+        g, run = [ctx.zero] * params.n, repeat(ctx.zero)
     else:
         t, lam = skew_bm(params, exposed)
         src = "bm"
@@ -438,19 +460,20 @@ def decode(params: CodeParams, received: Sequence[Felt]) -> DecodeResult:
             diags["candidates_tried"] = 0
             return DecodeResult(ok=False, reason=REASON_INCONSISTENT, diagnostics=diags)
         diags["bm_gaussian_agree"] = True  # the shortest register is unique, see above
-        g = complete_g(params, exposed, lam)
+        g = list(exposed)
+        run = complete_g(params, g, lam)
 
     try:
-        msg = extract_message(params, [ctx.sub(b, e) for b, e in zip(seq[d - 1 :], g[d - 1 :])])
+        msg = extract_message(params, map(ctx.sub, seq[d - 1 :], run))
     except SubfieldCheckError:
         reason = REASON_SUBFIELD
     except SymmetryCheckError:
         reason = REASON_SYMMETRY
     else:
-        if _register_closes(params, g, lam):
+        if list(islice(run, t)) == g[:t]:
             diags["solver"] = src
             diags["equations_used"] = d - 1 - t
-            error_poly = tuple(v for _, v in sorted(zip(_cyclic_order(params.n, d), g)))
+            error_poly = tuple(v for _, v in sorted(zip(_cyclic_order(params.n, d), g[: params.n])))
             return DecodeResult(ok=True, message=msg, error_poly=error_poly, error_rank=t, diagnostics=diags)
         reason = REASON_RADIUS
     diags["candidates_tried"] = 1

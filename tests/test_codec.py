@@ -2,6 +2,7 @@
 
 import tracemalloc
 from array import array
+from itertools import islice
 
 import pytest
 
@@ -550,7 +551,10 @@ def test_complete_g_reconstructs_error_polynomial(params_for, q, n, d):
             bm_t, lam = skew_bm(p, exposed)
             assert bm_t == t
             e = lp_interpolate(ctx, p.moore_packed, err)
-            assert complete_g(p, exposed, lam) == tuple(e[i] for i in cyclic_order(p))
+            # the run yields positions d-1 .. and appends each to g
+            g = list(exposed)
+            window = list(islice(complete_g(p, g, lam), p.k))
+            assert window == g[d - 1 :] and tuple(g) == tuple(e[i] for i in cyclic_order(p))
             assert map_rank(ctx, e) == t
 
 
@@ -558,16 +562,18 @@ def test_complete_g_guards(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     _, _, rec = _noisy(p, 5, 1)
-    exposed = beta_split(p, rec)[: p.d - 1]
+    exposed = list(beta_split(p, rec)[: p.d - 1])
+    # both guards raise when complete_g is called, before the run is read
     with pytest.raises(BadRankError):
         complete_g(p, exposed, ())
     with pytest.raises(BadRankError):
         complete_g(p, exposed, (ctx.one,) * p.d)
-    # exposed must hold exactly d - 1 coefficients: the whole cyclic beta
-    # sequence would run on past n, and too few would index out of range
+    # g must start as exactly the d - 1 exposed coefficients: the whole
+    # cyclic beta sequence would run on past n, and too few would index out
+    # of range
     p = params_for(2, 7, 5)
     _, _, rec = _noisy(p, 5, 1)
-    seq = beta_split(p, rec)
+    seq = list(beta_split(p, rec))
     with pytest.raises(BadShapeError):
         complete_g(p, seq, (p.ctx.one,))
     with pytest.raises(BadShapeError):
@@ -618,6 +624,44 @@ def test_extract_rejects_wrong_length(params_for):
     p = params_for(2, 5, 3)
     with pytest.raises(SymmetryCheckError):
         extract_message(p, [p.ctx.zero] * (p.k + 1))
+
+
+def _counted(items, drawn):
+    # items, counting in drawn[0] each one drawn
+    for x in items:
+        drawn[0] += 1
+        yield x
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 5, 3), (2, 9, 5), (3, 5, 3)])
+def test_extract_reads_only_as_far_as_its_checks_pass(params_for, q, n, d):
+    # extraction checks the centre once kappa + 1 coefficients are drawn
+    # and pair j right after coefficient kappa + 1 + j, so a failing window
+    # is drawn only up to the check that fails it; a window that is not k
+    # long is found out when it is read through
+    p = params_for(q, n, d)
+    ctx, k, kappa = p.ctx, p.k, p.kappa
+    msg = random_message(p, SplitMix64(97 + n))
+    coeffs = expand_message(p, msg)
+    window = [coeffs[(p.m - kappa + j) % n] for j in range(k)]
+    cases = [(window, k, None)]
+    bad_center = list(window)
+    bad_center[kappa] = ctx.add(window[kappa], p.eta)
+    cases.append((bad_center, kappa + 1, SubfieldCheckError))
+    for j in range(1, kappa + 1):
+        bad_pair = list(window)
+        bad_pair[kappa + j] = ctx.add(window[kappa + j], ctx.one)
+        cases.append((bad_pair, kappa + 1 + j, SymmetryCheckError))
+    cases += [(window[:length], length, SymmetryCheckError) for length in range(k)]
+    cases.append((window + [window[0]], k + 1, SymmetryCheckError))
+    for items, draws, error in cases:
+        drawn = [0]
+        if error is None:
+            assert extract_message(p, _counted(items, drawn)) == msg
+        else:
+            with pytest.raises(error):
+                extract_message(p, _counted(items, drawn))
+        assert drawn[0] == draws
 
 
 # -- decoding ---------------------------------------------------------------
@@ -810,8 +854,8 @@ def test_random_message_is_deterministic_and_valid(params_for):
 @pytest.mark.parametrize("q,n,d", [(3, 9, 5), (2, 7, 5)])
 def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
     # machine-independent guard, on each engine: interpolation is one packed
-    # combination of the Moore rows, with no mul or dot, and the closure
-    # check runs on dot and the packed Frobenius tables, never on mul
+    # combination of the Moore rows, with no mul or dot, and a whole decode,
+    # the register's run and its closure included, never calls mul
     p = params_for(q, n, d)
     ctx = p.ctx
     msg, _, received = _noisy(p, 43, 2, MODE_HERMITIAN)
@@ -824,7 +868,7 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
             return _orig(self, *args)
 
         monkeypatch.setattr(cls, name, counting)
-    seen = {"lp_interpolate": [], "_register_closes": []}
+    seen = {"lp_interpolate": []}
     for name in seen:
         def spy(*args, _orig=getattr(codec, name), _name=name):
             before = dict(counts)
@@ -833,9 +877,10 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
             return out
 
         monkeypatch.setattr(codec, name, spy)
-    assert decode(p, received).message == msg
+    res = decode(p, received)
+    assert res.ok and res.message == msg and res.error_rank == 2  # closure ran
     assert seen["lp_interpolate"] == [{"mul": 0, "dot": 0, "combine_rows": 1}]
-    assert seen["_register_closes"] and all(c["mul"] == 0 for c in seen["_register_closes"])
+    assert counts["mul"] == 0
 
     counts["mul"] = 0
     for j in range(3 * ctx.deg):
@@ -859,10 +904,12 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
 # stacked pass per element with no map and no lift of their own (at odd q
 # a read is one packed sum and _canon_lifted, not counted), and BM
 # reduces to lifted form (_reduce_lifted, not counted) with no re-lift of
-# its connection polynomial.  Extraction lifts and reduces nothing: each
-# mirrored pair is three maps, its symmetry check and the per-code U and
-# V (CodeParams._eta_split), with no product
-DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (28, 24, 26, 78), (3, 19, 9, 4, MODE_HERMITIAN): (91, 66, 49, 39)}
+# its connection polynomial.  One run serves the window and closure, so
+# the candidate's lambda is lifted once (t lifts) and each element passed
+# at most once.  Extraction lifts and reduces nothing: each mirrored pair
+# is three maps, its symmetry check and the per-code U and V
+# (CodeParams._eta_split), with no product
+DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (21, 24, 26, 72), (3, 19, 9, 4, MODE_HERMITIAN): (87, 66, 49, 36)}
 
 
 @pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))

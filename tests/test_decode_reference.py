@@ -6,6 +6,8 @@ distance: same verdict, message, error polynomial, rank, failure reason,
 and the same diagnostics in the same key order.
 """
 
+from itertools import islice
+
 import pytest
 
 from hermrank import (
@@ -138,9 +140,10 @@ def test_odd_q_verdicts_match_exhaustive_scan(params_for):
 
 def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     # one interpolation (the received word), no encode, and one feedback sum
-    # per BM discrepancy, per window index and per wrap index: (d-1) + k + t
-    # when the candidate reaches closure, (d-1) + k when extraction fails,
-    # d-1 when BM's register is longer than the radius
+    # per BM discrepancy and per position the register's run makes: (d-1) +
+    # k + t when the candidate reaches closure, (d-1) + kappa + 1 when
+    # extraction fails at the window centre, d-1 when BM's register is
+    # longer than the radius
     p = params_for(2, 7, 5)
     ctx = p.ctx
     msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
@@ -162,11 +165,12 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     assert res.ok and res.message == msg and res.diagnostics["solver"] == "bm"
     assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.k + p.radius}
 
-    # one beyond the radius: BM's register fails extraction
+    # one beyond the radius: BM's register fails extraction's centre check,
+    # and the run stops there
     calls.update(interpolate=0, feedback=0)
     res = decode(p, _noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[1])
     assert res.reason == REASON_SUBFIELD and res.diagnostics["bm_t"] <= p.radius
-    assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.k}
+    assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.kappa + 1}
 
     # exposed coefficients 1, 0, 0, 1 need a register of length 3
     calls.update(interpolate=0, feedback=0)
@@ -177,6 +181,32 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     res = decode(p, corrupt(ctx, encode(p, msg), err))
     assert res.reason == REASON_INCONSISTENT and res.diagnostics["bm_t"] == 3 > p.radius
     assert calls == {"interpolate": 1, "feedback": p.d - 1}
+
+
+@pytest.mark.parametrize("q,n,d", [(3, 19, 9), (5, 13, 7)])
+def test_hermitian_errors_beyond_radius_match_reference(params_for, monkeypatch, q, n, d):
+    # Hermitian-mode errors past the radius: the register's run stops at the
+    # first extraction check that fails, kappa + 1 positions into the window
+    # for the centre, and the result, diagnostics included, is the
+    # reference decoder's, which completes the whole window first
+    p = params_for(q, n, d)
+    calls = [0]
+
+    def counting(*args, _orig=codec._feedback):
+        calls[0] += 1
+        return _orig(*args)
+
+    monkeypatch.setattr(codec, "_feedback", counting)
+    reasons = set()
+    for t in (p.radius + 1, p.radius + 2):
+        for seed in range(8):
+            calls[0] = 0
+            res = _same(p, _noisy(p, 11_000 + 100 * t + seed, t, MODE_HERMITIAN)[1])
+            assert not res.ok
+            reasons.add(res.reason)
+            if res.reason == REASON_SUBFIELD:
+                assert calls[0] == d - 1 + p.kappa + 1
+    assert REASON_SUBFIELD in reasons
 
 
 @pytest.mark.parametrize(
@@ -214,7 +244,8 @@ def test_cyclic_order_matches_dict_indexing(params_for, rand_felt, q, n, d, coun
     # index that it replaced: the same exposed sequence, the same completion
     # and closure verdict for the drawn register of every length up to d-1
     # and for BM's, and the same decode result, error_poly included, on
-    # channel errors and on register runs around the cycle
+    # channel errors and on register runs around the cycle.  Completion and
+    # closure are one run: g[n:n+t] must give back g[:t]
     p = params_for(q, n, d)
     ctx = p.ctx
     rng = SplitMix64(9_500 + 100 * q + n)
@@ -233,9 +264,11 @@ def test_cyclic_order_matches_dict_indexing(params_for, rand_felt, q, n, d, coun
         res = _same(p, rec)
         bm_t, bm_lam = skew_bm(p, seq[: d - 1])
         for reg in filter(None, (lam, bm_lam)):
-            g, g_ref = complete_g(p, seq[: d - 1], reg), ref.complete_g(p, known, reg)
-            assert g == tuple(g_ref[i] for i in cyclic_order(p))
-            closes = codec._register_closes(p, g, reg)
+            g, g_ref = list(seq[: d - 1]), ref.complete_g(p, known, reg)
+            t = len(reg)
+            assert list(islice(complete_g(p, g, reg), n - d + 1 + t)) == g[d - 1 :]
+            assert tuple(g[:n]) == tuple(g_ref[i] for i in cyclic_order(p))
+            closes = g[n : n + t] == g[:t]
             assert closes == ref.register_closes(p, g_ref, reg)
             verdicts.add(closes)
             if reg is bm_lam and res.ok:
@@ -244,6 +277,6 @@ def test_cyclic_order_matches_dict_indexing(params_for, rand_felt, q, n, d, coun
         assert verdicts == {True, False}
     else:
         with pytest.raises(BadRankError):
-            complete_g(p, (), (ctx.one,))
+            complete_g(p, [], (ctx.one,))
         with pytest.raises(BadRankError):
             ref.complete_g(p, {}, (ctx.one,))

@@ -986,8 +986,6 @@ def _byte_codec(q: int, width: int, count: int):
     weights = [(8 * k, pow(256, k, q)) for k in range(1, width)]
 
     def lift(v):
-        if width == 1:
-            return int.from_bytes(bytes(v), "little")
         buf = bytearray(zeros)
         buf[::width] = bytes(v)
         return int.from_bytes(buf, "little")

@@ -273,15 +273,9 @@ def fresh_sim_params():
     cli._sim_params.cache_clear()
 
 
-def test_simulate_builds_params_once(tmp_path, monkeypatch, fake_pool, fresh_sim_params):
+def test_simulate_builds_params_once(tmp_path, monkeypatch, spy, fake_pool, fresh_sim_params):
     # one build whether the shards run in this process or on the pool
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return build_params(*args)
-
-    monkeypatch.setattr(cli, "build_params", counting)
+    calls = spy(cli, "build_params")["build_params"]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     out = tmp_path / "s.json"
     for threads, pools in (("1", []), ("64", [2])):
@@ -431,14 +425,8 @@ def test_mindist_report(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_mindist_enumerates_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return enumerate_code(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "enumerate_code", counting)
+def test_mindist_enumerates_once(tmp_path, spy):
+    calls = spy(oracle, "enumerate_code")["enumerate_code"]
     out = tmp_path / "m.json"
     assert main(["mindist", "--q", "3", "--n", "3", "--d", "3", "--out", str(out)]) == 0
     assert len(calls) == 1

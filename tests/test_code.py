@@ -188,20 +188,12 @@ SETUP_WORK = {
 
 
 @pytest.mark.parametrize("q,n,d", sorted(SETUP_WORK))
-def test_setup_work(monkeypatch, q, n, d):
+def test_setup_work(spy, q, n, d):
     # machine-independent guard on set-up: tables only for the powers
     # applied (the trace's doubling, the Moore table from T_n and T_2,
     # the inversions' chains and what their compositions need) and the
     # _apply_linear calls of the whole build
-    cls = type(make_context(q, n))
-    calls = []
-    orig = cls._apply_linear
-
-    def counting(self, rows, a):
-        calls.append(None)
-        return orig(self, rows, a)
-
-    monkeypatch.setattr(cls, "_apply_linear", counting)
+    calls = spy(type(make_context(q, n)), "_apply_linear")["_apply_linear"]
     p = build_params(q, n, d)
     tables, applications = SETUP_WORK[q, n, d]
     assert set(p.ctx._frob) == tables and len(tables) < p.ctx.deg
@@ -588,22 +580,14 @@ def test_moore_inv_closed_form_matches_elimination(params_for, q, n, d):
     assert p.encoder_rows == ctx.pack_rows([[row[i] for row in moore] for i in window])
 
 
-def test_params_load_makes_no_inversion(params_for, monkeypatch):
+def test_params_load_makes_no_inversion(params_for, spy):
     # the Moore table is certified, not inverted (elimination took n
     # inversions), and the {1, eta} split's one inversion waits for the
     # first extraction (CodeParams._eta_split)
     p = params_for(3, 9, 5)
     want = p._eta_split
     obj = params_to_json_obj(p)
-    cls = type(p.ctx)
-    calls = []
-    orig = cls.inv
-
-    def counting(self, a):
-        calls.append(a)
-        return orig(self, a)
-
-    monkeypatch.setattr(cls, "inv", counting)
+    calls = spy(type(p.ctx), "inv")["inv"]
     again = params_from_json_obj(obj)
     assert len(calls) == 0
     assert again._eta_split == want
@@ -672,23 +656,17 @@ def test_basis_certificate_matches_gram_oracle(params_for, q, n, d):
         assert not verdicts.get(name, False), name
 
 
-def test_params_load_makes_no_pairing(params_for, monkeypatch):
+def test_params_load_makes_no_pairing(params_for, spy):
     # the certificate is one interpolation through the Moore table the
     # params keep; the n^2 Gram pairings took n^2 relative traces
     p = params_for(3, 9, 5)
     obj = params_to_json_obj(p)
-    cls = type(p.ctx)
-    traces = []
-    orig = cls.rel_trace
-
-    def counting(self, a):
-        traces.append(a)
-        return orig(self, a)
-
-    monkeypatch.setattr(cls, "rel_trace", counting)
+    traces = spy(type(p.ctx), "rel_trace")["rel_trace"]
     again = params_from_json_obj(obj)
     assert traces == []
     assert again.moore_packed == p.ctx.pack_rows(moore_tinv(p.ctx, p.alpha))
+    check_gram(p.ctx, p.alpha)
+    assert len(traces) == p.n ** 2
 
 
 def test_rank_parity_check_raises(params_for, monkeypatch):
@@ -704,18 +682,11 @@ def test_rank_parity_check_raises(params_for, monkeypatch):
         map_rank(p.ctx, lp_interpolate(p.ctx, p.moore_packed, word))
 
 
-def test_each_params_certified_once(monkeypatch):
+def test_each_params_certified_once(spy):
     # build_params and a load each run the Moore-table certificate once,
     # and find_selfdual_basis does not recheck on its own
-    calls = []
-    orig = code_mod.lp_interpolate
-
-    def counting(ctx, rows, values):
-        calls.append(values)
-        return orig(ctx, rows, values)
-
-    monkeypatch.setattr(code_mod, "lp_interpolate", counting)
+    calls = spy(code_mod, "lp_interpolate")["lp_interpolate"]
     p = build_params(3, 5, 3)
-    assert calls == [p.alpha]
+    assert [values for _, _, values in calls] == [p.alpha]
     params_from_json_obj(params_to_json_obj(p))
-    assert calls == [p.alpha, p.alpha]
+    assert [values for _, _, values in calls] == [p.alpha, p.alpha]

@@ -507,7 +507,7 @@ def test_skew_bm_edges_match_reference(params_for, rand_felt, q, n, d, size):
 
 
 @pytest.mark.parametrize("q,n,d,mode", BENCH_POINTS)
-def test_decode_inverts_once_per_length_change(params_for, monkeypatch, q, n, d, mode):
+def test_decode_inverts_once_per_length_change(params_for, spy, q, n, d, mode):
     # machine-independent guard: a decode makes at most one inversion per
     # change of the register length, read off the length profile of the
     # exposed sequence (the shortest register of each prefix), not one per
@@ -515,24 +515,16 @@ def test_decode_inverts_once_per_length_change(params_for, monkeypatch, q, n, d,
     # made by the first extraction, so it is made before counting
     p = params_for(q, n, d)
     p._eta_split
-    cls = type(p.ctx)
-    count = [0]
-
-    def counting(self, a, _orig=cls.inv):
-        count[0] += 1
-        return _orig(self, a)
-
+    inversions = spy(type(p.ctx), "inv")["inv"]
     for t in (1, p.radius, p.radius + 1):
         for seed in range(2):
             msg, _, rec = _noisy(p, 1400 * t + seed, t, mode)
             seq = _exposed(p, rec)
             profile = [reference_skew_bm(p, seq[:j])[0] for j in range(len(seq) + 1)]
             changes = sum(a != b for a, b in zip(profile, profile[1:]))
-            count[0] = 0
-            with monkeypatch.context() as m:
-                m.setattr(cls, "inv", counting)
-                res = decode(p, rec)
-            assert count[0] <= changes
+            inversions.clear()
+            res = decode(p, rec)
+            assert len(inversions) <= changes
             if t <= p.radius:
                 assert res.ok and res.message == msg
 
@@ -852,7 +844,7 @@ def test_random_message_is_deterministic_and_valid(params_for):
 
 
 @pytest.mark.parametrize("q,n,d", [(3, 9, 5), (2, 7, 5)])
-def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
+def test_packed_engine_op_counts(params_for, monkeypatch, spy, q, n, d):
     # machine-independent guard, on each engine: interpolation is one packed
     # combination of the Moore rows, with no mul or dot, and a whole decode,
     # the register's run and its closure included, never calls mul
@@ -860,32 +852,24 @@ def test_packed_engine_op_counts(params_for, monkeypatch, q, n, d):
     ctx = p.ctx
     msg, _, received = _noisy(p, 43, 2, MODE_HERMITIAN)
     assert decode(p, received).message == msg  # every table decode reads is built
-    cls = type(ctx)
-    counts = {"mul": 0, "dot": 0, "combine_rows": 0}
-    for name in counts:
-        def counting(self, *args, _orig=getattr(cls, name), _name=name):
-            counts[_name] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(cls, name, counting)
+    calls = spy(type(ctx), "mul", "dot", "combine_rows")
     seen = {"lp_interpolate": []}
     for name in seen:
-        def spy(*args, _orig=getattr(codec, name), _name=name):
-            before = dict(counts)
+        def delta(*args, _orig=getattr(codec, name), _name=name):
+            before = {k: len(v) for k, v in calls.items()}
             out = _orig(*args)
-            seen[_name].append({k: counts[k] - before[k] for k in counts})
+            seen[_name].append({k: len(calls[k]) - before[k] for k in calls})
             return out
 
-        monkeypatch.setattr(codec, name, spy)
+        monkeypatch.setattr(codec, name, delta)
     res = decode(p, received)
     assert res.ok and res.message == msg and res.error_rank == 2  # closure ran
     assert seen["lp_interpolate"] == [{"mul": 0, "dot": 0, "combine_rows": 1}]
-    assert counts["mul"] == 0
+    assert len(calls["mul"]) == 0
 
-    counts["mul"] = 0
     for j in range(3 * ctx.deg):
         ctx.frobenius(received[0], j)
-    assert counts["mul"] == 0
+    assert len(calls["mul"]) == 0
     # one table per Frobenius power, kept in packed form only: for q = 2,
     # ceil(2n/8) byte tables of 256 array('Q') entries; for odd q, 2n
     # packed ints
@@ -913,7 +897,7 @@ DECODE_PRIMITIVES = {(2, 31, 15, 7, MODE_ARBITRARY): (21, 24, 26, 72), (3, 19, 9
 
 
 @pytest.mark.parametrize("q,n,d,t,mode", sorted(DECODE_PRIMITIVES))
-def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
+def test_decode_primitive_counts(params_for, spy, q, n, d, t, mode):
     # machine-independent guard of the register on lifted operands: each
     # register coefficient is lifted once per register, not once per
     # product or update, each element the register reads gets one stacked
@@ -924,24 +908,19 @@ def test_decode_primitive_counts(params_for, monkeypatch, q, n, d, t, mode):
     ctx = p.ctx
     msg, _, received = _noisy(p, 61, t, mode)
     assert decode(p, received).message == msg  # every table decode reads is built
-    counts = dict.fromkeys(("_lift", "_reduce", "_apply_linear", "_frob_pass", "mul"), 0)
-    for name in counts:
-        def counting(*args, _orig=getattr(ctx, name), _name=name):
-            counts[_name] += 1
-            return _orig(*args)
-
-        monkeypatch.setitem(vars(ctx), name, counting)
+    calls = spy(ctx, "_lift", "_reduce", "_apply_linear", "_frob_pass", "mul")
     res = decode(p, received)
     assert res.ok and res.message == msg and res.error_rank == t
-    *primitives, muls = counts.values()
+    *primitives, muls = map(len, calls.values())
     assert tuple(primitives) == DECODE_PRIMITIVES[q, n, d, t, mode] and muls == 0
     _, _, beyond = _noisy(p, 61, t + 1, mode)
-    counts["mul"] = 0
-    assert not decode(p, beyond).ok and counts["mul"] == 0
+    calls["mul"].clear()
+    assert not decode(p, beyond).ok and len(calls["mul"]) == 0
     if q == 2:
-        counts.update(dict.fromkeys(counts, 0))
+        for args in calls.values():
+            args.clear()
         encode(p, msg)
-        assert (counts["_lift"], counts["_reduce"]) == (16, 8)
+        assert (len(calls["_lift"]), len(calls["_reduce"])) == (16, 8)
 
 
 @pytest.mark.parametrize("q,n,d", ENCODE_POINTS + [(131, 3, 3)])
@@ -969,23 +948,17 @@ def test_frob_lifts_match_lifted_frobenius(q, n, d, rand_felt):
                 assert [ctx._frob_read(stack, v, l) for l in range(1, width + 1)] == want, (x, width)
 
 
-def test_gf2_row_tables_are_built_once_per_code(monkeypatch):
+def test_gf2_row_tables_are_built_once_per_code(spy):
     # machine-independent guard: at q = 2 each packed row is its shift
     # table, built once per code by pack_rows.  build_params(2,31,15) builds
     # n + k = 48, the Moore rows whose interpolation certifies alpha and
     # then the encoder rows; an encode, and a decode at the radius and one
     # beyond it, build none; a reload from JSON builds the 48 again
-    built = []
-
-    def counting(row, _orig=field._shift_table):
-        built.append(row)
-        return _orig(row)
-
-    monkeypatch.setattr(field, "_shift_table", counting)
+    built = spy(field, "_shift_table")["_shift_table"]
     p = build_params(2, 31, 15)
     rows = p.moore_packed + p.encoder_rows
     assert len(built) == p.n + p.k == 48
-    assert built == [t[1] for t in rows]
+    assert [row for (row,) in built] == [t[1] for t in rows]
     built.clear()
     word = encode(p, random_message(p, SplitMix64(41)))
     for t in (p.radius, p.radius + 1):
@@ -1004,28 +977,19 @@ ENCODE_WORK = {(3, 9, 5): (2, 10), (2, 31, 15): (8, 34), (5, 13, 7): (3, 14)}
 
 
 @pytest.mark.parametrize("q,n,d", sorted(ENCODE_WORK))
-def test_encode_is_one_packed_combination(params_for, monkeypatch, q, n, d):
+def test_encode_is_one_packed_combination(params_for, spy, q, n, d):
     # machine-independent guard: one encode is one combine_rows of the k
     # window coefficients with the params' k encoder rows, cut into n
     # outputs, with no dot, at most kappa products and at most 3k Frobenius
     # powers: no conjugation in or out, and no per-point work
     p = params_for(q, n, d)
     msg = random_message(p, SplitMix64(59))
-    cls = type(p.ctx)
-    counts = {"dot": 0, "mul": 0, "frobenius": 0, "combine_rows": 0}
-    calls = []
-    for name in counts:
-        def counting(self, *args, _orig=getattr(cls, name), _name=name):
-            counts[_name] += 1
-            if _name == "combine_rows":
-                calls.append(args)
-            return _orig(self, *args)
-
-        monkeypatch.setattr(cls, name, counting)
+    calls = spy(type(p.ctx), "dot", "mul", "frobenius", "combine_rows")
     word = encode(p, msg)
+    counts = {name: len(args) for name, args in calls.items()}
     assert len(word) == p.n
     assert counts["dot"] == 0 and counts["combine_rows"] == 1
-    ((values, rows),) = calls
+    ((values, rows),) = calls["combine_rows"]
     assert rows is p.encoder_rows and len(rows) == len(values) == p.k
     assert counts["mul"] <= p.kappa and counts["frobenius"] <= 3 * p.k
     assert (counts["mul"], counts["frobenius"]) == ENCODE_WORK[q, n, d]

@@ -138,7 +138,7 @@ def test_odd_q_verdicts_match_exhaustive_scan(params_for):
             assert not res.ok
 
 
-def test_decode_certifies_without_reencoding(params_for, monkeypatch):
+def test_decode_certifies_without_reencoding(params_for, monkeypatch, spy):
     # one interpolation (the received word), no encode, and one feedback sum
     # per BM discrepancy and per position the register's run makes: (d-1) +
     # k + t when the candidate reaches closure, (d-1) + kappa + 1 when
@@ -147,65 +147,54 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch):
     p = params_for(2, 7, 5)
     ctx = p.ctx
     msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
-    calls = {"interpolate": 0, "feedback": 0}
+    interpolations, feedbacks = spy(codec, "lp_interpolate", "_feedback").values()
 
-    def counting(name, orig):
-        def wrapper(*args):
-            calls[name] += 1
-            return orig(*args)
-        return wrapper
+    def calls():
+        return {"interpolate": len(interpolations), "feedback": len(feedbacks)}
 
     def forbidden(*args):
         raise AssertionError("decode re-encoded a candidate")
 
-    monkeypatch.setattr(codec, "lp_interpolate", counting("interpolate", codec.lp_interpolate))
-    monkeypatch.setattr(codec, "_feedback", counting("feedback", codec._feedback))
     monkeypatch.setattr(codec, "encode", forbidden)
     res = decode(p, rec)
     assert res.ok and res.message == msg and res.diagnostics["solver"] == "bm"
-    assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.k + p.radius}
+    assert calls() == {"interpolate": 1, "feedback": p.d - 1 + p.k + p.radius}
 
     # one beyond the radius: BM's register fails extraction's centre check,
     # and the run stops there
-    calls.update(interpolate=0, feedback=0)
+    del interpolations[:], feedbacks[:]
     res = decode(p, _noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[1])
     assert res.reason == REASON_SUBFIELD and res.diagnostics["bm_t"] <= p.radius
-    assert calls == {"interpolate": 1, "feedback": p.d - 1 + p.kappa + 1}
+    assert calls() == {"interpolate": 1, "feedback": p.d - 1 + p.kappa + 1}
 
     # exposed coefficients 1, 0, 0, 1 need a register of length 3
-    calls.update(interpolate=0, feedback=0)
+    del interpolations[:], feedbacks[:]
     coeffs = [ctx.zero] * p.n
     first, *_, last = known_indices(p)
     coeffs[first] = coeffs[last] = ctx.one
     err = tuple(lp_eval(ctx, tuple(coeffs), a) for a in p.alpha)
     res = decode(p, corrupt(ctx, encode(p, msg), err))
     assert res.reason == REASON_INCONSISTENT and res.diagnostics["bm_t"] == 3 > p.radius
-    assert calls == {"interpolate": 1, "feedback": p.d - 1}
+    assert calls() == {"interpolate": 1, "feedback": p.d - 1}
 
 
 @pytest.mark.parametrize("q,n,d", [(3, 19, 9), (5, 13, 7)])
-def test_hermitian_errors_beyond_radius_match_reference(params_for, monkeypatch, q, n, d):
+def test_hermitian_errors_beyond_radius_match_reference(params_for, spy, q, n, d):
     # Hermitian-mode errors past the radius: the register's run stops at the
     # first extraction check that fails, kappa + 1 positions into the window
     # for the centre, and the result, diagnostics included, is the
     # reference decoder's, which completes the whole window first
     p = params_for(q, n, d)
-    calls = [0]
-
-    def counting(*args, _orig=codec._feedback):
-        calls[0] += 1
-        return _orig(*args)
-
-    monkeypatch.setattr(codec, "_feedback", counting)
+    feedbacks = spy(codec, "_feedback")["_feedback"]
     reasons = set()
     for t in (p.radius + 1, p.radius + 2):
         for seed in range(8):
-            calls[0] = 0
+            feedbacks.clear()
             res = _same(p, _noisy(p, 11_000 + 100 * t + seed, t, MODE_HERMITIAN)[1])
             assert not res.ok
             reasons.add(res.reason)
             if res.reason == REASON_SUBFIELD:
-                assert calls[0] == d - 1 + p.kappa + 1
+                assert len(feedbacks) == d - 1 + p.kappa + 1
     assert REASON_SUBFIELD in reasons
 
 

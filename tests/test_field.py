@@ -173,40 +173,28 @@ def test_scan_builds_engines_only_for_rootless_candidates(monkeypatch, q, n, eng
     assert all(f[0] != 0 for f in built)
 
 
-def _count_calls(monkeypatch, cls, names):
-    """Patch each named method of cls to count its calls; returns the counts."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        orig = getattr(cls, name)
-
-        def counting(self, *args, _name=name, _orig=orig):
-            counts[_name] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(cls, name, counting)
-    return counts
-
-
 @pytest.mark.parametrize(
     "q,n,engine,muls,gcds", [(5, 13, "_OddContext", 504, 111), (2, 31, "_Gf2Context", 238, 211)]
 )
-def test_scan_work(monkeypatch, q, n, engine, muls, gcds):
+def test_scan_work(spy, q, n, engine, muls, gcds):
     # machine-independent guard on Ben-Or's scan: pow_elem's products and
     # one gcd per step past the root filter, with no linear map and no table
     expected = canonical_modulus(q, n)
-    counts = _count_calls(monkeypatch, getattr(field, engine), ("mul", "_apply_linear", "_coprime_to_modulus"))
+    calls = spy(getattr(field, engine), "mul", "_apply_linear", "_coprime_to_modulus")
     assert field._first_irreducible.__wrapped__(q, n) == expected
+    counts = {name: len(args) for name, args in calls.items()}
     assert counts == {"mul": muls, "_apply_linear": 0, "_coprime_to_modulus": gcds}
 
 
-def test_frobenius_table_work(monkeypatch):
+def test_frobenius_table_work(spy):
     # all 2n tables at (5,13): T_0 takes nothing, T_1 takes pow_elem's 3
     # products and 25 more, and each of the other 24 takes 26 applications
     # of one other table and no product
     ctx = make_context(5, 13)
-    counts = _count_calls(monkeypatch, type(ctx), ("mul", "_apply_linear"))
+    calls = spy(type(ctx), "mul", "_apply_linear")
     for j in range(ctx.deg):
         ctx._frob_rows(j)
+    counts = {name: len(args) for name, args in calls.items()}
     assert counts == {"mul": 28, "_apply_linear": 624}
 
 
@@ -224,25 +212,20 @@ def test_composed_tables_are_powers_of_frobenius_of_x(q, n):
 
 
 @pytest.mark.parametrize("q,n", [(5, 13), (2, 31)])
-def test_pow_elem_squares_and_multiplies_once_per_bit(monkeypatch, q, n):
+def test_pow_elem_squares_and_multiplies_once_per_bit(spy, q, n):
     # bit_length(e) - 1 squarings and popcount(e) - 1 products; the powers
     # X^k with 1 < k <= 2n differ from X, so a product never has equal
     # factors
     ctx = make_context(q, n)
-    factors = []
-
-    def counting(self, a, b, _orig=field.FieldContext.mul):
-        factors.append(a == b)
-        return _orig(self, a, b)
-
-    monkeypatch.setattr(field.FieldContext, "mul", counting)
+    products = spy(field.FieldContext, "mul")["mul"]
     for e in (1, 2, 3, 5, 6, 2 * n - 1, 2 * n):
-        factors.clear()
+        products.clear()
         assert ctx.pow_elem(ctx.gen, e) == reference_field.pow_elem(ctx, ctx.gen, e), e
+        factors = [a == b for a, b in products]
         assert factors.count(True) == e.bit_length() - 1, e
         assert factors.count(False) == bin(e).count("1") - 1, e
-    factors.clear()
-    assert ctx.pow_elem(ctx.gen, 0) == ctx.one and not factors
+    products.clear()
+    assert ctx.pow_elem(ctx.gen, 0) == ctx.one and not products
     with pytest.raises(BadOperandError):
         ctx.pow_elem(ctx.gen, -3)
 
@@ -338,7 +321,7 @@ def test_axioms_ternary(a, b, c):
 
 #: Odd-q points for the packed kernel.  Below q = 128 the canonical tuple
 #: comes from byte folds and one translate, on slots of 1 byte at (3,3)
-#: and (5,1), 2 at (3,19), (5,13) and (7,5), and 4 at (31,5) and (127,3);
+#: and (5,1), 2 at (3,19), (5,13) and (7,5), and 3 at (31,5) and (127,3);
 #: from q = 131 on it is the per-coefficient mod, up to the largest prime
 #: below 2^32, whose slots are wider than 64 bits.
 ODD_POINTS = [
@@ -485,6 +468,18 @@ def test_gf2_lift_spreads_bit_i_to_byte_i(n):
         assert ctx._lift(a).to_bytes(ctx.deg, "little") == bytes(ctx.to_coeffs(a)), a
 
 
+@pytest.mark.parametrize("q,n", ODD_POINTS)
+def test_odd_lift_puts_coefficient_i_in_slot_i(q, n, rand_felt):
+    # the odd-q product kernel works on coefficient i in slot i, 8w bits
+    # wide: the byte codec's lift at widths 1, 2 and 3, and the shifted sum
+    # of the wider slots from q = 131 on
+    ctx = make_context(q, n)
+    rng = SplitMix64(q + 3 * n)
+    w = ctx._bits // 8
+    for a in [ctx.zero, ctx.one, ctx.from_coeffs([q - 1] * ctx.deg)] + [rand_felt(ctx, rng) for _ in range(8)]:
+        assert ctx._lift(a) == sum(c * 2 ** (8 * w * i) for i, c in enumerate(ctx.to_coeffs(a))), a
+
+
 def _clmul(a: int, b: int) -> int:
     """The carry-less product of a and b, one shifted b per set bit of a."""
     return functools.reduce(operator.xor, (b << i for i in range(a.bit_length()) if a >> i & 1), 0)
@@ -518,7 +513,9 @@ def test_gf2_combine_rows_reads_every_table_entry(n, rand_felt):
     # r's value is (s + r + k) % 16, so every row meets every digit at
     # every nibble position (the top one holds only its 2n % 4 low bits
     # when 4 does not divide 2n), then all-ones values; on a square table
-    # and an encoder-shaped one, k = (n + 1) // 2 < n rows from n = 3 on
+    # and an encoder-shaped one, k = (n + 1) // 2 < n rows from n = 3 on.
+    # Each expected output is the XOR of the column's carry-less products,
+    # reduced once by the schoolbook rows
     ctx = make_context(2, n)
     rng = SplitMix64(3 * n + 1)
     mask, nibbles = (1 << ctx.deg) - 1, -(-ctx.deg // 4)
@@ -528,7 +525,9 @@ def test_gf2_combine_rows_reads_every_table_entry(n, rand_felt):
         cases = [[sum((s + r + k) % 16 << 4 * k for k in range(nibbles)) & mask for r in range(height)]
                  for s in range(16)]
         for values in cases + [[mask] * height]:
-            expected = tuple(reference_field.dot(ctx, values, col) for col in zip(*table))
+            sums = (functools.reduce(operator.xor, map(_clmul, values, col)) for col in zip(*table))
+            expected = tuple(ctx.from_coeffs(_schoolbook_reduce(ctx, [v >> i & 1 for i in range(2 * ctx.deg - 1)]))
+                             for v in sums)
             assert ctx.combine_rows(values, rows) == expected, (height, values)
 
 
@@ -901,7 +900,7 @@ def test_slot_width_is_least_byte_count(q, n, width):
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (2, 15), (3, 5), (5, 3), (251, 3)])
-def test_products_reduce_once(monkeypatch, q, n, rand_felt):
+def test_products_reduce_once(spy, q, n, rand_felt):
     # machine-independent guard of the one product kernel on each engine:
     # mul and dot sum unreduced products and reduce once, and combine_rows
     # reduces once per output at odd q; at q = 2 it folds all n outputs at
@@ -911,14 +910,7 @@ def test_products_reduce_once(monkeypatch, q, n, rand_felt):
     xs = [rand_felt(ctx, rng) for _ in range(2 * n)]
     table = [[rand_felt(ctx, rng) for _ in range(n)] for _ in range(n)]
     rows = ctx.pack_rows(table)
-    cls = type(ctx)
-    reduced = []
-
-    def counting(self, p, _orig=cls._reduce):
-        reduced.append(p)
-        return _orig(self, p)
-
-    monkeypatch.setattr(cls, "_reduce", counting)
+    reduced = spy(type(ctx), "_reduce")["_reduce"]
     assert ctx.mul(xs[0], xs[1]) == reference_field.mul(ctx, xs[0], xs[1])
     assert len(reduced) == 1
     assert ctx.dot(xs, xs[::-1]) == reference_field.dot(ctx, xs, xs[::-1])
@@ -1097,13 +1089,16 @@ def test_trace_by_doubling_matches_sum_of_powers(q, n):
         assert got[e] == reference_field.trace_images_by_sum(ctx, e), e
 
 
-def test_trace_images_once_per_degree(monkeypatch):
-    # rel_trace's table and subfield_basis(2) share one doubling
+def test_trace_images_once_per_degree(spy):
+    # rel_trace's table and subfield_basis(2) share one doubling; a fresh
+    # context, with no rel_trace first, makes it in subfield_basis(2)
     ctx = make_context(2, 31)
     ctx.rel_trace(ctx.gen)
-    calls = _count_calls(monkeypatch, type(ctx), ("_apply_linear",))
+    calls = spy(type(ctx), "_apply_linear")
     assert len(ctx.subfield_basis(2)) == 2
-    assert calls == {"_apply_linear": 0}
+    assert calls == {"_apply_linear": []}
+    assert len(make_context(2, 31).subfield_basis(2)) == 2
+    assert calls["_apply_linear"]
 
 
 def test_rel_trace_exhaustive_small():
@@ -1245,21 +1240,15 @@ def test_solve_hermitian_norm_matches_scan_oracle(q, n):
         assert ctx.solve_hermitian_norm(a) == reference_field.solve_hermitian_norm_scan(ctx, a)
 
 
-def test_solve_hermitian_norm_skips_square_norm_candidates(monkeypatch):
+def test_solve_hermitian_norm_skips_square_norm_candidates(spy):
     # at n = 1 with q = 3 (mod 4), N(w) = 1: the q - 1 candidates j*w all
     # have square norms, and scanning them costs thousands of field calls
     ctx = make_context(10007, 1)
-    cls = type(ctx)
-    calls = [0]
-    for name in ("add", "mul", "frobenius", "pow_elem"):
-        def counting(self, *args, _orig=getattr(cls, name)):
-            calls[0] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(cls, name, counting)
+    calls = spy(type(ctx), "add", "mul", "frobenius", "pow_elem")
     c = ctx.solve_hermitian_norm(from_base(ctx, 5))
     assert ctx.mul(ctx.frobenius(c, 1), c) == from_base(ctx, 5)
-    assert calls[0] < 200, calls[0]
+    total = sum(map(len, calls.values()))
+    assert 0 < total < 200, total
 
 
 @pytest.mark.parametrize("n", [1, 3, 31])

@@ -29,6 +29,16 @@ def rand_felt():
     return draw
 
 
+@pytest.fixture(scope="session")
+def rand_word(rand_felt):
+    """A word of params.n elements, each drawn by rand_felt in turn."""
+
+    def draw(params, rng: SplitMix64):
+        return tuple(rand_felt(params.ctx, rng) for _ in range(params.n))
+
+    return draw
+
+
 @pytest.fixture
 def spy(monkeypatch):
     """The one call counter of the tests: spy(owner, *names) wraps each

@@ -114,12 +114,14 @@ def complete_g(params: CodeParams, known_g: dict, lam: Sequence[Felt]) -> tuple:
         raise BadRankError(f"register length {t} outside 1..{params.d - 1}")
     coeffs = dict(known_g)
     for i in range(m - kappa, m + kappa + 1):
-        coeffs[i % n] = _feedback(ctx, coeffs, lam, i, n)
+        coeffs[i % n] = register_output(ctx, coeffs, lam, i, n)
     return tuple(coeffs[i] for i in range(n))
 
 
-def _feedback(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
-    """The register's output at cyclic index i: sum_l lam[l-1] * coeffs[i-l]^(q^(2l))."""
+def register_output(ctx, coeffs, lam: Sequence[Felt], i: int, n: int) -> Felt:
+    """The register's output at cyclic index i: sum_l lam[l-1] * coeffs[i-l]^(q^(2l)),
+    coeffs read at indices mod n: a dict by cyclic index, or a sequence of n
+    terms.  The register sum of every test."""
     live = [l for l in range(1, len(lam) + 1) if coeffs[(i - l) % n] != ctx.zero]
     images = [ctx.frobenius(coeffs[(i - l) % n], 2 * l) for l in live]
     return ctx.dot([lam[l - 1] for l in live], images)
@@ -131,7 +133,7 @@ def register_closes(params: CodeParams, g: Sequence[Felt], lam: Sequence[Felt]) 
     that can fail for g completed from lam."""
     n = params.n
     start = params.m + params.kappa + 1
-    return all(g[(start + j) % n] == _feedback(params.ctx, g, lam, start + j, n) for j in range(len(lam)))
+    return all(g[(start + j) % n] == register_output(params.ctx, g, lam, start + j, n) for j in range(len(lam)))
 
 
 def skew_bm(params: CodeParams, seq: Sequence[Felt]) -> tuple:

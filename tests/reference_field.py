@@ -59,20 +59,25 @@ def reduction_rows(q, modulus):
 
 
 def mul(ctx, a, b):
-    q, deg = ctx.q, ctx.deg
+    deg = ctx.deg
     a, b = ctx.to_coeffs(a), ctx.to_coeffs(b)
     prod = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-    acc = prod[:deg]
-    for s, row in enumerate(reduction_rows(q, ctx.modulus)):
-        hi = prod[deg + s]
+    return ctx.from_coeffs(reduce(ctx, prod))
+
+
+def reduce(ctx, coeffs):
+    """The 2n coefficients of the polynomial with the given coefficients,
+    of degree below 4n - 1, reduced mod f through the rows X^(2n+s) mod f."""
+    q, deg = ctx.q, ctx.deg
+    acc = list(coeffs[:deg])
+    for hi, row in zip(coeffs[deg:], reduction_rows(q, ctx.modulus)):
         if hi:
-            for k in range(deg):
-                acc[k] += hi * row[k]
-    return ctx.from_coeffs([v % q for v in acc])
+            acc = [a + hi * r for a, r in zip(acc, row)]
+    return tuple(v % q for v in acc)
 
 
 def add(ctx, a, b):
@@ -175,7 +180,9 @@ def _pq_trim(a: list[int]) -> list[int]:
     return a[:i]
 
 
-def _pq_rem(a: list[int], b: list[int], q: int) -> list[int]:
+def pq_rem(a: list[int], b: list[int], q: int) -> list[int]:
+    """a mod b over F_q by long division, on coefficient lists lowest
+    first, with the high zeros of the remainder trimmed."""
     a = a[:]
     db = len(b) - 1
     inv_lead = pow(b[db], -1, q)
@@ -191,7 +198,7 @@ def _pq_rem(a: list[int], b: list[int], q: int) -> list[int]:
 def _pq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     a, b = _pq_trim(a[:]), _pq_trim(b[:])
     while b:
-        a, b = b, _pq_rem(a, b, q)
+        a, b = b, pq_rem(a, b, q)
     return a
 
 
@@ -202,12 +209,12 @@ def pq_mulmod(a, b, f, q):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     out = [v % q for v in out]
-    return _pq_rem(out, f, q)
+    return pq_rem(out, f, q)
 
 
 def pq_powmod(base, e, f, q):
     r = [1]
-    base = _pq_rem(base, f, q)
+    base = pq_rem(base, f, q)
     while e:
         if e & 1:
             r = pq_mulmod(r, base, f, q)

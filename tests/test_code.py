@@ -43,13 +43,6 @@ from reference_moore import check_gram, mat_mul, moore_rows, moore_tinv, selfdua
 from reference_rank import map_rank, matrix_rank
 
 
-def _rand_word(params, rng):
-    ctx = params.ctx
-    return tuple(
-        ctx.from_coeffs([rng.below(ctx.q) for _ in range(ctx.deg)]) for _ in range(params.n)
-    )
-
-
 # -- parameter assembly -----------------------------------------------------
 
 
@@ -366,35 +359,35 @@ def _combine(ctx, basis, digits):
     return acc
 
 
-def test_random_vectors_are_usually_not_hermitian(params_for):
+def test_random_vectors_are_usually_not_hermitian(params_for, rand_word):
     # non-vacuity: the Hermitian check must reject generic vectors
     p = params_for(2, 5, 3)
     rng = SplitMix64(23)
     rejected = 0
     for _ in range(20):
-        word = _rand_word(p, rng)
+        word = rand_word(p, rng)
         if not is_hermitian(p.ctx, codeword_to_matrix(p, word)):
             rejected += 1
     assert rejected > 0
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 5, 3), (3, 3, 3), (2, 7, 5)])
-def test_matrix_vector_roundtrip(params_for, q, n, d):
+def test_matrix_vector_roundtrip(params_for, rand_word, q, n, d):
     # conversion is a bijection on all of K^n, not only on codewords
     p = params_for(q, n, d)
     rng = SplitMix64(29)
     for _ in range(25):
-        word = _rand_word(p, rng)
+        word = rand_word(p, rng)
         assert matrix_to_vector(p, codeword_to_matrix(p, word)) == word
 
 
-def test_matrix_conversions_reject_wrong_shapes(params_for):
+def test_matrix_conversions_reject_wrong_shapes(params_for, rand_word):
     # matrix_to_vector once read 4 entries from a 5 x 4 matrix and 2 from a
     # ragged one, is_hermitian raised a bare IndexError on 5 x 4 and said
     # True on 5 x 6, and codeword_to_matrix made a 5 x 3 matrix of 3 entries
     p = params_for(3, 5, 3)
     ctx = p.ctx
-    word = _rand_word(p, SplitMix64(41))
+    word = rand_word(p, SplitMix64(41))
     rows = codeword_to_matrix(p, word)
     narrow = tuple(row[:-1] for row in rows)
     wide = tuple(row + (ctx.zero,) for row in rows)
@@ -428,24 +421,24 @@ def test_matrix_to_vector_rejects_entries_outside_fq2(params_for):
 # -- rank distance ----------------------------------------------------------
 
 
-def test_rank_distance_metric_basics(params_for):
+def test_rank_distance_metric_basics(params_for, rand_word):
     p = params_for(2, 5, 3)
     ctx = p.ctx
     rng = SplitMix64(31)
     zero = (ctx.zero,) * p.n
     assert rank_distance(p, zero, zero) == 0
     for _ in range(15):
-        a, b = _rand_word(p, rng), _rand_word(p, rng)
+        a, b = rand_word(p, rng), rand_word(p, rng)
         assert rank_distance(p, a, a) == 0
         assert rank_distance(p, a, b) == rank_distance(p, b, a)
         assert 0 <= rank_distance(p, a, b) <= p.n
 
 
-def test_rank_distance_rejects_wrong_lengths(params_for):
+def test_rank_distance_rejects_wrong_lengths(params_for, rand_word):
     # pairing the entries would silently drop the longer word's extras
     p = params_for(2, 5, 3)
     zero = (p.ctx.zero,) * p.n
-    word = _rand_word(p, SplitMix64(37))
+    word = rand_word(p, SplitMix64(37))
     for bad in ((), word[:-1], word + (p.ctx.one,)):
         for a, b in ((bad, zero), (zero, bad), (bad, bad)):
             with pytest.raises(BadShapeError):
@@ -453,7 +446,7 @@ def test_rank_distance_rejects_wrong_lengths(params_for):
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 5, 3), (3, 3, 3), (2, 7, 5), (2, 9, 5), (3, 5, 3), (5, 5, 3)])
-def test_rank_distance_three_way_agreement(params_for, q, n, d):
+def test_rank_distance_three_way_agreement(params_for, rand_word, q, n, d):
     # same number three ways: the span rank of the entries, generic
     # elimination of the matrix over K, and the rank of the interpolated
     # difference map; on uniform random words, differences of them, and
@@ -463,12 +456,12 @@ def test_rank_distance_three_way_agreement(params_for, q, n, d):
     rng = SplitMix64(37)
     zero = (ctx.zero,) * p.n
     for _ in range(20):
-        a = _rand_word(p, rng)
+        a = rand_word(p, rng)
         dist = rank_distance(p, a, zero)
         mat = codeword_to_matrix(p, a)
         assert matrix_rank(ctx, mat) == dist
         assert map_rank(ctx, lp_interpolate(ctx, p.moore_packed, a)) == dist
-        b = _rand_word(p, rng)
+        b = rand_word(p, rng)
         diff = tuple(ctx.sub(x, y) for x, y in zip(a, b))
         assert rank_distance(p, a, b) == matrix_rank(ctx, codeword_to_matrix(p, diff))
     for mode in (MODE_ARBITRARY, MODE_HERMITIAN):

@@ -51,8 +51,9 @@ from hermrank.exceptions import (
     SubfieldCheckError,
     SymmetryCheckError,
 )
+from helpers import ENCODE_POINTS, noisy
 from reference_decode import beta_split as reference_beta_split
-from reference_decode import cyclic_order, known_indices, solve_key_equation
+from reference_decode import cyclic_order, known_indices, register_output, solve_key_equation
 from reference_decode import skew_bm as reference_skew_bm
 from reference_field import from_base
 from reference_moore import encode_via_matrix, encode_via_moore_dots, lp_eval, moore_inv_table
@@ -61,13 +62,6 @@ from reference_rank import map_rank, random_message_dots
 
 def _word_from_poly(params, poly):
     return tuple(lp_eval(params.ctx, poly, a) for a in params.alpha)
-
-
-def _noisy(params, msg_seed, t, mode=MODE_ARBITRARY):
-    rng = SplitMix64(msg_seed)
-    msg = random_message(params, rng)
-    err = random_rank_error(params, ChannelSpec(t=t, mode=mode, seed=rng.next_u64()))
-    return msg, err, corrupt(params.ctx, encode(params, msg), err)
 
 
 # -- message expansion ------------------------------------------------------
@@ -170,18 +164,6 @@ def test_encode_zero_and_additivity(params_for):
         m3 = Message(tuple(ctx.add(a, b) for a, b in zip(m1.parts, m2.parts)))
         w1, w2, w3 = encode(p, m1), encode(p, m2), encode(p, m3)
         assert tuple(ctx.add(a, b) for a, b in zip(w1, w2)) == w3
-
-
-# every (q, n, d) the suite builds a code at, including the edge shapes
-# d = 1 (k = n, the window is every index), d = n (k = 1, a one-index
-# window) and n = 1
-ENCODE_POINTS = [
-    (2, 1, 1), (2, 3, 3), (2, 5, 1), (2, 5, 3), (2, 5, 5), (2, 7, 1), (2, 7, 3), (2, 7, 5), (2, 7, 7),
-    (2, 9, 5), (2, 9, 7), (2, 9, 9), (2, 31, 15),
-    (3, 1, 1), (3, 3, 1), (3, 3, 3), (3, 5, 1), (3, 5, 3), (3, 7, 5), (3, 7, 7), (3, 9, 5), (3, 19, 9),
-    (5, 1, 1), (5, 3, 3), (5, 5, 3), (5, 5, 5), (5, 7, 5), (5, 13, 7), (7, 3, 3), (7, 5, 3),
-    (65521, 1, 1), (1000003, 1, 1), (4294967291, 1, 1),
-]
 
 
 @pytest.mark.parametrize("q,n,d", ENCODE_POINTS)
@@ -295,22 +277,19 @@ def test_solve_key_equation_recovers_register(params_for, q, n, d):
     ctx = p.ctx
     for t in range(1, p.radius + 1):
         for seed in range(8):
-            _, err, rec = _noisy(p, 100 * t + seed, t)
+            _, err, rec = noisy(p, 100 * t + seed, t)
             _, known = reference_beta_split(p, rec)
             lam = solve_key_equation(p, known, t)
             assert lam is not None and len(lam) == t
             start = p.m + p.kappa + 1
             for off in range(t, p.d - 1):
                 i = (start + off) % n
-                acc = ctx.zero
-                for l in range(1, t + 1):
-                    acc = ctx.add(acc, ctx.mul(lam[l - 1], ctx.frobenius(known[(i - l) % n], 2 * l)))
-                assert acc == known[i]
+                assert register_output(ctx, known, lam, i, n) == known[i]
 
 
 def test_solve_key_equation_guards(params_for):
     p = params_for(2, 7, 5)
-    _, _, rec = _noisy(p, 3, 1)
+    _, _, rec = noisy(p, 3, 1)
     _, known = reference_beta_split(p, rec)
     with pytest.raises(BadRankError):
         solve_key_equation(p, known, 0)
@@ -332,7 +311,7 @@ def test_solve_key_equation_overestimated_rank(params_for):
     p = params_for(2, 7, 7)
     ctx = p.ctx
     for seed in range(6):
-        _, _, rec = _noisy(p, 500 + seed, 1)
+        _, _, rec = noisy(p, 500 + seed, 1)
         _, known = reference_beta_split(p, rec)
         lam = solve_key_equation(p, known, 2)
         if lam is None:
@@ -340,10 +319,7 @@ def test_solve_key_equation_overestimated_rank(params_for):
         start = p.m + p.kappa + 1
         for off in range(2, p.d - 1):
             i = (start + off) % p.n
-            acc = ctx.zero
-            for l in (1, 2):
-                acc = ctx.add(acc, ctx.mul(lam[l - 1], ctx.frobenius(known[(i - l) % p.n], 2 * l)))
-            assert acc == known[i]
+            assert register_output(ctx, known, lam, i, p.n) == known[i]
 
 
 # -- register synthesis -----------------------------------------------------
@@ -374,7 +350,7 @@ def test_skew_bm_matches_gaussian_solver(params_for, t, rand_felt):
     # unique, so the Gaussian solve at BM's length L returns BM's register
     p = params_for(2, 7, 5)
     for seed in range(10):
-        _, _, rec = _noisy(p, 700 * t + seed, t)
+        _, _, rec = noisy(p, 700 * t + seed, t)
         seq = beta_split(p, rec)[: p.d - 1]
         bm_t, bm_lam = skew_bm(p, seq)
         assert bm_t == t
@@ -394,7 +370,7 @@ def test_skew_bm_matches_gaussian_solver(params_for, t, rand_felt):
             seq = [rand_felt(ctx, rng) for _ in range(L)]
             seq[0] = ctx.one  # never the zero sequence
             for j in range(L, p.d - 1):
-                seq.append(ctx.dot(lam, [ctx.frobenius(seq[j - l], 2 * l) for l in range(1, L + 1)]))
+                seq.append(register_output(ctx, seq, lam, j, len(seq)))
             bm_t, bm_lam = skew_bm(p, seq)
             assert 1 <= bm_t <= L
             known = dict(zip(known_indices(p), seq))
@@ -413,10 +389,7 @@ def test_skew_bm_output_generates_its_input(params_for, rand_felt):
         assert 0 <= t <= len(seq)
         assert len(lam) == t
         for j in range(t, len(seq)):
-            acc = ctx.zero
-            for l in range(1, t + 1):
-                acc = ctx.add(acc, ctx.mul(lam[l - 1], ctx.frobenius(seq[j - l], 2 * l)))
-            assert acc == seq[j]
+            assert register_output(ctx, seq, lam, j, len(seq)) == seq[j]
 
 
 def test_skew_bm_is_minimal_on_short_registers(params_for, rand_felt):
@@ -453,7 +426,7 @@ def test_skew_bm_matches_reference(params_for, rand_felt, q, n, d, mode):
     # radius, beyond it, and on sequences of random elements
     p = params_for(q, n, d)
     ctx = p.ctx
-    seqs = [_exposed(p, _noisy(p, 1300 * t + seed, t, mode)[2])
+    seqs = [_exposed(p, noisy(p, 1300 * t + seed, t, mode)[2])
             for t in (1, p.radius, p.radius + 1, p.radius + 2) for seed in range(3)]
     rng = SplitMix64(1301 + q + n)
     seqs += [[rand_felt(ctx, rng) for _ in range(d - 1)] for _ in range(3)]
@@ -487,8 +460,7 @@ def test_skew_bm_edges_match_reference(params_for, rand_felt, q, n, d, size):
         return x
 
     def predicted(seq):
-        length, lam = reference_skew_bm(p, seq)
-        return ctx.dot(lam, [ctx.frobenius(seq[-l], 2 * l) for l in range(1, length + 1)])
+        return register_output(ctx, seq, reference_skew_bm(p, seq)[1], len(seq), len(seq))
 
     seqs = [[ctx.zero] * k + [nonzero()] + [rand_felt(ctx, rng) for _ in range(size - k - 1)] for k in range(size)]
     for head in range(1, size):
@@ -518,7 +490,7 @@ def test_decode_inverts_once_per_length_change(params_for, spy, q, n, d, mode):
     inversions = spy(type(p.ctx), "inv")["inv"]
     for t in (1, p.radius, p.radius + 1):
         for seed in range(2):
-            msg, _, rec = _noisy(p, 1400 * t + seed, t, mode)
+            msg, _, rec = noisy(p, 1400 * t + seed, t, mode)
             seq = _exposed(p, rec)
             profile = [reference_skew_bm(p, seq[:j])[0] for j in range(len(seq) + 1)]
             changes = sum(a != b for a, b in zip(profile, profile[1:]))
@@ -538,7 +510,7 @@ def test_complete_g_reconstructs_error_polynomial(params_for, q, n, d):
     ctx = p.ctx
     for t in range(1, p.radius + 1):
         for seed in range(10):
-            _, err, rec = _noisy(p, 900 * t + seed, t)
+            _, err, rec = noisy(p, 900 * t + seed, t)
             exposed = beta_split(p, rec)[: d - 1]
             bm_t, lam = skew_bm(p, exposed)
             assert bm_t == t
@@ -553,7 +525,7 @@ def test_complete_g_reconstructs_error_polynomial(params_for, q, n, d):
 def test_complete_g_guards(params_for):
     p = params_for(2, 5, 3)
     ctx = p.ctx
-    _, _, rec = _noisy(p, 5, 1)
+    _, _, rec = noisy(p, 5, 1)
     exposed = list(beta_split(p, rec)[: p.d - 1])
     # both guards raise when complete_g is called, before the run is read
     with pytest.raises(BadRankError):
@@ -564,7 +536,7 @@ def test_complete_g_guards(params_for):
     # cyclic beta sequence would run on past n, and too few would index out
     # of range
     p = params_for(2, 7, 5)
-    _, _, rec = _noisy(p, 5, 1)
+    _, _, rec = noisy(p, 5, 1)
     seq = list(beta_split(p, rec))
     with pytest.raises(BadShapeError):
         complete_g(p, seq, (p.ctx.one,))
@@ -676,7 +648,7 @@ def test_decode_roundtrip_within_radius(params_for, q, n, d, mode):
     ctx = p.ctx
     for t in range(0, p.radius + 1):
         for seed in range(8):
-            msg, err, rec = _noisy(p, 10_000 * t + seed, t, mode)
+            msg, err, rec = noisy(p, 10_000 * t + seed, t, mode)
             res = decode(p, rec)
             assert res.ok, (q, n, d, mode, t, seed, res.reason)
             assert res.message == msg
@@ -706,7 +678,7 @@ def test_decode_beyond_radius_matches_exhaustive_search(params_for):
     ctx = p.ctx
     table = enumerate_code(p)
     for seed in range(30):
-        _, _, rec = _noisy(p, 2_000 + seed, 2)
+        _, _, rec = noisy(p, 2_000 + seed, 2)
         res = decode(p, rec)
         near = nearest_codeword(p, table, rec)
         if near.distance <= p.radius:
@@ -765,7 +737,7 @@ def test_decode_failure_reason_radius(params_for):
 
 def test_decode_diagnostics_shape(params_for):
     p = params_for(2, 7, 5)
-    msg, _, rec = _noisy(p, 11, 2)
+    msg, _, rec = noisy(p, 11, 2)
     res = decode(p, rec)
     assert res.ok and res.message == msg
     assert res.diagnostics["bm_t"] == 2
@@ -794,7 +766,7 @@ def test_decode_degenerate_distance_one(params_for):
     word = encode(p, msg)
     res = decode(p, word)
     assert res.ok and res.message == msg and res.error_rank == 0
-    _, err, rec = _noisy(p, 107, 1)
+    _, err, rec = noisy(p, 107, 1)
     assert not decode(p, rec).ok
 
 
@@ -816,7 +788,7 @@ def test_message_and_word_json_roundtrip(params_for):
 
 def test_decode_result_json_shapes(params_for):
     p = params_for(2, 5, 3)
-    msg, _, rec = _noisy(p, 113, 1)
+    msg, _, rec = noisy(p, 113, 1)
     ok_obj = decode_result_to_json_obj(p, decode(p, rec))
     assert ok_obj["status"] == "Success"
     assert ok_obj["t"] == 1
@@ -850,7 +822,7 @@ def test_packed_engine_op_counts(params_for, monkeypatch, spy, q, n, d):
     # the register's run and its closure included, never calls mul
     p = params_for(q, n, d)
     ctx = p.ctx
-    msg, _, received = _noisy(p, 43, 2, MODE_HERMITIAN)
+    msg, _, received = noisy(p, 43, 2, MODE_HERMITIAN)
     assert decode(p, received).message == msg  # every table decode reads is built
     calls = spy(type(ctx), "mul", "dot", "combine_rows")
     seen = {"lp_interpolate": []}
@@ -906,14 +878,14 @@ def test_decode_primitive_counts(params_for, spy, q, n, d, t, mode):
     # maps, so a decode at the radius, and one beyond it, calls mul not once
     p = params_for(q, n, d)
     ctx = p.ctx
-    msg, _, received = _noisy(p, 61, t, mode)
+    msg, _, received = noisy(p, 61, t, mode)
     assert decode(p, received).message == msg  # every table decode reads is built
     calls = spy(ctx, "_lift", "_reduce", "_apply_linear", "_frob_pass", "mul")
     res = decode(p, received)
     assert res.ok and res.message == msg and res.error_rank == t
     *primitives, muls = map(len, calls.values())
     assert tuple(primitives) == DECODE_PRIMITIVES[q, n, d, t, mode] and muls == 0
-    _, _, beyond = _noisy(p, 61, t + 1, mode)
+    _, _, beyond = noisy(p, 61, t + 1, mode)
     calls["mul"].clear()
     assert not decode(p, beyond).ok and len(calls["mul"]) == 0
     if q == 2:

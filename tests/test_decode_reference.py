@@ -13,7 +13,6 @@ import pytest
 from hermrank import (
     MODE_ARBITRARY,
     MODE_HERMITIAN,
-    ChannelSpec,
     SplitMix64,
     corrupt,
     decode,
@@ -21,7 +20,6 @@ from hermrank import (
     enumerate_code,
     nearest_codeword,
     random_message,
-    random_rank_error,
 )
 from hermrank import codec
 from hermrank.codec import (
@@ -35,8 +33,9 @@ from hermrank.codec import (
 )
 from hermrank.exceptions import BadRankError
 
+from helpers import noisy
 import reference_decode as ref
-from reference_decode import cyclic_order, known_indices, reference_decode
+from reference_decode import cyclic_order, known_indices, reference_decode, register_output
 from reference_moore import lp_eval
 from reference_rank import map_rank
 
@@ -50,18 +49,6 @@ def _same(p, rec):
     return new
 
 
-def _random_word(p, rng):
-    ctx = p.ctx
-    return tuple(ctx.from_coeffs([rng.below(ctx.q) for _ in range(ctx.deg)]) for _ in range(p.n))
-
-
-def _noisy(p, seed, t, mode):
-    rng = SplitMix64(seed)
-    msg = random_message(p, rng)
-    err = random_rank_error(p, ChannelSpec(t=t, mode=mode, seed=rng.next_u64()))
-    return msg, corrupt(p.ctx, encode(p, msg), err)
-
-
 def _cycle_error(p, rng, rand_felt, L):
     # a random register of length L with a random start, run forward from
     # the first exposed index around the whole cycle: (lambda, error
@@ -71,7 +58,7 @@ def _cycle_error(p, rng, rand_felt, L):
     run = [rand_felt(ctx, rng) for _ in range(L)]
     run[0] = ctx.one
     for j in range(L, n):
-        run.append(ctx.dot(lam, [ctx.frobenius(run[j - l], 2 * l) for l in range(1, L + 1)]))
+        run.append(register_output(ctx, run, lam, j, len(run)))
     coeffs = [ctx.zero] * n
     for i, c in zip(cyclic_order(p), run):
         coeffs[i] = c
@@ -84,21 +71,21 @@ def test_seeded_words_match_reference(params_for, q, n, d, mode):
     p = params_for(q, n, d)
     for t in range(0, min(p.radius + 1, p.n) + 1):
         for seed in range(6):
-            msg, rec = _noisy(p, 1_000 * t + seed, t, mode)
+            msg, _, rec = noisy(p, 1_000 * t + seed, t, mode)
             res = _same(p, rec)
             if t <= p.radius:
                 assert res.ok and res.message == msg and res.error_rank == t
 
 
 @pytest.mark.parametrize("q,n,d", POINTS)
-def test_uniform_words_match_reference(params_for, q, n, d):
+def test_uniform_words_match_reference(params_for, rand_word, q, n, d):
     p = params_for(q, n, d)
     rng = SplitMix64(7_000 + q * 100 + n)
     for _ in range(40):
-        _same(p, _random_word(p, rng))
+        _same(p, rand_word(p, rng))
 
 
-def test_every_outcome_is_compared(params_for):
+def test_every_outcome_is_compared(params_for, rand_word):
     # rank-1 errors decode; full-rank single-coefficient error polynomials
     # and uniform words reach every failure reason, so each branch of the
     # two decoders is compared at least once
@@ -107,7 +94,7 @@ def test_every_outcome_is_compared(params_for):
     word = encode(p, random_message(p, SplitMix64(5)))
     rng = SplitMix64(11)
     seen = {"ok" if res.ok else res.reason
-            for res in (_same(p, _noisy(p, 50 + s, 1, MODE_ARBITRARY)[1]) for s in range(4))}
+            for res in (_same(p, noisy(p, 50 + s, 1, MODE_ARBITRARY)[2]) for s in range(4))}
     for i in range(p.n):
         for _ in range(6):
             coeffs = [ctx.zero] * p.n
@@ -116,19 +103,19 @@ def test_every_outcome_is_compared(params_for):
             res = _same(p, corrupt(ctx, word, err))
             seen.add("ok" if res.ok else res.reason)
     for _ in range(60):
-        res = _same(p, _random_word(p, rng))
+        res = _same(p, rand_word(p, rng))
         seen.add("ok" if res.ok else res.reason)
     assert seen == {"ok", REASON_RADIUS, REASON_SYMMETRY, REASON_SUBFIELD, REASON_INCONSISTENT}
 
 
-def test_odd_q_verdicts_match_exhaustive_scan(params_for):
+def test_odd_q_verdicts_match_exhaustive_scan(params_for, rand_word):
     # (3,3,3) has 27 codewords: every verdict is checked against a full scan
     p = params_for(3, 3, 3)
     table = enumerate_code(p)
     rng = SplitMix64(13)
-    words = [_noisy(p, 3_000 + 10 * t + s, t, mode)[1]
+    words = [noisy(p, 3_000 + 10 * t + s, t, mode)[2]
              for t in range(p.n + 1) for s in range(4) for mode in (MODE_ARBITRARY, MODE_HERMITIAN)]
-    words += [_random_word(p, rng) for _ in range(24)]
+    words += [rand_word(p, rng) for _ in range(24)]
     for rec in words:
         res = _same(p, rec)
         near = nearest_codeword(p, table, rec)
@@ -146,7 +133,7 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch, spy):
     # longer than the radius
     p = params_for(2, 7, 5)
     ctx = p.ctx
-    msg, rec = _noisy(p, 17, p.radius, MODE_ARBITRARY)
+    msg, _, rec = noisy(p, 17, p.radius, MODE_ARBITRARY)
     interpolations, feedbacks = spy(codec, "lp_interpolate", "_feedback").values()
 
     def calls():
@@ -163,7 +150,7 @@ def test_decode_certifies_without_reencoding(params_for, monkeypatch, spy):
     # one beyond the radius: BM's register fails extraction's centre check,
     # and the run stops there
     del interpolations[:], feedbacks[:]
-    res = decode(p, _noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[1])
+    res = decode(p, noisy(p, 17, p.radius + 1, MODE_ARBITRARY)[2])
     assert res.reason == REASON_SUBFIELD and res.diagnostics["bm_t"] <= p.radius
     assert calls() == {"interpolate": 1, "feedback": p.d - 1 + p.kappa + 1}
 
@@ -190,7 +177,7 @@ def test_hermitian_errors_beyond_radius_match_reference(params_for, spy, q, n, d
     for t in (p.radius + 1, p.radius + 2):
         for seed in range(8):
             feedbacks.clear()
-            res = _same(p, _noisy(p, 11_000 + 100 * t + seed, t, MODE_HERMITIAN)[1])
+            res = _same(p, noisy(p, 11_000 + 100 * t + seed, t, MODE_HERMITIAN)[2])
             assert not res.ok
             reasons.add(res.reason)
             if res.reason == REASON_SUBFIELD:
@@ -238,7 +225,7 @@ def test_cyclic_order_matches_dict_indexing(params_for, rand_felt, q, n, d, coun
     p = params_for(q, n, d)
     ctx = p.ctx
     rng = SplitMix64(9_500 + 100 * q + n)
-    words = [(None, _noisy(p, 9_600 + 10 * t + s, t, MODE_ARBITRARY)[1])
+    words = [(None, noisy(p, 9_600 + 10 * t + s, t, MODE_ARBITRARY)[2])
              for t in range(min(p.radius + 1, n) + 1) for s in range(2)]
     for _ in range(count):
         lam, e = _cycle_error(p, rng, rand_felt, 1 + rng.below(d - 1))

@@ -30,11 +30,10 @@ from hermrank.exceptions import (
     TooLargeError,
     ZeroInputError,
 )
-from hermrank.field import _irreducible, context_from_json_obj
+from hermrank.field import _irreducible, _lead, context_from_json_obj
+from helpers import ENCODE_POINTS, PACKED_POINTS
 from reference_field import from_base
 from reference_rank import matrix_rank
-from test_codec import ENCODE_POINTS
-from test_linpoly import PACKED_POINTS
 
 
 # -- canonical modulus ------------------------------------------------------
@@ -49,30 +48,6 @@ FROZEN_MODULI = {
 }
 
 
-def _poly_mul_mod_q(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
-def _divides(d, f, q):
-    f = f[:]
-    lead_inv = pow(d[-1], -1, q)
-    while len(f) >= len(d):
-        c = (f[-1] * lead_inv) % q
-        for i in range(len(d)):
-            f[len(f) - len(d) + i] = (f[len(f) - len(d) + i] - c * d[i]) % q
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
-        if f == [0]:
-            return True
-        if len(f) < len(d):
-            break
-    return all(v == 0 for v in f)
-
-
 def _is_irreducible_bruteforce(f, q):
     # trial division by every monic polynomial of degree 1 .. deg/2
     deg = len(f) - 1
@@ -84,7 +59,7 @@ def _is_irreducible_bruteforce(f, q):
                 cand.append(v % q)
                 v //= q
             cand.append(1)
-            if _divides(cand, f, q):
+            if not reference_field.pq_rem(f, cand, q):
                 return False
     return True
 
@@ -292,28 +267,17 @@ def _coeff_lists(q, deg):
     return st.lists(st.integers(min_value=0, max_value=q - 1), min_size=deg, max_size=deg)
 
 
+@pytest.mark.parametrize("q", [2, 3])
 @settings(max_examples=120, deadline=None)
-@given(a=_coeff_lists(2, 6), b=_coeff_lists(2, 6), c=_coeff_lists(2, 6))
-def test_axioms_binary(a, b, c):
-    ctx = make_context(2, 3)
-    x, y, z = ctx.from_coeffs(a), ctx.from_coeffs(b), ctx.from_coeffs(c)
+@given(data=st.data())
+def test_axioms(q, data):
+    ctx = make_context(q, 3)
+    x, y, z = (ctx.from_coeffs(data.draw(_coeff_lists(q, 6))) for _ in range(3))
     assert ctx.add(x, y) == ctx.add(y, x)
     assert ctx.mul(x, y) == ctx.mul(y, x)
     assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
     assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
     assert ctx.sub(x, y) == ctx.add(x, ctx.neg(y))
-    if x != ctx.zero:
-        assert ctx.mul(x, ctx.inv(x)) == ctx.one
-
-
-@settings(max_examples=120, deadline=None)
-@given(a=_coeff_lists(3, 6), b=_coeff_lists(3, 6), c=_coeff_lists(3, 6))
-def test_axioms_ternary(a, b, c):
-    ctx = make_context(3, 3)
-    x, y, z = ctx.from_coeffs(a), ctx.from_coeffs(b), ctx.from_coeffs(c)
-    assert ctx.mul(x, y) == ctx.mul(y, x)
-    assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
-    assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
     assert ctx.add(x, ctx.neg(x)) == ctx.zero
     if x != ctx.zero:
         assert ctx.mul(x, ctx.inv(x)) == ctx.one
@@ -334,18 +298,11 @@ ODD_POINTS = [
 def test_mul_matches_schoolbook_reduction(q, n, rand_felt):
     # independent oracle: convolve coefficient lists, long-divide by the modulus
     ctx = make_context(q, n)
-    mod = list(ctx.modulus)
     rng = SplitMix64(17)
     for _ in range(100):
         a, b = rand_felt(ctx, rng), rand_felt(ctx, rng)
-        prod = _poly_mul_mod_q(ctx.to_coeffs(a), ctx.to_coeffs(b), q)
-        lead_inv = pow(mod[-1], -1, q)
-        for i in range(len(prod) - 1, ctx.deg - 1, -1):
-            c = (prod[i] * lead_inv) % q
-            if c:
-                for j in range(len(mod)):
-                    prod[i - len(mod) + 1 + j] = (prod[i - len(mod) + 1 + j] - c * mod[j]) % q
-        assert ctx.from_coeffs(prod[: ctx.deg]) == ctx.mul(a, b)
+        prod = reference_field.pq_mulmod(ctx.to_coeffs(a), ctx.to_coeffs(b), ctx.modulus, q)
+        assert ctx.from_coeffs(prod + [0] * (ctx.deg - len(prod))) == ctx.mul(a, b)
 
 
 def _kernel_inputs(ctx, rng, rand_felt, count):
@@ -458,25 +415,17 @@ def test_reduce_lifted_and_unlift_match_the_kernel(q, n, rand_felt):
         assert ctx._unlift(lift(x)) == x
 
 
-@pytest.mark.parametrize("n", [1, 5, 31])
-def test_gf2_lift_spreads_bit_i_to_byte_i(n):
-    # the q = 2 product kernel works on bit i in byte i, while elements
-    # stay compact ints of 2n bits
-    ctx = make_context(2, n)
-    rng = SplitMix64(n)
-    for a in [0, 1, (1 << ctx.deg) - 1, 1 << (ctx.deg - 1)] + [rng.below(1 << ctx.deg) for _ in range(20)]:
-        assert ctx._lift(a).to_bytes(ctx.deg, "little") == bytes(ctx.to_coeffs(a)), a
-
-
-@pytest.mark.parametrize("q,n", ODD_POINTS)
-def test_odd_lift_puts_coefficient_i_in_slot_i(q, n, rand_felt):
-    # the odd-q product kernel works on coefficient i in slot i, 8w bits
-    # wide: the byte codec's lift at widths 1, 2 and 3, and the shifted sum
-    # of the wider slots from q = 131 on
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (2, 31)] + ODD_POINTS)
+def test_lift_puts_coefficient_i_in_slot_i(q, n, rand_felt):
+    # the product kernel works on coefficient i in slot i, 8w bits wide,
+    # while elements stay compact: at q = 2 bit i spread to byte i (w = 1),
+    # at odd q the byte codec's lift at widths 1, 2 and 3, and the shifted
+    # sum of the wider slots from q = 131 on
     ctx = make_context(q, n)
     rng = SplitMix64(q + 3 * n)
-    w = ctx._bits // 8
-    for a in [ctx.zero, ctx.one, ctx.from_coeffs([q - 1] * ctx.deg)] + [rand_felt(ctx, rng) for _ in range(8)]:
+    w = ctx._split // (8 * ctx.deg)
+    edges = [ctx.zero, ctx.one, ctx.from_coeffs([q - 1] * ctx.deg), ctx.from_coeffs([0] * (ctx.deg - 1) + [1])]
+    for a in edges + [rand_felt(ctx, rng) for _ in range(20)]:
         assert ctx._lift(a) == sum(c * 2 ** (8 * w * i) for i, c in enumerate(ctx.to_coeffs(a))), a
 
 
@@ -520,13 +469,15 @@ def test_gf2_combine_rows_reads_every_table_entry(n, rand_felt):
     rng = SplitMix64(3 * n + 1)
     mask, nibbles = (1 << ctx.deg) - 1, -(-ctx.deg // 4)
     for height in sorted({n, (n + 1) // 2}):
-        table = [[rand_felt(ctx, rng) for _ in range(n)] for _ in range(height)]
+        # a zero entry becomes 1: at n = 1 the seeded table is the single
+        # element 0, whose shift table cannot show a misread entry
+        table = [[rand_felt(ctx, rng) or ctx.one for _ in range(n)] for _ in range(height)]
         rows = ctx.pack_rows(table)
         cases = [[sum((s + r + k) % 16 << 4 * k for k in range(nibbles)) & mask for r in range(height)]
                  for s in range(16)]
         for values in cases + [[mask] * height]:
             sums = (functools.reduce(operator.xor, map(_clmul, values, col)) for col in zip(*table))
-            expected = tuple(ctx.from_coeffs(_schoolbook_reduce(ctx, [v >> i & 1 for i in range(2 * ctx.deg - 1)]))
+            expected = tuple(ctx.from_coeffs(reference_field.reduce(ctx, [v >> i & 1 for i in range(2 * ctx.deg - 1)]))
                              for v in sums)
             assert ctx.combine_rows(values, rows) == expected, (height, values)
 
@@ -737,16 +688,6 @@ def test_operand_guards_survive_optimize():
     assert run.returncode == 0, run.stderr
 
 
-def _schoolbook_reduce(ctx, coeffs):
-    """The polynomial with the given coefficients, of degree below 4n - 1,
-    reduced mod f through the oracle's rows X^(2n+s) mod f."""
-    q, deg = ctx.q, ctx.deg
-    acc = list(coeffs[:deg])
-    for hi, row in zip(coeffs[deg:], reference_field.reduction_rows(q, ctx.modulus)):
-        acc = [a + hi * r for a, r in zip(acc, row)]
-    return tuple(v % q for v in acc)
-
-
 def _check_fold_at_bound(ctx):
     # every coefficient q - 1: mul, a 2n-term dot and a combination of 2n
     # rows against the schoolbook product, and every one of the 4n - 1
@@ -761,7 +702,7 @@ def _check_fold_at_bound(ctx):
     bound = deg * deg * (q - 1) ** 2
     assert bound < 1 << ctx._bits
     worst = sum(bound << ctx._bits * k for k in range(2 * deg - 1))
-    assert ctx._reduce(worst) == _schoolbook_reduce(ctx, [bound] * (2 * deg - 1))
+    assert ctx._reduce(worst) == ctx.from_coeffs(reference_field.reduce(ctx, [bound] * (2 * deg - 1)))
 
 
 #: Odd points of the fold oracle: every odd point of the packed-row tests,
@@ -855,7 +796,7 @@ def test_fold_on_every_candidate_at_q3_n1_and_n3():
             ctx = field._OddContext(3, n, tuple(c // 3**i % 3 for i in range(deg)) + (1,))
             for slots in ([bound] * (2 * deg - 1), [rng.below(bound + 1) for _ in range(2 * deg - 1)]):
                 p = sum(v << ctx._bits * k for k, v in enumerate(slots))
-                assert ctx._reduce(p) == _schoolbook_reduce(ctx, slots), ctx.modulus
+                assert ctx._reduce(p) == ctx.from_coeffs(reference_field.reduce(ctx, slots)), ctx.modulus
 
 
 def test_gf2_fold_on_every_candidate_at_n1_n3_and_n5():
@@ -880,22 +821,18 @@ def test_gf2_fold_on_every_candidate_at_n1_n3_and_n5():
             assert ctx.combine_rows([ones] * n, ctx.pack_rows([[ones] * n] * n)) == (square,) * n, ctx.modulus
             for slots in ([63] * (2 * deg - 1), [rng.below(64) for _ in range(2 * deg - 1)]):
                 p = sum(v << 8 * k for k, v in enumerate(slots))
-                assert ctx._reduce(p) == ctx.from_coeffs(_schoolbook_reduce(ctx, slots)), ctx.modulus
-
-
-@pytest.mark.parametrize("q,n", [(3, 9), (3, 19), (5, 13)])
-def test_slot_width_stays_two_bytes(q, n):
-    # a wider slot lengthens every odd-q product, fold and unpack at the
-    # benchmark points; the width comes from the modulus, so a change to
-    # the fold's bound could widen it with every test still passing
-    assert make_context(q, n)._bits == 16
+                assert ctx._reduce(p) == ctx.from_coeffs(reference_field.reduce(ctx, slots)), ctx.modulus
 
 
 @pytest.mark.parametrize("q,n,width", [(3, 9, 2), (3, 19, 2), (5, 13, 2), (31, 5, 3), (127, 3, 3), (131, 3, 3),
                                        (251, 3, 4), (65521, 1, 5), (4294967291, 1, 9)])
 def test_slot_width_is_least_byte_count(q, n, width):
     # the width is the least byte count that holds every fold, tried from
-    # 1 byte up: 3, 5, 6 and 7 bytes are as good as 4 and 8
+    # 1 byte up: 3, 5, 6 and 7 bytes are as good as 4 and 8.  A wider slot
+    # lengthens every odd-q product, fold and unpack at the benchmark
+    # points (2 bytes at (3,9), (3,19) and (5,13)); the width comes from
+    # the modulus, so a change to the fold's bound could widen it with
+    # every other test still passing
     assert make_context(q, n)._bits == 8 * width
 
 
@@ -1168,10 +1105,6 @@ def test_subfield_basis_matches_kernel_oracle(q, n):
         if 2 * n % e == 0:
             got = [ctx.to_coeffs(b) for b in ctx.subfield_basis(e)]
             assert got == reference_field.subfield_kernel_basis(ctx, e), e
-
-
-def _lead(coeffs):
-    return max(i for i, c in enumerate(coeffs) if c)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 31), (3, 3), (3, 19), (5, 3), (4294967291, 1)])

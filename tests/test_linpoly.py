@@ -5,6 +5,7 @@ import pytest
 
 from hermrank import SplitMix64, make_context
 from hermrank.linpoly import lp_interpolate
+from helpers import PACKED_POINTS
 from reference_moore import lp_eval, lp_interpolate_dots, moore_rows, moore_tinv
 from reference_rank import dickson, map_rank, matrix_rank
 
@@ -104,18 +105,6 @@ def test_interpolation_special_values():
     # values equal to the points themselves come from the identity map
     ident = lp_interpolate(ctx, packed, pts)
     assert ident == (ctx.one, ctx.zero, ctx.zero)
-
-
-# every (q, n) the suite or the benchmark builds a code at, with one d
-# used there (the basis, and so the Moore table, depends on (q, n) alone);
-# (2, 31) has the widest q = 2 stride, and q = 4294967291 the 9-byte slots
-# that the odd-q engine cuts from the byte string one by one
-PACKED_POINTS = [
-    (2, 1, 1), (2, 3, 3), (2, 5, 3), (2, 7, 5), (2, 9, 5), (2, 31, 15),
-    (3, 1, 1), (3, 3, 3), (3, 5, 3), (3, 7, 5), (3, 9, 5), (3, 19, 9),
-    (5, 1, 1), (5, 3, 3), (5, 5, 3), (5, 7, 5), (5, 13, 7),
-    (65521, 1, 1), (1000003, 1, 1), (4294967291, 1, 1),
-]
 
 
 @pytest.mark.parametrize("q,n,d", PACKED_POINTS)
